@@ -36,7 +36,7 @@ from .control import (
     pi_design,
     sensitivity,
 )
-from .errors import ConfigError, DesignError, IdentifiabilityError, ValveBenchError
+from .errors import ConfigError, DesignError, DivergenceError, IdentifiabilityError, ValveBenchError
 from .ident import (
     AdaptationState,
     RlsRun,
@@ -84,6 +84,7 @@ __all__ = [
     "DelayPolynomial",
     "DesignError",
     "DiscretePlantModel",
+    "DivergenceError",
     "EvalScenario",
     "ExcitationSpec",
     "FrequencyResponse",

@@ -19,5 +19,9 @@ class IdentifiabilityError(ValveBenchError):
     """Regression problem is rank deficient or numerically singular."""
 
 
+class DivergenceError(ValveBenchError):
+    """Recursive estimation blew up: the estimate or its gain matrix is no longer finite."""
+
+
 class DesignError(ValveBenchError):
     """Controller synthesis failed (degree mismatch, common factor, b1 = 0, ...)."""

@@ -16,11 +16,12 @@ forgetting-factor weightings; three profiles are supported:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import IdentifiabilityError
+from .errors import DivergenceError, IdentifiabilityError
 from .fileio import write_csv
 
 MAX_NORMAL_COND = 1e12
@@ -44,11 +45,16 @@ class Regressor:
             raise ValueError("regressor entries must be finite")
 
 
-def _regressors_from(u, y, na: int, nb: int, start: int) -> list[Regressor]:
+def _as_record(u, y) -> tuple[np.ndarray, np.ndarray]:
     u = np.asarray(u, dtype=float)
     y = np.asarray(y, dtype=float)
     if u.shape != y.shape or u.ndim != 1:
         raise ValueError("u and y must be 1-D of equal length")
+    return u, y
+
+
+def _regressors_from(u, y, na: int, nb: int, start: int) -> list[Regressor]:
+    u, y = _as_record(u, y)
     if na < 0 or nb < 1:
         raise ValueError("orders must satisfy na >= 0, nb >= 1")
     if start < max(na, nb):
@@ -71,16 +77,8 @@ def _stack(regressors: list[Regressor]) -> tuple[np.ndarray, np.ndarray]:
     return phi, tgt
 
 
-def batch_least_squares(regressors: list[Regressor]) -> tuple[np.ndarray, float]:
-    """Normal-equation solve; returns (theta_hat, V).
-
-    V is the mean over regressors of half the squared residual.  Raises
-    :class:`IdentifiabilityError` when the normal matrix is rank deficient or
-    conditioned worse than 1e12.
-    """
-    if not regressors:
-        raise IdentifiabilityError("no regressors")
-    phi, tgt = _stack(regressors)
+def _solve_normal(phi: np.ndarray, tgt: np.ndarray) -> tuple[np.ndarray, float]:
+    """Conditioning check and normal-equation solve of phi theta ~ tgt."""
     n_par = phi.shape[1]
     if phi.shape[0] < n_par:
         raise IdentifiabilityError(
@@ -98,23 +96,48 @@ def batch_least_squares(regressors: list[Regressor]) -> tuple[np.ndarray, float]
     return theta, v
 
 
+def batch_least_squares(regressors: list[Regressor]) -> tuple[np.ndarray, float]:
+    """Normal-equation solve; returns (theta_hat, V).
+
+    V is the mean over regressors of half the squared residual.  Raises
+    :class:`IdentifiabilityError` when the normal matrix is rank deficient or
+    conditioned worse than 1e12.
+    """
+    if not regressors:
+        raise IdentifiabilityError("no regressors")
+    return _solve_normal(*_stack(regressors))
+
+
 def order_scan(u, y, na_values=(1, 2, 3), nb_values=(1, 2, 3)) -> dict[tuple[int, int], float]:
     """Criterion value per (na, nb) over a window shared by all candidates.
 
     Every cell starts its regressors at the largest lag scanned, so the V
-    values are comparable across orders.
+    values are comparable across orders.  Each cell's regression matrix is
+    built from lagged slices of the record; the values equal those of
+    :func:`batch_least_squares` on the per-row regressors of that cell.
     """
     na_values = tuple(int(v) for v in na_values)
     nb_values = tuple(int(v) for v in nb_values)
     if not na_values or not nb_values:
         raise ValueError("order ranges must be non-empty")
+    if min(na_values) < 0 or min(nb_values) < 1:
+        raise ValueError("orders must satisfy na >= 0, nb >= 1")
+    u, y = _as_record(u, y)
+    if not (np.all(np.isfinite(u)) and np.all(np.isfinite(y))):
+        raise ValueError("u and y must be finite")
     start = max(max(na_values), max(nb_values))
+    n_rows = max(0, len(y) - start)
+    tgt = y[start:].copy()
     table: dict[tuple[int, int], float] = {}
     for na in na_values:
         for nb in nb_values:
-            regs = _regressors_from(u, y, na, nb, start)
-            _, v = batch_least_squares(regs)
-            table[(na, nb)] = v
+            # Row t holds [-y(t-1) ... -y(t-na), u(t-1) ... u(t-nb)].
+            phi = np.empty((n_rows, na + nb))
+            for i in range(1, na + 1):
+                phi[:, i - 1] = -y[start - i:len(y) - i]
+            for j in range(1, nb + 1):
+                phi[:, na + j - 1] = u[start - j:len(u) - j]
+            _, table[(na, nb)] = _solve_normal(phi, tgt)
     return table
 
 
@@ -201,7 +224,8 @@ def rls_step(
     The a priori error is y - theta_hat' phi; the a posteriori error divides
     it by 1 + phi' F phi, and the parameter step is F phi times the a
     posteriori error.  F then shrinks through the matrix-inversion-lemma form
-    of  F_new^-1 = lambda1 F^-1 + lambda2 phi phi'.
+    of  F_new^-1 = lambda1 F^-1 + lambda2 phi phi'.  Raises
+    :class:`DivergenceError` when the new estimate or F is not finite.
     """
     phi = np.asarray(phi, dtype=float)
     if phi.shape != state.theta_hat.shape:
@@ -222,6 +246,11 @@ def rls_step(
     else:
         F_new = (F - np.outer(f_phi, f_phi) / (lam1 / lam2 + quad)) / lam1
     F_new = 0.5 * (F_new + F_new.T)
+    # theta' F theta is not finite whenever any entry of either is (inf * 0 is NaN).
+    if not math.isfinite(F_new.dot(theta_new).dot(theta_new)):
+        raise DivergenceError(
+            "recursive estimator diverged: parameter estimate or gain matrix F is not finite"
+        )
 
     lam1_next = state.lambda0 * lam1 + 1.0 - state.lambda0 if state.profile == "variable-forgetting" else lam1
     new_state = replace(state, theta_hat=theta_new, F=F_new, lambda1=lam1_next)

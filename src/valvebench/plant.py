@@ -13,11 +13,16 @@ exceeds stiction_ratio times the direction's Coulomb level.  Asymmetric
 coulomb_open / coulomb_close levels give the asymmetric hysteresis seen on
 real hardware.
 
-Integration runs on an internal 1 ms sub-step.  Within a sub-step the active
-friction mode is frozen, which makes the dynamics linear and allows an exact
-exponential update; with friction, quantization and noise disabled the sampled
-response therefore matches the zero-order-hold discretization of the
-continuous model to floating-point accuracy.
+Friction events (breakaway, latching, hitting a stop) are resolved on an
+internal 1 ms sub-step grid.  :func:`valve_step` advances one sub-step with
+the active friction mode frozen, which makes the dynamics linear and allows an
+exact exponential update; it is the reference integrator.
+:class:`ValveSimulator` reaches the same grid by phase jumps: the duty cycle is
+constant within a sample, so it jumps a whole friction phase in closed form to
+its first event sub-step instead of stepping through it.  With friction,
+quantization and noise disabled the sampled response therefore matches the
+zero-order-hold discretization of the continuous model to floating-point
+accuracy.
 """
 
 from __future__ import annotations
@@ -178,12 +183,21 @@ def valve_step(state: ValveState, params: ValveParams, u: float, dt: float) -> V
 
 
 class ValveSimulator:
-    """Sampled-data wrapper around :func:`valve_step`.
+    """Sampled valve: the reference :func:`valve_step` integrated by phase jumps.
 
     The convention is measure-then-apply: :meth:`measure` senses the current
     angle (quantization plus noise), then :meth:`advance` applies a duty cycle
     for one sampling period.  Output sample k therefore depends on inputs up
     to k - 1, matching the one-step-delayed discrete models used elsewhere.
+
+    :meth:`advance` gives the same states as n_sub calls of :func:`valve_step`
+    (to rounding) without making them.  The duty cycle is constant within a
+    sample, so each friction mode is an exact exponential toward its kinetic
+    target.  A plate that fails the breakaway test stays latched for the rest
+    of the sample.  A moving plate jumps straight to the earliest of: the end
+    of the sample, the first sub-step with |v| < V_STOP, or the first sub-step
+    at a hard stop.  Every event therefore stays on the 1 ms grid, and the
+    friction mode is decided afresh after each one.
     """
 
     def __init__(self, params: ValveParams, Ts: float = 0.05, state: ValveState | None = None):
@@ -201,6 +215,12 @@ class ValveSimulator:
             self._q_step = (params.angle_max - params.angle_min) / (2**params.adc_bits - 1)
         else:
             self._q_step = 0.0
+        # Same expressions as valve_step, so the per-mode exponentials agree.
+        self._tau = params.viscous_coeff / params.spring_stiffness
+        self._decay = math.exp(-DT_INTERNAL / self._tau)
+        self._log_decay = math.log(self._decay) if self._decay > 0.0 else -math.inf
+        self._break_open = params.stiction_ratio * params.coulomb_open
+        self._break_close = params.stiction_ratio * params.coulomb_close
 
     def measure(self) -> float:
         y = self.state.angle
@@ -212,17 +232,78 @@ class ValveSimulator:
         return y
 
     def advance(self, u: float) -> None:
-        if not np.isfinite(u):
+        u = float(u)
+        if not math.isfinite(u):
             raise ValueError("duty cycle must be finite")
-        u = min(100.0, max(0.0, float(u)))
+        u = min(100.0, max(0.0, u))
         if self.params.pwm_levels:
             levels = self.params.pwm_levels - 1
             u = round(u / 100.0 * levels) * 100.0 / levels
-        state = self.state
-        params = self.params
-        for _ in range(self.n_sub):
-            state = valve_step(state, params, u, DT_INTERNAL)
-        self.state = state
+        self.state = self._jump(self.state, u)
+
+    def _jump(self, state: ValveState, u: float) -> ValveState:
+        """State after n_sub sub-steps of valve_step under duty cycle u."""
+        p = self.params
+        k, rest = p.spring_stiffness, p.spring_rest_angle
+        a_min, a_max = p.angle_min, p.angle_max
+        tau, decay = self._tau, self._decay
+        drive = p.motor_gain * u
+        target_open = rest - (drive + p.coulomb_open) / k
+        target_close = rest - (drive - p.coulomb_close) / k
+        left = self.n_sub
+        while True:
+            angle = state.angle
+            # Friction mode for the next sub-step, decided as valve_step does.
+            d = 0.0
+            if state.moving:
+                d = 1.0 if state.velocity > 0.0 else -1.0
+                target = target_open if d > 0.0 else target_close
+                if d * (target - angle) <= 0.0:
+                    d = 0.0
+            if d == 0.0:
+                net = k * (rest - angle) - drive
+                d = 1.0 if net > 0.0 else -1.0
+                if abs(net) <= (self._break_open if d > 0.0 else self._break_close):
+                    # Nothing changes until u does: latched for the sample.
+                    if not state.moving and state.velocity == 0.0:
+                        return state
+                    return ValveState(angle, 0.0, False)
+                target = target_open if d > 0.0 else target_close
+
+            # Sub-step j puts the plate at target + gap * decay**j.
+            gap = angle - target
+
+            def event(j: int) -> bool:
+                a = target + gap * decay**j
+                return abs((target - a) / tau) < V_STOP or a <= a_min or a >= a_max
+
+            # First event sub-step from the closed form: |v| falls below
+            # V_STOP, or the plate reaches a stop its target lies beyond.
+            # Then corrected on the grid against the same test; left + 1
+            # means no event this sample.
+            first = left + 1
+            for reach in (V_STOP * tau, max(target - a_max, a_min - target)):
+                if reach >= abs(gap):
+                    first = 1
+                elif reach > 0.0 and self._log_decay < 0.0:
+                    first = min(first, math.ceil(math.log(reach / abs(gap)) / self._log_decay))
+            j = min(max(first, 1), left + 1)
+            while j > 1 and event(j - 1):
+                j -= 1
+            while j <= left and not event(j):
+                j += 1
+
+            if j > left:
+                a = target + gap * decay**left
+                return ValveState(a, (target - a) / tau, True)
+            a = min(max(target + gap * decay**j, a_min), a_max)
+            if a == angle and not state.moving and state.velocity == 0.0:
+                # Pinned (at a stop or by rounding): every sub-step repeats.
+                return state
+            state = ValveState(a, 0.0, False)
+            left -= j
+            if left == 0:
+                return state
 
 
 def valve_run(params: ValveParams, u_sequence: np.ndarray, Ts: float = 0.05) -> np.ndarray:

@@ -1,12 +1,15 @@
 """End-to-end subcommand runs, config resolution, and exit codes."""
 
 import math
+from pathlib import Path
 
 from valvebench.cli import main, parse_set_args, resolve_config
 from valvebench.errors import ConfigError
 from valvebench.fileio import parse_key_values
 
 import pytest
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def parse_report(path):
@@ -166,6 +169,26 @@ def test_exit_codes(tmp_path, capsys):
     assert main(["etfe", "--out", str(tmp_path), "--set", "excitation.periods=0"]) == 2
     assert main(["sweep", "--out", str(tmp_path), "--set", "plant.preset="]) == 2
     assert main(["sweep", "--out", str(tmp_path), "--parallel", "0"]) == 2
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+def test_estimator_divergence_is_a_run_failure(tmp_path, capsys):
+    """A blown-up estimator exits 1 and names the divergence; it is not bad input."""
+    rc = main(
+        [
+            "adapt",
+            "--config",
+            str(CONFIGS / "adapt_valve6.cfg"),
+            "--out",
+            str(tmp_path),
+            "--set",
+            "adapt.gain=1e300",
+        ]
+    )
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "valvebench adapt failed:" in err
+    assert "diverged" in err
 
 
 def test_multi_preset_fan_out(tmp_path):

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from valvebench.errors import IdentifiabilityError
 from valvebench.ident import (
     AdaptationState,
+    _regressors_from,
     batch_least_squares,
     build_regressors,
     initial_adaptation_state,
@@ -80,6 +81,31 @@ def test_order_scan_refuses_collinear_noiseless_cells():
     y = simulate_arx([-1.2, 0.35], [0.5], u)
     with pytest.raises(IdentifiabilityError):
         order_scan(u, y, (1, 2, 3), (1, 2, 3))
+
+
+def test_order_scan_matches_per_row_oracle():
+    """Each strided cell equals the per-row regressor path bit for bit."""
+    rng = np.random.default_rng(8)
+    u = rng.uniform(-1, 1, 700)
+    y = simulate_arx([-1.2, 0.35], [0.5, 0.1], u, noise=0.05 * rng.standard_normal(700))
+    table = order_scan(u, y, (1, 2, 3), (1, 2, 3))
+    for (na, nb), v in table.items():
+        _, v_ref = batch_least_squares(_regressors_from(u, y, na, nb, 3))
+        assert v == v_ref
+
+
+def test_order_scan_rejects_non_finite_records():
+    rng = np.random.default_rng(9)
+    u = rng.uniform(-1, 1, 200)
+    y = simulate_arx([-0.7], [0.4], u, noise=0.05 * rng.standard_normal(200))
+    bad = u.copy()
+    bad[50] = np.nan
+    with pytest.raises(ValueError):
+        order_scan(bad, y)
+    bad = y.copy()
+    bad[-1] = np.inf
+    with pytest.raises(ValueError):
+        order_scan(u, bad)
 
 
 def test_identifiability_failures():

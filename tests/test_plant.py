@@ -4,10 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from valvebench.plant import (
+    DT_INTERNAL,
     DiscretePlantModel,
     LinearSimulator,
     ValveParams,
     ValveSimulator,
+    ValveState,
     linear_plant_step,
     linear_run,
     measure_rise_time,
@@ -97,6 +99,81 @@ def test_angle_never_leaves_stops(stiffness, gain, viscous, c_open, c_close, sti
         assert params.angle_min <= sim.state.angle <= params.angle_max
         if not sim.state.moving:
             assert sim.state.velocity == 0.0
+
+
+def substep_reference(state, params, u, n_sub):
+    """The sample advance as n_sub reference sub-steps (u already snapped)."""
+    for _ in range(n_sub):
+        state = valve_step(state, params, u, DT_INTERNAL)
+    return state
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    stiffness=st.floats(0.5, 2.0),
+    gain=st.floats(0.3, 2.0),
+    viscous=st.floats(0.001, 0.6),
+    c_open=st.one_of(st.just(0.0), st.floats(0.0, 3.0)),
+    c_close=st.one_of(st.just(0.0), st.floats(0.0, 3.0)),
+    stiction=st.one_of(st.just(1.0), st.floats(1.0, 2.0)),
+    rest=st.one_of(st.sampled_from([0.0, 95.0]), st.floats(0.0, 95.0)),
+    start=st.floats(0.0, 95.0),
+    Ts_ms=st.sampled_from([1, 20, 50]),
+    u_seq=st.lists(
+        st.tuples(st.one_of(st.sampled_from([0.0, 100.0]), st.floats(0.0, 100.0)), st.integers(1, 8)),
+        min_size=1,
+        max_size=12,
+    ),
+)
+def test_advance_matches_substep_oracle(
+    stiffness, gain, viscous, c_open, c_close, stiction, rest, start, Ts_ms, u_seq
+):
+    """Phase-jump advance against the valve_step loop, sample by sample."""
+    params = ValveParams(
+        spring_stiffness=stiffness,
+        spring_rest_angle=rest,
+        motor_gain=gain,
+        viscous_coeff=viscous,
+        coulomb_open=c_open,
+        coulomb_close=c_close,
+        stiction_ratio=stiction,
+        adc_bits=0,
+        pwm_levels=0,
+        output_noise_std=0.0,
+    )
+    sim = ValveSimulator(params, Ts_ms * 1e-3, state=ValveState(start))
+    for u, hold in u_seq:
+        for _ in range(hold):
+            want = substep_reference(sim.state, params, u, sim.n_sub)
+            sim.advance(u)
+            got = sim.state
+            assert abs(got.angle - want.angle) <= 1e-10
+            assert got.moving == want.moving
+            assert params.angle_min <= got.angle <= params.angle_max
+            sim.state = want
+
+
+def test_advance_stops_mid_sample_then_latches():
+    """A plate that stops inside a sample stays where the sub-step loop leaves it."""
+    params = clean_params(viscous_coeff=0.001, coulomb_open=1.5, coulomb_close=2.0, stiction_ratio=1.3)
+    n_sub = int(round(Ts / DT_INTERNAL))
+    start = rest_state(params)
+    # the reference stops, then latches, before the sample ends
+    state, stopped_at = start, None
+    for j in range(1, n_sub + 1):
+        state = valve_step(state, params, 20.0, DT_INTERNAL)
+        if stopped_at is None and j > 1 and not state.moving:
+            stopped_at = j
+    assert stopped_at is not None and stopped_at < n_sub
+    sim = ValveSimulator(params, Ts)
+    sim.advance(20.0)
+    assert not sim.state.moving
+    assert sim.state.angle != start.angle
+    assert abs(sim.state.angle - state.angle) <= 1e-10
+    # the next sample with the same input leaves the latched plate alone
+    latched = sim.state
+    sim.advance(20.0)
+    assert sim.state is latched
 
 
 def test_stiction_deadband():
