@@ -87,6 +87,10 @@ class RstDesignSpec:
     hs: DelayPolynomial = HS_INTEGRATOR
     hr: DelayPolynomial = HR_NYQUIST_ZERO
     check_tol: float = 1e-9
+    target: DelayPolynomial = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "target", desired_poles(self.pole))
 
     def model_from(self, theta) -> DiscretePlantModel:
         theta = np.asarray(theta, dtype=float)
@@ -102,9 +106,8 @@ class RstDesignSpec:
     def design(self, theta) -> RstController:
         """Pole placement on the given estimate, verified before returning."""
         model = self.model_from(theta)
-        target = desired_poles(self.pole)
-        controller = bezout_design(model, target, hs=self.hs, hr=self.hr)
-        check_pole_placement(model, controller, target, tol=self.check_tol)
+        controller = bezout_design(model, self.target, hs=self.hs, hr=self.hr)
+        check_pole_placement(model, controller, self.target, tol=self.check_tol)
         return controller
 
 

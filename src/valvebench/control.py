@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DesignError
-from .fileio import format_float, parse_key_values, write_csv
+from .fileio import format_float, parse_key_values
 from .plant import DiscretePlantModel
 
 SYLVESTER_MAX_COND = 1e10
@@ -31,10 +31,10 @@ class DelayPolynomial:
     coeffs: tuple[float, ...]
 
     def __post_init__(self):
-        cs = tuple(float(c) for c in self.coeffs)
+        cs = tuple(map(float, self.coeffs))
         if not cs:
             cs = (0.0,)
-        if not all(math.isfinite(c) for c in cs):
+        if not all(map(math.isfinite, cs)):
             raise ValueError("coefficients must be finite")
         object.__setattr__(self, "coeffs", cs)
 
@@ -47,7 +47,7 @@ class DelayPolynomial:
 
     def __mul__(self, other):
         if isinstance(other, DelayPolynomial):
-            return DelayPolynomial(tuple(np.convolve(self.coeffs, other.coeffs)))
+            return DelayPolynomial(tuple(np.convolve(self.coeffs, other.coeffs).tolist()))
         return DelayPolynomial(tuple(float(other) * c for c in self.coeffs))
 
     __rmul__ = __mul__
@@ -71,9 +71,6 @@ class DelayPolynomial:
             return val.real if val.imag == 0.0 else val
         return acc
 
-    def on_circle(self, omegas: np.ndarray, Ts: float) -> np.ndarray:
-        return self(unit_circle(omegas, Ts))
-
     def shifted(self, k: int) -> "DelayPolynomial":
         """Multiply by q^-k."""
         if k < 0:
@@ -81,14 +78,7 @@ class DelayPolynomial:
         return DelayPolynomial((0.0,) * k + self.coeffs)
 
     def trimmed(self, rel_tol: float = 1e-12) -> "DelayPolynomial":
-        cs = np.array(self.coeffs)
-        scale = np.abs(cs).max()
-        if scale == 0.0:
-            return DelayPolynomial((0.0,))
-        keep = len(cs)
-        while keep > 1 and abs(cs[keep - 1]) <= rel_tol * scale:
-            keep -= 1
-        return DelayPolynomial(tuple(cs[:keep]))
+        return DelayPolynomial(tuple(_trimmed(np.array(self.coeffs), rel_tol)))
 
     def roots(self) -> np.ndarray:
         """Roots in the z plane of z^m P(z^-1)."""
@@ -99,6 +89,24 @@ class DelayPolynomial:
 
     def is_zero(self, rel_tol: float = 0.0) -> bool:
         return all(abs(c) <= rel_tol for c in self.coeffs)
+
+
+def _trimmed(cs: np.ndarray, rel_tol: float = 1e-12) -> np.ndarray:
+    """Coefficients without the trailing terms at or below rel_tol times the
+    largest magnitude; all zero trims to [0].  The last kept term is nonzero
+    unless the polynomial is zero, so the degree is len - 1.  Raises the
+    same ValueError as :class:`DelayPolynomial` on a non-finite coefficient.
+    """
+    vals = cs.tolist()
+    if not all(map(math.isfinite, vals)):
+        raise ValueError("coefficients must be finite")
+    scale = max(map(abs, vals))
+    if scale == 0.0:
+        return np.zeros(1)
+    keep = len(vals)
+    while keep > 1 and abs(vals[keep - 1]) <= rel_tol * scale:
+        keep -= 1
+    return cs[:keep]
 
 
 ONE = DelayPolynomial((1.0,))
@@ -116,11 +124,18 @@ def unit_circle(omegas: np.ndarray, Ts: float) -> np.ndarray:
     return z
 
 
+def _model_arrays(model: DiscretePlantModel) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients of A and q^-d B, B including its implicit one-step delay."""
+    a = np.array((1.0, *model.a_coeffs))
+    b = np.zeros(model.delay + 1 + len(model.b_coeffs))
+    b[model.delay + 1:] = model.b_coeffs
+    return a, b
+
+
 def model_polynomials(model: DiscretePlantModel) -> tuple[DelayPolynomial, DelayPolynomial]:
     """(A, q^-d B) of the model, B including its implicit one-step delay."""
-    a = DelayPolynomial((1.0, *model.a_coeffs))
-    b = DelayPolynomial((0.0, *model.b_coeffs)).shifted(model.delay)
-    return a, b
+    a, b = _model_arrays(model)
+    return DelayPolynomial(tuple(a)), DelayPolynomial(tuple(b))
 
 
 @dataclass(frozen=True)
@@ -247,31 +262,30 @@ def bezout_design(
 
     Degrees follow the minimal unique solution: deg S' = deg(B1) - 1 and
     deg R' = deg(A1) - 1 with A1 = A H_S, B1 = q^-d B H_R.  T = R(1) yields
-    unit closed-loop DC gain whenever S contains an integrator.
+    unit closed-loop DC gain whenever S contains an integrator.  Works on
+    coefficient arrays; only the returned controller holds polynomials.
     """
-    a_poly, b_poly = model_polynomials(model)
-    a1p = (a_poly * hs).trimmed()
-    b1p = (b_poly * hr).trimmed()
-    if b1p.is_zero():
+    a, b = _model_arrays(model)
+    a1 = _trimmed(np.convolve(a, hs.coeffs))
+    b1 = _trimmed(np.convolve(b, hr.coeffs))
+    if not b1.any():
         raise DesignError("plant numerator is zero")
-    n_a = a1p.degree
-    n_b = b1p.degree
+    n_a = len(a1) - 1
+    n_b = len(b1) - 1
     if n_b < 1:
         raise DesignError("plant must have at least one step of delay")
     n_unknowns = n_a + n_b
-    p = pole_poly.trimmed()
-    if p.degree > n_unknowns - 1:
+    p = _trimmed(np.array(pole_poly.coeffs))
+    if len(p) - 1 > n_unknowns - 1:
         raise DesignError(
-            f"desired polynomial degree {p.degree} exceeds solvable degree {n_unknowns - 1}"
+            f"desired polynomial degree {len(p) - 1} exceeds solvable degree {n_unknowns - 1}"
         )
 
     M = np.zeros((n_unknowns, n_unknowns))
-    a_c = np.array(a1p.coeffs)
-    b_c = np.array(b1p.coeffs)
     for j in range(n_b):  # columns for S' coefficients
-        M[j : j + len(a_c), j] = a_c
+        M[j : j + len(a1), j] = a1
     for j in range(n_a):  # columns for R' coefficients
-        M[j : j + len(b_c), n_b + j] = b_c
+        M[j : j + len(b1), n_b + j] = b1
 
     cond = np.linalg.cond(M)
     if not np.isfinite(cond) or cond > SYLVESTER_MAX_COND:
@@ -280,22 +294,22 @@ def bezout_design(
             "plant and fixed parts likely share a common factor"
         )
     rhs = np.zeros(n_unknowns)
-    rhs[: p.degree + 1] = p.coeffs[: p.degree + 1]
+    rhs[: len(p)] = p
     sol = np.linalg.solve(M, rhs)
-    s_core = sol[:n_b]
-    r_core = sol[n_b:]
     # Monic P against monic A1 pins s'_0 = 1; renormalize defensively so the
     # stored controller always has s0 = 1.
-    lead = s_core[0]
+    lead = sol[0]
     if lead == 0.0 or not np.isfinite(lead):
         raise DesignError("degenerate solution with s0 = 0")
-    s_core = s_core / lead
-    r_core = r_core / lead
-    r_poly = (hr * DelayPolynomial(tuple(r_core))).trimmed()
-    t_gain = float(np.real(r_poly(1.0)))
+    s_core = sol[:n_b] / lead
+    r_core = sol[n_b:] / lead
+    # R(1), summed from the highest power down as DelayPolynomial evaluates it
+    t_gain = 0.0
+    for c in reversed(_trimmed(np.convolve(hr.coeffs, r_core)).tolist()):
+        t_gain += c
     return RstController(
-        r_core=DelayPolynomial(tuple(r_core)),
-        s_core=DelayPolynomial(tuple(s_core)),
+        r_core=DelayPolynomial(tuple(r_core.tolist())),
+        s_core=DelayPolynomial(tuple(s_core.tolist())),
         t=DelayPolynomial((t_gain,)),
         Ts=model.Ts,
         hr=hr,
@@ -303,9 +317,19 @@ def bezout_design(
     )
 
 
+def _closed_loop(model: DiscretePlantModel, controller: RstController) -> np.ndarray:
+    """Coefficients of A S + q^-d B R."""
+    a, b = _model_arrays(model)
+    as_ = np.convolve(a, controller.s.coeffs)
+    br = np.convolve(b, controller.r.coeffs)
+    if len(as_) < len(br):
+        as_, br = br, as_
+    as_[: len(br)] += br
+    return as_
+
+
 def closed_loop_polynomial(model: DiscretePlantModel, controller: RstController) -> DelayPolynomial:
-    a_poly, b_poly = model_polynomials(model)
-    return a_poly * controller.s + b_poly * controller.r
+    return DelayPolynomial(tuple(_closed_loop(model, controller)))
 
 
 def check_pole_placement(
@@ -321,16 +345,16 @@ def check_pole_placement(
     double root) while the coefficients are not.  Raises
     :class:`DesignError` above tol.
     """
-    achieved = closed_loop_polynomial(model, controller).trimmed(1e-9)
-    wanted = pole_poly.trimmed(1e-9)
-    if achieved.coeffs[0] == 0.0 or wanted.coeffs[0] == 0.0:
+    achieved = _trimmed(_closed_loop(model, controller), 1e-9)
+    wanted = _trimmed(np.array(pole_poly.coeffs), 1e-9)
+    if achieved[0] == 0.0 or wanted[0] == 0.0:
         raise DesignError("closed-loop polynomial lost its leading coefficient")
-    a = np.array(achieved.coeffs) / achieved.coeffs[0]
-    w = np.array(wanted.coeffs) / wanted.coeffs[0]
-    n = max(len(a), len(w))
-    a = np.pad(a, (0, n - len(a)))
-    w = np.pad(w, (0, n - len(w)))
-    err = float(np.max(np.abs(a - w)))
+    diff = achieved / achieved[0]
+    w = wanted / wanted[0]
+    if len(diff) < len(w):
+        diff, w = w, diff
+    diff[: len(w)] -= w
+    err = float(np.max(np.abs(diff)))
     if err > tol:
         raise DesignError(f"pole placement error {err:.3g} exceeds {tol:.1e}")
     return err
@@ -342,12 +366,11 @@ def check_pole_placement(
 
 @dataclass(frozen=True)
 class SensitivityAnalysis:
-    """Output / input sensitivity and open-loop response on a frequency grid."""
+    """Output and input sensitivity on a frequency grid."""
 
     omegas: np.ndarray
     syp: np.ndarray
     sup: np.ndarray
-    open_loop: np.ndarray
     Ts: float
 
     @property
@@ -387,7 +410,7 @@ def _db_floor(values: np.ndarray) -> np.ndarray:
 def sensitivity(
     model: DiscretePlantModel, controller: RstController, n_freq: int = 512
 ) -> SensitivityAnalysis:
-    """Evaluate Syp = A S / P, Sup = -A R / P and B R / (A S) on a log grid.
+    """Evaluate Syp = A S / P and Sup = -A R / P on a log grid.
 
     The grid spans 0.01/Ts .. pi/Ts rad/s inclusive, so the Nyquist endpoint
     is always present.  P is the achieved polynomial A S + q^-d B R.
@@ -408,17 +431,7 @@ def sensitivity(
         raise DesignError("closed-loop polynomial vanishes on the unit circle")
     syp = a_v * s_v / p_v
     sup = -a_v * r_v / p_v
-    with np.errstate(divide="ignore", invalid="ignore"):
-        hol = np.where(np.abs(a_v * s_v) > 0, b_v * r_v / (a_v * s_v), np.inf)
-    return SensitivityAnalysis(omegas=omegas, syp=syp, sup=sup, open_loop=hol, Ts=Ts)
-
-
-def save_sensitivity_csv(path, analysis: SensitivityAnalysis) -> None:
-    write_csv(
-        path,
-        ["omega_rad_s", "Syp_db", "Sup_db"],
-        [analysis.omegas, analysis.syp_db, analysis.sup_db],
-    )
+    return SensitivityAnalysis(omegas=omegas, syp=syp, sup=sup, Ts=Ts)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,8 @@ class IdentifiabilityError(ValveBenchError):
 
 
 class DivergenceError(ValveBenchError):
-    """Recursive estimation blew up: the estimate or its gain matrix is no longer finite."""
+    """Recursive estimation blew up: the estimate or its gain matrix is no longer
+    finite, the gain matrix lost positive definiteness, or lambda1 left (0, 1]."""
 
 
 class DesignError(ValveBenchError):

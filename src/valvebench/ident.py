@@ -17,7 +17,7 @@ forgetting-factor weightings; three profiles are supported:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -216,6 +216,31 @@ def initial_adaptation_state(
     )
 
 
+def _successor(
+    state: AdaptationState, theta: np.ndarray, F: np.ndarray, lambda1: float
+) -> AdaptationState:
+    """State after one update, without the constructor's validation.
+
+    Only the checks a successor can fail run here: the shape is that of
+    `state`, F comes out bitwise symmetric and lambda0, lambda2 and the
+    profile are copied.  Finiteness is checked by the caller.
+    """
+    if len(theta) and np.linalg.eigvalsh(F)[0] <= 0:
+        raise DivergenceError(
+            "recursive estimator diverged: gain matrix F lost positive definiteness"
+        )
+    if not 0.0 < lambda1 <= 1.0:
+        raise DivergenceError(f"recursive estimator diverged: lambda1 = {lambda1!r} left (0, 1]")
+    new = object.__new__(AdaptationState)
+    object.__setattr__(new, "theta_hat", theta)
+    object.__setattr__(new, "F", F)
+    object.__setattr__(new, "lambda1", lambda1)
+    object.__setattr__(new, "lambda2", state.lambda2)
+    object.__setattr__(new, "lambda0", state.lambda0)
+    object.__setattr__(new, "profile", state.profile)
+    return new
+
+
 def rls_step(
     state: AdaptationState, phi: np.ndarray, y_new: float
 ) -> tuple[AdaptationState, float, float]:
@@ -224,8 +249,12 @@ def rls_step(
     The a priori error is y - theta_hat' phi; the a posteriori error divides
     it by 1 + phi' F phi, and the parameter step is F phi times the a
     posteriori error.  F then shrinks through the matrix-inversion-lemma form
-    of  F_new^-1 = lambda1 F^-1 + lambda2 phi phi'.  Raises
-    :class:`DivergenceError` when the new estimate or F is not finite.
+    of  F_new^-1 = lambda1 F^-1 + lambda2 phi phi'.
+
+    The successor is built without rerunning the :class:`AdaptationState`
+    validation, which the input state has passed.  What an update can break
+    raises :class:`DivergenceError`: a new estimate or F that is not finite,
+    an F that is no longer positive definite, or lambda1 outside (0, 1].
     """
     phi = np.asarray(phi, dtype=float)
     if phi.shape != state.theta_hat.shape:
@@ -234,27 +263,28 @@ def rls_step(
         raise ValueError("phi and y_new must be finite")
 
     F = state.F
-    f_phi = F @ phi
-    quad = float(phi @ f_phi)
-    eps0 = float(y_new) - float(state.theta_hat @ phi)
-    eps = eps0 / (1.0 + quad)
-    theta_new = state.theta_hat + f_phi * eps
-
     lam1, lam2 = state.lambda1, state.lambda2
-    if lam2 == 0.0:
-        F_new = F / lam1
-    else:
-        F_new = (F - np.outer(f_phi, f_phi) / (lam1 / lam2 + quad)) / lam1
-    F_new = 0.5 * (F_new + F_new.T)
-    # theta' F theta is not finite whenever any entry of either is (inf * 0 is NaN).
-    if not math.isfinite(F_new.dot(theta_new).dot(theta_new)):
+    # Overflow and invalid values surface as the divergence error below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        f_phi = F @ phi
+        quad = float(phi @ f_phi)
+        eps0 = float(y_new) - float(state.theta_hat @ phi)
+        eps = eps0 / (1.0 + quad)
+        theta_new = state.theta_hat + f_phi * eps
+        if lam2 == 0.0:
+            F_new = F / lam1
+        else:
+            F_new = (F - np.outer(f_phi, f_phi) / (lam1 / lam2 + quad)) / lam1
+        F_new = 0.5 * (F_new + F_new.T)
+        # theta' F theta is not finite whenever any entry of either is (inf * 0 is NaN).
+        finite = math.isfinite(F_new.dot(theta_new).dot(theta_new))
+    if not finite:
         raise DivergenceError(
             "recursive estimator diverged: parameter estimate or gain matrix F is not finite"
         )
 
     lam1_next = state.lambda0 * lam1 + 1.0 - state.lambda0 if state.profile == "variable-forgetting" else lam1
-    new_state = replace(state, theta_hat=theta_new, F=F_new, lambda1=lam1_next)
-    return new_state, eps0, eps
+    return _successor(state, theta_new, F_new, lam1_next), eps0, eps
 
 
 @dataclass(frozen=True)

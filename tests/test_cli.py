@@ -1,6 +1,7 @@
 """End-to-end subcommand runs, config resolution, and exit codes."""
 
 import math
+import warnings
 from pathlib import Path
 
 from valvebench.cli import main, parse_set_args, resolve_config
@@ -171,9 +172,31 @@ def test_exit_codes(tmp_path, capsys):
     assert main(["sweep", "--out", str(tmp_path), "--parallel", "0"]) == 2
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
 def test_estimator_divergence_is_a_run_failure(tmp_path, capsys):
-    """A blown-up estimator exits 1 and names the divergence; it is not bad input."""
+    """A blown-up estimator exits 1 and names the divergence; it is not bad
+    input, and numpy prints no overflow warnings ahead of the message."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = main(
+            [
+                "adapt",
+                "--config",
+                str(CONFIGS / "adapt_valve6.cfg"),
+                "--out",
+                str(tmp_path),
+                "--set",
+                "adapt.gain=1e300",
+            ]
+        )
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "valvebench adapt failed:" in err
+    assert "diverged" in err
+
+
+def test_gain_matrix_losing_definiteness_is_a_run_failure(tmp_path, capsys):
+    """F turning indefinite under a huge adaptation gain is a divergence
+    (exit 1), not a config error (exit 2)."""
     rc = main(
         [
             "adapt",
@@ -182,13 +205,13 @@ def test_estimator_divergence_is_a_run_failure(tmp_path, capsys):
             "--out",
             str(tmp_path),
             "--set",
-            "adapt.gain=1e300",
+            "adapt.gain=1e14",
         ]
     )
     assert rc == 1
     err = capsys.readouterr().err
     assert "valvebench adapt failed:" in err
-    assert "diverged" in err
+    assert "lost positive definiteness" in err
 
 
 def test_multi_preset_fan_out(tmp_path):

@@ -9,6 +9,7 @@ from valvebench.control import (
     HR_NYQUIST_ZERO,
     HS_INTEGRATOR,
     ONE,
+    SYLVESTER_MAX_COND,
     ControllerRuntime,
     DelayPolynomial,
     PoleSpec,
@@ -234,3 +235,156 @@ def test_reference_model_reaches_unit_dc():
     for _ in range(200):
         y = ref.step(5.0)
     assert y == pytest.approx(5.0, abs=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# Object-level reference design: every product a DelayPolynomial
+
+
+def _trimmed_oracle(poly, rel_tol=1e-12):
+    cs = np.array(poly.coeffs)
+    scale = np.abs(cs).max()
+    if scale == 0.0:
+        return DelayPolynomial((0.0,))
+    keep = len(cs)
+    while keep > 1 and abs(cs[keep - 1]) <= rel_tol * scale:
+        keep -= 1
+    return DelayPolynomial(tuple(cs[:keep]))
+
+
+def _model_polynomials_oracle(model):
+    a = DelayPolynomial((1.0, *model.a_coeffs))
+    b = DelayPolynomial((0.0, *model.b_coeffs)).shifted(model.delay)
+    return a, b
+
+
+def _bezout_design_oracle(model, pole_poly, hs=HS_INTEGRATOR, hr=HR_NYQUIST_ZERO):
+    a_poly, b_poly = _model_polynomials_oracle(model)
+    a1p = _trimmed_oracle(a_poly * hs)
+    b1p = _trimmed_oracle(b_poly * hr)
+    if b1p.is_zero():
+        raise DesignError("plant numerator is zero")
+    n_a = a1p.degree
+    n_b = b1p.degree
+    if n_b < 1:
+        raise DesignError("plant must have at least one step of delay")
+    n_unknowns = n_a + n_b
+    p = _trimmed_oracle(pole_poly)
+    if p.degree > n_unknowns - 1:
+        raise DesignError(
+            f"desired polynomial degree {p.degree} exceeds solvable degree {n_unknowns - 1}"
+        )
+    M = np.zeros((n_unknowns, n_unknowns))
+    a_c = np.array(a1p.coeffs)
+    b_c = np.array(b1p.coeffs)
+    for j in range(n_b):
+        M[j : j + len(a_c), j] = a_c
+    for j in range(n_a):
+        M[j : j + len(b_c), n_b + j] = b_c
+    cond = np.linalg.cond(M)
+    if not np.isfinite(cond) or cond > SYLVESTER_MAX_COND:
+        raise DesignError(
+            f"Sylvester matrix condition {cond:.3g} exceeds {SYLVESTER_MAX_COND:.0e}; "
+            "plant and fixed parts likely share a common factor"
+        )
+    rhs = np.zeros(n_unknowns)
+    rhs[: p.degree + 1] = p.coeffs[: p.degree + 1]
+    sol = np.linalg.solve(M, rhs)
+    s_core = sol[:n_b]
+    r_core = sol[n_b:]
+    lead = s_core[0]
+    if lead == 0.0 or not np.isfinite(lead):
+        raise DesignError("degenerate solution with s0 = 0")
+    s_core = s_core / lead
+    r_core = r_core / lead
+    r_poly = _trimmed_oracle(hr * DelayPolynomial(tuple(r_core)))
+    t_gain = float(np.real(r_poly(1.0)))
+    return RstController(
+        r_core=DelayPolynomial(tuple(r_core)),
+        s_core=DelayPolynomial(tuple(s_core)),
+        t=DelayPolynomial((t_gain,)),
+        Ts=model.Ts,
+        hr=hr,
+        hs=hs,
+    )
+
+
+def _closed_loop_polynomial_oracle(model, controller):
+    a_poly, b_poly = _model_polynomials_oracle(model)
+    return a_poly * controller.s + b_poly * controller.r
+
+
+def _check_pole_placement_oracle(model, controller, pole_poly, tol=1e-9):
+    achieved = _trimmed_oracle(_closed_loop_polynomial_oracle(model, controller), 1e-9)
+    wanted = _trimmed_oracle(pole_poly, 1e-9)
+    if achieved.coeffs[0] == 0.0 or wanted.coeffs[0] == 0.0:
+        raise DesignError("closed-loop polynomial lost its leading coefficient")
+    a = np.array(achieved.coeffs) / achieved.coeffs[0]
+    w = np.array(wanted.coeffs) / wanted.coeffs[0]
+    n = max(len(a), len(w))
+    a = np.pad(a, (0, n - len(a)))
+    w = np.pad(w, (0, n - len(w)))
+    err = float(np.max(np.abs(a - w)))
+    if err > tol:
+        raise DesignError(f"pole placement error {err:.3g} exceeds {tol:.1e}")
+    return err
+
+
+def _outcome(fn, *args, **kwargs):
+    """(result, None) or (None, (error type, message))."""
+    try:
+        return fn(*args, **kwargs), None
+    except (DesignError, ValueError) as err:
+        return None, (type(err), str(err))
+
+
+unit_coeff = st.floats(-0.95, 0.95, allow_subnormal=False)
+
+
+@st.composite
+def design_cases(draw):
+    na = draw(st.sampled_from([1, 2, 3]))
+    nb = draw(st.sampled_from([1, 2, 3]))
+    delay = draw(st.sampled_from([0, 1]))
+    hr = draw(st.sampled_from([ONE, HR_NYQUIST_ZERO]))
+    a_poly = np.array([1.0] + draw(st.lists(st.floats(-2, 2), min_size=na, max_size=na)))
+    b = np.array(draw(st.lists(st.floats(-2, 2), min_size=nb, max_size=nb)))
+    case = draw(st.sampled_from(["generic", "zero_b", "a_nyquist", "b_integrator"]))
+    if case == "zero_b":
+        b[:] = 0.0
+    elif case == "a_nyquist":  # A shares the root z = -1 of H_R
+        a_poly = np.convolve([1.0, 1.0], a_poly[:na])
+    elif case == "b_integrator" and nb >= 2:  # B shares the root z = 1 of H_S
+        b = np.convolve([1.0, -1.0], b[: nb - 1])
+    model = DiscretePlantModel(tuple(a_poly[1:]), tuple(b), delay, Ts)
+    aux = DelayPolynomial(
+        (1.0, *draw(st.lists(unit_coeff, min_size=0, max_size=2)))
+    )
+    pole = PoleSpec(
+        draw(st.floats(0.5, 30.0)), draw(st.floats(0.3, 2.0)), Ts, auxiliary=aux
+    )
+    return model, desired_poles(pole), hr
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=design_cases(), other=st.floats(0.5, 30.0))
+def test_array_design_matches_object_oracle(case, other):
+    """The array-level design and pole check equal the DelayPolynomial ones:
+    same r, s, t coefficients, or the same error message."""
+    model, target, hr = case
+    ctrl, err = _outcome(bezout_design, model, target, hs=HS_INTEGRATOR, hr=hr)
+    ref, ref_err = _outcome(_bezout_design_oracle, model, target, hs=HS_INTEGRATOR, hr=hr)
+    assert err == ref_err
+    a_poly, b_poly = model_polynomials(model)
+    assert (a_poly, b_poly) == _model_polynomials_oracle(model)
+    if ctrl is None:
+        return
+    assert ctrl.r.coeffs == ref.r.coeffs
+    assert ctrl.s.coeffs == ref.s.coeffs
+    assert ctrl.t.coeffs == ref.t.coeffs
+    assert closed_loop_polynomial(model, ctrl) == _closed_loop_polynomial_oracle(model, ctrl)
+    mismatch = dominant_poles(PoleSpec(other, 1.0, Ts))
+    for wanted in (target, mismatch):
+        assert _outcome(check_pole_placement, model, ctrl, wanted) == _outcome(
+            _check_pole_placement_oracle, model, ctrl, wanted
+        )

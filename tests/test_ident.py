@@ -1,9 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from valvebench.errors import IdentifiabilityError
+from valvebench.errors import DivergenceError, IdentifiabilityError
 from valvebench.ident import (
     AdaptationState,
     _regressors_from,
@@ -203,3 +205,73 @@ def test_gain_matrix_stays_spd(data, profile):
         assert eigs[0] > 0.0
         np.testing.assert_allclose(state.F, state.F.T, rtol=0, atol=1e-8 * eigs[-1])
         assert abs(eps) <= abs(eps0) + 1e-12
+
+
+def _rls_step_oracle(state, phi, y_new):
+    """The update with its successor rebuilt through the validating
+    constructor (``dataclasses.replace``)."""
+    phi = np.asarray(phi, dtype=float)
+    F = state.F
+    f_phi = F @ phi
+    quad = float(phi @ f_phi)
+    eps0 = float(y_new) - float(state.theta_hat @ phi)
+    eps = eps0 / (1.0 + quad)
+    theta_new = state.theta_hat + f_phi * eps
+    lam1, lam2 = state.lambda1, state.lambda2
+    if lam2 == 0.0:
+        F_new = F / lam1
+    else:
+        F_new = (F - np.outer(f_phi, f_phi) / (lam1 / lam2 + quad)) / lam1
+    F_new = 0.5 * (F_new + F_new.T)
+    if state.profile == "variable-forgetting":
+        lam1 = state.lambda0 * lam1 + 1.0 - state.lambda0
+    return dataclasses.replace(state, theta_hat=theta_new, F=F_new, lambda1=lam1), eps0, eps
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 4),
+    gain=st.sampled_from([1.0, 1000.0, 1e6]),
+    lambda0=st.floats(0.5, 1.0),
+    profile=st.sampled_from(["decreasing", "constant-gain", "variable-forgetting"]),
+    seed=st.integers(0, 2**32 - 1),
+    steps=st.integers(1, 60),
+)
+def test_rls_successors_match_validating_oracle(n, gain, lambda0, profile, seed, steps):
+    """Trusted successors equal the replace-built ones bit for bit, and each
+    passes the public constructor's validation."""
+    rng = np.random.default_rng(seed)
+    state = initial_adaptation_state(
+        n, gain=gain, profile=profile, lambda0=lambda0, theta0=rng.standard_normal(n)
+    )
+    ref = state
+    for _ in range(steps):
+        phi = rng.uniform(-3, 3, n)
+        y_new = float(rng.uniform(-3, 3))
+        state, eps0, eps = rls_step(state, phi, y_new)
+        ref, ref_eps0, ref_eps = _rls_step_oracle(ref, phi, y_new)
+        assert np.array_equal(state.theta_hat, ref.theta_hat)
+        assert np.array_equal(state.F, ref.F)
+        assert (state.lambda1, eps0, eps) == (ref.lambda1, ref_eps0, ref_eps)
+        assert (state.lambda2, state.lambda0, state.profile) == (
+            ref.lambda2, ref.lambda0, ref.profile
+        )
+        AdaptationState(
+            theta_hat=state.theta_hat,
+            F=state.F,
+            lambda1=state.lambda1,
+            lambda2=state.lambda2,
+            lambda0=state.lambda0,
+            profile=state.profile,
+        )
+
+
+def test_rls_step_loss_of_positive_definiteness_is_divergence():
+    """A gain of 1e14 against a regressor of norm 1e4 cancels F to an
+    indefinite matrix; the validating constructor rejects it as well."""
+    state = initial_adaptation_state(2, gain=1e14)
+    phi = np.array([1e4, 1e4])
+    with pytest.raises(DivergenceError, match="positive definiteness"):
+        rls_step(state, phi, 1.0)
+    with pytest.raises(ValueError, match="positive definite"):
+        _rls_step_oracle(state, phi, 1.0)
