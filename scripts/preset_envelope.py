@@ -10,7 +10,7 @@ Run:  python scripts/preset_envelope.py
 
 import numpy as np
 
-from valvebench.plant import ValveSimulator, measure_rise_time, static_sweep, valve_run
+from valvebench.plant import ValveSimulator, measure_rise_time, open_loop, static_sweep, valve_run
 from valvebench.presets import PRESET_NAMES, get_preset
 from valvebench.signals import PrbsConfig, prbs_generate
 from valvebench.spectral import corner_from_asymptotes, etfe, slope_fit, smooth
@@ -24,10 +24,7 @@ def prbs_record(params):
     for _ in range(int(round(5.0 / TS))):
         sim.advance(16.0)
     u = prbs_generate(cfg, 3 * cfg.period)
-    y = np.empty(len(u))
-    for k in range(len(u)):
-        y[k] = sim.measure()
-        sim.advance(u[k])
+    y = open_loop(sim, u)
     n = 2 * cfg.period
     u_w = u[-n:]
     y_w = y[-n:]

@@ -26,7 +26,6 @@ from .control import (
     ControllerRuntime,
     DelayPolynomial,
     PoleSpec,
-    ReferenceModel,
     RstController,
     SensitivityAnalysis,
     bezout_design,
@@ -60,7 +59,7 @@ from .plant import (
     valve_run,
     valve_step,
 )
-from .presets import PRESET_NAMES, PRESETS, default_preset, get_preset
+from .presets import PRESET_NAMES, PRESETS, get_preset
 from .signals import (
     PrbsConfig,
     check_prbs_constraint,
@@ -98,7 +97,6 @@ __all__ = [
     "PRESET_NAMES",
     "PoleSpec",
     "PrbsConfig",
-    "ReferenceModel",
     "RlsRun",
     "RstController",
     "RstDesignSpec",
@@ -116,7 +114,6 @@ __all__ = [
     "cl_identify",
     "closed_loop_polynomial",
     "corner_from_asymptotes",
-    "default_preset",
     "desired_poles",
     "etfe",
     "get_preset",

@@ -31,7 +31,7 @@ from .control import (
     desired_poles,
     sensitivity,
 )
-from .cloe import ClosedLoopPredictor, cl_identify, save_cloe_csv
+from .cloe import ClosedLoopPredictor, _loop_sample, cl_identify, save_cloe_csv
 from .errors import DesignError
 from .fileio import write_csv
 from .ident import AdaptationState, initial_adaptation_state
@@ -160,18 +160,7 @@ def tracking_run(plant, controller, reference, limits=DEFAULT_LIMITS, u0=0.0, y0
     """
     runtime = ControllerRuntime(controller, limits=limits)
     runtime.prime(u=u0, y=y0, r=float(reference[0]))
-    T = len(reference)
-    y = np.empty(T)
-    u = np.empty(T)
-    sat = np.zeros(T, dtype=bool)
-    for k in range(T):
-        yk = plant.measure()
-        uk, s = runtime.step(yk, float(reference[k]))
-        plant.advance(uk)
-        y[k] = yk
-        u[k] = uk
-        sat[k] = s
-    return y, u, sat
+    return runtime.track(plant, reference)
 
 
 def _margin_db(design: RstDesignSpec, theta, controller: RstController) -> float:
@@ -414,23 +403,15 @@ def adaptive_run(
     rejected = 0
     y_abs = plant.measure()
     for k in range(T):
-        predictor.predict(float(excitation[k]), r_dev=float(reference[k]) - r_bar)
-        u_cmd, _ = runtime.step(y_abs, float(reference[k]))
-        u_plant = u_cmd + float(excitation[k])
-        if limits is not None:
-            lo, hi = limits
-            u_plant = min(hi, max(lo, u_plant))
-        plant.advance(u_plant)
-        y_abs = plant.measure()
-        predictor.adapt(y_abs - r_bar)
+        _, _, u_plant, _, y_abs, _, _ = _loop_sample(
+            plant, predictor, runtime, y_abs, r_bar, float(reference[k]), float(excitation[k])
+        )
         theta = predictor.theta_hat.copy()
         try:
-            candidate = design.design(theta)
-            redesigns += 1
             # same design spec, same degrees: swap in place, histories kept
-            controller = candidate
-            runtime.controller = candidate
-            predictor.controller = candidate
+            controller = design.design(theta)
+            runtime.controller = predictor.runtime.controller = controller
+            redesigns += 1
         except DesignError:
             rejected += 1
         y_arr[k] = y_abs

@@ -43,11 +43,11 @@ from .control import (
     sensitivity,
 )
 from .errors import ConfigError, ValveBenchError
-from .fileio import parse_key_values, read_key_values, write_csv, write_report
+from .fileio import read_key_values, write_csv, write_report
 from .ident import batch_least_squares, build_regressors, order_scan
-from .plant import DiscretePlantModel, ValveParams, ValveSimulator, static_sweep
+from .plant import DiscretePlantModel, ValveParams, ValveSimulator, open_loop, static_sweep
 from .presets import PRESET_NAMES, get_preset
-from .signals import PrbsConfig, prbs_generate, step_sequence
+from .signals import PrbsConfig, prbs_generate
 from .spectral import corner_from_asymptotes, etfe, save_response_csv, slope_fit, smooth
 
 _INT_PLANT_FIELDS = ("adc_bits", "pwm_levels", "rng_seed")
@@ -247,11 +247,7 @@ def open_loop_record(params: ValveParams, Ts: float, exc: dict):
     for _ in range(int(round(exc["settle"] / Ts))):
         sim.advance(exc["offset"])
     u = prbs_generate(cfg, exc["periods"] * cfg.period)
-    y = np.empty(len(u))
-    for k in range(len(u)):
-        y[k] = sim.measure()
-        sim.advance(u[k])
-    return u, y, cfg.period
+    return u, open_loop(sim, u), cfg.period
 
 
 def _analysis_window(u, y, period: int, analyze_periods: int):
@@ -270,14 +266,22 @@ def _model_from_cfg(model_cfg: dict, Ts: float) -> DiscretePlantModel:
     )
 
 
-def _design_from_cfg(design_cfg: dict, model: DiscretePlantModel):
-    """Returns (controller, pole polynomial) for either design mode."""
+def _pole_from_cfg(design_cfg: dict, Ts: float):
+    """Returns (PoleSpec, H_S, H_R) as chosen in [design]."""
     pole = PoleSpec(
         omega0=design_cfg["omega0"],
         zeta=design_cfg["zeta"],
-        Ts=model.Ts,
+        Ts=Ts,
         auxiliary=DelayPolynomial(tuple(design_cfg["auxiliary"])),
     )
+    hs = HS_INTEGRATOR if design_cfg["integrator"] else ONE
+    hr = HR_NYQUIST_ZERO if design_cfg["nyquist_zero"] else ONE
+    return pole, hs, hr
+
+
+def _design_from_cfg(design_cfg: dict, model: DiscretePlantModel):
+    """Returns (controller, pole polynomial) for either design mode."""
+    pole, hs, hr = _pole_from_cfg(design_cfg, model.Ts)
     target = desired_poles(pole)
     mode = design_cfg["mode"]
     if mode == "pi":
@@ -285,12 +289,7 @@ def _design_from_cfg(design_cfg: dict, model: DiscretePlantModel):
             raise ConfigError("pi mode needs a first-order model without delay")
         controller = pi_design(model.a_coeffs[0], model.b_coeffs[0], target, Ts=model.Ts)
     elif mode == "rst":
-        controller = bezout_design(
-            model,
-            target,
-            hs=HS_INTEGRATOR if design_cfg["integrator"] else ONE,
-            hr=HR_NYQUIST_ZERO if design_cfg["nyquist_zero"] else ONE,
-        )
+        controller = bezout_design(model, target, hs=hs, hr=hr)
     else:
         raise ConfigError(f"design mode must be 'pi' or 'rst', got '{mode}'")
     check_pole_placement(model, controller, target)
@@ -300,18 +299,14 @@ def _design_from_cfg(design_cfg: dict, model: DiscretePlantModel):
 def _design_spec_from_cfg(design_cfg: dict, model_cfg: dict, Ts: float) -> RstDesignSpec:
     if design_cfg["mode"] != "rst":
         raise ConfigError("adapt re-design supports only mode=rst")
+    pole, hs, hr = _pole_from_cfg(design_cfg, Ts)
     return RstDesignSpec(
-        pole=PoleSpec(
-            omega0=design_cfg["omega0"],
-            zeta=design_cfg["zeta"],
-            Ts=Ts,
-            auxiliary=DelayPolynomial(tuple(design_cfg["auxiliary"])),
-        ),
+        pole=pole,
         na=len(model_cfg["a"]),
         nb=len(model_cfg["b"]),
         delay=model_cfg["delay"],
-        hs=HS_INTEGRATOR if design_cfg["integrator"] else ONE,
-        hr=HR_NYQUIST_ZERO if design_cfg["nyquist_zero"] else ONE,
+        hs=hs,
+        hr=hr,
     )
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .control import RstController
+from .control import ControllerRuntime, RstController
 from .fileio import write_csv
 from .ident import AdaptationState, rls_step
 
@@ -35,7 +35,9 @@ class ClosedLoopPredictor:
 
     Call :meth:`predict` once per sample to form u_hat(t) and the one-step
     prediction, then :meth:`adapt` with the next measured output.  The
-    histories carry a posteriori predictions.
+    histories carry a posteriori predictions.  The controller runs in its
+    own unclamped :class:`ControllerRuntime`, `runtime`; a redesign is
+    swapped in as `runtime.controller`.
     """
 
     def __init__(
@@ -54,7 +56,6 @@ class ClosedLoopPredictor:
             raise ValueError("delay must be >= 0")
         if len(adaptation.theta_hat) != na + nb:
             raise ValueError("adaptation state dimension must equal na + nb")
-        self.controller = controller
         self.na = na
         self.nb = nb
         self.delay = delay
@@ -66,7 +67,6 @@ class ClosedLoopPredictor:
             len(controller.r.coeffs),
             len(controller.t.coeffs),
         )
-        self._depth = depth
 
         def init_hist(values):
             hist = [0.0] * depth
@@ -83,10 +83,11 @@ class ClosedLoopPredictor:
             self._y_current = 0.0
             self._y = init_hist(None)
         self._u = init_hist(u_hist)  # u_hat history, most recent last
-        self._uc = list(self._u)  # controller-only output history
-        self._rdev = [0.0] * depth  # reference deviation history
+        # The controller's own output starts from the same record as u_hat.
+        self.runtime = ControllerRuntime(controller, limits=None)
+        self.runtime._u = list(self._u)
+        self.runtime._y = list(self._y)
         self._pending_phi: np.ndarray | None = None
-        self._pending: tuple[float, float, float] | None = None
 
     @property
     def theta_hat(self) -> np.ndarray:
@@ -100,30 +101,17 @@ class ClosedLoopPredictor:
         """
         if self._pending_phi is not None:
             raise RuntimeError("predict called twice without adapt")
-        ctrl = self.controller
-        s_c = ctrl.s.coeffs
-        r_c = ctrl.r.coeffs
-        t_c = ctrl.t.coeffs
         y_now = self._y_current
-        r_full = self._rdev + [float(r_dev)]
-        u_ctrl = t_c[0] * float(r_dev) - r_c[0] * y_now
-        for i in range(1, len(t_c)):
-            u_ctrl += t_c[i] * r_full[-1 - i]
-        for i in range(1, len(s_c)):
-            u_ctrl -= s_c[i] * self._uc[-i]
-        for i in range(1, len(r_c)):
-            u_ctrl -= r_c[i] * self._y[-i]
+        u_ctrl, _ = self.runtime.step(y_now, float(r_dev))
         u_hat = u_ctrl + float(r_u)
+        self._u.append(u_hat)
+        self._u.pop(0)
 
         y_lags = [y_now] + [self._y[-i] for i in range(1, self.na)]
-        u_full = self._u + [u_hat]
-        u_lags = [u_full[-1 - self.delay - j] for j in range(self.nb)]
+        u_lags = [self._u[-1 - self.delay - j] for j in range(self.nb)]
         phi = np.array([-v for v in y_lags] + u_lags)
-        y_pred = float(self.state.theta_hat @ phi)
-
         self._pending_phi = phi
-        self._pending = (u_hat, u_ctrl, float(r_dev))
-        return y_pred, u_hat
+        return float(self.state.theta_hat @ phi), u_hat
 
     def adapt(self, y_measured_next: float, update: bool = True) -> tuple[float, float]:
         """Consume the next measured output; returns (a priori, a posteriori)
@@ -138,19 +126,10 @@ class ClosedLoopPredictor:
             eps0 = float(y_measured_next) - float(self.state.theta_hat @ phi)
             eps = eps0
         # a posteriori prediction becomes the new current history sample
-        y_post = float(self.state.theta_hat @ phi)
-        u_hat, u_ctrl, r_dev = self._pending
         self._y.append(self._y_current)
         self._y.pop(0)
-        self._u.append(u_hat)
-        self._u.pop(0)
-        self._uc.append(u_ctrl)
-        self._uc.pop(0)
-        self._rdev.append(r_dev)
-        self._rdev.pop(0)
-        self._y_current = y_post
+        self._y_current = float(self.state.theta_hat @ phi)
         self._pending_phi = None
-        self._pending = None
         return eps0, eps
 
 
@@ -175,6 +154,25 @@ class CloeRun:
         return self.theta[-1] if len(self.theta) else self.final_state.theta_hat
 
 
+def _loop_sample(plant, predictor, runtime, y_abs, r_bar, r, r_u, update=True):
+    """One CLOE sample: predict, control, inject r_u, clip to the runtime's
+    limits, advance, measure, adapt.  y_abs is the current measurement and
+    r_bar the operating reference the predictor works around.  Returns
+    (y_pred, u_hat, u_plant, saturated, y_next, eps0, eps)."""
+    y_pred, u_hat = predictor.predict(r_u, r - r_bar)
+    u_cmd, sat = runtime.step(y_abs, r)
+    u_plant = u_cmd + r_u
+    if runtime.limits is not None:
+        lo, hi = runtime.limits
+        clipped = min(hi, max(lo, u_plant))
+        sat = sat or (clipped != u_plant)
+        u_plant = clipped
+    plant.advance(u_plant)
+    y_next = plant.measure()
+    eps0, eps = predictor.adapt(y_next - r_bar, update=update)
+    return y_pred, u_hat, u_plant, sat, y_next, eps0, eps
+
+
 def cl_identify(
     plant,
     controller: RstController,
@@ -196,41 +194,22 @@ def cl_identify(
     histories with measured data, suppressing the initial transient of the
     parallel predictor.
     """
-    from .control import ControllerRuntime
-
     excitation = np.asarray(excitation, dtype=float)
     runtime = ControllerRuntime(controller, limits=limits)
     r_bar = float(operating_reference)
 
-    y_dev_hist: list[float] = []
-    u_dev_hist: list[float] = []
-    u_log: list[float] = []
-    runtime.prime(u=0.0, y=0.0, r=0.0)
+    y_hist = u_hist = None
+    u_bar = 0.0
     if warmup > 0:
-        for _ in range(warmup):
-            y_abs = plant.measure()
-            u_cmd, _ = runtime.step(y_abs, r_bar)
-            plant.advance(u_cmd)
-            y_dev_hist.append(y_abs - r_bar)
-            u_log.append(u_cmd)
-        u_bar = float(np.mean(u_log[-max(1, warmup // 4):]))
-        u_dev_hist = [u - u_bar for u in u_log]
-    else:
-        u_bar = 0.0
-
+        y_w, u_w, _ = runtime.track(plant, np.full(warmup, r_bar))
+        u_bar = float(np.mean(u_w[-max(1, warmup // 4):]))
+        y_hist, u_hist = y_w - r_bar, u_w - u_bar
     predictor = ClosedLoopPredictor(
-        controller,
-        na,
-        nb,
-        delay,
-        init,
-        y_hist=np.array(y_dev_hist) if y_dev_hist else None,
-        u_hist=np.array(u_dev_hist) if u_dev_hist else None,
+        controller, na, nb, delay, init, y_hist=y_hist, u_hist=u_hist
     )
 
     T = len(excitation)
-    n = na + nb
-    theta = np.empty((T, n))
+    theta = np.empty((T, na + nb))
     y_arr = np.empty(T)
     yh_arr = np.empty(T)
     u_arr = np.empty(T)
@@ -241,27 +220,12 @@ def cl_identify(
 
     y_abs = plant.measure()
     for k in range(T):
-        y_dev = y_abs - r_bar
-        y_pred, u_hat = predictor.predict(excitation[k])
-        u_cmd, sat = runtime.step(y_abs, r_bar)
-        u_plant = u_cmd + excitation[k]
-        if limits is not None:
-            lo, hi = limits
-            clipped = min(hi, max(lo, u_plant))
-            sat = sat or (clipped != u_plant)
-            u_plant = clipped
-        plant.advance(u_plant)
-        y_abs = plant.measure()
-        eps0, eps = predictor.adapt(y_abs - r_bar, update=update)
-
-        theta[k] = predictor.theta_hat
-        y_arr[k] = y_dev
-        yh_arr[k] = y_pred
+        y_arr[k] = y_abs - r_bar
+        yh_arr[k], uh_arr[k], u_plant, sat_arr[k], y_abs, e0_arr[k], e1_arr[k] = _loop_sample(
+            plant, predictor, runtime, y_abs, r_bar, r_bar, excitation[k], update
+        )
         u_arr[k] = u_plant - u_bar
-        uh_arr[k] = u_hat
-        e0_arr[k] = eps0
-        e1_arr[k] = eps
-        sat_arr[k] = sat
+        theta[k] = predictor.theta_hat
 
     return CloeRun(
         theta=theta,

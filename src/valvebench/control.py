@@ -438,47 +438,14 @@ def sensitivity(
 # Controller execution
 
 
-def controller_step(
-    controller: RstController,
-    u_hist: np.ndarray,
-    y_hist: np.ndarray,
-    r_hist: np.ndarray,
-    y_t: float,
-    r_t: float,
-    limits: tuple[float, float] | None = (0.0, 100.0),
-) -> tuple[float, bool]:
-    """Compute u(t) from S u = -R y + T r; returns (u, saturated).
-
-    Histories hold past values, most recent last.  The returned u is clamped
-    to `limits`; no anti-windup correction is applied beyond the clamp.
-    """
-    u_hist = np.asarray(u_hist, dtype=float)
-    y_hist = np.asarray(y_hist, dtype=float)
-    r_hist = np.asarray(r_hist, dtype=float)
-    s_c = controller.s.coeffs
-    r_c = controller.r.coeffs
-    t_c = controller.t.coeffs
-    if len(u_hist) < len(s_c) - 1 or len(y_hist) < len(r_c) - 1 or len(r_hist) < len(t_c) - 1:
-        raise ValueError("history too short for controller degrees")
-    u = t_c[0] * r_t - r_c[0] * y_t
-    for i in range(1, len(s_c)):
-        u -= s_c[i] * u_hist[-i]
-    for i in range(1, len(r_c)):
-        u -= r_c[i] * y_hist[-i]
-    for i in range(1, len(t_c)):
-        u += t_c[i] * r_hist[-i]
-    saturated = False
-    if limits is not None:
-        lo, hi = limits
-        if u < lo:
-            u, saturated = lo, True
-        elif u > hi:
-            u, saturated = hi, True
-    return float(u), saturated
-
-
 class ControllerRuntime:
-    """Mutable execution state (u, y, r histories) around an RST law."""
+    """Mutable execution state (u, y, r histories) around an RST law.
+
+    :meth:`step` is the one place the RST law S u = -R y + T r is evaluated:
+    the real loop, the closed-loop predictor's parallel controller and every
+    tracking run go through it.  Histories hold past values, most recent
+    last; the controller may be swapped for one of the same degrees.
+    """
 
     def __init__(self, controller: RstController, limits: tuple[float, float] | None = (0.0, 100.0)):
         self.controller = controller
@@ -497,52 +464,52 @@ class ControllerRuntime:
         self._r = [float(r)] * len(self._r)
 
     def step(self, y_t: float, r_t: float) -> tuple[float, bool]:
-        u, sat = controller_step(
-            self.controller, self._u, self._y, self._r, y_t, r_t, self.limits
-        )
-        self._u.append(u)
-        self._u.pop(0)
-        self._y.append(float(y_t))
-        self._y.pop(0)
-        self._r.append(float(r_t))
-        self._r.pop(0)
-        return u, sat
+        """u(t) from S u = -R y + T r, clamped to `limits`; returns (u, saturated).
 
+        No anti-windup correction is applied beyond the clamp.
+        """
+        ctrl = self.controller
+        s_c, r_c, t_c = ctrl.s.coeffs, ctrl.r.coeffs, ctrl.t.coeffs
+        u_h, y_h, r_h = self._u, self._y, self._r
+        u = t_c[0] * r_t - r_c[0] * y_t
+        for i in range(1, len(s_c)):
+            u -= s_c[i] * u_h[-i]
+        for i in range(1, len(r_c)):
+            u -= r_c[i] * y_h[-i]
+        for i in range(1, len(t_c)):
+            u += t_c[i] * r_h[-i]
+        saturated = False
+        if self.limits is not None:
+            lo, hi = self.limits
+            if u < lo:
+                u, saturated = lo, True
+            elif u > hi:
+                u, saturated = hi, True
+        u = float(u)
+        u_h.append(u)
+        u_h.pop(0)
+        y_h.append(float(y_t))
+        y_h.pop(0)
+        r_h.append(float(r_t))
+        r_h.pop(0)
+        return u, saturated
 
-class ReferenceModel:
-    """Tracking target: the design transfer T B / P_D scaled to unit DC gain."""
-
-    def __init__(self, pole_poly: DelayPolynomial, b_poly: DelayPolynomial, t_gain: float):
-        dc_num = float(np.real(b_poly(1.0))) * t_gain
-        dc_den = float(np.real(pole_poly(1.0)))
-        if dc_num == 0.0:
-            raise DesignError("reference model has zero DC numerator")
-        self.p = pole_poly
-        self.b = b_poly
-        self.scale = t_gain * dc_den / dc_num
-        n = max(len(pole_poly.coeffs), len(b_poly.coeffs))
-        self._y = [0.0] * n
-        self._r = [0.0] * n
-
-    def prime(self, y: float, r: float) -> None:
-        self._y = [float(y)] * len(self._y)
-        self._r = [float(r)] * len(self._r)
-
-    def step(self, r_t: float) -> float:
-        # B carries the plant's input delay (b0 = 0), so only lagged r terms
-        # contribute.
-        self._r.append(float(r_t))
-        self._r.pop(0)
-        p_c = self.p.coeffs
-        b_c = self.b.coeffs
-        y = 0.0
-        for i in range(1, len(p_c)):
-            y -= p_c[i] * self._y[-i]
-        for j in range(1, len(b_c)):
-            y += self.scale * b_c[j] * self._r[-1 - j]
-        self._y.append(y)
-        self._y.pop(0)
-        return y
+    def track(self, plant, reference) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The sampled loop measure -> step -> advance, once per reference
+        sample, from the current histories.  `plant` provides
+        measure()/advance().  Returns (y, u, saturated) arrays."""
+        T = len(reference)
+        y = np.empty(T)
+        u = np.empty(T)
+        sat = np.zeros(T, dtype=bool)
+        for k in range(T):
+            yk = plant.measure()
+            uk, s = self.step(yk, float(reference[k]))
+            plant.advance(uk)
+            y[k] = yk
+            u[k] = uk
+            sat[k] = s
+        return y, u, sat
 
 
 # ---------------------------------------------------------------------------

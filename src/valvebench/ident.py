@@ -22,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceError, IdentifiabilityError
-from .fileio import write_csv
 
 MAX_NORMAL_COND = 1e12
 
@@ -320,13 +319,3 @@ def rls_run(u, y, na: int, nb: int, init: AdaptationState) -> RlsRun:
         e0[i] = eps0
         e1[i] = eps
     return RlsRun(theta, F, lam1, e0, e1, state)
-
-
-def save_rls_csv(path, run: RlsRun) -> None:
-    n = run.theta.shape[1] if run.theta.size else 0
-    header = ["t"] + [f"theta_{i + 1}" for i in range(n)] + ["trace_F", "eps_apriori", "eps_aposteriori"]
-    T = run.theta.shape[0]
-    cols = [np.arange(T)]
-    cols += [run.theta[:, i] for i in range(n)]
-    cols += [np.trace(run.F, axis1=1, axis2=2), run.eps_apriori, run.eps_aposteriori]
-    write_csv(path, header, cols)

@@ -317,11 +317,17 @@ def valve_run(params: ValveParams, u_sequence: np.ndarray, Ts: float = 0.05) -> 
         raise ValueError("u_sequence must be one-dimensional")
     if not np.all(np.isfinite(u_sequence)):
         raise ValueError("u_sequence must be finite")
-    sim = ValveSimulator(params, Ts)
-    y = np.empty(len(u_sequence))
-    for k, u in enumerate(u_sequence):
+    return open_loop(ValveSimulator(params, Ts), u_sequence)
+
+
+def open_loop(sim, u) -> np.ndarray:
+    """The open-loop sampled record: measure, then advance under u[k], once
+    per input.  `sim` provides measure()/advance(); returns y with y[k]
+    measured before u[k] is applied."""
+    y = np.empty(len(u))
+    for k in range(len(u)):
         y[k] = sim.measure()
-        sim.advance(u)
+        sim.advance(u[k])
     return y
 
 
@@ -357,14 +363,7 @@ def static_sweep(
     sim = ValveSimulator(params, Ts)
 
     def run_branch(levels):
-        steady = np.empty(len(levels))
-        for i, u in enumerate(levels):
-            samples = np.empty(n_hold)
-            for k in range(n_hold):
-                samples[k] = sim.measure()
-                sim.advance(u)
-            steady[i] = samples[-n_avg:].mean()
-        return steady
+        return np.array([open_loop(sim, np.full(n_hold, u))[-n_avg:].mean() for u in levels])
 
     up = run_branch(u_levels)
     down = run_branch(u_levels[::-1])[::-1]
@@ -534,12 +533,7 @@ class LinearSimulator:
 
 def linear_run(model: DiscretePlantModel, u_sequence: np.ndarray, noise_std: float = 0.0, rng_seed: int = 0) -> np.ndarray:
     sim = LinearSimulator(model, noise_std=noise_std, rng_seed=rng_seed)
-    u_sequence = np.asarray(u_sequence, dtype=float)
-    y = np.empty(len(u_sequence))
-    for k, u in enumerate(u_sequence):
-        y[k] = sim.measure()
-        sim.advance(u)
-    return y
+    return open_loop(sim, np.asarray(u_sequence, dtype=float))
 
 
 def zoh_first_order(params: ValveParams, u_sequence: np.ndarray, Ts: float) -> np.ndarray:

@@ -75,11 +75,6 @@ def get_preset(name: str) -> ValveParams:
         raise ConfigError(f"unknown preset {name!r}; expected one of {', '.join(PRESET_NAMES)}")
 
 
-def default_preset() -> ValveParams:
-    """The calibration unit, valve0."""
-    return PRESETS["valve0"]
-
-
 def save_preset_file(path, params: ValveParams) -> None:
     with open(path, "w", newline="\n") as f:
         f.write(params_to_text(params))

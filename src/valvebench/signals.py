@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .fileio import write_csv
 
 # Maximal-length tap sets per register count (feedback = XOR of listed stages).
 DEFAULT_TAPS: dict[int, tuple[int, ...]] = {
@@ -178,7 +177,3 @@ def sweep_profile(u_max: float = 40.0, step: float = 5.0) -> np.ndarray:
     """Duty-cycle staircase 0 -> u_max -> 0 used for static sweeps."""
     up = np.arange(0.0, u_max + step / 2, step)
     return np.concatenate([up, up[-2::-1]])
-
-
-def save_sequence_csv(path, name: str, values: np.ndarray) -> None:
-    write_csv(path, [name], [np.asarray(values)])

@@ -5,6 +5,7 @@ import pytest
 
 from valvebench.cloe import ClosedLoopPredictor, cl_identify, save_cloe_csv
 from valvebench.control import (
+    HS_INTEGRATOR,
     ONE,
     DelayPolynomial,
     PoleSpec,
@@ -12,7 +13,7 @@ from valvebench.control import (
     bezout_design,
     dominant_poles,
 )
-from valvebench.ident import initial_adaptation_state
+from valvebench.ident import initial_adaptation_state, rls_step
 from valvebench.plant import DiscretePlantModel, LinearSimulator
 from valvebench.signals import PrbsConfig, prbs_deviation
 
@@ -125,6 +126,81 @@ def test_predictor_matches_hand_recursion():
         u_hist = [u_hist[-1], u_hat_ref]
 
 
+class InlineLawPredictor:
+    """The predictor as it stood with the RST law written inline: its own
+    controller-output and reference-deviation histories, T lags summed
+    before the S and R lags."""
+
+    def __init__(self, ctrl, na, nb, delay, state, y_hist, u_hist):
+        self.ctrl, self.na, self.nb, self.delay, self.state = ctrl, na, nb, delay, state
+        depth = max(na, nb + delay, len(ctrl.s.coeffs), len(ctrl.r.coeffs), len(ctrl.t.coeffs))
+
+        def pad(values):
+            return ([0.0] * depth + [float(v) for v in values])[-depth:]
+
+        self.y_now = float(y_hist[-1])
+        self.y = pad(y_hist[:-1])
+        self.u = pad(u_hist)
+        self.uc = list(self.u)
+        self.rdev = [0.0] * depth
+
+    def step(self, r_u, r_dev, y_next):
+        s_c, r_c, t_c = self.ctrl.s.coeffs, self.ctrl.r.coeffs, self.ctrl.t.coeffs
+        r_full = self.rdev + [r_dev]
+        u_ctrl = t_c[0] * r_dev - r_c[0] * self.y_now
+        for i in range(1, len(t_c)):
+            u_ctrl += t_c[i] * r_full[-1 - i]
+        for i in range(1, len(s_c)):
+            u_ctrl -= s_c[i] * self.uc[-i]
+        for i in range(1, len(r_c)):
+            u_ctrl -= r_c[i] * self.y[-i]
+        u_hat = u_ctrl + r_u
+        u_full = self.u + [u_hat]
+        y_lags = [self.y_now] + [self.y[-i] for i in range(1, self.na)]
+        u_lags = [u_full[-1 - self.delay - j] for j in range(self.nb)]
+        phi = np.array([-v for v in y_lags] + u_lags)
+        y_pred = float(self.state.theta_hat @ phi)
+        self.state, _, _ = rls_step(self.state, phi, y_next)
+        for hist, v in ((self.y, self.y_now), (self.u, u_hat), (self.uc, u_ctrl), (self.rdev, r_dev)):
+            hist.append(v)
+            hist.pop(0)
+        self.y_now = float(self.state.theta_hat @ phi)
+        return y_pred, u_hat
+
+
+@pytest.mark.parametrize("na, nb, delay", [(1, 1, 0), (2, 1, 1), (2, 2, 0)])
+@pytest.mark.parametrize("multi_tap_t", [False, True])
+def test_predictor_matches_inline_law(na, nb, delay, multi_tap_t):
+    """u_hat and the prediction against the inline law: bit for bit with a
+    one-tap T (every designed controller).  Otherwise the T lags are now
+    summed after S and R, and the last-bit differences feed back through
+    the estimate: within rel 1e-12, abs 1e-12 near zero."""
+    if multi_tap_t:
+        ctrl = RstController(
+            r_core=DelayPolynomial((0.8, -0.5)),
+            s_core=DelayPolynomial((1.0, 0.2)),
+            t=DelayPolynomial((0.2, 0.07, 0.03)),
+            Ts=Ts,
+            hs=HS_INTEGRATOR,
+        )
+    else:
+        ctrl = loop_controller()
+    rng = np.random.default_rng(na * 100 + nb * 10 + delay)
+    init = initial_adaptation_state(na + nb, theta0=rng.uniform(-0.5, 0.5, na + nb))
+    y_hist, u_hist = rng.uniform(-1, 1, 7), rng.uniform(-3, 3, 6)
+    pred = ClosedLoopPredictor(ctrl, na, nb, delay, init, y_hist=y_hist, u_hist=u_hist)
+    oracle = InlineLawPredictor(ctrl, na, nb, delay, init, y_hist, u_hist)
+    for _ in range(60):
+        r_u, r_dev, y_next = rng.uniform(-1, 1), rng.uniform(-2, 2), rng.uniform(-1, 1)
+        got = pred.predict(r_u, r_dev)
+        pred.adapt(y_next)
+        want = oracle.step(r_u, r_dev, y_next)
+        if multi_tap_t:
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+        else:
+            assert got == want
+
+
 def test_warmup_learns_operating_point():
     ctrl = loop_controller()
     plant = LinearSimulator(TRUE)
@@ -159,6 +235,22 @@ def test_run_record_shapes():
         assert len(arr) == 40
     assert np.array_equal(run.theta_final, run.theta[-1])
     assert not run.saturated.any()
+
+
+def test_clipped_plant_input_is_flagged_saturated():
+    ctrl = loop_controller()
+    plant = LinearSimulator(TRUE)
+    init = initial_adaptation_state(2, theta0=THETA_TRUE)
+    exc = np.tile([30.0, 30.0, -30.0, -30.0], 10)  # the controller alone never saturates
+    run = cl_identify(
+        plant, ctrl, exc, init, 1, 1, operating_reference=-20.0, warmup=40,
+        limits=(0.0, 100.0), update=False,
+    )
+    u_abs = run.u + run.u_operating
+    at_limit = np.isclose(u_abs, 0.0, atol=1e-9) | np.isclose(u_abs, 100.0, atol=1e-9)
+    assert at_limit.any() and not at_limit.all()
+    assert run.saturated[at_limit].all()
+    assert np.all((u_abs > -1e-9) & (u_abs < 100.0 + 1e-9))
 
 
 def test_save_cloe_csv_round_trip(tmp_path):

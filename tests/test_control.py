@@ -13,7 +13,6 @@ from valvebench.control import (
     ControllerRuntime,
     DelayPolynomial,
     PoleSpec,
-    ReferenceModel,
     RstController,
     bezout_design,
     check_pole_placement,
@@ -226,15 +225,93 @@ def test_runtime_saturation_flag():
     assert sat and u in (0.0, 100.0)
 
 
-def test_reference_model_reaches_unit_dc():
-    spec = PoleSpec(5.0, 1.0, Ts)
-    target = desired_poles(spec)
-    _, b_poly = model_polynomials(PLANT)
-    ref = ReferenceModel(target, b_poly, t_gain=float(np.real(target(1.0) / b_poly(1.0))))
-    y = 0.0
-    for _ in range(200):
-        y = ref.step(5.0)
-    assert y == pytest.approx(5.0, abs=1e-6)
+def controller_step_oracle(controller, u_hist, y_hist, r_hist, y_t, r_t, limits=(0.0, 100.0)):
+    """The RST law as a free function over numpy histories, as it stood
+    before ControllerRuntime.step took it over."""
+    u_hist = np.asarray(u_hist, dtype=float)
+    y_hist = np.asarray(y_hist, dtype=float)
+    r_hist = np.asarray(r_hist, dtype=float)
+    s_c = controller.s.coeffs
+    r_c = controller.r.coeffs
+    t_c = controller.t.coeffs
+    if len(u_hist) < len(s_c) - 1 or len(y_hist) < len(r_c) - 1 or len(r_hist) < len(t_c) - 1:
+        raise ValueError("history too short for controller degrees")
+    u = t_c[0] * r_t - r_c[0] * y_t
+    for i in range(1, len(s_c)):
+        u -= s_c[i] * u_hist[-i]
+    for i in range(1, len(r_c)):
+        u -= r_c[i] * y_hist[-i]
+    for i in range(1, len(t_c)):
+        u += t_c[i] * r_hist[-i]
+    saturated = False
+    if limits is not None:
+        lo, hi = limits
+        if u < lo:
+            u, saturated = lo, True
+        elif u > hi:
+            u, saturated = hi, True
+    return float(u), saturated
+
+
+values = st.floats(-200.0, 200.0)
+taps = st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    s_tail=st.lists(st.floats(-1.5, 1.5), max_size=3),
+    r=taps,
+    t=taps,
+    limits=st.sampled_from([None, (0.0, 100.0)]),
+    data=st.data(),
+)
+def test_runtime_step_matches_oracle(s_tail, r, t, limits, data):
+    ctrl = RstController(
+        r_core=DelayPolynomial(tuple(r)),
+        s_core=DelayPolynomial((1.0, *s_tail)),
+        t=DelayPolynomial(tuple(t)),
+        Ts=Ts,
+    )
+    rt = ControllerRuntime(ctrl, limits=limits)
+    depth = len(rt._u)
+    hists = [data.draw(st.lists(values, min_size=depth, max_size=depth)) for _ in range(3)]
+    rt._u, rt._y, rt._r = (list(h) for h in hists)
+    u_h, y_h, r_h = (list(h) for h in hists)
+    for y_t, r_t in data.draw(st.lists(st.tuples(values, values), min_size=1, max_size=6)):
+        want = controller_step_oracle(ctrl, u_h, y_h, r_h, y_t, r_t, limits)
+        assert rt.step(y_t, r_t) == want
+        for hist, v in ((u_h, want[0]), (y_h, y_t), (r_h, r_t)):
+            hist.append(v)
+            hist.pop(0)
+
+
+def test_runtime_track_is_measure_step_advance():
+    target = dominant_poles(PoleSpec(5.0, 1.0, Ts))
+    ctrl = bezout_design(PLANT, target)
+
+    class Recorder:
+        def __init__(self):
+            self.calls = []
+
+        def measure(self):
+            self.calls.append("measure")
+            return 0.5 * len(self.calls)
+
+        def advance(self, u):
+            self.calls.append(("advance", u))
+
+    plant = Recorder()
+    rt = ControllerRuntime(ctrl, limits=(0.0, 100.0))
+    rt.prime(u=20.0, y=30.0, r=30.0)
+    ref = np.array([30.0, 30.0, 35.0, 35.0])
+    y, u, sat = rt.track(plant, ref)
+
+    oracle = ControllerRuntime(ctrl, limits=(0.0, 100.0))
+    oracle.prime(u=20.0, y=30.0, r=30.0)
+    want = [oracle.step(yk, rk) for yk, rk in zip(y, ref)]
+    assert list(u) == [w[0] for w in want] and list(sat) == [w[1] for w in want]
+    assert plant.calls[0::2] == ["measure"] * 4
+    assert plant.calls[1::2] == [("advance", uk) for uk in u]
 
 
 # ---------------------------------------------------------------------------
