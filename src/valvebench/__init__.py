@@ -39,6 +39,7 @@ from .errors import ConfigError, DesignError, DivergenceError, IdentifiabilityEr
 from .ident import (
     AdaptationState,
     RlsRun,
+    arx_least_squares,
     batch_least_squares,
     build_regressors,
     initial_adaptation_state,
@@ -106,6 +107,7 @@ __all__ = [
     "ValveSimulator",
     "ValveState",
     "adaptive_run",
+    "arx_least_squares",
     "batch_least_squares",
     "bezout_design",
     "build_regressors",

@@ -16,7 +16,9 @@ import argparse
 import concurrent.futures
 import dataclasses
 import os
+import shutil
 import sys
+import tempfile
 
 import numpy as np
 
@@ -44,7 +46,7 @@ from .control import (
 )
 from .errors import ConfigError, ValveBenchError
 from .fileio import read_key_values, write_csv, write_report
-from .ident import batch_least_squares, build_regressors, order_scan
+from .ident import arx_least_squares, order_scan
 from .plant import DiscretePlantModel, ValveParams, ValveSimulator, open_loop, static_sweep
 from .presets import PRESET_NAMES, get_preset
 from .signals import PrbsConfig, prbs_generate
@@ -394,7 +396,7 @@ def run_identify(cfg, out_dir, preset, seed):
             [table[k] for k in table],
         ],
     )
-    theta, cost = batch_least_squares(build_regressors(u_d, y_d, idf["na"], idf["nb"]))
+    theta, cost = arx_least_squares(u_d, y_d, idf["na"], idf["nb"])
     items = [("preset", preset), ("na", idf["na"]), ("nb", idf["nb"])]
     items += [(f"theta_{i + 1}", float(v)) for i, v in enumerate(theta)]
     items += [("cost", cost)]
@@ -514,9 +516,24 @@ HANDLERS = {
 
 
 def _execute(command: str, cfg: dict, preset, out_dir: str, seed) -> None:
-    os.makedirs(out_dir, exist_ok=True)
-    items = HANDLERS[command](cfg, out_dir, preset, seed)
-    write_report(os.path.join(out_dir, "report.txt"), items)
+    """Run one scenario in a staging directory next to out_dir and move its
+    files into out_dir only once it has succeeded, so that a failed run
+    leaves nothing behind."""
+    parent = os.path.dirname(os.path.abspath(out_dir))
+    os.makedirs(parent, exist_ok=True)
+    if not os.access(parent, os.W_OK | os.X_OK):
+        # e.g. `--out .` in a directory whose parent is read-only
+        os.makedirs(out_dir, exist_ok=True)
+        parent = out_dir
+    staging = tempfile.mkdtemp(prefix=".valvebench-", dir=parent)
+    try:
+        items = HANDLERS[command](cfg, staging, preset, seed)
+        write_report(os.path.join(staging, "report.txt"), items)
+        os.makedirs(out_dir, exist_ok=True)
+        for name in os.listdir(staging):
+            os.replace(os.path.join(staging, name), os.path.join(out_dir, name))
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,7 +1,12 @@
 """Small text I/O helpers: CSV export and key=value config parsing.
 
-Every float leaving the package goes through :func:`format_float` so that
-repeated runs produce byte-identical artifacts.
+Every float leaving the package is printed with ``FLOAT_FMT`` (9
+significant digits) so that repeated runs produce byte-identical artifacts.
+Reports go through :func:`format_value` value by value.  CSV columns are
+formatted column-wise, one pass per column picked by its dtype: floats with
+the same ``FLOAT_FMT``, booleans and integers spelled as :func:`format_value`
+spells them.  That is why a CSV keeps the exact bytes of per-cell
+formatting.
 """
 
 from __future__ import annotations
@@ -30,6 +35,18 @@ def format_value(x) -> str:
     return str(x)
 
 
+def _format_column(col: np.ndarray) -> list[str]:
+    """The cells of one column, as :func:`format_value` spells each element."""
+    kind = col.dtype.kind
+    if kind == "b":
+        return ["true" if v else "false" for v in col.tolist()]
+    if kind in ("i", "u"):
+        return [str(v) for v in col.tolist()]
+    if kind == "f":
+        return [FLOAT_FMT % v for v in col.tolist()]
+    return [format_value(v) for v in col]
+
+
 def write_csv(path: str | os.PathLike, header: list[str], columns: list[np.ndarray]) -> None:
     """Write columns of equal length as CSV with LF endings."""
     cols = [np.asarray(c) for c in columns]
@@ -39,10 +56,10 @@ def write_csv(path: str | os.PathLike, header: list[str], columns: list[np.ndarr
     for c in cols:
         if len(c) != n:
             raise ValueError("columns must have equal length")
+    lines = [",".join(header)]
+    lines += map(",".join, zip(*[_format_column(c) for c in cols]))
     with open(path, "w", newline="\n") as f:
-        f.write(",".join(header) + "\n")
-        for i in range(n):
-            f.write(",".join(format_value(c[i]) for c in cols) + "\n")
+        f.write("\n".join(lines) + "\n")
 
 
 def write_report(path: str | os.PathLike, items: list[tuple[str, object]]) -> None:

@@ -70,6 +70,33 @@ def build_regressors(u, y, na: int, nb: int) -> list[Regressor]:
     return _regressors_from(u, y, na, nb, max(na, nb))
 
 
+def _lagged(u: np.ndarray, y: np.ndarray, na: int, nb: int, start: int) -> np.ndarray:
+    """Regression matrix of the record from target t = start on, built from
+    lagged slices: row t holds [-y(t-1) ... -y(t-na), u(t-1) ... u(t-nb)],
+    the floats of the :class:`Regressor` of t."""
+    n_rows = max(0, len(y) - start)
+    phi = np.empty((n_rows, na + nb))
+    if n_rows:
+        for i in range(1, na + 1):
+            phi[:, i - 1] = -y[start - i:len(y) - i]
+        for j in range(1, nb + 1):
+            phi[:, na + j - 1] = u[start - j:len(u) - j]
+    return phi
+
+
+def _record_matrix(u, y, na: int, nb: int) -> tuple[np.ndarray, np.ndarray]:
+    """(phi, targets) of :func:`build_regressors`, checked as it checks them."""
+    u, y = _as_record(u, y)
+    if na < 0 or nb < 1:
+        raise ValueError("orders must satisfy na >= 0, nb >= 1")
+    start = max(na, nb)
+    phi = _lagged(u, y, na, nb, start)
+    tgt = y[start:].copy()
+    if not (np.isfinite(phi).all() and np.isfinite(tgt).all()):
+        raise ValueError("regressor entries must be finite")
+    return phi, tgt
+
+
 def _stack(regressors: list[Regressor]) -> tuple[np.ndarray, np.ndarray]:
     phi = np.vstack([r.phi for r in regressors])
     tgt = np.array([r.target for r in regressors])
@@ -107,6 +134,19 @@ def batch_least_squares(regressors: list[Regressor]) -> tuple[np.ndarray, float]
     return _solve_normal(*_stack(regressors))
 
 
+def arx_least_squares(u, y, na: int, nb: int) -> tuple[np.ndarray, float]:
+    """Batch ARX fit of a data record; returns (theta_hat, V).
+
+    The rows are those of :func:`build_regressors`, built as one lagged data
+    matrix, so the result equals ``batch_least_squares(build_regressors(u, y,
+    na, nb))`` bit for bit and fails with the same errors.
+    """
+    phi, tgt = _record_matrix(u, y, na, nb)
+    if not len(tgt):
+        raise IdentifiabilityError("no regressors")
+    return _solve_normal(phi, tgt)
+
+
 def order_scan(u, y, na_values=(1, 2, 3), nb_values=(1, 2, 3)) -> dict[tuple[int, int], float]:
     """Criterion value per (na, nb) over a window shared by all candidates.
 
@@ -125,18 +165,11 @@ def order_scan(u, y, na_values=(1, 2, 3), nb_values=(1, 2, 3)) -> dict[tuple[int
     if not (np.all(np.isfinite(u)) and np.all(np.isfinite(y))):
         raise ValueError("u and y must be finite")
     start = max(max(na_values), max(nb_values))
-    n_rows = max(0, len(y) - start)
     tgt = y[start:].copy()
     table: dict[tuple[int, int], float] = {}
     for na in na_values:
         for nb in nb_values:
-            # Row t holds [-y(t-1) ... -y(t-na), u(t-1) ... u(t-nb)].
-            phi = np.empty((n_rows, na + nb))
-            for i in range(1, na + 1):
-                phi[:, i - 1] = -y[start - i:len(y) - i]
-            for j in range(1, nb + 1):
-                phi[:, na + j - 1] = u[start - j:len(u) - j]
-            _, table[(na, nb)] = _solve_normal(phi, tgt)
+            _, table[(na, nb)] = _solve_normal(_lagged(u, y, na, nb, start), tgt)
     return table
 
 
@@ -300,19 +333,19 @@ class RlsRun:
 
 def rls_run(u, y, na: int, nb: int, init: AdaptationState) -> RlsRun:
     """Feed the data record's regressors through :func:`rls_step` in order."""
-    regs = build_regressors(u, y, na, nb)
+    phi, tgt = _record_matrix(u, y, na, nb)
     n = na + nb
     if len(init.theta_hat) != n:
         raise ValueError("init state dimension must equal na + nb")
-    T = len(regs)
+    T = len(tgt)
     theta = np.empty((T, n))
     F = np.empty((T, n, n))
     lam1 = np.empty(T)
     e0 = np.empty(T)
     e1 = np.empty(T)
     state = init
-    for i, reg in enumerate(regs):
-        state, eps0, eps = rls_step(state, reg.phi, reg.target)
+    for i, (row, target) in enumerate(zip(phi, tgt.tolist())):
+        state, eps0, eps = rls_step(state, row, target)
         theta[i] = state.theta_hat
         F[i] = state.F
         lam1[i] = state.lambda1

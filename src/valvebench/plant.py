@@ -512,8 +512,16 @@ class LinearSimulator:
         self._current: float | None = None
 
     def _output(self) -> float:
+        # The equation of linear_plant_step, in its summation order, on the
+        # history lists, whose lengths the constructor fixes.
         if self._current is None:
-            self._current = linear_plant_step(self.model, np.array(self._y), np.array(self._u))
+            model = self.model
+            y = 0.0
+            for i, a in enumerate(model.a_coeffs, start=1):
+                y -= a * self._y[-i]
+            for j, b in enumerate(model.b_coeffs, start=1):
+                y += b * self._u[-(model.delay + j)]
+            self._current = y
         return self._current
 
     def measure(self) -> float:

@@ -1,6 +1,8 @@
 """End-to-end subcommand runs, config resolution, and exit codes."""
 
 import math
+import os
+import tempfile
 import warnings
 from pathlib import Path
 
@@ -212,6 +214,44 @@ def test_gain_matrix_losing_definiteness_is_a_run_failure(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "valvebench adapt failed:" in err
     assert "lost positive definiteness" in err
+
+
+@pytest.mark.parametrize("presets", ["valve6", "valve0,valve6"])
+def test_failed_run_leaves_no_partial_output(tmp_path, capsys, presets):
+    """A failed run, single or fanned out, writes no file into --out and
+    leaves no staging directory behind."""
+    out = tmp_path / "out"
+    rc = main(
+        [
+            "adapt",
+            "--config",
+            str(CONFIGS / "adapt_valve6.cfg"),
+            "--out",
+            str(out),
+            "--set",
+            "adapt.gain=1e14",
+            "--set",
+            f"plant.preset={presets}",
+        ]
+    )
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "valvebench adapt failed:" in err and "diverged" in err
+    assert [p for p in tmp_path.rglob("*") if p.is_file()] == []
+    assert list(tmp_path.rglob(".valvebench-*")) == []
+
+
+def test_run_stages_inside_out_when_its_parent_is_read_only(tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    real_access, real_mkdtemp = os.access, tempfile.mkdtemp
+    staged_in = []
+    monkeypatch.setattr(os, "access", lambda p, mode: p != str(tmp_path) and real_access(p, mode))
+    monkeypatch.setattr(
+        tempfile, "mkdtemp", lambda **kw: staged_in.append(kw["dir"]) or real_mkdtemp(**kw)
+    )
+    assert main(["sweep", "--out", str(out), "--set", "sweep.u_max=5"]) == 0
+    assert staged_in == [str(out)]
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["out", "report.txt", "sweep.csv"]
 
 
 def test_multi_preset_fan_out(tmp_path):

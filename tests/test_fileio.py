@@ -1,5 +1,10 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from valvebench.errors import ConfigError
 from valvebench.fileio import (
@@ -39,6 +44,90 @@ def test_write_csv_validation(tmp_path):
         write_csv(tmp_path / "a.csv", ["a", "b"], [np.arange(3)])
     with pytest.raises(ValueError):
         write_csv(tmp_path / "b.csv", ["a", "b"], [np.arange(3), np.arange(4)])
+
+
+def _write_csv_oracle(path, header, columns):
+    """The per-cell writer: format_value on each element, row by row."""
+    cols = [np.asarray(c) for c in columns]
+    if len(cols) != len(header):
+        raise ValueError("header/column count mismatch")
+    n = len(cols[0]) if cols else 0
+    for c in cols:
+        if len(c) != n:
+            raise ValueError("columns must have equal length")
+    with open(path, "w", newline="\n") as f:
+        f.write(",".join(header) + "\n")
+        for i in range(n):
+            f.write(",".join(format_value(c[i]) for c in cols) + "\n")
+
+
+SPECIAL_FLOATS = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 2.2e-308, 1e300, -1e300, 1.0 / 3.0]
+_floats64 = st.one_of(st.floats(allow_subnormal=True), st.sampled_from(SPECIAL_FLOATS))
+
+
+def _column(n: int):
+    """Any column kind the writer meets: numpy arrays of several dtypes,
+    Python lists, and a string column."""
+    size = dict(min_size=n, max_size=n)
+    return st.one_of(
+        hnp.arrays(np.float64, n, elements=_floats64),
+        hnp.arrays(np.float32, n, elements=st.floats(width=32, allow_subnormal=True)),
+        hnp.arrays(np.int8, n),
+        hnp.arrays(np.int64, n),
+        hnp.arrays(np.uint8, n),
+        hnp.arrays(np.bool_, n),
+        st.lists(st.integers(-(2**62), 2**62), **size),
+        st.lists(_floats64, **size),
+        st.lists(st.booleans(), **size),
+        st.lists(st.text("ab x-1.e", max_size=4), **size),
+    )
+
+
+def _same_bytes(tmp_path, header, columns):
+    write_csv(tmp_path / "new.csv", header, columns)
+    _write_csv_oracle(tmp_path / "ref.csv", header, columns)
+    return (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), n=st.integers(0, 12), count=st.integers(1, 5))
+def test_write_csv_matches_per_cell_oracle(tmp_path, data, n, count):
+    """Column-wise formatting writes the bytes of per-cell format_value."""
+    columns = [data.draw(_column(n)) for _ in range(count)]
+    header = [f"c{k}" for k in range(count)]
+    assert _same_bytes(tmp_path, header, columns)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_write_csv_matches_oracle_on_every_kind(tmp_path, n):
+    rng = np.random.default_rng(n)
+    specials = np.array((SPECIAL_FLOATS * 2)[: max(n, 1)])[:n]
+    columns = [
+        specials,
+        rng.standard_normal(n).astype(np.float32),
+        np.arange(-n, 0, dtype=np.int8),
+        np.arange(n, dtype=np.int64) * 2**40,
+        np.arange(250, 250 + n, dtype=np.uint8),
+        np.arange(n) % 2 == 0,
+        list(range(n)),
+        [0.1 * k for k in range(n)],
+        [k % 2 == 1 for k in range(n)],
+        [f"s{k}" for k in range(n)],
+    ]
+    header = [f"c{k}" for k in range(len(columns))]
+    assert _same_bytes(tmp_path, header, columns)
+
+
+def test_write_csv_validation_messages(tmp_path):
+    for header, columns in (
+        (["a", "b"], [np.arange(3)]),
+        (["a", "b"], [np.arange(3), np.arange(4)]),
+        (["a", "b"], [np.arange(3), [1.0, 2.0]]),
+    ):
+        with pytest.raises(ValueError) as ref:
+            _write_csv_oracle(tmp_path / "ref.csv", header, columns)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(ref.value))}$"):
+            write_csv(tmp_path / "new.csv", header, columns)
 
 
 def test_write_report(tmp_path):

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from valvebench.errors import DivergenceError, IdentifiabilityError
+from valvebench.errors import DivergenceError, IdentifiabilityError, ValveBenchError
 from valvebench.ident import (
     AdaptationState,
     _regressors_from,
+    arx_least_squares,
     batch_least_squares,
     build_regressors,
     initial_adaptation_state,
@@ -119,6 +120,111 @@ def test_identifiability_failures():
         batch_least_squares(build_regressors(u[:4], y[:4], 2, 2))
     with pytest.raises(IdentifiabilityError):
         batch_least_squares([])
+
+
+def _outcome(fn, *args):
+    """fn's result, or the type and message of the error it raised."""
+    try:
+        return fn(*args)
+    except (ValueError, ValveBenchError) as err:
+        return type(err), str(err)
+
+
+def _fit_oracle(u, y, na, nb):
+    return batch_least_squares(build_regressors(u, y, na, nb))
+
+
+def _assert_same_fit(u, y, na, nb):
+    got = _outcome(arx_least_squares, u, y, na, nb)
+    ref = _outcome(_fit_oracle, u, y, na, nb)
+    if isinstance(ref[0], type):
+        assert got == ref
+    else:
+        assert np.array_equal(got[0], ref[0]) and got[1] == ref[1]
+    return ref
+
+
+def _record(seed, n, kind):
+    """A random ARX record; kind "constant" holds u fixed (collinear lags),
+    "nan_u"/"nan_y" plant one NaN anywhere in the record."""
+    rng = np.random.default_rng(seed)
+    u = rng.uniform(-1, 1, n)
+    if kind == "constant":
+        u[:] = 0.7
+    y = simulate_arx([-0.8, 0.15], [0.5, -0.2], u, noise=0.05 * rng.standard_normal(n))
+    if n and kind in ("nan_u", "nan_y"):
+        (u if kind == "nan_u" else y)[rng.integers(n)] = np.nan
+    return u, y
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    na=st.integers(0, 3),
+    nb=st.integers(1, 3),
+    n=st.one_of(st.integers(0, 12), st.integers(8, 400)),
+    kind=st.sampled_from(["random", "random", "constant", "nan_u", "nan_y"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_arx_least_squares_matches_per_row_fit(na, nb, n, kind, seed):
+    """The lagged-matrix fit equals the per-Regressor fit bit for bit, and
+    fails where it fails with the same error."""
+    _assert_same_fit(*_record(seed, n, kind), na, nb)
+
+
+def test_arx_least_squares_failures_match_per_row_fit():
+    u, y = _record(11, 200, "random")
+    cases = [
+        (u[:0], y[:0], IdentifiabilityError, "no regressors"),
+        (u[:4], y[:4], IdentifiabilityError, "cannot determine"),
+        (*_record(11, 200, "constant"), IdentifiabilityError, "condition"),
+        (np.where(np.arange(200) == 50, np.nan, u), y, ValueError, "must be finite"),
+        (u, np.where(np.arange(200) == 5, np.nan, y), ValueError, "must be finite"),
+    ]
+    for u_c, y_c, kind, text in cases:
+        err_type, message = _assert_same_fit(u_c, y_c, 2, 3)
+        assert err_type is kind and text in message
+    with pytest.raises(ValueError, match="orders"):
+        arx_least_squares(u, y, 1, 0)
+
+
+def _rls_run_oracle(u, y, na, nb, init):
+    """rls_run as a loop over per-row Regressor objects."""
+    state = init
+    steps = []
+    for reg in build_regressors(u, y, na, nb):
+        state, eps0, eps = rls_step(state, reg.phi, reg.target)
+        steps.append((state, eps0, eps))
+    return steps
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    na=st.integers(1, 3),
+    nb=st.integers(1, 3),
+    n=st.integers(0, 150),
+    profile=st.sampled_from(["decreasing", "constant-gain", "variable-forgetting"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_rls_run_matches_per_regressor_loop(na, nb, n, profile, seed):
+    u, y = _record(seed, n, "random")
+    init = initial_adaptation_state(na + nb, profile=profile)
+    run = rls_run(u, y, na, nb, init)
+    steps = _rls_run_oracle(u, y, na, nb, init)
+    assert len(run.theta) == len(steps)
+    for i, (state, eps0, eps) in enumerate(steps):
+        assert np.array_equal(run.theta[i], state.theta_hat)
+        assert np.array_equal(run.F[i], state.F)
+        assert run.lambda1[i] == state.lambda1
+        assert (run.eps_apriori[i], run.eps_aposteriori[i]) == (eps0, eps)
+
+
+def test_rls_run_validation():
+    u, y = _record(12, 50, "random")
+    with pytest.raises(ValueError, match="init state dimension"):
+        rls_run(u, y, 1, 1, initial_adaptation_state(3))
+    y[10] = np.inf
+    with pytest.raises(ValueError, match="regressor entries must be finite"):
+        rls_run(u, y, 1, 1, initial_adaptation_state(2))
 
 
 def test_recursive_final_estimate_matches_batch():

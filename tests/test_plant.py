@@ -296,6 +296,33 @@ def test_linear_run_matches_hand_recursion():
     np.testing.assert_allclose(linear_run(model, u), y, rtol=1e-12, atol=1e-12)
 
 
+def _linear_run_oracle(model, u, noise_std=0.0, rng_seed=0):
+    """linear_run with each output from linear_plant_step on array copies
+    of the histories."""
+    rng = np.random.default_rng(rng_seed)
+    y_hist = [0.0] * max(1, model.na)
+    u_hist = [0.0] * (model.nb + model.delay)
+    out = np.empty(len(u))
+    for k, u_k in enumerate(u):
+        y = linear_plant_step(model, np.array(y_hist), np.array(u_hist))
+        out[k] = y + noise_std * rng.standard_normal() if noise_std > 0 else y
+        y_hist = y_hist[1:] + [y]
+        u_hist = u_hist[1:] + [float(u_k)]
+    return out
+
+
+@pytest.mark.parametrize("noise_std", [0.0, 0.2])
+@pytest.mark.parametrize(
+    "a, b, delay", [((-0.9152,), (-0.0609,), 0), ((-1.2, 0.35), (0.5, 0.2), 1)]
+)
+def test_linear_run_matches_linear_plant_step(a, b, delay, noise_std):
+    """The simulator's inline ARX equation is bitwise linear_plant_step's."""
+    model = DiscretePlantModel(a, b, delay=delay)
+    u = np.random.default_rng(7).uniform(-1, 1, 300)
+    got = linear_run(model, u, noise_std=noise_std, rng_seed=3)
+    assert np.array_equal(got, _linear_run_oracle(model, u, noise_std, rng_seed=3))
+
+
 def test_linear_simulator_noise_is_output_only():
     """Output-error structure: noise never feeds back into the recursion."""
     model = DiscretePlantModel((-0.9,), (0.5,))
