@@ -516,20 +516,15 @@ HANDLERS = {
 
 
 def _execute(command: str, cfg: dict, preset, out_dir: str, seed) -> None:
-    """Run one scenario in a staging directory next to out_dir and move its
-    files into out_dir only once it has succeeded, so that a failed run
-    leaves nothing behind."""
-    parent = os.path.dirname(os.path.abspath(out_dir))
-    os.makedirs(parent, exist_ok=True)
-    if not os.access(parent, os.W_OK | os.X_OK):
-        # e.g. `--out .` in a directory whose parent is read-only
-        os.makedirs(out_dir, exist_ok=True)
-        parent = out_dir
-    staging = tempfile.mkdtemp(prefix=".valvebench-", dir=parent)
+    """Run one scenario in a staging directory inside out_dir and move its
+    files up only once it has succeeded, so that a failed run leaves at most
+    an empty out_dir.  Staging inside out_dir keeps the renames on one
+    filesystem even when out_dir is a mount point."""
+    os.makedirs(out_dir, exist_ok=True)
+    staging = tempfile.mkdtemp(prefix=".valvebench-", dir=out_dir)
     try:
         items = HANDLERS[command](cfg, staging, preset, seed)
         write_report(os.path.join(staging, "report.txt"), items)
-        os.makedirs(out_dir, exist_ok=True)
         for name in os.listdir(staging):
             os.replace(os.path.join(staging, name), os.path.join(out_dir, name))
     finally:

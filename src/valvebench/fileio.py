@@ -3,9 +3,9 @@
 Every float leaving the package is printed with ``FLOAT_FMT`` (9
 significant digits) so that repeated runs produce byte-identical artifacts.
 Reports go through :func:`format_value` value by value.  CSV columns are
-formatted column-wise, one pass per column picked by its dtype: floats with
-the same ``FLOAT_FMT``, booleans and integers spelled as :func:`format_value`
-spells them.  That is why a CSV keeps the exact bytes of per-cell
+formatted column-wise, one pass per column: a float column with the same
+``FLOAT_FMT`` applied to its plain Python floats, any other column through
+:func:`format_value`.  That is why a CSV keeps the exact bytes of per-cell
 formatting.
 """
 
@@ -38,12 +38,11 @@ def format_value(x) -> str:
 def _format_column(col: np.ndarray) -> list[str]:
     """The cells of one column, as :func:`format_value` spells each element."""
     kind = col.dtype.kind
-    if kind == "b":
-        return ["true" if v else "false" for v in col.tolist()]
-    if kind in ("i", "u"):
-        return [str(v) for v in col.tolist()]
     if kind == "f":
         return [FLOAT_FMT % v for v in col.tolist()]
+    if kind in ("b", "i", "u"):
+        # tolist() gives plain bools and ints, spelled by format_value
+        return [format_value(v) for v in col.tolist()]
     return [format_value(v) for v in col]
 
 

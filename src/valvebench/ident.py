@@ -52,10 +52,14 @@ def _as_record(u, y) -> tuple[np.ndarray, np.ndarray]:
     return u, y
 
 
-def _regressors_from(u, y, na: int, nb: int, start: int) -> list[Regressor]:
-    u, y = _as_record(u, y)
+def _check_orders(na: int, nb: int) -> None:
     if na < 0 or nb < 1:
         raise ValueError("orders must satisfy na >= 0, nb >= 1")
+
+
+def _regressors_from(u, y, na: int, nb: int, start: int) -> list[Regressor]:
+    u, y = _as_record(u, y)
+    _check_orders(na, nb)
     if start < max(na, nb):
         raise ValueError("start must cover the longest lag")
     out = []
@@ -87,8 +91,7 @@ def _lagged(u: np.ndarray, y: np.ndarray, na: int, nb: int, start: int) -> np.nd
 def _record_matrix(u, y, na: int, nb: int) -> tuple[np.ndarray, np.ndarray]:
     """(phi, targets) of :func:`build_regressors`, checked as it checks them."""
     u, y = _as_record(u, y)
-    if na < 0 or nb < 1:
-        raise ValueError("orders must satisfy na >= 0, nb >= 1")
+    _check_orders(na, nb)
     start = max(na, nb)
     phi = _lagged(u, y, na, nb, start)
     tgt = y[start:].copy()
@@ -159,8 +162,7 @@ def order_scan(u, y, na_values=(1, 2, 3), nb_values=(1, 2, 3)) -> dict[tuple[int
     nb_values = tuple(int(v) for v in nb_values)
     if not na_values or not nb_values:
         raise ValueError("order ranges must be non-empty")
-    if min(na_values) < 0 or min(nb_values) < 1:
-        raise ValueError("orders must satisfy na >= 0, nb >= 1")
+    _check_orders(min(na_values), min(nb_values))
     u, y = _as_record(u, y)
     if not (np.all(np.isfinite(u)) and np.all(np.isfinite(y))):
         raise ValueError("u and y must be finite")

@@ -480,6 +480,11 @@ def linear_plant_step(model: DiscretePlantModel, y_hist: np.ndarray, u_hist: np.
     u_hist = np.asarray(u_hist, dtype=float)
     if len(y_hist) < model.na or len(u_hist) < model.nb + model.delay:
         raise ValueError("history too short for model orders")
+    return _arx_output(model, y_hist, u_hist)
+
+
+def _arx_output(model: DiscretePlantModel, y_hist, u_hist) -> float:
+    # Unchecked equation, a-terms then b-terms, on any indexable histories.
     y = 0.0
     for i, a in enumerate(model.a_coeffs, start=1):
         y -= a * y_hist[-i]
@@ -512,16 +517,10 @@ class LinearSimulator:
         self._current: float | None = None
 
     def _output(self) -> float:
-        # The equation of linear_plant_step, in its summation order, on the
-        # history lists, whose lengths the constructor fixes.
+        # linear_plant_step's equation on the history lists, whose lengths
+        # the constructor fixes.
         if self._current is None:
-            model = self.model
-            y = 0.0
-            for i, a in enumerate(model.a_coeffs, start=1):
-                y -= a * self._y[-i]
-            for j, b in enumerate(model.b_coeffs, start=1):
-                y += b * self._u[-(model.delay + j)]
-            self._current = y
+            self._current = _arx_output(self.model, self._y, self._u)
         return self._current
 
     def measure(self) -> float:

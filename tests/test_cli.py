@@ -1,5 +1,6 @@
 """End-to-end subcommand runs, config resolution, and exit codes."""
 
+import errno
 import math
 import os
 import tempfile
@@ -241,11 +242,22 @@ def test_failed_run_leaves_no_partial_output(tmp_path, capsys, presets):
     assert list(tmp_path.rglob(".valvebench-*")) == []
 
 
-def test_run_stages_inside_out_when_its_parent_is_read_only(tmp_path, monkeypatch):
+def test_run_stages_inside_out_so_its_renames_stay_on_one_filesystem(tmp_path, monkeypatch):
+    """--out may be a mount point: a rename into it from anywhere outside
+    fails with EXDEV, so the staging directory must sit inside --out."""
     out = tmp_path / "out"
-    real_access, real_mkdtemp = os.access, tempfile.mkdtemp
+    real_replace, real_mkdtemp = os.replace, tempfile.mkdtemp
     staged_in = []
-    monkeypatch.setattr(os, "access", lambda p, mode: p != str(tmp_path) and real_access(p, mode))
+
+    def inside_out(p):
+        return os.path.commonpath([str(out), os.path.abspath(p)]) == str(out)
+
+    def replace(src, dst):
+        if inside_out(src) != inside_out(dst):
+            raise OSError(errno.EXDEV, os.strerror(errno.EXDEV))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace)
     monkeypatch.setattr(
         tempfile, "mkdtemp", lambda **kw: staged_in.append(kw["dir"]) or real_mkdtemp(**kw)
     )

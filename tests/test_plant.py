@@ -316,7 +316,8 @@ def _linear_run_oracle(model, u, noise_std=0.0, rng_seed=0):
     "a, b, delay", [((-0.9152,), (-0.0609,), 0), ((-1.2, 0.35), (0.5, 0.2), 1)]
 )
 def test_linear_run_matches_linear_plant_step(a, b, delay, noise_std):
-    """The simulator's inline ARX equation is bitwise linear_plant_step's."""
+    """The simulator's list histories give bitwise linear_plant_step's
+    outputs on array copies of the histories."""
     model = DiscretePlantModel(a, b, delay=delay)
     u = np.random.default_rng(7).uniform(-1, 1, 300)
     got = linear_run(model, u, noise_std=noise_std, rng_seed=3)
