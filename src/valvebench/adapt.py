@@ -29,6 +29,7 @@ from .control import (
     bezout_design,
     check_pole_placement,
     desired_poles,
+    rst_law_length,
     sensitivity,
 )
 from .cloe import ClosedLoopPredictor, _loop_sample, cl_identify, save_cloe_csv
@@ -93,7 +94,7 @@ class RstDesignSpec:
         object.__setattr__(self, "target", desired_poles(self.pole))
 
     def model_from(self, theta) -> DiscretePlantModel:
-        theta = np.asarray(theta, dtype=float)
+        theta = np.asarray(theta, dtype=float).tolist()
         if len(theta) != self.na + self.nb:
             raise ValueError("theta length must equal na + nb")
         return DiscretePlantModel(
@@ -352,11 +353,14 @@ def adaptive_run(
 
     The closed-loop predictor adapts exactly as in `cl_identify` (with the
     reference deviation fed through T); after each accepted update the
-    controller is re-derived from the current estimate and swapped into both
-    the real loop and the predictor, keeping the histories.  Estimates whose
-    re-design fails the pole check leave the controller unchanged.  The loop
-    settles at reference[0] with the initial controller before adaptation
-    starts; that level is the predictor's operating point.
+    controller is re-derived from the current estimate by
+    :meth:`RstDesignSpec.design` and swapped into both the real loop and the
+    predictor, keeping the histories.  Both hold as many past samples as the
+    longest R or S the spec can design (:func:`rst_law_length`), so an
+    initial controller of lower degree than the designs is fine.  Estimates
+    whose re-design fails the pole check leave the controller unchanged.
+    The loop settles at reference[0] with the initial controller before
+    adaptation starts; that level is the predictor's operating point.
     """
     reference = np.asarray(reference, dtype=float)
     T = len(reference)
@@ -384,6 +388,7 @@ def adaptive_run(
     state = initial_adaptation_state(
         n, gain=adaptation_gain, profile=profile, lambda0=lambda0, theta0=theta
     )
+    depth = rst_law_length(design.na, design.nb, design.delay, design.hs, design.hr)
     predictor = ClosedLoopPredictor(
         controller,
         design.na,
@@ -392,8 +397,9 @@ def adaptive_run(
         state,
         y_hist=y_tr - r_bar,
         u_hist=u_tr - u_bar,
+        depth=depth,
     )
-    runtime = ControllerRuntime(controller, limits=limits)
+    runtime = ControllerRuntime(controller, limits=limits, depth=depth)
     runtime.prime(u=float(u_tr[-1]), y=float(y_tr[-1]), r=r_bar)
 
     y_arr = np.empty(T)
@@ -402,13 +408,12 @@ def adaptive_run(
     redesigns = 0
     rejected = 0
     y_abs = plant.measure()
-    for k in range(T):
+    for k, (r_k, e_k) in enumerate(zip(reference.tolist(), excitation.tolist())):
         _, _, u_plant, _, y_abs, _, _ = _loop_sample(
-            plant, predictor, runtime, y_abs, r_bar, float(reference[k]), float(excitation[k])
+            plant, predictor, runtime, y_abs, r_bar, r_k, e_k
         )
         theta = predictor.theta_hat.copy()
         try:
-            # same design spec, same degrees: swap in place, histories kept
             controller = design.design(theta)
             runtime.controller = predictor.runtime.controller = controller
             redesigns += 1

@@ -27,7 +27,7 @@ import numpy as np
 
 from .control import ControllerRuntime, RstController
 from .fileio import write_csv
-from .ident import AdaptationState, rls_step
+from .ident import AdaptationState, _dot, rls_step
 
 
 class ClosedLoopPredictor:
@@ -37,7 +37,12 @@ class ClosedLoopPredictor:
     prediction, then :meth:`adapt` with the next measured output.  The
     histories carry a posteriori predictions.  The controller runs in its
     own unclamped :class:`ControllerRuntime`, `runtime`; a redesign is
-    swapped in as `runtime.controller`.
+    swapped in as `runtime.controller`.  Histories hold at least `depth`
+    samples, so that a redesign longer than the initial controller fits.
+
+    Regressors are lists of Python floats.  :func:`~valvebench.ident.rls_step`
+    updates `state` with them, and predictions sum theta' phi in index
+    order, as the estimator sums it.
     """
 
     def __init__(
@@ -49,6 +54,7 @@ class ClosedLoopPredictor:
         adaptation: AdaptationState,
         y_hist: np.ndarray | None = None,
         u_hist: np.ndarray | None = None,
+        depth: int = 0,
     ):
         if na < 1 or nb < 1:
             raise ValueError("predictor needs na >= 1 and nb >= 1")
@@ -61,6 +67,7 @@ class ClosedLoopPredictor:
         self.delay = delay
         self.state = adaptation
         depth = max(
+            depth,
             na,
             nb + delay,
             len(controller.s.coeffs),
@@ -71,7 +78,7 @@ class ClosedLoopPredictor:
         def init_hist(values):
             hist = [0.0] * depth
             if values is not None and len(values):
-                tail = list(np.asarray(values, dtype=float))[-depth:]
+                tail = np.asarray(values, dtype=float)[-depth:].tolist()
                 hist[depth - len(tail):] = tail
             return hist
 
@@ -84,10 +91,10 @@ class ClosedLoopPredictor:
             self._y = init_hist(None)
         self._u = init_hist(u_hist)  # u_hat history, most recent last
         # The controller's own output starts from the same record as u_hat.
-        self.runtime = ControllerRuntime(controller, limits=None)
+        self.runtime = ControllerRuntime(controller, limits=None, depth=depth)
         self.runtime._u = list(self._u)
         self.runtime._y = list(self._y)
-        self._pending_phi: np.ndarray | None = None
+        self._pending_phi: list[float] | None = None
 
     @property
     def theta_hat(self) -> np.ndarray:
@@ -109,9 +116,9 @@ class ClosedLoopPredictor:
 
         y_lags = [y_now] + [self._y[-i] for i in range(1, self.na)]
         u_lags = [self._u[-1 - self.delay - j] for j in range(self.nb)]
-        phi = np.array([-v for v in y_lags] + u_lags)
+        phi = [-v for v in y_lags] + u_lags
         self._pending_phi = phi
-        return float(self.state.theta_hat @ phi), u_hat
+        return _dot(self.state.theta_hat.tolist(), phi), u_hat
 
     def adapt(self, y_measured_next: float, update: bool = True) -> tuple[float, float]:
         """Consume the next measured output; returns (a priori, a posteriori)
@@ -123,12 +130,12 @@ class ClosedLoopPredictor:
         if update:
             self.state, eps0, eps = rls_step(self.state, phi, float(y_measured_next))
         else:
-            eps0 = float(y_measured_next) - float(self.state.theta_hat @ phi)
+            eps0 = float(y_measured_next) - _dot(self.state.theta_hat.tolist(), phi)
             eps = eps0
         # a posteriori prediction becomes the new current history sample
         self._y.append(self._y_current)
         self._y.pop(0)
-        self._y_current = float(self.state.theta_hat @ phi)
+        self._y_current = _dot(self.state.theta_hat.tolist(), phi)
         self._pending_phi = None
         return eps0, eps
 

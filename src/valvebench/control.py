@@ -11,13 +11,15 @@ the remaining factors with a Sylvester matrix.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, field
+from itertools import zip_longest
 
 import numpy as np
 
-from .errors import ConfigError, DesignError
-from .fileio import format_float, parse_key_values
+from .errors import DesignError
+from .fileio import format_float
 from .plant import DiscretePlantModel
 
 SYLVESTER_MAX_COND = 1e10
@@ -47,7 +49,7 @@ class DelayPolynomial:
 
     def __mul__(self, other):
         if isinstance(other, DelayPolynomial):
-            return DelayPolynomial(tuple(np.convolve(self.coeffs, other.coeffs).tolist()))
+            return DelayPolynomial(tuple(_convolve(self.coeffs, other.coeffs)))
         return DelayPolynomial(tuple(float(other) * c for c in self.coeffs))
 
     __rmul__ = __mul__
@@ -71,14 +73,8 @@ class DelayPolynomial:
             return val.real if val.imag == 0.0 else val
         return acc
 
-    def shifted(self, k: int) -> "DelayPolynomial":
-        """Multiply by q^-k."""
-        if k < 0:
-            raise ValueError("shift must be >= 0")
-        return DelayPolynomial((0.0,) * k + self.coeffs)
-
     def trimmed(self, rel_tol: float = 1e-12) -> "DelayPolynomial":
-        return DelayPolynomial(tuple(_trimmed(np.array(self.coeffs), rel_tol)))
+        return DelayPolynomial(tuple(_trimmed(self.coeffs, rel_tol)))
 
     def roots(self) -> np.ndarray:
         """Roots in the z plane of z^m P(z^-1)."""
@@ -91,22 +87,34 @@ class DelayPolynomial:
         return all(abs(c) <= rel_tol for c in self.coeffs)
 
 
-def _trimmed(cs: np.ndarray, rel_tol: float = 1e-12) -> np.ndarray:
+def _trimmed(cs, rel_tol: float = 1e-12) -> list[float]:
     """Coefficients without the trailing terms at or below rel_tol times the
     largest magnitude; all zero trims to [0].  The last kept term is nonzero
     unless the polynomial is zero, so the degree is len - 1.  Raises the
     same ValueError as :class:`DelayPolynomial` on a non-finite coefficient.
     """
-    vals = cs.tolist()
+    vals = list(cs)
     if not all(map(math.isfinite, vals)):
         raise ValueError("coefficients must be finite")
     scale = max(map(abs, vals))
     if scale == 0.0:
-        return np.zeros(1)
+        return [0.0]
     keep = len(vals)
     while keep > 1 and abs(vals[keep - 1]) <= rel_tol * scale:
         keep -= 1
-    return cs[:keep]
+    return vals[:keep]
+
+
+def _convolve(a, b) -> list[float]:
+    """Coefficients of the product of two polynomials, as Python floats,
+    each sum accumulated in index order.  Every product of polynomials in
+    this module is formed here, so that a product carries the same bits
+    whichever function forms it."""
+    out = [0.0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
 
 
 ONE = DelayPolynomial((1.0,))
@@ -124,12 +132,9 @@ def unit_circle(omegas: np.ndarray, Ts: float) -> np.ndarray:
     return z
 
 
-def _model_arrays(model: DiscretePlantModel) -> tuple[np.ndarray, np.ndarray]:
+def _model_arrays(model: DiscretePlantModel) -> tuple[list[float], list[float]]:
     """Coefficients of A and q^-d B, B including its implicit one-step delay."""
-    a = np.array((1.0, *model.a_coeffs))
-    b = np.zeros(model.delay + 1 + len(model.b_coeffs))
-    b[model.delay + 1:] = model.b_coeffs
-    return a, b
+    return [1.0, *model.a_coeffs], [0.0] * (model.delay + 1) + list(model.b_coeffs)
 
 
 def model_polynomials(model: DiscretePlantModel) -> tuple[DelayPolynomial, DelayPolynomial]:
@@ -219,9 +224,26 @@ class RstController:
         z = unit_circle(omegas, Ts or self.Ts)
         return self.hs(z) * self.s_core(z)
 
-    @property
-    def has_integral_action(self) -> bool:
-        return self.hs(1.0) == 0.0 or abs(self.s(1.0)) < 1e-12
+
+def _solved_controller(r_core, s_core, t_gain, r, s, Ts, hr, hs) -> RstController:
+    """The :class:`RstController` of a solved design, whose R = H_R R' and
+    S = H_S S' are already formed by :func:`_convolve` as the constructor
+    forms them.  The constructor's checks on values run here (coefficients
+    finite, s0 = 1); Ts is a validated model's."""
+    if not all(map(math.isfinite, (*r_core, *s_core, t_gain, *r, *s))):
+        raise ValueError("coefficients must be finite")
+    if abs(s[0] - 1.0) > 1e-9:
+        raise ValueError("S must be normalized with s0 = 1")
+    ctrl = object.__new__(RstController)
+    parts = (("r_core", r_core), ("s_core", s_core), ("t", (t_gain,)), ("r", r), ("s", s))
+    for name, coeffs in parts:
+        poly = object.__new__(DelayPolynomial)
+        object.__setattr__(poly, "coeffs", tuple(coeffs))
+        object.__setattr__(ctrl, name, poly)
+    object.__setattr__(ctrl, "Ts", Ts)
+    object.__setattr__(ctrl, "hr", hr)
+    object.__setattr__(ctrl, "hs", hs)
+    return ctrl
 
 
 def pi_design(a1_hat: float, b1_hat: float, pole_poly: DelayPolynomial, Ts: float = 0.05) -> RstController:
@@ -252,6 +274,34 @@ def pi_design(a1_hat: float, b1_hat: float, pole_poly: DelayPolynomial, Ts: floa
     )
 
 
+def _check_sylvester(M: np.ndarray) -> None:
+    cond = np.linalg.cond(M)
+    if not np.isfinite(cond) or cond > SYLVESTER_MAX_COND:
+        raise DesignError(
+            f"Sylvester matrix condition {cond:.3g} exceeds {SYLVESTER_MAX_COND:.0e}; "
+            "plant and fixed parts likely share a common factor"
+        )
+
+
+@functools.lru_cache(maxsize=32)
+def _sylvester_rhs(n: int, pole_coeffs: tuple) -> np.ndarray:
+    """Right-hand sides of the Sylvester solve for n unknowns, each a single
+    column: the trimmed target P first, so that its solution carries the
+    bits of np.linalg.solve(M, P) alone, then the unit vectors, whose
+    solutions are the columns of M^-1.  Read-only, shared by every design
+    with this n and target."""
+    p = _trimmed(pole_coeffs)
+    if len(p) - 1 > n - 1:
+        raise DesignError(
+            f"desired polynomial degree {len(p) - 1} exceeds solvable degree {n - 1}"
+        )
+    rhs = np.eye(n + 1, n, -1)
+    rhs[0, : len(p)] = p
+    rhs = rhs[:, :, None]
+    rhs.flags.writeable = False
+    return rhs
+
+
 def bezout_design(
     model: DiscretePlantModel,
     pole_poly: DelayPolynomial,
@@ -262,74 +312,101 @@ def bezout_design(
 
     Degrees follow the minimal unique solution: deg S' = deg(B1) - 1 and
     deg R' = deg(A1) - 1 with A1 = A H_S, B1 = q^-d B H_R.  T = R(1) yields
-    unit closed-loop DC gain whenever S contains an integrator.  Works on
-    coefficient arrays; only the returned controller holds polynomials.
+    unit closed-loop DC gain whenever S contains an integrator.  Raises
+    :class:`DesignError` when the Sylvester matrix M is conditioned worse
+    than SYLVESTER_MAX_COND (a common factor), the numerator is zero or P is
+    of too high a degree.
+
+    Works on coefficient lists; only M and its solve are numpy.  The same
+    call that solves M x = P solves M for the unit vectors, which gives
+    M^-1.  cond_F(M) = |M|_F |M^-1|_F is never below the 2-norm condition
+    number (Golub & Van Loan, sec. 2.3), so the SVD of the condition check
+    runs only when that bound exceeds SYLVESTER_MAX_COND, or when M is
+    singular; then it decides, with the value it reports.  The right-hand
+    sides are built once per size and target (:func:`_sylvester_rhs`).
     """
     a, b = _model_arrays(model)
-    a1 = _trimmed(np.convolve(a, hs.coeffs))
-    b1 = _trimmed(np.convolve(b, hr.coeffs))
-    if not b1.any():
+    a1 = _trimmed(_convolve(a, hs.coeffs))
+    b1 = _trimmed(_convolve(b, hr.coeffs))
+    if not any(b1):
         raise DesignError("plant numerator is zero")
     n_a = len(a1) - 1
     n_b = len(b1) - 1
     if n_b < 1:
         raise DesignError("plant must have at least one step of delay")
-    n_unknowns = n_a + n_b
-    p = _trimmed(np.array(pole_poly.coeffs))
-    if len(p) - 1 > n_unknowns - 1:
-        raise DesignError(
-            f"desired polynomial degree {len(p) - 1} exceeds solvable degree {n_unknowns - 1}"
-        )
+    n = n_a + n_b
+    rhs = _sylvester_rhs(n, pole_poly.coeffs)
 
-    M = np.zeros((n_unknowns, n_unknowns))
+    rows = [[0.0] * n for _ in range(n)]
     for j in range(n_b):  # columns for S' coefficients
-        M[j : j + len(a1), j] = a1
+        for i, c in enumerate(a1):
+            rows[i + j][j] = c
     for j in range(n_a):  # columns for R' coefficients
-        M[j : j + len(b1), n_b + j] = b1
-
-    cond = np.linalg.cond(M)
-    if not np.isfinite(cond) or cond > SYLVESTER_MAX_COND:
-        raise DesignError(
-            f"Sylvester matrix condition {cond:.3g} exceeds {SYLVESTER_MAX_COND:.0e}; "
-            "plant and fixed parts likely share a common factor"
-        )
-    rhs = np.zeros(n_unknowns)
-    rhs[: len(p)] = p
-    sol = np.linalg.solve(M, rhs)
+        for i, c in enumerate(b1):
+            rows[i + j][n_b + j] = c
+    M = np.array(rows)
+    try:
+        x = np.linalg.solve(M, rhs)
+    except np.linalg.LinAlgError:
+        _check_sylvester(M)
+        raise
+    sol, *inverse = x[:, :, 0].tolist()  # x, then the columns of M^-1
+    norm_sq = n_b * sum([c * c for c in a1]) + n_a * sum([c * c for c in b1])
+    inv_norm_sq = sum([v * v for col in inverse for v in col])
+    if not norm_sq * inv_norm_sq <= SYLVESTER_MAX_COND**2:
+        _check_sylvester(M)
     # Monic P against monic A1 pins s'_0 = 1; renormalize defensively so the
     # stored controller always has s0 = 1.
     lead = sol[0]
-    if lead == 0.0 or not np.isfinite(lead):
+    if lead == 0.0 or not math.isfinite(lead):
         raise DesignError("degenerate solution with s0 = 0")
-    s_core = sol[:n_b] / lead
-    r_core = sol[n_b:] / lead
+    s_core = [v / lead for v in sol[:n_b]]
+    r_core = [v / lead for v in sol[n_b:]]
+    r = _convolve(hr.coeffs, r_core)
     # R(1), summed from the highest power down as DelayPolynomial evaluates it
     t_gain = 0.0
-    for c in reversed(_trimmed(np.convolve(hr.coeffs, r_core)).tolist()):
+    for c in reversed(_trimmed(r)):
         t_gain += c
-    return RstController(
-        r_core=DelayPolynomial(tuple(r_core.tolist())),
-        s_core=DelayPolynomial(tuple(s_core.tolist())),
-        t=DelayPolynomial((t_gain,)),
-        Ts=model.Ts,
-        hr=hr,
-        hs=hs,
+    return _solved_controller(
+        r_core, s_core, t_gain, r, _convolve(hs.coeffs, s_core), model.Ts, hr, hs
     )
 
 
-def _closed_loop(model: DiscretePlantModel, controller: RstController) -> np.ndarray:
+def rst_law_length(
+    na: int, nb: int, delay: int, hs: DelayPolynomial, hr: DelayPolynomial
+) -> int:
+    """The most coefficients an R or S of :func:`bezout_design` can have for
+    a model of these orders and delay: the lengths before trimming, of
+    S = H_S S' and R = H_R R'."""
+    hs_len, hr_len = len(hs.coeffs), len(hr.coeffs)
+    len_s = hs_len + delay + nb + hr_len - 2
+    len_r = hr_len + na + hs_len - 2
+    return max(len_s, len_r)
+
+
+def _closed_loop(model: DiscretePlantModel, controller: RstController) -> list[float]:
     """Coefficients of A S + q^-d B R."""
     a, b = _model_arrays(model)
-    as_ = np.convolve(a, controller.s.coeffs)
-    br = np.convolve(b, controller.r.coeffs)
+    as_ = _convolve(a, controller.s.coeffs)
+    br = _convolve(b, controller.r.coeffs)
     if len(as_) < len(br):
         as_, br = br, as_
-    as_[: len(br)] += br
+    for i, c in enumerate(br):
+        as_[i] += c
     return as_
 
 
 def closed_loop_polynomial(model: DiscretePlantModel, controller: RstController) -> DelayPolynomial:
     return DelayPolynomial(tuple(_closed_loop(model, controller)))
+
+
+@functools.lru_cache(maxsize=32)
+def _monic_target(coeffs: tuple) -> tuple | None:
+    """A prescribed polynomial as the pole check compares it: trimmed at
+    1e-9 and divided by its leading coefficient; None when that is zero."""
+    wanted = _trimmed(coeffs, 1e-9)
+    lead = wanted[0]
+    return None if lead == 0.0 else tuple(c / lead for c in wanted)
 
 
 def check_pole_placement(
@@ -346,15 +423,12 @@ def check_pole_placement(
     :class:`DesignError` above tol.
     """
     achieved = _trimmed(_closed_loop(model, controller), 1e-9)
-    wanted = _trimmed(np.array(pole_poly.coeffs), 1e-9)
-    if achieved[0] == 0.0 or wanted[0] == 0.0:
+    wanted = _monic_target(pole_poly.coeffs)
+    lead = achieved[0]
+    if lead == 0.0 or wanted is None:
         raise DesignError("closed-loop polynomial lost its leading coefficient")
-    diff = achieved / achieved[0]
-    w = wanted / wanted[0]
-    if len(diff) < len(w):
-        diff, w = w, diff
-    diff[: len(w)] -= w
-    err = float(np.max(np.abs(diff)))
+    diff = [c / lead for c in achieved]
+    err = max(abs(d - v) for d, v in zip_longest(diff, wanted, fillvalue=0.0))
     if err > tol:
         raise DesignError(f"pole placement error {err:.3g} exceeds {tol:.1e}")
     return err
@@ -444,14 +518,20 @@ class ControllerRuntime:
     :meth:`step` is the one place the RST law S u = -R y + T r is evaluated:
     the real loop, the closed-loop predictor's parallel controller and every
     tracking run go through it.  Histories hold past values, most recent
-    last; the controller may be swapped for one of the same degrees.
+    last, `depth` of them or more; the controller may be swapped for one
+    whose R, S and T fit in them.
     """
 
-    def __init__(self, controller: RstController, limits: tuple[float, float] | None = (0.0, 100.0)):
+    def __init__(
+        self,
+        controller: RstController,
+        limits: tuple[float, float] | None = (0.0, 100.0),
+        depth: int = 2,
+    ):
         self.controller = controller
         self.limits = limits
         depth = max(
-            len(controller.s.coeffs), len(controller.r.coeffs), len(controller.t.coeffs), 2
+            depth, len(controller.s.coeffs), len(controller.r.coeffs), len(controller.t.coeffs)
         )
         self._u = [0.0] * depth
         self._y = [0.0] * depth
@@ -513,7 +593,7 @@ class ControllerRuntime:
 
 
 # ---------------------------------------------------------------------------
-# Text round trip
+# Text export
 
 
 def controller_to_text(controller: RstController) -> str:
@@ -531,31 +611,3 @@ def controller_to_text(controller: RstController) -> str:
         f"S_core = {fmt(controller.s_core)}",
     ]
     return "\n".join(lines) + "\n"
-
-
-def controller_from_text(text: str) -> RstController:
-    entries = {e.key: (e.value, e.line) for e in parse_key_values(text)}
-    required = ["Ts", "T", "H_R", "H_S", "R_core", "S_core"]
-    for key in required:
-        if key not in entries:
-            raise ConfigError(f"controller text missing {key!r}")
-
-    def poly(key: str) -> DelayPolynomial:
-        raw, line = entries[key]
-        try:
-            return DelayPolynomial(tuple(float(v) for v in raw.split(",")))
-        except ValueError as exc:
-            raise ConfigError(f"bad coefficients for {key}: {raw!r}", line) from exc
-
-    try:
-        ts = float(entries["Ts"][0])
-    except ValueError as exc:
-        raise ConfigError(f"bad Ts: {entries['Ts'][0]!r}", entries["Ts"][1]) from exc
-    return RstController(
-        r_core=poly("R_core"),
-        s_core=poly("S_core"),
-        t=poly("T"),
-        Ts=ts,
-        hr=poly("H_R"),
-        hs=poly("H_S"),
-    )

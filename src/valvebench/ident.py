@@ -251,28 +251,94 @@ def initial_adaptation_state(
 
 
 def _successor(
-    state: AdaptationState, theta: np.ndarray, F: np.ndarray, lambda1: float
+    state: AdaptationState, theta, F, lambda1: float
 ) -> AdaptationState:
-    """State after one update, without the constructor's validation.
-
-    Only the checks a successor can fail run here: the shape is that of
-    `state`, F comes out bitwise symmetric and lambda0, lambda2 and the
-    profile are copied.  Finiteness is checked by the caller.
-    """
-    if len(theta) and np.linalg.eigvalsh(F)[0] <= 0:
-        raise DivergenceError(
-            "recursive estimator diverged: gain matrix F lost positive definiteness"
-        )
-    if not 0.0 < lambda1 <= 1.0:
-        raise DivergenceError(f"recursive estimator diverged: lambda1 = {lambda1!r} left (0, 1]")
+    """`state` with a new estimate, gain matrix and lambda1, built without the
+    constructor's validation: the update that produced them has checked
+    what it can break, and lambda0, lambda2 and the profile are copied."""
     new = object.__new__(AdaptationState)
-    object.__setattr__(new, "theta_hat", theta)
-    object.__setattr__(new, "F", F)
+    object.__setattr__(new, "theta_hat", np.array(theta, dtype=float))
+    object.__setattr__(new, "F", np.array(F, dtype=float))
     object.__setattr__(new, "lambda1", lambda1)
     object.__setattr__(new, "lambda2", state.lambda2)
     object.__setattr__(new, "lambda0", state.lambda0)
     object.__setattr__(new, "profile", state.profile)
     return new
+
+
+def _dot(x, y) -> float:
+    """Sum of x[i] y[i] over Python floats, accumulated in index order."""
+    acc = 0.0
+    for a, b in zip(x, y):
+        acc += a * b
+    return acc
+
+
+def _positive_definite(F) -> bool:
+    """Sylvester's criterion through the pivots of Gaussian elimination
+    without pivoting, which are the squares of F's Cholesky diagonal: all are
+    positive exactly when the symmetric F is positive definite.  At n = 2
+    that is F00 > 0 and det F > 0."""
+    rows = [list(row) for row in F]
+    for k, pivot_row in enumerate(rows):
+        pivot = pivot_row[k]
+        if not pivot > 0.0:
+            return False
+        for row in rows[k + 1:]:
+            m = row[k] / pivot
+            for j in range(k + 1, len(row)):
+                row[j] -= m * pivot_row[j]
+    return True
+
+
+def _rls_update(theta, F, lambda1, lambda2, lambda0, profile, phi, y_new):
+    """One recursive update on Python floats; the kernel of :func:`rls_step`.
+
+    theta, phi and the rows of F are lists of floats, F row-major.  Returns
+    (theta, F, lambda1, a priori error, a posteriori error) of the successor
+    as new lists.  Raises ValueError for non-finite data and
+    :class:`DivergenceError` for an estimate or F that is not finite, an F
+    that is no longer positive definite, or lambda1 outside (0, 1].
+    """
+    if not (all(map(math.isfinite, phi)) and math.isfinite(y_new)):
+        raise ValueError("phi and y_new must be finite")
+    try:
+        f_phi = [_dot(row, phi) for row in F]
+        quad = _dot(phi, f_phi)
+        eps0 = y_new - _dot(theta, phi)
+        eps = eps0 / (1.0 + quad)
+        theta_new = [t + f * eps for t, f in zip(theta, f_phi)]
+        denom = lambda1 / lambda2 + quad if lambda2 != 0.0 else None
+        # (F - F phi phi' F / denom) / lambda1, or F / lambda1 when lambda2 = 0,
+        # symmetrised as 0.5 (F_new + F_new'): entries (i, j) and (j, i) at once
+        n = len(F)
+        F_new = [[0.0] * n for _ in range(n)]
+        for i, fi in enumerate(f_phi):
+            for j in range(i, n):
+                if denom is None:
+                    x, y = F[i][j] / lambda1, F[j][i] / lambda1
+                else:
+                    fj = f_phi[j]
+                    x = (F[i][j] - fi * fj / denom) / lambda1
+                    y = (F[j][i] - fj * fi / denom) / lambda1
+                F_new[i][j] = F_new[j][i] = 0.5 * (x + y)
+        # theta' F theta is not finite whenever any entry of either is (inf * 0 is NaN).
+        finite = math.isfinite(_dot([_dot(row, theta_new) for row in F_new], theta_new))
+    except ZeroDivisionError:  # a zero denominator: numpy's inf or NaN
+        finite = False
+    if not finite:
+        raise DivergenceError(
+            "recursive estimator diverged: parameter estimate or gain matrix F is not finite"
+        )
+    if not _positive_definite(F_new):
+        raise DivergenceError(
+            "recursive estimator diverged: gain matrix F lost positive definiteness"
+        )
+    if profile == "variable-forgetting":
+        lambda1 = lambda0 * lambda1 + 1.0 - lambda0
+    if not 0.0 < lambda1 <= 1.0:
+        raise DivergenceError(f"recursive estimator diverged: lambda1 = {lambda1!r} left (0, 1]")
+    return theta_new, F_new, lambda1, eps0, eps
 
 
 def rls_step(
@@ -285,40 +351,22 @@ def rls_step(
     posteriori error.  F then shrinks through the matrix-inversion-lemma form
     of  F_new^-1 = lambda1 F^-1 + lambda2 phi phi'.
 
-    The successor is built without rerunning the :class:`AdaptationState`
-    validation, which the input state has passed.  What an update can break
-    raises :class:`DivergenceError`: a new estimate or F that is not finite,
-    an F that is no longer positive definite, or lambda1 outside (0, 1].
+    The arithmetic runs on Python floats, in the kernel that :func:`rls_run`
+    also calls directly; this wrapper converts the state's arrays and builds
+    the successor without rerunning the :class:`AdaptationState` validation,
+    which the input state has passed.  What an update can break raises
+    :class:`DivergenceError`: a new estimate or F that is not finite, an F
+    that is no longer positive definite (a Cholesky pivot at or below zero),
+    or lambda1 outside (0, 1].
     """
     phi = np.asarray(phi, dtype=float)
     if phi.shape != state.theta_hat.shape:
         raise ValueError("phi must match theta_hat")
-    if not (np.all(np.isfinite(phi)) and np.isfinite(y_new)):
-        raise ValueError("phi and y_new must be finite")
-
-    F = state.F
-    lam1, lam2 = state.lambda1, state.lambda2
-    # Overflow and invalid values surface as the divergence error below.
-    with np.errstate(over="ignore", invalid="ignore"):
-        f_phi = F @ phi
-        quad = float(phi @ f_phi)
-        eps0 = float(y_new) - float(state.theta_hat @ phi)
-        eps = eps0 / (1.0 + quad)
-        theta_new = state.theta_hat + f_phi * eps
-        if lam2 == 0.0:
-            F_new = F / lam1
-        else:
-            F_new = (F - np.outer(f_phi, f_phi) / (lam1 / lam2 + quad)) / lam1
-        F_new = 0.5 * (F_new + F_new.T)
-        # theta' F theta is not finite whenever any entry of either is (inf * 0 is NaN).
-        finite = math.isfinite(F_new.dot(theta_new).dot(theta_new))
-    if not finite:
-        raise DivergenceError(
-            "recursive estimator diverged: parameter estimate or gain matrix F is not finite"
-        )
-
-    lam1_next = state.lambda0 * lam1 + 1.0 - state.lambda0 if state.profile == "variable-forgetting" else lam1
-    return _successor(state, theta_new, F_new, lam1_next), eps0, eps
+    theta, F, lambda1, eps0, eps = _rls_update(
+        state.theta_hat.tolist(), state.F.tolist(), state.lambda1, state.lambda2,
+        state.lambda0, state.profile, phi.tolist(), float(y_new),
+    )
+    return _successor(state, theta, F, lambda1), eps0, eps
 
 
 @dataclass(frozen=True)
@@ -334,23 +382,30 @@ class RlsRun:
 
 
 def rls_run(u, y, na: int, nb: int, init: AdaptationState) -> RlsRun:
-    """Feed the data record's regressors through :func:`rls_step` in order."""
+    """Feed the data record's regressors through the update of
+    :func:`rls_step` in order, on Python floats; the arrays and the final
+    state are built once, at the end."""
     phi, tgt = _record_matrix(u, y, na, nb)
     n = na + nb
     if len(init.theta_hat) != n:
         raise ValueError("init state dimension must equal na + nb")
-    T = len(tgt)
-    theta = np.empty((T, n))
-    F = np.empty((T, n, n))
-    lam1 = np.empty(T)
-    e0 = np.empty(T)
-    e1 = np.empty(T)
-    state = init
-    for i, (row, target) in enumerate(zip(phi, tgt.tolist())):
-        state, eps0, eps = rls_step(state, row, target)
-        theta[i] = state.theta_hat
-        F[i] = state.F
-        lam1[i] = state.lambda1
-        e0[i] = eps0
-        e1[i] = eps
-    return RlsRun(theta, F, lam1, e0, e1, state)
+    theta, F, lam1 = init.theta_hat.tolist(), init.F.tolist(), init.lambda1
+    thetas, Fs, lam1s, e0, e1 = [], [], [], [], []
+    for row, target in zip(phi.tolist(), tgt.tolist()):
+        theta, F, lam1, eps0, eps = _rls_update(
+            theta, F, lam1, init.lambda2, init.lambda0, init.profile, row, target
+        )
+        thetas.append(theta)
+        Fs.append(F)
+        lam1s.append(lam1)
+        e0.append(eps0)
+        e1.append(eps)
+    T = len(thetas)
+    return RlsRun(
+        theta=np.array(thetas, dtype=float).reshape(T, n),
+        F=np.array(Fs, dtype=float).reshape(T, n, n),
+        lambda1=np.array(lam1s, dtype=float),
+        eps_apriori=np.array(e0, dtype=float),
+        eps_aposteriori=np.array(e1, dtype=float),
+        final_state=_successor(init, theta, F, lam1),
+    )

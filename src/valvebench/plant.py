@@ -416,8 +416,8 @@ class DiscretePlantModel:
     Ts: float = 0.05
 
     def __post_init__(self):
-        object.__setattr__(self, "a_coeffs", tuple(float(a) for a in self.a_coeffs))
-        object.__setattr__(self, "b_coeffs", tuple(float(b) for b in self.b_coeffs))
+        object.__setattr__(self, "a_coeffs", tuple(map(float, self.a_coeffs)))
+        object.__setattr__(self, "b_coeffs", tuple(map(float, self.b_coeffs)))
         if len(self.b_coeffs) < 1:
             raise ValueError("model needs at least b1")
         if self.delay < 0:
@@ -425,7 +425,7 @@ class DiscretePlantModel:
         if self.Ts <= 0:
             raise ValueError("Ts must be > 0")
         vals = self.a_coeffs + self.b_coeffs
-        if not all(math.isfinite(v) for v in vals):
+        if not all(map(math.isfinite, vals)):
             raise ValueError("coefficients must be finite")
 
     @property

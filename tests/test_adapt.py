@@ -15,7 +15,7 @@ from valvebench.adapt import (
     tracking_cost,
     tracking_run,
 )
-from valvebench.control import DelayPolynomial, PoleSpec
+from valvebench.control import DelayPolynomial, PoleSpec, dominant_poles, pi_design, rst_law_length
 from valvebench.errors import DesignError
 from valvebench.plant import DiscretePlantModel, LinearSimulator
 from valvebench.signals import step_sequence
@@ -77,7 +77,7 @@ def test_design_spec_round_trip():
     model = spec.model_from(THETA_TRUE)
     assert model == TRUE
     ctrl = spec.design(THETA_TRUE)
-    assert ctrl.has_integral_action
+    assert ctrl.s_on_circle(np.array([0.0]))[0] == 0.0  # integral action
     with pytest.raises(ValueError):
         spec.model_from([1.0, 2.0, 3.0])
     with pytest.raises(DesignError):
@@ -241,3 +241,24 @@ def test_adaptive_run_validation():
         )
     with pytest.raises(ValueError):
         adaptive_run(plant, ctrl0, spec, np.zeros(10), np.array([1.0]))
+
+
+def test_adaptive_run_with_initial_controller_of_lower_degree():
+    """The histories of both loops are as deep as the spec's designs: a PI
+    start under a second-order spec with one step of delay, whose S has
+    length 5, runs through every swap.  The zero estimates of a_2 and b_2
+    also make the first designs drop degrees."""
+    spec = RstDesignSpec(PoleSpec(5.0, 1.0, Ts), na=2, nb=2, delay=1)
+    ctrl0 = pi_design(-0.6, -0.2, dominant_poles(PoleSpec(5.0, 1.0, Ts)), Ts)
+    assert len(ctrl0.s.coeffs) == 2
+    assert rst_law_length(spec.na, spec.nb, spec.delay, spec.hs, spec.hr) == 5
+    reference = step_sequence(np.array([0.0, 2.0, 0.0]), 1.0, Ts)
+    run = adaptive_run(
+        LinearSimulator(TRUE), ctrl0, spec, reference, np.array([-0.6, 0.0, -0.2, 0.0]),
+        excitation=ExcitationSpec(amplitude=2.0, length=len(reference)).sequence(),
+        settle=1.0, limits=None,
+    )
+    assert run.redesigns + run.rejected == len(reference)
+    assert run.redesigns > 0
+    assert len(run.final_controller.s.coeffs) == 5
+    assert np.all(np.isfinite(run.y))

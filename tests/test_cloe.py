@@ -126,10 +126,19 @@ def test_predictor_matches_hand_recursion():
         u_hist = [u_hist[-1], u_hat_ref]
 
 
+def _dot(x, y):
+    """x' y summed in index order, as the estimator kernel sums it."""
+    acc = 0.0
+    for a, b in zip(x, y):
+        acc += a * b
+    return acc
+
+
 class InlineLawPredictor:
     """The predictor as it stood with the RST law written inline: its own
     controller-output and reference-deviation histories, T lags summed
-    before the S and R lags."""
+    before the S and R lags.  Its predictions are summed as the estimator
+    kernel sums them, so that only the law is compared."""
 
     def __init__(self, ctrl, na, nb, delay, state, y_hist, u_hist):
         self.ctrl, self.na, self.nb, self.delay, self.state = ctrl, na, nb, delay, state
@@ -159,12 +168,12 @@ class InlineLawPredictor:
         y_lags = [self.y_now] + [self.y[-i] for i in range(1, self.na)]
         u_lags = [u_full[-1 - self.delay - j] for j in range(self.nb)]
         phi = np.array([-v for v in y_lags] + u_lags)
-        y_pred = float(self.state.theta_hat @ phi)
+        y_pred = _dot(self.state.theta_hat, phi)
         self.state, _, _ = rls_step(self.state, phi, y_next)
         for hist, v in ((self.y, self.y_now), (self.u, u_hat), (self.uc, u_ctrl), (self.rdev, r_dev)):
             hist.append(v)
             hist.pop(0)
-        self.y_now = float(self.state.theta_hat @ phi)
+        self.y_now = _dot(self.state.theta_hat, phi)
         return y_pred, u_hat
 
 

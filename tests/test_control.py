@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from valvebench.adapt import RstDesignSpec
 from valvebench.control import (
     HR_NYQUIST_ZERO,
     HS_INTEGRATOR,
@@ -17,7 +18,6 @@ from valvebench.control import (
     bezout_design,
     check_pole_placement,
     closed_loop_polynomial,
-    controller_from_text,
     controller_to_text,
     desired_poles,
     dominant_poles,
@@ -26,7 +26,8 @@ from valvebench.control import (
     sensitivity,
     unit_circle,
 )
-from valvebench.errors import ConfigError, DesignError
+from valvebench.errors import DesignError
+from valvebench.fileio import parse_key_values
 from valvebench.plant import DiscretePlantModel
 
 Ts = 0.05
@@ -43,7 +44,6 @@ def test_delay_polynomial_algebra(p, q, omega):
     z = complex(np.exp(1j * omega * Ts))
     np.testing.assert_allclose((P * Q)(z), P(z) * Q(z), rtol=1e-9, atol=1e-9)
     np.testing.assert_allclose((P + Q)(z), P(z) + Q(z), rtol=1e-9, atol=1e-9)
-    np.testing.assert_allclose(P.shifted(2)(z), z**-2 * P(z), rtol=1e-9, atol=1e-9)
     np.testing.assert_allclose((3.0 * P)(z), 3.0 * P(z), rtol=1e-12, atol=1e-12)
 
 
@@ -124,7 +124,6 @@ def test_bezout_fixed_parts_give_exact_nulls():
     ctrl = bezout_design(PLANT, target, hs=HS_INTEGRATOR, hr=HR_NYQUIST_ZERO)
     assert ctrl.r_on_circle(np.array([math.pi / Ts]))[0] == 0.0
     assert ctrl.s_on_circle(np.array([0.0]))[0] == 0.0
-    assert ctrl.has_integral_action
     assert check_pole_placement(PLANT, ctrl, target) < 1e-12
 
 
@@ -138,6 +137,9 @@ def test_bezout_failure_modes():
     with pytest.raises(DesignError):
         too_high = target * target  # degree 4 beats the solvable degree
         bezout_design(PLANT, too_high)
+    with pytest.raises(ValueError, match="s0 = 1"):
+        # H_S leads with 2, so S does too: the controller's normalization
+        bezout_design(PLANT, target, hs=DelayPolynomial((2.0, -2.0)))
 
 
 def test_check_pole_placement_flags_mismatch():
@@ -183,28 +185,18 @@ def test_sensitivity_rejects_tiny_grids():
 
 
 def test_controller_text_round_trip():
+    """Every polynomial of the controller reads back from its text at the
+    9 significant digits it is written with."""
     target = dominant_poles(PoleSpec(5.0, 1.0, Ts))
     ctrl = bezout_design(PLANT, target, hs=HS_INTEGRATOR, hr=HR_NYQUIST_ZERO)
-    text = controller_to_text(ctrl)
-    back = controller_from_text(text)
-    # the factorized parts are the serialized payload: 9 significant digits
-    np.testing.assert_allclose(back.r_core.coeffs, ctrl.r_core.coeffs, rtol=1e-8)
-    np.testing.assert_allclose(back.s_core.coeffs, ctrl.s_core.coeffs, rtol=1e-8)
-    np.testing.assert_allclose(back.t.coeffs, ctrl.t.coeffs, rtol=1e-8)
-    # R and S are rebuilt from the rounded cores, so a small composite
-    # coefficient carries the cores' absolute rounding, not its own relative one
-    np.testing.assert_allclose(back.r.coeffs, ctrl.r.coeffs, rtol=1e-8, atol=5e-8)
-    np.testing.assert_allclose(back.s.coeffs, ctrl.s.coeffs, rtol=1e-8, atol=5e-8)
-    assert back.Ts == ctrl.Ts
-
-
-def test_controller_text_errors():
-    with pytest.raises(ConfigError):
-        controller_from_text("Ts = 0.05\n")
-    target = dominant_poles(PoleSpec(5.0, 1.0, Ts))
-    good = controller_to_text(bezout_design(PLANT, target))
-    with pytest.raises(ConfigError):
-        controller_from_text(good.replace("Ts = 0.05", "Ts = fast"))
+    entries = {e.key: e.value for e in parse_key_values(controller_to_text(ctrl))}
+    assert float(entries["Ts"]) == ctrl.Ts
+    polys = {"R": ctrl.r, "S": ctrl.s, "T": ctrl.t, "H_R": ctrl.hr, "H_S": ctrl.hs,
+             "R_core": ctrl.r_core, "S_core": ctrl.s_core}
+    assert set(entries) == {"Ts", *polys}
+    for key, poly in polys.items():
+        back = [float(v) for v in entries[key].split(",")]
+        np.testing.assert_allclose(back, poly.coeffs, rtol=1e-8, atol=0)
 
 
 def test_runtime_holds_steady_state():
@@ -331,8 +323,20 @@ def _trimmed_oracle(poly, rel_tol=1e-12):
 
 def _model_polynomials_oracle(model):
     a = DelayPolynomial((1.0, *model.a_coeffs))
-    b = DelayPolynomial((0.0, *model.b_coeffs)).shifted(model.delay)
+    b = DelayPolynomial((0.0,) * (model.delay + 1) + model.b_coeffs)
     return a, b
+
+
+def _sylvester_oracle(a1p, b1p):
+    n_a, n_b = a1p.degree, b1p.degree
+    M = np.zeros((n_a + n_b, n_a + n_b))
+    a_c = np.array(a1p.coeffs)
+    b_c = np.array(b1p.coeffs)
+    for j in range(n_b):
+        M[j : j + len(a_c), j] = a_c
+    for j in range(n_a):
+        M[j : j + len(b_c), n_b + j] = b_c
+    return M
 
 
 def _bezout_design_oracle(model, pole_poly, hs=HS_INTEGRATOR, hr=HR_NYQUIST_ZERO):
@@ -351,13 +355,7 @@ def _bezout_design_oracle(model, pole_poly, hs=HS_INTEGRATOR, hr=HR_NYQUIST_ZERO
         raise DesignError(
             f"desired polynomial degree {p.degree} exceeds solvable degree {n_unknowns - 1}"
         )
-    M = np.zeros((n_unknowns, n_unknowns))
-    a_c = np.array(a1p.coeffs)
-    b_c = np.array(b1p.coeffs)
-    for j in range(n_b):
-        M[j : j + len(a_c), j] = a_c
-    for j in range(n_a):
-        M[j : j + len(b_c), n_b + j] = b_c
+    M = _sylvester_oracle(a1p, b1p)
     cond = np.linalg.cond(M)
     if not np.isfinite(cond) or cond > SYLVESTER_MAX_COND:
         raise DesignError(
@@ -440,18 +438,35 @@ def design_cases(draw):
     pole = PoleSpec(
         draw(st.floats(0.5, 30.0)), draw(st.floats(0.3, 2.0)), Ts, auxiliary=aux
     )
-    return model, desired_poles(pole), hr
+    return model, pole, hr
+
+
+def _assert_spec_design_matches_oracle(model, pole, hr):
+    """RstDesignSpec.design is the oracle's design followed by its pole
+    check at the spec's tolerance: the same controller or the same error."""
+    spec = RstDesignSpec(
+        pole, na=model.na, nb=model.nb, delay=model.delay, hs=HS_INTEGRATOR, hr=hr
+    )
+    designed = _outcome(spec.design, model.a_coeffs + model.b_coeffs)
+    ref, ref_err = _outcome(_bezout_design_oracle, model, spec.target, hr=hr)
+    if ref_err is None:
+        _, ref_err = _outcome(_check_pole_placement_oracle, model, ref, spec.target, spec.check_tol)
+    assert designed == ((ref, None) if ref_err is None else (None, ref_err))
+    return designed
 
 
 @settings(max_examples=300, deadline=None)
 @given(case=design_cases(), other=st.floats(0.5, 30.0))
 def test_array_design_matches_object_oracle(case, other):
-    """The array-level design and pole check equal the DelayPolynomial ones:
-    same r, s, t coefficients, or the same error message."""
-    model, target, hr = case
+    """The list-level design and pole check equal the DelayPolynomial ones,
+    and so does RstDesignSpec.design: same r, s, t coefficients, or the same
+    error message."""
+    model, pole, hr = case
+    target = desired_poles(pole)
     ctrl, err = _outcome(bezout_design, model, target, hs=HS_INTEGRATOR, hr=hr)
     ref, ref_err = _outcome(_bezout_design_oracle, model, target, hs=HS_INTEGRATOR, hr=hr)
     assert err == ref_err
+    _assert_spec_design_matches_oracle(model, pole, hr)
     a_poly, b_poly = model_polynomials(model)
     assert (a_poly, b_poly) == _model_polynomials_oracle(model)
     if ctrl is None:
@@ -465,3 +480,51 @@ def test_array_design_matches_object_oracle(case, other):
         assert _outcome(check_pole_placement, model, ctrl, wanted) == _outcome(
             _check_pole_placement_oracle, model, ctrl, wanted
         )
+
+
+# A plant pole 5.62e-10 inside z = -1, the root of H_R: the Sylvester matrix
+# is conditioned 8.1e9 in the 2-norm but 1.19e10 by the Frobenius bound.
+NEAR_COMMON = 1.0 - 5.62e-10
+
+
+@pytest.mark.parametrize(
+    "a, b, message",
+    [
+        ((1.0,), (0.5,), "common factor"),  # A = 1 + q^-1: M is singular
+        ((-0.9,), (0.0,), "plant numerator is zero"),
+        ((-0.9, 0.0), (0.5, 0.1), None),  # a_2 = 0 drops a degree of R'
+        ((NEAR_COMMON,), (0.5,), "pole placement error"),  # cond_F > 1e10 >= cond_2
+    ],
+)
+def test_design_edge_cases_match_oracle(monkeypatch, a, b, message):
+    """bezout_design and RstDesignSpec.design at each edge of the design
+    against the object-level oracle, which checks every Sylvester matrix by
+    its SVD: bezout_design takes the SVD only when the Frobenius bound on the
+    condition number exceeds SYLVESTER_MAX_COND, or M is singular."""
+    model = DiscretePlantModel(a, b, 0, Ts)
+    pole = PoleSpec(5.0, 1.0, Ts)
+    target = desired_poles(pole)
+    svd_calls = []
+    cond = np.linalg.cond
+    monkeypatch.setattr(np.linalg, "cond", lambda M: svd_calls.append(M) or cond(M))
+    got = _outcome(bezout_design, model, target)
+    monkeypatch.undo()
+    assert got == _outcome(_bezout_design_oracle, model, target)
+    designed = _assert_spec_design_matches_oracle(model, pole, HR_NYQUIST_ZERO)
+    assert (designed[1] is None) == (message is None)
+    if message is not None:
+        assert message in designed[1][1]
+    if b == (0.0,):
+        assert svd_calls == []
+        return
+    a_poly, b_poly = _model_polynomials_oracle(model)
+    M = _sylvester_oracle(
+        _trimmed_oracle(a_poly * HS_INTEGRATOR), _trimmed_oracle(b_poly * HR_NYQUIST_ZERO)
+    )
+    try:
+        bound = np.linalg.norm(M) * np.linalg.norm(np.linalg.inv(M))
+    except np.linalg.LinAlgError:
+        bound = math.inf
+    assert len(svd_calls) == (not bound <= SYLVESTER_MAX_COND)
+    if a == (NEAR_COMMON,):
+        assert np.linalg.cond(M) <= SYLVESTER_MAX_COND < bound

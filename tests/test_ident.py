@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from valvebench.ident import (
     build_regressors,
     initial_adaptation_state,
     order_scan,
+    _rls_update,
     rls_run,
     rls_step,
 )
@@ -334,6 +336,74 @@ def _rls_step_oracle(state, phi, y_new):
     return dataclasses.replace(state, theta_hat=theta_new, F=F_new, lambda1=lam1), eps0, eps
 
 
+def _rls_step_numpy(theta, F, lambda1, lambda2, lambda0, profile, phi, y_new):
+    """The numpy body of rls_step before its Python-float kernel, with its
+    checks; the arguments are those of the kernel, as arrays.  Returns
+    (theta, F, lambda1, eps0, eps)."""
+    phi = np.asarray(phi, dtype=float)
+    if not (np.all(np.isfinite(phi)) and np.isfinite(y_new)):
+        raise ValueError("phi and y_new must be finite")
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        f_phi = F @ phi
+        quad = float(phi @ f_phi)
+        eps0 = float(y_new) - float(theta @ phi)
+        eps = eps0 / (1.0 + quad)
+        theta_new = theta + f_phi * eps
+        if lambda2 == 0.0:
+            F_new = F / lambda1
+        else:
+            F_new = (F - np.outer(f_phi, f_phi) / (lambda1 / lambda2 + quad)) / lambda1
+        F_new = 0.5 * (F_new + F_new.T)
+        finite = math.isfinite(F_new.dot(theta_new).dot(theta_new))
+    if not finite:
+        raise DivergenceError(
+            "recursive estimator diverged: parameter estimate or gain matrix F is not finite"
+        )
+    if len(theta) and np.linalg.eigvalsh(F_new)[0] <= 0:
+        raise DivergenceError(
+            "recursive estimator diverged: gain matrix F lost positive definiteness"
+        )
+    if profile == "variable-forgetting":
+        lambda1 = lambda0 * lambda1 + 1.0 - lambda0
+    if not 0.0 < lambda1 <= 1.0:
+        raise DivergenceError(f"recursive estimator diverged: lambda1 = {lambda1!r} left (0, 1]")
+    return theta_new, F_new, lambda1, eps0, eps
+
+
+def _assert_update_agrees(got, want, state, phi, y_new):
+    """`got` is (successor, eps0, eps) of one update of `state` by rls_step,
+    `want` the (theta, F, lambda1, eps0, eps) of _rls_step_numpy.
+
+    At n = 1 the kernel and numpy form every sum in the same order, so all
+    values are equal bit for bit.  Otherwise each value agrees within rel
+    1e-12 of the magnitude of the terms it is formed from: F - F phi phi' F
+    / (lambda1 / lambda2 + phi' F phi) can cancel far below its terms, and
+    then carries their rounding, not its own.
+    """
+    (new, eps0, eps), (ref_theta, ref_F, ref_lambda1, ref_eps0, ref_eps) = got, want
+    assert new.lambda1 == ref_lambda1
+    if len(phi) == 1:
+        assert np.array_equal(new.theta_hat, ref_theta)
+        assert np.array_equal(new.F, ref_F)
+        assert (eps0, eps) == (ref_eps0, ref_eps)
+        return
+    F, theta = state.F, state.theta_hat
+    g = np.abs(F) @ np.abs(phi)  # bounds |F phi| term by term
+    quad = float(phi @ F @ phi)
+    s_eps0 = abs(y_new) + np.abs(theta) @ np.abs(phi)
+    s_eps = (s_eps0 + abs(ref_eps) * (np.abs(phi) @ g)) / (1.0 + quad)
+    s_theta = np.abs(theta) + g * (abs(ref_eps) + s_eps)
+    if state.lambda2 == 0.0:
+        s_F = np.abs(F) / state.lambda1
+    else:
+        denom = state.lambda1 / state.lambda2 + quad
+        s_F = (np.abs(F) + np.outer(g, g) / denom) / state.lambda1
+    assert abs(eps0 - ref_eps0) <= 1e-12 * s_eps0
+    assert abs(eps - ref_eps) <= 1e-12 * s_eps
+    assert np.all(np.abs(new.theta_hat - ref_theta) <= 1e-12 * s_theta)
+    assert np.all(np.abs(new.F - ref_F) <= 1e-12 * s_F)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     n=st.integers(1, 4),
@@ -344,24 +414,26 @@ def _rls_step_oracle(state, phi, y_new):
     steps=st.integers(1, 60),
 )
 def test_rls_successors_match_validating_oracle(n, gain, lambda0, profile, seed, steps):
-    """Trusted successors equal the replace-built ones bit for bit, and each
+    """The Python-float kernel behind rls_step against its numpy body, step
+    by step from the same state (see _assert_update_agrees); each successor
     passes the public constructor's validation."""
     rng = np.random.default_rng(seed)
     state = initial_adaptation_state(
         n, gain=gain, profile=profile, lambda0=lambda0, theta0=rng.standard_normal(n)
     )
-    ref = state
     for _ in range(steps):
         phi = rng.uniform(-3, 3, n)
         y_new = float(rng.uniform(-3, 3))
-        state, eps0, eps = rls_step(state, phi, y_new)
-        ref, ref_eps0, ref_eps = _rls_step_oracle(ref, phi, y_new)
-        assert np.array_equal(state.theta_hat, ref.theta_hat)
-        assert np.array_equal(state.F, ref.F)
-        assert (state.lambda1, eps0, eps) == (ref.lambda1, ref_eps0, ref_eps)
-        assert (state.lambda2, state.lambda0, state.profile) == (
-            ref.lambda2, ref.lambda0, ref.profile
+        got = rls_step(state, phi, y_new)
+        ref = _rls_step_numpy(
+            state.theta_hat, state.F, state.lambda1, state.lambda2, state.lambda0,
+            state.profile, phi, y_new,
         )
+        _assert_update_agrees(got, ref, state, phi, y_new)
+        assert (got[0].lambda2, got[0].lambda0, got[0].profile) == (
+            state.lambda2, state.lambda0, state.profile
+        )
+        state = got[0]
         AdaptationState(
             theta_hat=state.theta_hat,
             F=state.F,
@@ -381,3 +453,37 @@ def test_rls_step_loss_of_positive_definiteness_is_divergence():
         rls_step(state, phi, 1.0)
     with pytest.raises(ValueError, match="positive definite"):
         _rls_step_oracle(state, phi, 1.0)
+
+
+@pytest.mark.parametrize(
+    "theta, F, lambda1, lambda0, profile, phi, y_new",
+    [
+        ([0.0, 0.0], [[1e14, 0.0], [0.0, 1e14]], 1.0, 0.97, "decreasing", [1e4, 1e4], 1.0),
+        ([0.0, 0.0], [[1e300, 0.0], [0.0, 1e300]], 1.0, 0.97, "decreasing", [1e4, 1e4], 1.0),
+        ([0.5], [[-0.5]], 0.5, 0.97, "decreasing", [1.0], 1.0),  # lambda1/lambda2 + phi' F phi = 0
+        ([0.5], [[2.0]], 0.9, -1.0, "variable-forgetting", [1.0], 1.0),  # lambda1 -> 1.9
+        ([0.5, 0.1], [[2.0, 0.0], [0.0, 2.0]], 1.0, 0.97, "decreasing", [1.0, np.nan], 1.0),
+        ([0.5], [[2.0]], 1.0, 0.97, "decreasing", [1.0], np.inf),
+    ],
+)
+def test_rls_kernel_errors_match_numpy_body(theta, F, lambda1, lambda0, profile, phi, y_new):
+    """Each failure of the kernel, fed states no constructor would pass,
+    raises the numpy body's error type and message."""
+    def outcome(fn, *args):
+        try:
+            fn(*args)
+        except (DivergenceError, ValueError) as err:
+            return type(err), str(err)
+        return None
+
+    got = outcome(_rls_update, theta, F, lambda1, 1.0, lambda0, profile, phi, y_new)
+    want = outcome(_rls_step_numpy, np.array(theta), np.array(F), lambda1, 1.0, lambda0,
+                   profile, np.array(phi), y_new)
+    assert want is not None and got == want
+
+
+def test_rls_kernel_zero_innovation_denominator_is_divergence():
+    """1 + phi' F phi = 0, which the numpy body let escape as a
+    ZeroDivisionError, is the not-finite divergence."""
+    with pytest.raises(DivergenceError, match="not finite"):
+        _rls_update([0.5], [[-1.0]], 1.0, 1.0, 0.97, "decreasing", [1.0], 1.0)
