@@ -430,14 +430,23 @@ def run_design(cfg, out_dir, preset, seed):
     return items
 
 
+def _scenario_from_cfg(tr: dict, Ts: float) -> tuple[EvalScenario, np.ndarray]:
+    """The evaluation staircase and its reference, with skip checked against
+    the reference length before any closed loop runs."""
+    scenario = EvalScenario(levels=tuple(tr["levels"]), hold=tr["hold"], skip=tr["skip"])
+    reference = scenario.reference(Ts)
+    if not 0 <= scenario.skip < len(reference):
+        raise ConfigError("skip must satisfy 0 <= skip < len(y)")
+    return scenario, reference
+
+
 def run_track(cfg, out_dir, preset, seed):
     params = build_valve_params(cfg["plant"], preset, seed)
     Ts = cfg["plant"]["Ts"]
+    tr = cfg["track"]
+    scenario, reference = _scenario_from_cfg(tr, Ts)
     model = _model_from_cfg(cfg["model"], Ts)
     controller, _ = _design_from_cfg(cfg["design"], model)
-    tr = cfg["track"]
-    scenario = EvalScenario(levels=tuple(tr["levels"]), hold=tr["hold"], skip=tr["skip"])
-    reference = scenario.reference(Ts)
     sim = ValveSimulator(params, Ts)
     n_settle = max(1, int(round(tr["settle"] / Ts)))
     y_s, u_s, _ = tracking_run(sim, controller, np.full(n_settle, reference[0]))
@@ -459,6 +468,7 @@ def run_track(cfg, out_dir, preset, seed):
 def run_adapt(cfg, out_dir, preset, seed):
     params = build_valve_params(cfg["plant"], preset, seed)
     Ts = cfg["plant"]["Ts"]
+    scenario, _ = _scenario_from_cfg(cfg["track"], Ts)
     model_cfg = cfg["model"]
     design = _design_spec_from_cfg(cfg["design"], model_cfg, Ts)
     theta0 = np.array(model_cfg["a"] + model_cfg["b"], dtype=float)
@@ -472,8 +482,6 @@ def run_adapt(cfg, out_dir, preset, seed):
         seed=exc_cfg["seed"],
         length=exc_cfg["length"],
     )
-    tr = cfg["track"]
-    scenario = EvalScenario(levels=tuple(tr["levels"]), hold=tr["hold"], skip=tr["skip"])
     sim = ValveSimulator(params, Ts)
     records = iterate(
         sim,

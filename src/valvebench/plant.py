@@ -23,6 +23,14 @@ its first event sub-step instead of stepping through it.  With friction,
 quantization and noise disabled the sampled response therefore matches the
 zero-order-hold discretization of the continuous model to floating-point
 accuracy.
+
+Per sample, :meth:`ValveSimulator.advance` checks, clamps and PWM-quantizes
+the duty cycle only when it differs from the last one: the resulting law
+(motor torque and both kinetic targets) is kept in one slot, so every sample
+of a held input reuses it.  :func:`open_loop` records the true angles of a
+valve and applies ADC quantization and measurement noise to the whole record
+at once; the values and the noise stream are those of one
+:meth:`ValveSimulator.measure` per sample, which closed loops still call.
 """
 
 from __future__ import annotations
@@ -198,6 +206,12 @@ class ValveSimulator:
     of the sample, the first sub-step with |v| < V_STOP, or the first sub-step
     at a hard stop.  Every event therefore stays on the 1 ms grid, and the
     friction mode is decided afresh after each one.
+
+    The drive law of a duty cycle (finiteness check, clamp to [0, 100], PWM
+    quantization, motor torque and the two kinetic targets) is kept for the
+    last value applied, so a held input reuses it.  :func:`open_loop` senses
+    a whole record at once, with the same ADC rounding and noise stream as
+    :meth:`measure` called once per sample.
     """
 
     def __init__(self, params: ValveParams, Ts: float = 0.05, state: ValveState | None = None):
@@ -216,11 +230,25 @@ class ValveSimulator:
         else:
             self._q_step = 0.0
         # Same expressions as valve_step, so the per-mode exponentials agree.
-        self._tau = params.viscous_coeff / params.spring_stiffness
-        self._decay = math.exp(-DT_INTERNAL / self._tau)
-        self._log_decay = math.log(self._decay) if self._decay > 0.0 else -math.inf
-        self._break_open = params.stiction_ratio * params.coulomb_open
-        self._break_close = params.stiction_ratio * params.coulomb_close
+        tau = params.viscous_coeff / params.spring_stiffness
+        decay = math.exp(-DT_INTERNAL / tau)
+        # Per-simulator constants of the phase jump, unpacked once per sample.
+        self._consts = (
+            params.spring_stiffness,
+            params.spring_rest_angle,
+            params.angle_min,
+            params.angle_max,
+            tau,
+            decay,
+            math.log(decay) if decay > 0.0 else -math.inf,
+            V_STOP * tau,
+            params.stiction_ratio * params.coulomb_open,
+            params.stiction_ratio * params.coulomb_close,
+        )
+        # The last duty cycle applied and its (drive, target_open,
+        # target_close); NaN equals no input.
+        self._u_raw = math.nan
+        self._law = (0.0, 0.0, 0.0)
 
     def measure(self) -> float:
         y = self.state.angle
@@ -231,79 +259,121 @@ class ValveSimulator:
             y += self.params.output_noise_std * self.rng.standard_normal()
         return y
 
+    def _sense(self, angles: list[float]) -> np.ndarray:
+        """measure() of each angle in turn, as array operations.
+
+        np.round and round both round half to even, and one block of n
+        normals is the stream of n scalar draws.
+        """
+        y = np.array(angles, dtype=float)
+        if self._q_step:
+            y = self.params.angle_min + np.round((y - self.params.angle_min) / self._q_step) * self._q_step
+        if self.params.output_noise_std > 0:
+            y = y + self.params.output_noise_std * self.rng.standard_normal(len(y))
+        return y
+
     def advance(self, u: float) -> None:
-        u = float(u)
+        # NaN equals nothing, so it always reaches the finiteness check.
+        if u != self._u_raw:
+            self._set_law(u)
+        self.state = self._jump(self.state)
+
+    def _set_law(self, u_raw) -> None:
+        p = self.params
+        u = float(u_raw)
         if not math.isfinite(u):
             raise ValueError("duty cycle must be finite")
         u = min(100.0, max(0.0, u))
-        if self.params.pwm_levels:
-            levels = self.params.pwm_levels - 1
+        if p.pwm_levels:
+            levels = p.pwm_levels - 1
             u = round(u / 100.0 * levels) * 100.0 / levels
-        self.state = self._jump(self.state, u)
-
-    def _jump(self, state: ValveState, u: float) -> ValveState:
-        """State after n_sub sub-steps of valve_step under duty cycle u."""
-        p = self.params
-        k, rest = p.spring_stiffness, p.spring_rest_angle
-        a_min, a_max = p.angle_min, p.angle_max
-        tau, decay = self._tau, self._decay
         drive = p.motor_gain * u
-        target_open = rest - (drive + p.coulomb_open) / k
-        target_close = rest - (drive - p.coulomb_close) / k
+        self._law = (
+            drive,
+            p.spring_rest_angle - (drive + p.coulomb_open) / p.spring_stiffness,
+            p.spring_rest_angle - (drive - p.coulomb_close) / p.spring_stiffness,
+        )
+        self._u_raw = u_raw
+
+    def _jump(self, state: ValveState) -> ValveState:
+        """State after n_sub sub-steps of valve_step under the current law.
+
+        Works on local floats and builds at most one ValveState; a plate that
+        ends where it started, at rest, gets `state` itself back.
+        """
+        k, rest, a_min, a_max, tau, decay, log_decay, stop_reach, break_open, break_close = self._consts
+        drive, target_open, target_close = self._law
+        angle, velocity, moving = state.angle, state.velocity, state.moving
+        same = True  # angle, velocity and moving are still those of `state`
         left = self.n_sub
         while True:
-            angle = state.angle
-            # Friction mode for the next sub-step, decided as valve_step does.
-            d = 0.0
-            if state.moving:
-                d = 1.0 if state.velocity > 0.0 else -1.0
-                target = target_open if d > 0.0 else target_close
-                if d * (target - angle) <= 0.0:
-                    d = 0.0
-            if d == 0.0:
+            # Friction mode for the next sub-step, decided as valve_step does:
+            # a moving plate keeps its direction while its target lies ahead.
+            kinetic = False
+            if moving:
+                if velocity > 0.0:
+                    target = target_open
+                    kinetic = target > angle
+                else:
+                    target = target_close
+                    kinetic = target < angle
+            if not kinetic:
                 net = k * (rest - angle) - drive
-                d = 1.0 if net > 0.0 else -1.0
-                if abs(net) <= (self._break_open if d > 0.0 else self._break_close):
+                if net > 0.0:
+                    latched = net <= break_open
+                    target = target_open
+                else:
+                    latched = -net <= break_close
+                    target = target_close
+                if latched:
                     # Nothing changes until u does: latched for the sample.
-                    if not state.moving and state.velocity == 0.0:
-                        return state
+                    if not moving and velocity == 0.0:
+                        return state if same else ValveState(angle, velocity, moving)
                     return ValveState(angle, 0.0, False)
-                target = target_open if d > 0.0 else target_close
 
             # Sub-step j puts the plate at target + gap * decay**j.
             gap = angle - target
-
-            def event(j: int) -> bool:
-                a = target + gap * decay**j
-                return abs((target - a) / tau) < V_STOP or a <= a_min or a >= a_max
+            mag = abs(gap)
 
             # First event sub-step from the closed form: |v| falls below
             # V_STOP, or the plate reaches a stop its target lies beyond.
             # Then corrected on the grid against the same test; left + 1
             # means no event this sample.
             first = left + 1
-            for reach in (V_STOP * tau, max(target - a_max, a_min - target)):
-                if reach >= abs(gap):
-                    first = 1
-                elif reach > 0.0 and self._log_decay < 0.0:
-                    first = min(first, math.ceil(math.log(reach / abs(gap)) / self._log_decay))
-            j = min(max(first, 1), left + 1)
-            while j > 1 and event(j - 1):
+            if stop_reach >= mag:
+                first = 1
+            elif stop_reach > 0.0 and log_decay < 0.0:
+                first = min(first, math.ceil(math.log(stop_reach / mag) / log_decay))
+            reach = target - a_max
+            if a_min - target > reach:
+                reach = a_min - target
+            if reach >= mag:
+                first = 1
+            elif reach > 0.0 and log_decay < 0.0:
+                first = min(first, math.ceil(math.log(reach / mag) / log_decay))
+            j = first if first > 1 else 1
+            while j > 1:
+                a = target + gap * decay ** (j - 1)
+                if not (abs((target - a) / tau) < V_STOP or a <= a_min or a >= a_max):
+                    break
                 j -= 1
-            while j <= left and not event(j):
+            while j <= left:
+                a = target + gap * decay**j
+                if abs((target - a) / tau) < V_STOP or a <= a_min or a >= a_max:
+                    break
                 j += 1
 
             if j > left:
                 a = target + gap * decay**left
                 return ValveState(a, (target - a) / tau, True)
             a = min(max(target + gap * decay**j, a_min), a_max)
-            if a == angle and not state.moving and state.velocity == 0.0:
+            if a == angle and not moving and velocity == 0.0:
                 # Pinned (at a stop or by rounding): every sub-step repeats.
-                return state
-            state = ValveState(a, 0.0, False)
+                return state if same else ValveState(angle, velocity, moving)
+            angle, velocity, moving, same = a, 0.0, False, False
             left -= j
             if left == 0:
-                return state
+                return ValveState(angle, velocity, moving)
 
 
 def valve_run(params: ValveParams, u_sequence: np.ndarray, Ts: float = 0.05) -> np.ndarray:
@@ -323,11 +393,26 @@ def valve_run(params: ValveParams, u_sequence: np.ndarray, Ts: float = 0.05) -> 
 def open_loop(sim, u) -> np.ndarray:
     """The open-loop sampled record: measure, then advance under u[k], once
     per input.  `sim` provides measure()/advance(); returns y with y[k]
-    measured before u[k] is applied."""
-    y = np.empty(len(u))
-    for k in range(len(u)):
-        y[k] = sim.measure()
-        sim.advance(u[k])
+    measured before u[k] is applied.
+
+    A :class:`ValveSimulator` records its true angles and senses them once
+    the loop ends, also when an input raises, so its noise stream ends where
+    the per-sample loop would leave it.
+    """
+    if not isinstance(sim, ValveSimulator):
+        y = np.empty(len(u))
+        for k in range(len(u)):
+            y[k] = sim.measure()
+            sim.advance(u[k])
+        return y
+    angles = []
+    record, advance = angles.append, sim.advance
+    try:
+        for u_k in np.asarray(u, dtype=float).tolist():
+            record(sim.state.angle)
+            advance(u_k)
+    finally:
+        y = sim._sense(angles)
     return y
 
 
@@ -541,24 +626,6 @@ class LinearSimulator:
 def linear_run(model: DiscretePlantModel, u_sequence: np.ndarray, noise_std: float = 0.0, rng_seed: int = 0) -> np.ndarray:
     sim = LinearSimulator(model, noise_std=noise_std, rng_seed=rng_seed)
     return open_loop(sim, np.asarray(u_sequence, dtype=float))
-
-
-def zoh_first_order(params: ValveParams, u_sequence: np.ndarray, Ts: float) -> np.ndarray:
-    """Zero-order-hold sampled response of the friction-free valve.
-
-    Reference model for the linear-limit check: gain -motor_gain /
-    spring_stiffness, time constant viscous_coeff / spring_stiffness.
-    """
-    tau = params.time_constant
-    alpha = math.exp(-Ts / tau)
-    gain = params.dc_gain
-    y = np.empty(len(u_sequence))
-    angle = params.spring_rest_angle
-    for k, u in enumerate(np.asarray(u_sequence, dtype=float)):
-        y[k] = angle
-        target = params.spring_rest_angle + gain * u
-        angle = target + (angle - target) * alpha
-    return y
 
 
 def params_to_text(params: ValveParams) -> str:

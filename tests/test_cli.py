@@ -7,6 +7,7 @@ import tempfile
 import warnings
 from pathlib import Path
 
+from valvebench import cli
 from valvebench.cli import main, parse_set_args, resolve_config
 from valvebench.errors import ConfigError
 from valvebench.fileio import parse_key_values
@@ -173,6 +174,21 @@ def test_exit_codes(tmp_path, capsys):
     assert main(["etfe", "--out", str(tmp_path), "--set", "excitation.periods=0"]) == 2
     assert main(["sweep", "--out", str(tmp_path), "--set", "plant.preset="]) == 2
     assert main(["sweep", "--out", str(tmp_path), "--parallel", "0"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv", [["track"], ["adapt", "--config", str(CONFIGS / "adapt_valve6.cfg")]], ids=["track", "adapt"]
+)
+def test_out_of_range_skip_is_rejected_before_any_simulation(tmp_path, capsys, monkeypatch, argv):
+    def never(*args, **kwargs):
+        raise AssertionError("a closed loop ran before track.skip was checked")
+
+    monkeypatch.setattr(cli, "tracking_run", never)
+    monkeypatch.setattr(cli, "iterate", never)
+    rc = main(argv + ["--out", str(tmp_path), "--set", "track.skip=100000"])
+    assert rc == 2
+    assert "skip must satisfy 0 <= skip < len(y)" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
 
 
 def test_estimator_divergence_is_a_run_failure(tmp_path, capsys):

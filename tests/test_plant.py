@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,11 +15,11 @@ from valvebench.plant import (
     linear_plant_step,
     linear_run,
     measure_rise_time,
+    open_loop,
     rest_state,
     static_sweep,
     valve_run,
     valve_step,
-    zoh_first_order,
 )
 from valvebench.presets import (
     PRESET_NAMES,
@@ -48,6 +50,24 @@ def clean_params(**overrides):
     )
     base.update(overrides)
     return ValveParams(**base)
+
+
+def zoh_first_order(params: ValveParams, u_sequence: np.ndarray, Ts: float) -> np.ndarray:
+    """Zero-order-hold sampled response of the friction-free valve.
+
+    Reference model for the linear-limit check: gain -motor_gain /
+    spring_stiffness, time constant viscous_coeff / spring_stiffness.
+    """
+    tau = params.time_constant
+    alpha = math.exp(-Ts / tau)
+    gain = params.dc_gain
+    y = np.empty(len(u_sequence))
+    angle = params.spring_rest_angle
+    for k, u in enumerate(np.asarray(u_sequence, dtype=float)):
+        y[k] = angle
+        target = params.spring_rest_angle + gain * u
+        angle = target + (angle - target) * alpha
+    return y
 
 
 def test_linear_limit_matches_zoh():
@@ -174,6 +194,107 @@ def test_advance_stops_mid_sample_then_latches():
     latched = sim.state
     sim.advance(20.0)
     assert sim.state is latched
+
+
+def sample_loop_oracle(sim, u):
+    """The open-loop record one sample at a time: measure, then advance."""
+    y = np.empty(len(u))
+    for k in range(len(u)):
+        y[k] = sim.measure()
+        sim.advance(u[k])
+    return y
+
+
+def final(sim):
+    return (sim.state.angle, sim.state.velocity, sim.state.moving)
+
+
+duty = st.one_of(st.sampled_from([0.0, -0.0, 100.0]), st.floats(-10.0, 110.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    c_open=st.floats(0.0, 3.0),
+    c_close=st.floats(0.0, 3.0),
+    stiction=st.floats(1.0, 2.0),
+    viscous=st.floats(0.001, 0.6),
+    adc_bits=st.sampled_from([0, 10]),
+    pwm_levels=st.sampled_from([0, 256]),
+    noise=st.sampled_from([0.0, 0.1]),
+    seed=st.integers(0, 2**16),
+    Ts_ms=st.sampled_from([1, 20, 50]),
+    start=st.floats(0.0, 95.0),
+    segments=st.lists(
+        st.one_of(
+            st.tuples(duty, st.integers(1, 30)).map(lambda hold: [hold[0]] * hold[1]),
+            st.lists(duty, min_size=1, max_size=10),
+        ),
+        min_size=1,
+        max_size=8,
+    ),
+)
+def test_open_loop_record_matches_sample_loop(
+    c_open, c_close, stiction, viscous, adc_bits, pwm_levels, noise, seed, Ts_ms, start, segments
+):
+    """The valve record (cached law, record-level ADC and noise) against the
+    per-sample measure/advance loop: equal bytes, final state and rng state."""
+    params = ValveParams(
+        spring_stiffness=1.0,
+        spring_rest_angle=80.0,
+        motor_gain=0.95,
+        viscous_coeff=viscous,
+        coulomb_open=c_open,
+        coulomb_close=c_close,
+        stiction_ratio=stiction,
+        adc_bits=adc_bits,
+        pwm_levels=pwm_levels,
+        output_noise_std=noise,
+        rng_seed=seed,
+    )
+    u = np.array([v for segment in segments for v in segment])
+    fast = ValveSimulator(params, Ts_ms * 1e-3, state=ValveState(start))
+    slow = ValveSimulator(params, Ts_ms * 1e-3, state=ValveState(start))
+    y = open_loop(fast, u)
+    y_ref = sample_loop_oracle(slow, u)
+    assert y.tobytes() == y_ref.tobytes()
+    assert final(fast) == final(slow)
+    assert fast.rng.bit_generator.state == slow.rng.bit_generator.state
+
+
+def test_advance_law_cache_edge_cases():
+    """A repeated duty cycle reuses its law only where a fresh law is equal."""
+    params = clean_params(pwm_levels=256, coulomb_open=0.5, coulomb_close=0.8, stiction_ratio=1.2)
+    sim = ValveSimulator(params, Ts)
+    sim.advance(30.0)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="duty cycle must be finite"):
+            sim.advance(bad)
+
+    sequences = (
+        [30.0, np.float64(30.0), 30, 30.0],
+        [0.0, -0.0, 0.0, 100.0, 100],
+        [10.0, 60.0] * 4,
+        [10.0, 10.1, 10.0, -5.0, 0.0, 120.0, 100.0],
+    )
+    for seq in sequences:
+        sim = ValveSimulator(params, Ts)
+        for u in seq:
+            # a fresh simulator has no law to reuse
+            fresh = ValveSimulator(params, Ts, state=sim.state)
+            fresh.advance(u)
+            sim.advance(u)
+            assert sim.state == fresh.state
+
+    # a non-finite input mid-record raises with the earlier samples sensed
+    noisy = clean_params(adc_bits=10, output_noise_std=0.1)
+    u = np.array([20.0, 20.0, np.nan, 20.0])
+    fast, slow = ValveSimulator(noisy, Ts), ValveSimulator(noisy, Ts)
+    with pytest.raises(ValueError, match="duty cycle must be finite"):
+        open_loop(fast, u)
+    with pytest.raises(ValueError, match="duty cycle must be finite"):
+        sample_loop_oracle(slow, u)
+    assert final(fast) == final(slow)
+    assert fast.rng.bit_generator.state == slow.rng.bit_generator.state
 
 
 def test_stiction_deadband():
