@@ -68,7 +68,6 @@ from .signals import (
     prbs_deviation,
     prbs_generate,
     step_sequence,
-    sweep_profile,
 )
 from .spectral import FrequencyResponse, corner_from_asymptotes, etfe, slope_fit, smooth
 
@@ -135,7 +134,6 @@ __all__ = [
     "smooth",
     "static_sweep",
     "step_sequence",
-    "sweep_profile",
     "tracking_cost",
     "tracking_run",
     "valve_run",

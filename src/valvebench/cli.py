@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import dataclasses
+import functools
 import os
 import shutil
 import sys
@@ -539,7 +540,10 @@ def _execute(command: str, cfg: dict, preset, out_dir: str, seed) -> None:
         shutil.rmtree(staging, ignore_errors=True)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing keeps no state
+    in it, and each call of :func:`main` gets a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="valvebench",
         description="Valve identification and adaptive-control scenarios",

@@ -2,11 +2,13 @@
 
 Every float leaving the package is printed with ``FLOAT_FMT`` (9
 significant digits) so that repeated runs produce byte-identical artifacts.
-Reports go through :func:`format_value` value by value.  CSV columns are
-formatted column-wise, one pass per column: a float column with the same
-``FLOAT_FMT`` applied to its plain Python floats, any other column through
-:func:`format_value`.  That is why a CSV keeps the exact bytes of per-cell
-formatting.
+Reports go through :func:`format_value` value by value.  A CSV is written
+through one row template compiled from its column kinds: ``FLOAT_FMT`` for
+a float column, ``%d`` for an integer one and ``%s`` for any other, whose
+cells :func:`format_value` spells first.  Each column enters the template
+as a list of plain Python values, and only format codes and commas make up
+the template, never header or data text.  A CSV therefore keeps the exact
+bytes of per-cell :func:`format_value` formatting.
 """
 
 from __future__ import annotations
@@ -35,19 +37,25 @@ def format_value(x) -> str:
     return str(x)
 
 
-def _format_column(col: np.ndarray) -> list[str]:
-    """The cells of one column, as :func:`format_value` spells each element."""
+def _column_field(col: np.ndarray) -> tuple[str, list]:
+    """The template field of one column and the values it formats, which
+    render as :func:`format_value` spells each element."""
     kind = col.dtype.kind
     if kind == "f":
-        return [FLOAT_FMT % v for v in col.tolist()]
-    if kind in ("b", "i", "u"):
-        # tolist() gives plain bools and ints, spelled by format_value
-        return [format_value(v) for v in col.tolist()]
-    return [format_value(v) for v in col]
+        return FLOAT_FMT, col.tolist()
+    if kind in ("i", "u"):
+        return "%d", col.tolist()
+    if kind == "b":
+        return "%s", ["true" if v else "false" for v in col.tolist()]
+    return "%s", [format_value(v) for v in col]
 
 
 def write_csv(path: str | os.PathLike, header: list[str], columns: list[np.ndarray]) -> None:
-    """Write columns of equal length as CSV with LF endings."""
+    """Write columns of equal length as CSV with LF endings.
+
+    The header line is joined on its own; each data row is one ``%`` of
+    the row template over the row's cells.
+    """
     cols = [np.asarray(c) for c in columns]
     if len(cols) != len(header):
         raise ValueError("header/column count mismatch")
@@ -55,10 +63,11 @@ def write_csv(path: str | os.PathLike, header: list[str], columns: list[np.ndarr
     for c in cols:
         if len(c) != n:
             raise ValueError("columns must have equal length")
-    lines = [",".join(header)]
-    lines += map(",".join, zip(*[_format_column(c) for c in cols]))
+    fields, cells = zip(*map(_column_field, cols)) if cols else ((), ())
+    row = ",".join(fields) + "\n"
     with open(path, "w", newline="\n") as f:
-        f.write("\n".join(lines) + "\n")
+        f.write(",".join(header) + "\n")
+        f.write("".join(map(row.__mod__, zip(*cells))))
 
 
 def write_report(path: str | os.PathLike, items: list[tuple[str, object]]) -> None:

@@ -36,7 +36,7 @@ at once; the values and the noise stream are those of one
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -626,37 +626,3 @@ class LinearSimulator:
 def linear_run(model: DiscretePlantModel, u_sequence: np.ndarray, noise_std: float = 0.0, rng_seed: int = 0) -> np.ndarray:
     sim = LinearSimulator(model, noise_std=noise_std, rng_seed=rng_seed)
     return open_loop(sim, np.asarray(u_sequence, dtype=float))
-
-
-def params_to_text(params: ValveParams) -> str:
-    from .fileio import format_value
-
-    lines = [f"{f.name} = {format_value(getattr(params, f.name))}" for f in fields(ValveParams)]
-    return "\n".join(lines) + "\n"
-
-
-def params_from_entries(entries, source: str = "<preset>") -> ValveParams:
-    from .errors import ConfigError
-
-    known = {f.name: f for f in fields(ValveParams)}
-    values = {}
-    for e in entries:
-        if e.section:
-            raise ConfigError(f"preset files take no sections, got [{e.section}]", e.line)
-        if e.key not in known:
-            raise ConfigError(f"unknown preset key {e.key!r}", e.line)
-        f = known[e.key]
-        try:
-            if f.type in ("int", int):
-                values[e.key] = int(e.value)
-            else:
-                values[e.key] = float(e.value)
-        except ValueError as exc:
-            raise ConfigError(f"bad value for {e.key!r}: {e.value!r}", e.line) from exc
-    missing = sorted(set(known) - set(values))
-    if missing:
-        raise ConfigError(f"{source}: missing preset keys: {', '.join(missing)}")
-    try:
-        return ValveParams(**values)
-    except ValueError as exc:
-        raise ConfigError(f"{source}: {exc}") from exc

@@ -12,8 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError
-from .fileio import read_key_values
-from .plant import ValveParams, params_from_entries, params_to_text
+from .plant import ValveParams
 
 PRESET_SPREAD_SEED = 20260114
 
@@ -73,12 +72,3 @@ def get_preset(name: str) -> ValveParams:
         return PRESETS[name]
     except KeyError:
         raise ConfigError(f"unknown preset {name!r}; expected one of {', '.join(PRESET_NAMES)}")
-
-
-def save_preset_file(path, params: ValveParams) -> None:
-    with open(path, "w", newline="\n") as f:
-        f.write(params_to_text(params))
-
-
-def load_preset_file(path) -> ValveParams:
-    return params_from_entries(read_key_values(path), source=str(path))

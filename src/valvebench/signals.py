@@ -3,12 +3,14 @@
 The PRBS comes from a Fibonacci LFSR.  Tap sets are taken from the usual
 primitive-polynomial tables and re-verified by full period enumeration when a
 config is built, so a bad custom tap set fails fast instead of producing a
-short cycle.
+short cycle.  The period is memoized per (registers, taps, seed); the check
+against it runs on every construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -57,6 +59,7 @@ def _lfsr_bits(n_registers: int, taps: tuple[int, ...], seed: int, count: int) -
     return bits
 
 
+@lru_cache(maxsize=None)
 def _period_of(n_registers: int, taps: tuple[int, ...], seed: int) -> int:
     masks = [1 << (t - 1) for t in taps]
     reg_mask = (1 << n_registers) - 1
@@ -171,9 +174,3 @@ def step_sequence(levels: np.ndarray, hold: float, Ts: float) -> np.ndarray:
     if abs(n - round(n)) > 1e-9 * max(1.0, n):
         raise ValueError("hold must be an integer number of samples")
     return np.repeat(levels, int(round(n)))
-
-
-def sweep_profile(u_max: float = 40.0, step: float = 5.0) -> np.ndarray:
-    """Duty-cycle staircase 0 -> u_max -> 0 used for static sweeps."""
-    up = np.arange(0.0, u_max + step / 2, step)
-    return np.concatenate([up, up[-2::-1]])

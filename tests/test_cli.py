@@ -69,6 +69,32 @@ def test_parse_set_args():
             parse_set_args([bad])
 
 
+def test_parser_is_built_once_and_keeps_no_state_between_runs(tmp_path, monkeypatch):
+    """The cached parser hands each run a fresh namespace: a run after one
+    with --config and --set resolves the plain defaults (argparse copies
+    the `append` default rather than growing it)."""
+    assert cli.build_parser() is cli.build_parser()
+    resolved = []
+
+    def recording(command, entries, overrides):
+        cfg = resolve_config(command, entries, overrides)
+        resolved.append((list(entries), list(overrides), cfg))
+        return cfg
+
+    monkeypatch.setattr(cli, "resolve_config", recording)
+    config = tmp_path / "design.cfg"
+    config.write_text("[design]\nzeta = 0.8\n")
+    first, second = tmp_path / "first", tmp_path / "second"
+    argv = ["design", "--config", str(config), "--set", "design.omega0=7", "--out", str(first)]
+    assert main(argv) == 0
+    assert main(["design", "--out", str(second)]) == 0
+    assert resolved[0][2]["design"]["zeta"] == 0.8
+    assert resolved[0][2]["design"]["omega0"] == 7.0
+    assert resolved[1] == ([], [], resolve_config("design", [], []))
+    assert parse_report(second / "report.txt") != parse_report(first / "report.txt")
+    assert cli.build_parser().parse_args(["design"]).set == []
+
+
 def test_design_pi_report_matches_hand_formula(tmp_path):
     rc = main(["design", "--out", str(tmp_path), "--set", "design.mode=pi"])
     assert rc == 0

@@ -65,6 +65,10 @@ SPECIAL_FLOATS = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 2.2e-308, 1e300, -
 _floats64 = st.one_of(st.floats(allow_subnormal=True), st.sampled_from(SPECIAL_FLOATS))
 
 
+# Cell and header text that would be format codes if it entered a template.
+_text = st.one_of(st.text("ab x-1.e%s", max_size=4), st.sampled_from(["%s", "%d", "%%", "%(a)s", "%"]))
+
+
 def _column(n: int):
     """Any column kind the writer meets: numpy arrays of several dtypes,
     Python lists, and a string column."""
@@ -79,7 +83,7 @@ def _column(n: int):
         st.lists(st.integers(-(2**62), 2**62), **size),
         st.lists(_floats64, **size),
         st.lists(st.booleans(), **size),
-        st.lists(st.text("ab x-1.e", max_size=4), **size),
+        st.lists(_text, **size),
     )
 
 
@@ -92,9 +96,9 @@ def _same_bytes(tmp_path, header, columns):
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data(), n=st.integers(0, 12), count=st.integers(1, 5))
 def test_write_csv_matches_per_cell_oracle(tmp_path, data, n, count):
-    """Column-wise formatting writes the bytes of per-cell format_value."""
+    """The row-template writer writes the bytes of per-cell format_value."""
     columns = [data.draw(_column(n)) for _ in range(count)]
-    header = [f"c{k}" for k in range(count)]
+    header = data.draw(st.lists(_text, min_size=count, max_size=count))
     assert _same_bytes(tmp_path, header, columns)
 
 
@@ -115,6 +119,22 @@ def test_write_csv_matches_oracle_on_every_kind(tmp_path, n):
         [f"s{k}" for k in range(n)],
     ]
     header = [f"c{k}" for k in range(len(columns))]
+    assert _same_bytes(tmp_path, header, columns)
+
+
+@pytest.mark.parametrize(
+    "header, columns",
+    [
+        (["100%"], [np.array([0.5, -1.25])]),
+        (["%s"], [["%s", "%d"]]),
+        (["%d", "a%%b", "%(x)s"], [np.arange(2), np.array([True, False]), ["%", "%%"]]),
+        ([], []),
+    ],
+    ids=["one-float-column", "one-text-column", "percent-header", "no-columns"],
+)
+def test_write_csv_percent_text_and_narrow_tables(tmp_path, header, columns):
+    """Header and cell text never act as format codes, and one-column and
+    zero-column tables keep the oracle's bytes."""
     assert _same_bytes(tmp_path, header, columns)
 
 

@@ -25,9 +25,7 @@ from valvebench.presets import (
     PRESET_NAMES,
     PRESETS,
     get_preset,
-    load_preset_file,
     make_preset,
-    save_preset_file,
 )
 from valvebench.errors import ConfigError
 
@@ -498,18 +496,3 @@ def test_preset_table():
 def test_unknown_preset():
     with pytest.raises(ConfigError):
         get_preset("valve99")
-
-
-def test_preset_file_round_trip(tmp_path):
-    path = tmp_path / "unit.params"
-    save_preset_file(path, get_preset("valve5"))
-    assert load_preset_file(path) == get_preset("valve5")
-
-
-def test_preset_file_rejects_unknown_key(tmp_path):
-    path = tmp_path / "bad.params"
-    save_preset_file(path, get_preset("valve1"))
-    with open(path, "a") as f:
-        f.write("bogus = 3\n")
-    with pytest.raises(ConfigError):
-        load_preset_file(path)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from valvebench import signals
 from valvebench.errors import ConfigError
 from valvebench.signals import (
     PrbsConfig,
@@ -11,7 +12,6 @@ from valvebench.signals import (
     prbs_deviation,
     prbs_generate,
     step_sequence,
-    sweep_profile,
 )
 
 
@@ -92,6 +92,19 @@ def test_bad_taps_rejected():
         cfg(n_registers=1)
 
 
+def test_period_memo_never_skips_the_tap_check():
+    """The memo holds the enumerated period, not a verdict: non-maximal
+    taps fail on every construction, and a new seed is enumerated afresh."""
+    signals._period_of.cache_clear()
+    for hits in (0, 1):
+        with pytest.raises(ConfigError, match="not maximal"):
+            cfg(n_registers=4, taps=(4, 2), seed=1)
+        assert signals._period_of.cache_info().hits == hits
+    with pytest.raises(ConfigError, match="not maximal"):
+        cfg(n_registers=4, taps=(4, 2), seed=6)
+    assert signals._period_of.cache_info().misses == 2
+
+
 def test_zero_seed_becomes_all_ones():
     c = cfg(n_registers=4, seed=0)
     assert c.seed == 0b1111
@@ -104,10 +117,3 @@ def test_step_sequence():
         step_sequence(np.array([1.0]), 0.13, 0.05)
     with pytest.raises(ValueError):
         step_sequence(np.array([]), 0.2, 0.05)
-
-
-def test_sweep_profile_shape():
-    prof = sweep_profile(40.0, 5.0)
-    assert len(prof) == 17
-    assert prof[0] == 0.0 and prof[8] == 40.0 and prof[-1] == 0.0
-    np.testing.assert_array_equal(prof, prof[::-1])
