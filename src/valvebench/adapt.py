@@ -14,6 +14,7 @@ evaluation protocol measures.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -94,15 +95,25 @@ class RstDesignSpec:
         object.__setattr__(self, "target", desired_poles(self.pole))
 
     def model_from(self, theta) -> DiscretePlantModel:
+        """The model of an estimate [a1..a_na, b1..b_nb], as the constructor
+        builds it.  When the spec's orders and delay are ones the model
+        accepts, only the check that depends on theta runs (finite
+        coefficients, with the constructor's message) and the model's
+        instance dict is filled directly."""
         theta = np.asarray(theta, dtype=float).tolist()
-        if len(theta) != self.na + self.nb:
+        na = self.na
+        if len(theta) != na + self.nb:
             raise ValueError("theta length must equal na + nb")
-        return DiscretePlantModel(
-            a_coeffs=tuple(theta[: self.na]),
-            b_coeffs=tuple(theta[self.na:]),
-            delay=self.delay,
-            Ts=self.pole.Ts,
+        a_coeffs, b_coeffs = tuple(theta[:na]), tuple(theta[na:])
+        if not (b_coeffs and self.delay >= 0):
+            return DiscretePlantModel(a_coeffs, b_coeffs, self.delay, self.pole.Ts)
+        if not all(map(math.isfinite, theta)):
+            raise ValueError("coefficients must be finite")
+        model = object.__new__(DiscretePlantModel)
+        model.__dict__.update(
+            a_coeffs=a_coeffs, b_coeffs=b_coeffs, delay=self.delay, Ts=self.pole.Ts
         )
+        return model
 
     def design(self, theta) -> RstController:
         """Pole placement on the given estimate, verified before returning."""

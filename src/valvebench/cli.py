@@ -524,20 +524,41 @@ HANDLERS = {
 }
 
 
+def _missing_dirs(path: str) -> list[str]:
+    """The directories that os.makedirs(path) would create, deepest first."""
+    missing = []
+    path = os.path.abspath(path)
+    while not os.path.exists(path):
+        missing.append(path)
+        path = os.path.dirname(path)
+    return missing
+
+
 def _execute(command: str, cfg: dict, preset, out_dir: str, seed) -> None:
     """Run one scenario in a staging directory inside out_dir and move its
-    files up only once it has succeeded, so that a failed run leaves at most
-    an empty out_dir.  Staging inside out_dir keeps the renames on one
-    filesystem even when out_dir is a mount point."""
+    files up only once it has succeeded.  A failed run removes the staging
+    directory and every directory it created for out_dir that is still
+    empty, never one that existed before, so it leaves nothing new on disk.
+    Staging inside out_dir keeps the renames on one filesystem even when
+    out_dir is a mount point."""
+    created = _missing_dirs(out_dir)
     os.makedirs(out_dir, exist_ok=True)
-    staging = tempfile.mkdtemp(prefix=".valvebench-", dir=out_dir)
     try:
-        items = HANDLERS[command](cfg, staging, preset, seed)
-        write_report(os.path.join(staging, "report.txt"), items)
-        for name in os.listdir(staging):
-            os.replace(os.path.join(staging, name), os.path.join(out_dir, name))
-    finally:
-        shutil.rmtree(staging, ignore_errors=True)
+        staging = tempfile.mkdtemp(prefix=".valvebench-", dir=out_dir)
+        try:
+            items = HANDLERS[command](cfg, staging, preset, seed)
+            write_report(os.path.join(staging, "report.txt"), items)
+            for name in os.listdir(staging):
+                os.replace(os.path.join(staging, name), os.path.join(out_dir, name))
+        finally:
+            shutil.rmtree(staging, ignore_errors=True)
+    except BaseException:
+        for path in created:
+            try:
+                os.rmdir(path)
+            except OSError:  # not empty: another run's output lives there
+                pass
+        raise
 
 
 @functools.cache

@@ -111,12 +111,13 @@ class ClosedLoopPredictor:
         y_now = self._y_current
         u_ctrl, _ = self.runtime.step(y_now, float(r_dev))
         u_hat = u_ctrl + float(r_u)
-        self._u.append(u_hat)
-        self._u.pop(0)
+        y_h, u_h = self._y, self._u
+        u_h.append(u_hat)
+        u_h.pop(0)
 
-        y_lags = [y_now] + [self._y[-i] for i in range(1, self.na)]
-        u_lags = [self._u[-1 - self.delay - j] for j in range(self.nb)]
-        phi = [-v for v in y_lags] + u_lags
+        # [-y(t) ... -y(t-na+1), u(t-d) ... u(t-d-nb+1)]
+        phi = [-y_now] + [-y_h[-i] for i in range(1, self.na)]
+        phi += [u_h[-1 - self.delay - j] for j in range(self.nb)]
         self._pending_phi = phi
         return _dot(self.state.theta_hat.tolist(), phi), u_hat
 
@@ -129,13 +130,14 @@ class ClosedLoopPredictor:
         phi = self._pending_phi
         if update:
             self.state, eps0, eps = rls_step(self.state, phi, float(y_measured_next))
-        else:
-            eps0 = float(y_measured_next) - _dot(self.state.theta_hat.tolist(), phi)
-            eps = eps0
+        # the a posteriori prediction; with frozen parameters also the a priori one
+        y_post = _dot(self.state.theta_hat.tolist(), phi)
+        if not update:
+            eps0 = eps = float(y_measured_next) - y_post
         # a posteriori prediction becomes the new current history sample
         self._y.append(self._y_current)
         self._y.pop(0)
-        self._y_current = _dot(self.state.theta_hat.tolist(), phi)
+        self._y_current = y_post
         self._pending_phi = None
         return eps0, eps
 

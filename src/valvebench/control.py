@@ -99,6 +99,8 @@ def _trimmed(cs, rel_tol: float = 1e-12) -> list[float]:
     scale = max(map(abs, vals))
     if scale == 0.0:
         return [0.0]
+    if abs(vals[-1]) > rel_tol * scale:
+        return vals
     keep = len(vals)
     while keep > 1 and abs(vals[keep - 1]) <= rel_tol * scale:
         keep -= 1
@@ -112,8 +114,10 @@ def _convolve(a, b) -> list[float]:
     whichever function forms it."""
     out = [0.0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
+        k = i
+        for y in b:
+            out[k] += x * y
+            k += 1
     return out
 
 
@@ -229,20 +233,19 @@ def _solved_controller(r_core, s_core, t_gain, r, s, Ts, hr, hs) -> RstControlle
     """The :class:`RstController` of a solved design, whose R = H_R R' and
     S = H_S S' are already formed by :func:`_convolve` as the constructor
     forms them.  The constructor's checks on values run here (coefficients
-    finite, s0 = 1); Ts is a validated model's."""
+    finite, s0 = 1); Ts is a validated model's.  The instance dicts are
+    filled directly, with the fields the constructors would set."""
     if not all(map(math.isfinite, (*r_core, *s_core, t_gain, *r, *s))):
         raise ValueError("coefficients must be finite")
     if abs(s[0] - 1.0) > 1e-9:
         raise ValueError("S must be normalized with s0 = 1")
-    ctrl = object.__new__(RstController)
-    parts = (("r_core", r_core), ("s_core", s_core), ("t", (t_gain,)), ("r", r), ("s", s))
-    for name, coeffs in parts:
+    polys = []
+    for coeffs in (r_core, s_core, (t_gain,), r, s):
         poly = object.__new__(DelayPolynomial)
-        object.__setattr__(poly, "coeffs", tuple(coeffs))
-        object.__setattr__(ctrl, name, poly)
-    object.__setattr__(ctrl, "Ts", Ts)
-    object.__setattr__(ctrl, "hr", hr)
-    object.__setattr__(ctrl, "hs", hs)
+        poly.__dict__["coeffs"] = tuple(coeffs)
+        polys.append(poly)
+    ctrl = object.__new__(RstController)
+    ctrl.__dict__.update(zip(("r_core", "s_core", "t", "r", "s"), polys), Ts=Ts, hr=hr, hs=hs)
     return ctrl
 
 
@@ -284,22 +287,31 @@ def _check_sylvester(M: np.ndarray) -> None:
 
 
 @functools.lru_cache(maxsize=32)
-def _sylvester_rhs(n: int, pole_coeffs: tuple) -> np.ndarray:
-    """Right-hand sides of the Sylvester solve for n unknowns, each a single
-    column: the trimmed target P first, so that its solution carries the
-    bits of np.linalg.solve(M, P) alone, then the unit vectors, whose
-    solutions are the columns of M^-1.  Read-only, shared by every design
-    with this n and target."""
+def _sylvester_system(n_a: int, n_b: int, pole_coeffs: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """(layout, rhs) of the Sylvester solve for A1 of degree n_a and B1 of
+    degree n_b, n = n_a + n_b unknowns.  M is [0, *A1, *B1] gathered through
+    the n x n index layout: column j < n_b holds A1 from row j down, column
+    n_b + j holds B1 from row j down, every other entry is the leading 0.
+    The right-hand sides are single columns: the trimmed target P first, so
+    that its solution carries the bits of np.linalg.solve(M, P) alone, then
+    the unit vectors, whose solutions are the columns of M^-1.  Both are
+    read-only, shared by every design with these degrees and target."""
+    n = n_a + n_b
     p = _trimmed(pole_coeffs)
     if len(p) - 1 > n - 1:
         raise DesignError(
             f"desired polynomial degree {len(p) - 1} exceeds solvable degree {n - 1}"
         )
+    layout = np.zeros((n, n), dtype=np.intp)
+    for j in range(n_b):  # columns for S' coefficients
+        layout[j:j + n_a + 1, j] = np.arange(1, n_a + 2)
+    for j in range(n_a):  # columns for R' coefficients
+        layout[j:j + n_b + 1, n_b + j] = np.arange(n_a + 2, n + 3)
     rhs = np.eye(n + 1, n, -1)
     rhs[0, : len(p)] = p
     rhs = rhs[:, :, None]
-    rhs.flags.writeable = False
-    return rhs
+    layout.flags.writeable = rhs.flags.writeable = False
+    return layout, rhs
 
 
 def bezout_design(
@@ -322,8 +334,10 @@ def bezout_design(
     M^-1.  cond_F(M) = |M|_F |M^-1|_F is never below the 2-norm condition
     number (Golub & Van Loan, sec. 2.3), so the SVD of the condition check
     runs only when that bound exceeds SYLVESTER_MAX_COND, or when M is
-    singular; then it decides, with the value it reports.  The right-hand
-    sides are built once per size and target (:func:`_sylvester_rhs`).
+    singular; then it decides, with the value it reports.  The norms are
+    taken with math.hypot.  M is one gather through an index layout, and the
+    layout and right-hand sides are built once per pair of degrees and
+    target (:func:`_sylvester_system`).
     """
     a, b = _model_arrays(model)
     a1 = _trimmed(_convolve(a, hs.coeffs))
@@ -335,25 +349,19 @@ def bezout_design(
     if n_b < 1:
         raise DesignError("plant must have at least one step of delay")
     n = n_a + n_b
-    rhs = _sylvester_rhs(n, pole_poly.coeffs)
+    layout, rhs = _sylvester_system(n_a, n_b, pole_poly.coeffs)
 
-    rows = [[0.0] * n for _ in range(n)]
-    for j in range(n_b):  # columns for S' coefficients
-        for i, c in enumerate(a1):
-            rows[i + j][j] = c
-    for j in range(n_a):  # columns for R' coefficients
-        for i, c in enumerate(b1):
-            rows[i + j][n_b + j] = c
-    M = np.array(rows)
+    M = np.array([0.0, *a1, *b1])[layout]
     try:
         x = np.linalg.solve(M, rhs)
     except np.linalg.LinAlgError:
         _check_sylvester(M)
         raise
-    sol, *inverse = x[:, :, 0].tolist()  # x, then the columns of M^-1
-    norm_sq = n_b * sum([c * c for c in a1]) + n_a * sum([c * c for c in b1])
-    inv_norm_sq = sum([v * v for col in inverse for v in col])
-    if not norm_sq * inv_norm_sq <= SYLVESTER_MAX_COND**2:
+    flat = x.ravel().tolist()  # x, then the columns of M^-1
+    sol = flat[:n]
+    # |M|_F from the n_b copies of A1 and the n_a copies of B1 in M
+    norm = math.hypot(math.sqrt(n_b) * math.hypot(*a1), math.sqrt(n_a) * math.hypot(*b1))
+    if not norm * math.hypot(*flat[n:]) <= SYLVESTER_MAX_COND:
         _check_sylvester(M)
     # Monic P against monic A1 pins s'_0 = 1; renormalize defensively so the
     # stored controller always has s0 = 1.
@@ -427,8 +435,11 @@ def check_pole_placement(
     lead = achieved[0]
     if lead == 0.0 or wanted is None:
         raise DesignError("closed-loop polynomial lost its leading coefficient")
-    diff = [c / lead for c in achieved]
-    err = max(abs(d - v) for d, v in zip_longest(diff, wanted, fillvalue=0.0))
+    if len(achieved) == len(wanted):
+        err = max([abs(c / lead - v) for c, v in zip(achieved, wanted)])
+    else:
+        diff = [c / lead for c in achieved]
+        err = max(abs(d - v) for d, v in zip_longest(diff, wanted, fillvalue=0.0))
     if err > tol:
         raise DesignError(f"pole placement error {err:.3g} exceeds {tol:.1e}")
     return err

@@ -255,14 +255,17 @@ def _successor(
 ) -> AdaptationState:
     """`state` with a new estimate, gain matrix and lambda1, built without the
     constructor's validation: the update that produced them has checked
-    what it can break, and lambda0, lambda2 and the profile are copied."""
+    what it can break, and lambda0, lambda2 and the profile are copied.  The
+    instance dict is filled directly, with the fields the constructor sets."""
     new = object.__new__(AdaptationState)
-    object.__setattr__(new, "theta_hat", np.array(theta, dtype=float))
-    object.__setattr__(new, "F", np.array(F, dtype=float))
-    object.__setattr__(new, "lambda1", lambda1)
-    object.__setattr__(new, "lambda2", state.lambda2)
-    object.__setattr__(new, "lambda0", state.lambda0)
-    object.__setattr__(new, "profile", state.profile)
+    new.__dict__.update(
+        theta_hat=np.array(theta, dtype=float),
+        F=np.array(F, dtype=float),
+        lambda1=lambda1,
+        lambda2=state.lambda2,
+        lambda0=state.lambda0,
+        profile=state.profile,
+    )
     return new
 
 
@@ -278,7 +281,10 @@ def _positive_definite(F) -> bool:
     """Sylvester's criterion through the pivots of Gaussian elimination
     without pivoting, which are the squares of F's Cholesky diagonal: all are
     positive exactly when the symmetric F is positive definite.  At n = 2
-    that is F00 > 0 and det F > 0."""
+    that is F00 > 0 and det F > 0, and the elimination is unrolled."""
+    if len(F) == 2:
+        (f00, f01), (f10, f11) = F
+        return f00 > 0.0 and f11 - f10 / f00 * f01 > 0.0
     rows = [list(row) for row in F]
     for k, pivot_row in enumerate(rows):
         pivot = pivot_row[k]
@@ -354,17 +360,24 @@ def rls_step(
     The arithmetic runs on Python floats, in the kernel that :func:`rls_run`
     also calls directly; this wrapper converts the state's arrays and builds
     the successor without rerunning the :class:`AdaptationState` validation,
-    which the input state has passed.  What an update can break raises
+    which the input state has passed.  A list phi, the closed-loop
+    predictor's regressor, is taken as it is once its length matches; its
+    entries must be real numbers.  What an update can break raises
     :class:`DivergenceError`: a new estimate or F that is not finite, an F
     that is no longer positive definite (a Cholesky pivot at or below zero),
     or lambda1 outside (0, 1].
     """
-    phi = np.asarray(phi, dtype=float)
-    if phi.shape != state.theta_hat.shape:
+    theta = state.theta_hat
+    if type(phi) is not list:
+        phi = np.asarray(phi, dtype=float)
+        if phi.shape != theta.shape:
+            raise ValueError("phi must match theta_hat")
+        phi = phi.tolist()
+    elif len(phi) != len(theta):
         raise ValueError("phi must match theta_hat")
     theta, F, lambda1, eps0, eps = _rls_update(
-        state.theta_hat.tolist(), state.F.tolist(), state.lambda1, state.lambda2,
-        state.lambda0, state.profile, phi.tolist(), float(y_new),
+        theta.tolist(), state.F.tolist(), state.lambda1, state.lambda2,
+        state.lambda0, state.profile, phi, float(y_new),
     )
     return _successor(state, theta, F, lambda1), eps0, eps
 

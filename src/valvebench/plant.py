@@ -525,22 +525,9 @@ class DiscretePlantModel:
     def theta(self) -> np.ndarray:
         return np.array(self.a_coeffs + self.b_coeffs)
 
-    @classmethod
-    def from_theta(cls, theta: np.ndarray, na: int, nb: int, delay: int = 0, Ts: float = 0.05):
-        theta = np.asarray(theta, dtype=float)
-        if len(theta) != na + nb:
-            raise ValueError("theta length must equal na + nb")
-        return cls(tuple(theta[:na]), tuple(theta[na:]), delay, Ts)
-
     @property
     def dc_gain(self) -> float:
         return sum(self.b_coeffs) / (1.0 + sum(self.a_coeffs))
-
-    def is_stable(self, radius: float = 1.0) -> bool:
-        if self.na == 0:
-            return True
-        poles = np.roots([1.0, *self.a_coeffs])
-        return bool(np.all(np.abs(poles) < radius))
 
     def frequency_response(self, omegas: np.ndarray) -> np.ndarray:
         """Evaluate q^-d B / A on the unit circle at omegas rad/s."""
@@ -555,21 +542,9 @@ class DiscretePlantModel:
         return num / den
 
 
-def linear_plant_step(model: DiscretePlantModel, y_hist: np.ndarray, u_hist: np.ndarray) -> float:
-    """One step of the ARX difference equation.
-
-    y_hist[-i] is y(t-i); u_hist[-j] is u(t-j).  Histories must cover na and
-    nb + delay past samples respectively.
-    """
-    y_hist = np.asarray(y_hist, dtype=float)
-    u_hist = np.asarray(u_hist, dtype=float)
-    if len(y_hist) < model.na or len(u_hist) < model.nb + model.delay:
-        raise ValueError("history too short for model orders")
-    return _arx_output(model, y_hist, u_hist)
-
-
 def _arx_output(model: DiscretePlantModel, y_hist, u_hist) -> float:
-    # Unchecked equation, a-terms then b-terms, on any indexable histories.
+    # The ARX equation, unchecked, a-terms then b-terms: y_hist[-i] is
+    # y(t-i) and u_hist[-j] is u(t-j).
     y = 0.0
     for i, a in enumerate(model.a_coeffs, start=1):
         y -= a * y_hist[-i]
@@ -602,8 +577,8 @@ class LinearSimulator:
         self._current: float | None = None
 
     def _output(self) -> float:
-        # linear_plant_step's equation on the history lists, whose lengths
-        # the constructor fixes.
+        # The ARX equation on the history lists, whose lengths the
+        # constructor fixes.
         if self._current is None:
             self._current = _arx_output(self.model, self._y, self._u)
         return self._current

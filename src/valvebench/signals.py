@@ -3,8 +3,9 @@
 The PRBS comes from a Fibonacci LFSR.  Tap sets are taken from the usual
 primitive-polynomial tables and re-verified by full period enumeration when a
 config is built, so a bad custom tap set fails fast instead of producing a
-short cycle.  The period is memoized per (registers, taps, seed); the check
-against it runs on every construction.
+short cycle.  One walk of the register is memoized per (registers, taps,
+seed): its period, which every construction checks, and its output bits,
+which :func:`prbs_bits` copies.
 """
 
 from __future__ import annotations
@@ -39,37 +40,27 @@ MIN_REGISTERS = 2
 MAX_REGISTERS = 16
 
 
-def _lfsr_next(state: int, masks: list[int], reg_mask: int) -> int:
-    fb = 0
-    for m in masks:
-        fb ^= 1 if state & m else 0
-    return ((state << 1) & reg_mask) | fb
-
-
-def _lfsr_bits(n_registers: int, taps: tuple[int, ...], seed: int, count: int) -> np.ndarray:
-    """Emit `count` output bits (the oldest stage) of the shift register."""
-    masks = [1 << (t - 1) for t in taps]
+@lru_cache(maxsize=64)
+def _period_of(n_registers: int, taps: tuple[int, ...], seed: int) -> tuple[int, np.ndarray]:
+    """Walk the Fibonacci register (feedback = XOR of the tapped stages)
+    from `seed` until its state comes back.  Returns the period, or
+    2**n_registers + 1 when the state never comes back, and the output bits
+    (the oldest stage) of the states walked, one period of the sequence
+    when it comes back, as a read-only int8 array."""
+    tap_mask = sum(1 << (t - 1) for t in taps)
     reg_mask = (1 << n_registers) - 1
     top = n_registers - 1
-    state = seed
-    bits = np.empty(count, dtype=np.int8)
-    for i in range(count):
-        bits[i] = (state >> top) & 1
-        state = _lfsr_next(state, masks, reg_mask)
-    return bits
-
-
-@lru_cache(maxsize=None)
-def _period_of(n_registers: int, taps: tuple[int, ...], seed: int) -> int:
-    masks = [1 << (t - 1) for t in taps]
-    reg_mask = (1 << n_registers) - 1
-    state = seed
     limit = 1 << n_registers
+    state = seed
+    bits = bytearray()
+    period = limit + 1
     for step in range(1, limit + 1):
-        state = _lfsr_next(state, masks, reg_mask)
+        bits.append(state >> top)
+        state = ((state << 1) & reg_mask) | ((state & tap_mask).bit_count() & 1)
         if state == seed:
-            return step
-    return limit + 1
+            period = step
+            break
+    return period, np.frombuffer(bytes(bits), dtype=np.int8)
 
 
 @dataclass(frozen=True)
@@ -109,7 +100,7 @@ class PrbsConfig:
             raise ConfigError(
                 f"excitation range [{lo:g}, {hi:g}] leaves the 0..100 duty-cycle band"
             )
-        if _period_of(n, taps, seed) != (1 << n) - 1:
+        if _period_of(n, taps, seed)[0] != (1 << n) - 1:
             raise ConfigError(
                 f"taps {taps} are not maximal length for {n} registers"
             )
@@ -129,8 +120,9 @@ class PrbsConfig:
 
 
 def prbs_bits(config: PrbsConfig) -> np.ndarray:
-    """One full period of raw LFSR output bits (before hold and scaling)."""
-    return _lfsr_bits(config.n_registers, config.taps, config.seed, config.bit_period)
+    """One full period of raw LFSR output bits (before hold and scaling), as
+    a new writable array."""
+    return _period_of(config.n_registers, config.taps, config.seed)[1].copy()
 
 
 def prbs_generate(config: PrbsConfig, length: int) -> np.ndarray:

@@ -84,6 +84,27 @@ def test_design_spec_round_trip():
         spec.design([-0.9, 0.0])
 
 
+def test_model_from_builds_the_constructed_model():
+    """model_from fills the model's instance dict itself; the model compares
+    and hashes equal to the constructor's, and fails with its messages."""
+    spec = design_spec(na=2, nb=2, delay=1)
+    for theta in ([-1.2, 0.35, 0.5, 0.2], np.array([-1.2, 0.35, 0.5, 0.2]), [-1, 0, 1, 2]):
+        model = spec.model_from(theta)
+        ref = DiscretePlantModel(theta[:2], theta[2:], 1, Ts)
+        assert model == ref and hash(model) == hash(ref) and vars(model) == vars(ref)
+        assert all(type(c) is float for c in model.a_coeffs + model.b_coeffs)
+    with pytest.raises(ValueError, match=r"^theta length must equal na \+ nb$"):
+        spec.model_from([-1.2, 0.35, 0.5])
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="^coefficients must be finite$"):
+            spec.model_from([-1.2, 0.35, bad, 0.2])
+    # orders and delay the model rejects fail as its constructor fails
+    with pytest.raises(ValueError, match="^model needs at least b1$"):
+        design_spec(na=2, nb=0).model_from([-1.2, np.nan])
+    with pytest.raises(ValueError, match="^delay must be >= 0$"):
+        design_spec(delay=-1).model_from(THETA_TRUE)
+
+
 def test_eval_scenario_reference():
     ref = EvalScenario().reference(Ts)
     assert len(ref) == 300

@@ -284,6 +284,25 @@ def test_failed_run_leaves_no_partial_output(tmp_path, capsys, presets):
     assert list(tmp_path.rglob(".valvebench-*")) == []
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--set", "plant.preset=valve0,valve1", "--set", "plant.viscous_coeff=-1"],
+        ["adapt", "--set", "plant.preset=valve0,valve1", "--set", "excitation.amplitude=80"],
+    ],
+    ids=["sweep-viscous", "adapt-amplitude"],
+)
+def test_rejected_fan_out_leaves_nothing_on_disk(tmp_path, capsys, argv):
+    """A fan-out whose first preset fails its checks exits 2 and removes
+    the directories it created, --out and its parents included; an --out
+    that existed before the run stays."""
+    assert main(argv + ["--out", str(tmp_path / "runs" / "today")]) == 2
+    assert list(tmp_path.iterdir()) == []
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    assert tmp_path.is_dir() and list(tmp_path.iterdir()) == []
+    assert capsys.readouterr().err.count("valvebench") == 2
+
+
 def test_run_stages_inside_out_so_its_renames_stay_on_one_filesystem(tmp_path, monkeypatch):
     """--out may be a mount point: a rename into it from anywhere outside
     fails with EXDEV, so the staging directory must sit inside --out."""

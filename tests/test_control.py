@@ -482,6 +482,35 @@ def test_array_design_matches_object_oracle(case, other):
         )
 
 
+@pytest.mark.parametrize("hr", [ONE, HR_NYQUIST_ZERO], ids=["no-hr", "nyquist-hr"])
+@pytest.mark.parametrize(
+    "model",
+    [PLANT, DiscretePlantModel((-1.2, 0.35), (0.5, 0.2), 1, Ts)],
+    ids=["first-order", "second-order-delayed"],
+)
+def test_designed_controller_is_the_constructed_one(model, hr):
+    """bezout_design fills the instance dicts itself; its controller compares
+    and hashes equal to the one the constructors build from the same parts,
+    field by field, with the same fields set."""
+    ctrl = bezout_design(model, desired_poles(PoleSpec(5.0, 1.0, Ts)), hs=HS_INTEGRATOR, hr=hr)
+    ref = RstController(
+        r_core=DelayPolynomial(ctrl.r_core.coeffs),
+        s_core=DelayPolynomial(ctrl.s_core.coeffs),
+        t=DelayPolynomial(ctrl.t.coeffs),
+        Ts=ctrl.Ts,
+        hr=hr,
+        hs=HS_INTEGRATOR,
+    )
+    assert ctrl == ref and hash(ctrl) == hash(ref)
+    assert vars(ctrl).keys() == vars(ref).keys()
+    for name, value in vars(ref).items():
+        got = getattr(ctrl, name)
+        assert type(got) is type(value)
+        if isinstance(value, DelayPolynomial):
+            assert vars(got) == vars(value) and hash(got) == hash(value)
+            assert all(type(c) is float for c in got.coeffs)
+
+
 # A plant pole 5.62e-10 inside z = -1, the root of H_R: the Sylvester matrix
 # is conditioned 8.1e9 in the 2-norm but 1.19e10 by the Frobenius bound.
 NEAR_COMMON = 1.0 - 5.62e-10

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from valvebench.errors import DivergenceError, IdentifiabilityError, ValveBenchError
 from valvebench.ident import (
     AdaptationState,
+    _positive_definite,
     _regressors_from,
     arx_least_squares,
     batch_least_squares,
@@ -442,6 +443,70 @@ def test_rls_successors_match_validating_oracle(n, gain, lambda0, profile, seed,
             lambda0=state.lambda0,
             profile=state.profile,
         )
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.integers(1, 4),
+    profile=st.sampled_from(["decreasing", "constant-gain", "variable-forgetting"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_rls_step_takes_a_list_regressor_as_it_takes_an_array(n, profile, seed):
+    """A list phi, as the closed-loop predictor passes it, gives the
+    successor of the same phi as an array, bit for bit, and the successor
+    carries the fields the constructor sets."""
+    rng = np.random.default_rng(seed)
+    state = initial_adaptation_state(
+        n, gain=1000.0, profile=profile, theta0=rng.standard_normal(n)
+    )
+    for _ in range(20):
+        phi = rng.uniform(-3, 3, n)
+        y_new = float(rng.uniform(-3, 3))
+        from_list = rls_step(state, phi.tolist(), y_new)
+        from_array = rls_step(state, phi, y_new)
+        assert from_list[1:] == from_array[1:]
+        new, ref = from_list[0], from_array[0]
+        assert vars(new).keys() == vars(state).keys()
+        for name in ("theta_hat", "F"):
+            got, want = getattr(new, name), getattr(ref, name)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes() and got.flags.writeable
+        assert (new.lambda1, new.lambda2, new.lambda0, new.profile) == (
+            ref.lambda1, ref.lambda2, ref.lambda0, ref.profile
+        )
+        state = ref
+
+
+@pytest.mark.parametrize(
+    "phi, y_new, message",
+    [
+        ([1.0], 1.0, "phi must match theta_hat"),
+        ([1.0, 2.0, 3.0], 1.0, "phi must match theta_hat"),
+        ([1.0, np.nan], 1.0, "phi and y_new must be finite"),
+        ([np.inf, 1.0], 1.0, "phi and y_new must be finite"),
+        ([1.0, 2.0], np.nan, "phi and y_new must be finite"),
+    ],
+)
+def test_rls_step_list_and_array_regressors_fail_alike(phi, y_new, message):
+    state = initial_adaptation_state(2)
+    for form in (list(phi), np.array(phi)):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            rls_step(state, form, y_new)
+
+
+# no overflow in the elimination: entries are 0 or at least 1e-6 in magnitude
+finite_entries = st.floats(-1e3, 1e3).filter(lambda v: v == 0.0 or abs(v) >= 1e-6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(f00=finite_entries, f01=finite_entries, f10=finite_entries, f11=finite_entries)
+def test_unrolled_2x2_definiteness_is_the_elimination(f00, f01, f10, f11):
+    """The unrolled n = 2 pivots give the verdict of the general
+    elimination, run on F embedded in a 3 x 3 block-diagonal matrix with a
+    unit third pivot."""
+    F = [[f00, f01], [f10, f11]]
+    embedded = [[f00, f01, 0.0], [f10, f11, 0.0], [0.0, 0.0, 1.0]]
+    assert _positive_definite(F) is _positive_definite(embedded)
 
 
 def test_rls_step_loss_of_positive_definiteness_is_divergence():

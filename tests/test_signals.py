@@ -105,6 +105,40 @@ def test_period_memo_never_skips_the_tap_check():
     assert signals._period_of.cache_info().misses == 2
 
 
+def _register_walk(n, taps, seed, count):
+    """The register stepped one bit at a time: emit the oldest stage, then
+    shift in the XOR of the tapped stages."""
+    state, out = seed, []
+    for _ in range(count):
+        out.append((state >> (n - 1)) & 1)
+        fb = 0
+        for t in taps:
+            fb ^= (state >> (t - 1)) & 1
+        state = ((state << 1) & ((1 << n) - 1)) | fb
+    return out
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_prbs_bits_match_a_bitwise_register_walk(n):
+    for seed in (0, 1, 3):
+        c = cfg(n_registers=n, seed=seed)
+        bits = prbs_bits(c)
+        assert bits.dtype == np.int8 and len(bits) == c.bit_period
+        assert bits.tolist() == _register_walk(n, c.taps, c.seed, c.bit_period)
+
+
+def test_prbs_bits_come_from_one_walk_as_new_arrays():
+    """Construction and every prbs_bits call share one memoized walk, and
+    each call returns an array of its own that the caller may write."""
+    signals._period_of.cache_clear()
+    c = cfg(n_registers=7)
+    first, second = prbs_bits(c), prbs_bits(cfg(n_registers=7))
+    assert signals._period_of.cache_info().misses == 1
+    assert first is not second and first.flags.writeable
+    first[:] = 5
+    assert set(prbs_bits(c).tolist()) == {0, 1}
+
+
 def test_zero_seed_becomes_all_ones():
     c = cfg(n_registers=4, seed=0)
     assert c.seed == 0b1111
