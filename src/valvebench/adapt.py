@@ -14,7 +14,6 @@ evaluation protocol measures.
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass, field
 
@@ -92,28 +91,25 @@ class RstDesignSpec:
     target: DelayPolynomial = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.na < 0:
+            raise ValueError("na must be >= 0")
+        if self.nb < 1:
+            raise ValueError("nb must be >= 1")
+        if self.delay < 0:
+            raise ValueError("delay must be >= 0")
         object.__setattr__(self, "target", desired_poles(self.pole))
 
     def model_from(self, theta) -> DiscretePlantModel:
         """The model of an estimate [a1..a_na, b1..b_nb], as the constructor
-        builds it.  When the spec's orders and delay are ones the model
-        accepts, only the check that depends on theta runs (finite
-        coefficients, with the constructor's message) and the model's
-        instance dict is filled directly."""
+        builds it; the orders and delay were checked with the spec, so only
+        the check that depends on theta runs (finite coefficients)."""
         theta = np.asarray(theta, dtype=float).tolist()
         na = self.na
         if len(theta) != na + self.nb:
             raise ValueError("theta length must equal na + nb")
-        a_coeffs, b_coeffs = tuple(theta[:na]), tuple(theta[na:])
-        if not (b_coeffs and self.delay >= 0):
-            return DiscretePlantModel(a_coeffs, b_coeffs, self.delay, self.pole.Ts)
-        if not all(map(math.isfinite, theta)):
-            raise ValueError("coefficients must be finite")
-        model = object.__new__(DiscretePlantModel)
-        model.__dict__.update(
-            a_coeffs=a_coeffs, b_coeffs=b_coeffs, delay=self.delay, Ts=self.pole.Ts
+        return DiscretePlantModel._of_checked_orders(
+            tuple(theta[:na]), tuple(theta[na:]), self.delay, self.pole.Ts
         )
-        return model
 
     def design(self, theta) -> RstController:
         """Pole placement on the given estimate, verified before returning."""

@@ -534,13 +534,20 @@ def _missing_dirs(path: str) -> list[str]:
     return missing
 
 
+def _remove_empty(dirs) -> None:
+    for path in dirs:
+        try:
+            os.rmdir(path)
+        except OSError:  # not empty: another run's output lives there
+            pass
+
+
 def _execute(command: str, cfg: dict, preset, out_dir: str, seed) -> None:
     """Run one scenario in a staging directory inside out_dir and move its
-    files up only once it has succeeded.  A failed run removes the staging
-    directory and every directory it created for out_dir that is still
-    empty, never one that existed before, so it leaves nothing new on disk.
-    Staging inside out_dir keeps the renames on one filesystem even when
-    out_dir is a mount point."""
+    files up only once it has succeeded.  out_dir's parent exists; a failed
+    run removes the staging directory and out_dir if it created it and it is
+    still empty.  Staging inside out_dir keeps the renames on one filesystem
+    even when out_dir is a mount point."""
     created = _missing_dirs(out_dir)
     os.makedirs(out_dir, exist_ok=True)
     try:
@@ -553,11 +560,34 @@ def _execute(command: str, cfg: dict, preset, out_dir: str, seed) -> None:
         finally:
             shutil.rmtree(staging, ignore_errors=True)
     except BaseException:
-        for path in created:
-            try:
-                os.rmdir(path)
-            except OSError:  # not empty: another run's output lives there
-                pass
+        _remove_empty(created)
+        raise
+
+
+def _run(command: str, cfg: dict, presets: list, out: str, seed, parallel: int) -> None:
+    """Run the scenario into out for one preset, or into out/<preset> for
+    each of several, in up to `parallel` worker processes.  out and its
+    missing parents are created here, before any run, and a failed run
+    removes those of them that are still empty, once every run has ended;
+    a directory that existed before is never removed."""
+    created = _missing_dirs(out)
+    os.makedirs(out, exist_ok=True)
+    try:
+        if len(presets) == 1:
+            _execute(command, cfg, presets[0], out, seed)
+            return
+        jobs = [(command, cfg, p, os.path.join(out, p), seed) for p in presets]
+        if parallel > 1:
+            # leaving the pool waits for every submitted run
+            with concurrent.futures.ProcessPoolExecutor(parallel) as pool:
+                futures = [pool.submit(_execute, *j) for j in jobs]
+                for f in futures:
+                    f.result()
+        else:
+            for j in jobs:
+                _execute(*j)
+    except BaseException:
+        _remove_empty(created)
         raise
 
 
@@ -611,21 +641,7 @@ def main(argv=None) -> int:
         presets = cfg["plant"]["preset"] if "plant" in cfg else [None]
         if not presets:
             raise ConfigError("plant preset list is empty")
-        if len(presets) == 1:
-            _execute(args.command, cfg, presets[0], args.out, args.seed)
-        else:
-            jobs = [
-                (args.command, cfg, p, os.path.join(args.out, p), args.seed)
-                for p in presets
-            ]
-            if args.parallel > 1:
-                with concurrent.futures.ProcessPoolExecutor(args.parallel) as pool:
-                    futures = [pool.submit(_execute, *j) for j in jobs]
-                    for f in futures:
-                        f.result()
-            else:
-                for j in jobs:
-                    _execute(*j)
+        _run(args.command, cfg, presets, args.out, args.seed, args.parallel)
     except ConfigError as err:
         print(f"valvebench {args.command}: {err}", file=sys.stderr)
         return 2

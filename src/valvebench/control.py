@@ -40,6 +40,15 @@ class DelayPolynomial:
             raise ValueError("coefficients must be finite")
         object.__setattr__(self, "coeffs", cs)
 
+    @classmethod
+    def _of_floats(cls, coeffs) -> "DelayPolynomial":
+        """The polynomial the constructor builds from a non-empty sequence of
+        finite floats, which the caller has checked; the instance dict is
+        filled directly."""
+        poly = object.__new__(cls)
+        poly.__dict__["coeffs"] = tuple(coeffs)
+        return poly
+
     @property
     def degree(self) -> int:
         for i in range(len(self.coeffs) - 1, -1, -1):
@@ -220,6 +229,25 @@ class RstController:
         if abs(self.s.coeffs[0] - 1.0) > 1e-9:
             raise ValueError("S must be normalized with s0 = 1")
 
+    @classmethod
+    def _solved(cls, r_core, s_core, t_gain, r, s, Ts, hr, hs) -> "RstController":
+        """The controller of a solved design, whose R = H_R R' and
+        S = H_S S' are already formed by :func:`_convolve` as the constructor
+        forms them.  The constructor's checks on values run here
+        (coefficients finite, s0 = 1); Ts is a validated model's.  The
+        instance dicts are filled directly."""
+        if not all(map(math.isfinite, (*r_core, *s_core, t_gain, *r, *s))):
+            raise ValueError("coefficients must be finite")
+        if abs(s[0] - 1.0) > 1e-9:
+            raise ValueError("S must be normalized with s0 = 1")
+        poly = DelayPolynomial._of_floats
+        ctrl = object.__new__(cls)
+        ctrl.__dict__.update(
+            r_core=poly(r_core), s_core=poly(s_core), t=poly((t_gain,)), Ts=Ts,
+            hr=hr, hs=hs, r=poly(r), s=poly(s),
+        )
+        return ctrl
+
     def r_on_circle(self, omegas, Ts=None) -> np.ndarray:
         z = unit_circle(omegas, Ts or self.Ts)
         return self.hr(z) * self.r_core(z)
@@ -227,26 +255,6 @@ class RstController:
     def s_on_circle(self, omegas, Ts=None) -> np.ndarray:
         z = unit_circle(omegas, Ts or self.Ts)
         return self.hs(z) * self.s_core(z)
-
-
-def _solved_controller(r_core, s_core, t_gain, r, s, Ts, hr, hs) -> RstController:
-    """The :class:`RstController` of a solved design, whose R = H_R R' and
-    S = H_S S' are already formed by :func:`_convolve` as the constructor
-    forms them.  The constructor's checks on values run here (coefficients
-    finite, s0 = 1); Ts is a validated model's.  The instance dicts are
-    filled directly, with the fields the constructors would set."""
-    if not all(map(math.isfinite, (*r_core, *s_core, t_gain, *r, *s))):
-        raise ValueError("coefficients must be finite")
-    if abs(s[0] - 1.0) > 1e-9:
-        raise ValueError("S must be normalized with s0 = 1")
-    polys = []
-    for coeffs in (r_core, s_core, (t_gain,), r, s):
-        poly = object.__new__(DelayPolynomial)
-        poly.__dict__["coeffs"] = tuple(coeffs)
-        polys.append(poly)
-    ctrl = object.__new__(RstController)
-    ctrl.__dict__.update(zip(("r_core", "s_core", "t", "r", "s"), polys), Ts=Ts, hr=hr, hs=hs)
-    return ctrl
 
 
 def pi_design(a1_hat: float, b1_hat: float, pole_poly: DelayPolynomial, Ts: float = 0.05) -> RstController:
@@ -375,7 +383,7 @@ def bezout_design(
     t_gain = 0.0
     for c in reversed(_trimmed(r)):
         t_gain += c
-    return _solved_controller(
+    return RstController._solved(
         r_core, s_core, t_gain, r, _convolve(hs.coeffs, s_core), model.Ts, hr, hs
     )
 
@@ -435,11 +443,8 @@ def check_pole_placement(
     lead = achieved[0]
     if lead == 0.0 or wanted is None:
         raise DesignError("closed-loop polynomial lost its leading coefficient")
-    if len(achieved) == len(wanted):
-        err = max([abs(c / lead - v) for c, v in zip(achieved, wanted)])
-    else:
-        diff = [c / lead for c in achieved]
-        err = max(abs(d - v) for d, v in zip_longest(diff, wanted, fillvalue=0.0))
+    # a padded 0.0 / lead is +-0.0, so the shorter side compares as zeros
+    err = max([abs(c / lead - v) for c, v in zip_longest(achieved, wanted, fillvalue=0.0)])
     if err > tol:
         raise DesignError(f"pole placement error {err:.3g} exceeds {tol:.1e}")
     return err

@@ -211,6 +211,23 @@ class AdaptationState:
         if self.profile not in PROFILES:
             raise ValueError(f"profile must be one of {PROFILES}")
 
+    def _updated(self, theta, F, lambda1: float) -> "AdaptationState":
+        """This state with a new estimate, gain matrix and lambda1, built
+        without the constructor's validation: the update that produced them
+        (:func:`_rls_update`) has checked what it can break, and lambda2,
+        lambda0 and the profile are copied.  The instance dict is filled
+        directly."""
+        new = object.__new__(AdaptationState)
+        new.__dict__.update(
+            theta_hat=np.array(theta, dtype=float),
+            F=np.array(F, dtype=float),
+            lambda1=lambda1,
+            lambda2=self.lambda2,
+            lambda0=self.lambda0,
+            profile=self.profile,
+        )
+        return new
+
 
 def initial_adaptation_state(
     n_params: int,
@@ -250,25 +267,6 @@ def initial_adaptation_state(
     )
 
 
-def _successor(
-    state: AdaptationState, theta, F, lambda1: float
-) -> AdaptationState:
-    """`state` with a new estimate, gain matrix and lambda1, built without the
-    constructor's validation: the update that produced them has checked
-    what it can break, and lambda0, lambda2 and the profile are copied.  The
-    instance dict is filled directly, with the fields the constructor sets."""
-    new = object.__new__(AdaptationState)
-    new.__dict__.update(
-        theta_hat=np.array(theta, dtype=float),
-        F=np.array(F, dtype=float),
-        lambda1=lambda1,
-        lambda2=state.lambda2,
-        lambda0=state.lambda0,
-        profile=state.profile,
-    )
-    return new
-
-
 def _dot(x, y) -> float:
     """Sum of x[i] y[i] over Python floats, accumulated in index order."""
     acc = 0.0
@@ -281,10 +279,7 @@ def _positive_definite(F) -> bool:
     """Sylvester's criterion through the pivots of Gaussian elimination
     without pivoting, which are the squares of F's Cholesky diagonal: all are
     positive exactly when the symmetric F is positive definite.  At n = 2
-    that is F00 > 0 and det F > 0, and the elimination is unrolled."""
-    if len(F) == 2:
-        (f00, f01), (f10, f11) = F
-        return f00 > 0.0 and f11 - f10 / f00 * f01 > 0.0
+    that is F00 > 0 and det F > 0."""
     rows = [list(row) for row in F]
     for k, pivot_row in enumerate(rows):
         pivot = pivot_row[k]
@@ -379,7 +374,7 @@ def rls_step(
         theta.tolist(), state.F.tolist(), state.lambda1, state.lambda2,
         state.lambda0, state.profile, phi, float(y_new),
     )
-    return _successor(state, theta, F, lambda1), eps0, eps
+    return state._updated(theta, F, lambda1), eps0, eps
 
 
 @dataclass(frozen=True)
@@ -420,5 +415,5 @@ def rls_run(u, y, na: int, nb: int, init: AdaptationState) -> RlsRun:
         lambda1=np.array(lam1s, dtype=float),
         eps_apriori=np.array(e0, dtype=float),
         eps_aposteriori=np.array(e1, dtype=float),
-        final_state=_successor(init, theta, F, lam1),
+        final_state=init._updated(theta, F, lam1),
     )

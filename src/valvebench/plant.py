@@ -513,6 +513,18 @@ class DiscretePlantModel:
         if not all(map(math.isfinite, vals)):
             raise ValueError("coefficients must be finite")
 
+    @classmethod
+    def _of_checked_orders(cls, a_coeffs: tuple, b_coeffs: tuple, delay: int, Ts: float):
+        """The model the constructor builds from tuples of floats whose
+        orders, delay and Ts are known to pass its checks (an adaptive
+        redesign's spec checks them once): only the finiteness check runs,
+        and the instance dict is filled directly."""
+        if not all(map(math.isfinite, a_coeffs + b_coeffs)):
+            raise ValueError("coefficients must be finite")
+        model = object.__new__(cls)
+        model.__dict__.update(a_coeffs=a_coeffs, b_coeffs=b_coeffs, delay=delay, Ts=Ts)
+        return model
+
     @property
     def na(self) -> int:
         return len(self.a_coeffs)

@@ -98,11 +98,17 @@ def test_model_from_builds_the_constructed_model():
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="^coefficients must be finite$"):
             spec.model_from([-1.2, 0.35, bad, 0.2])
-    # orders and delay the model rejects fail as its constructor fails
-    with pytest.raises(ValueError, match="^model needs at least b1$"):
-        design_spec(na=2, nb=0).model_from([-1.2, np.nan])
-    with pytest.raises(ValueError, match="^delay must be >= 0$"):
-        design_spec(delay=-1).model_from(THETA_TRUE)
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [({"na": -1}, "na must be >= 0"), ({"nb": 0}, "nb must be >= 1"), ({"delay": -1}, "delay must be >= 0")],
+)
+def test_design_spec_rejects_orders_no_model_has(overrides, message):
+    """Orders and a delay that no DiscretePlantModel accepts fail when the
+    spec is built, not at each redesign."""
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        design_spec(**overrides)
 
 
 def test_eval_scenario_reference():

@@ -292,10 +292,13 @@ def test_failed_run_leaves_no_partial_output(tmp_path, capsys, presets):
     ],
     ids=["sweep-viscous", "adapt-amplitude"],
 )
-def test_rejected_fan_out_leaves_nothing_on_disk(tmp_path, capsys, argv):
-    """A fan-out whose first preset fails its checks exits 2 and removes
-    the directories it created, --out and its parents included; an --out
-    that existed before the run stays."""
+@pytest.mark.parametrize("parallel", ["1", "2"])
+def test_rejected_fan_out_leaves_nothing_on_disk(tmp_path, capsys, argv, parallel):
+    """A fan-out whose presets fail their checks exits 2 and removes the
+    directories it created, --out and its parents included, also when the
+    presets run in parallel workers; an --out that existed before the run
+    stays."""
+    argv = argv + ["--parallel", parallel]
     assert main(argv + ["--out", str(tmp_path / "runs" / "today")]) == 2
     assert list(tmp_path.iterdir()) == []
     assert main(argv + ["--out", str(tmp_path)]) == 2

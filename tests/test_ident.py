@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from valvebench.errors import DivergenceError, IdentifiabilityError, ValveBenchError
 from valvebench.ident import (
     AdaptationState,
-    _positive_definite,
     _regressors_from,
     arx_least_squares,
     batch_least_squares,
@@ -492,21 +491,6 @@ def test_rls_step_list_and_array_regressors_fail_alike(phi, y_new, message):
     for form in (list(phi), np.array(phi)):
         with pytest.raises(ValueError, match=f"^{message}$"):
             rls_step(state, form, y_new)
-
-
-# no overflow in the elimination: entries are 0 or at least 1e-6 in magnitude
-finite_entries = st.floats(-1e3, 1e3).filter(lambda v: v == 0.0 or abs(v) >= 1e-6)
-
-
-@settings(max_examples=200, deadline=None)
-@given(f00=finite_entries, f01=finite_entries, f10=finite_entries, f11=finite_entries)
-def test_unrolled_2x2_definiteness_is_the_elimination(f00, f01, f10, f11):
-    """The unrolled n = 2 pivots give the verdict of the general
-    elimination, run on F embedded in a 3 x 3 block-diagonal matrix with a
-    unit third pivot."""
-    F = [[f00, f01], [f10, f11]]
-    embedded = [[f00, f01, 0.0], [f10, f11, 0.0], [0.0, 0.0, 1.0]]
-    assert _positive_definite(F) is _positive_definite(embedded)
 
 
 def test_rls_step_loss_of_positive_definiteness_is_divergence():
