@@ -58,7 +58,6 @@ from .plant import (
     measure_rise_time,
     static_sweep,
     valve_run,
-    valve_step,
 )
 from .presets import PRESET_NAMES, PRESETS, get_preset
 from .signals import (
@@ -137,5 +136,4 @@ __all__ = [
     "tracking_cost",
     "tracking_run",
     "valve_run",
-    "valve_step",
 ]

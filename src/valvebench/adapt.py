@@ -32,7 +32,7 @@ from .control import (
     rst_law_length,
     sensitivity,
 )
-from .cloe import ClosedLoopPredictor, _loop_sample, cl_identify, save_cloe_csv
+from .cloe import ClosedLoopPredictor, _loop_sample, _operating_duty, cl_identify, save_cloe_csv
 from .errors import DesignError
 from .fileio import write_csv
 from .ident import AdaptationState, initial_adaptation_state
@@ -87,7 +87,6 @@ class RstDesignSpec:
     delay: int = 0
     hs: DelayPolynomial = HS_INTEGRATOR
     hr: DelayPolynomial = HR_NYQUIST_ZERO
-    check_tol: float = 1e-9
     target: DelayPolynomial = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -115,7 +114,7 @@ class RstDesignSpec:
         """Pole placement on the given estimate, verified before returning."""
         model = self.model_from(theta)
         controller = bezout_design(model, self.target, hs=self.hs, hr=self.hr)
-        check_pole_placement(model, controller, self.target, tol=self.check_tol)
+        check_pole_placement(model, controller, self.target)
         return controller
 
 
@@ -171,6 +170,15 @@ def tracking_run(plant, controller, reference, limits=DEFAULT_LIMITS, u0=0.0, y0
     return runtime.track(plant, reference)
 
 
+def _settle(plant, controller, level, seconds, limits=DEFAULT_LIMITS):
+    """Bring the loop to `level` from zero histories, holding it there for
+    `seconds` (one sample at least) before anything is scored.  Returns the
+    (y, u) arrays of the hold."""
+    n = max(1, int(round(seconds / controller.Ts)))
+    y, u, _ = tracking_run(plant, controller, np.full(n, float(level)), limits)
+    return y, u
+
+
 def _margin_db(design: RstDesignSpec, theta, controller: RstController) -> float:
     try:
         return sensitivity(design.model_from(theta), controller).margin_db
@@ -215,14 +223,7 @@ def iterate(
     if trace_dir is not None:
         os.makedirs(trace_dir, exist_ok=True)
 
-    # bring the loop to the operating point before scoring anything
-    controller = initial_controller
-    n_settle = max(1, int(round(settle / Ts)))
-    settle_ref = np.full(n_settle, float(operating_reference))
-    y_tr, u_tr, _ = tracking_run(plant, controller, settle_ref, limits, 0.0, 0.0)
-    u_last, y_last = float(u_tr[-1]), float(y_tr[-1])
-
-    def evaluate(index: int, ctrl: RstController, u0: float, y0: float):
+    def evaluate(index: int, ctrl: RstController, u0: float, y0: float, error=None):
         y_e, u_e, sat_e = tracking_run(plant, ctrl, reference, limits, u0, y0)
         if trace_dir is not None:
             write_csv(
@@ -230,20 +231,20 @@ def iterate(
                 ["t", "r", "y", "u", "saturated"],
                 [np.arange(len(y_e)), reference, y_e, u_e, sat_e],
             )
-        cost = tracking_cost(y_e, reference, scenario.skip)
-        return cost, float(np.mean(sat_e)), float(u_e[-1]), float(y_e[-1])
-
-    cost, sat_frac, u_last, y_last = evaluate(0, controller, u_last, y_last)
-    records = [
-        IterationRecord(
-            iteration=0,
+        return IterationRecord(
+            iteration=index,
             theta_hat=theta.copy(),
-            controller=controller,
-            tracking_cost=cost,
-            saturation_fraction=sat_frac,
-            margin_db=_margin_db(design, theta, controller),
+            controller=ctrl,
+            tracking_cost=tracking_cost(y_e, reference, scenario.skip),
+            saturation_fraction=float(np.mean(sat_e)),
+            margin_db=_margin_db(design, theta, ctrl),
+            redesign_error=error,
         )
-    ]
+
+    # bring the loop to the operating point before scoring anything
+    controller = initial_controller
+    y_tr, u_tr = _settle(plant, controller, operating_reference, settle, limits)
+    records = [evaluate(0, controller, float(u_tr[-1]), float(y_tr[-1]))]
 
     exc = excitation.sequence()
     for k in range(1, n_iter + 1):
@@ -274,22 +275,9 @@ def iterate(
             controller = design.design(theta)
         except DesignError as exc_err:
             error = str(exc_err)
-        cost, sat_frac, u_last, y_last = evaluate(
-            k, controller, run.u_operating, run.y_last
-        )
-        records.append(
-            IterationRecord(
-                iteration=k,
-                theta_hat=theta.copy(),
-                controller=controller,
-                tracking_cost=cost,
-                saturation_fraction=sat_frac,
-                margin_db=_margin_db(design, theta, controller),
-                redesign_error=error,
-            )
-        )
+        records.append(evaluate(k, controller, run.u_operating, run.y_last, error))
         if stop_tol is not None and records[-2].tracking_cost > 0.0:
-            improvement = 1.0 - cost / records[-2].tracking_cost
+            improvement = 1.0 - records[-1].tracking_cost / records[-2].tracking_cost
             if improvement < stop_tol:
                 break
     return records
@@ -384,13 +372,9 @@ def adaptive_run(
         raise ValueError("theta0 length must equal na + nb")
 
     controller = initial_controller
-    Ts = controller.Ts
     r_bar = float(reference[0])
-    n_settle = max(1, int(round(settle / Ts)))
-    y_tr, u_tr, _ = tracking_run(
-        plant, controller, np.full(n_settle, r_bar), limits, 0.0, 0.0
-    )
-    u_bar = float(np.mean(u_tr[-max(1, n_settle // 4):]))
+    y_tr, u_tr = _settle(plant, controller, r_bar, settle, limits)
+    u_bar = _operating_duty(u_tr)
 
     state = initial_adaptation_state(
         n, gain=adaptation_gain, profile=profile, lambda0=lambda0, theta0=theta

@@ -27,6 +27,7 @@ from .adapt import (
     EvalScenario,
     ExcitationSpec,
     RstDesignSpec,
+    _settle,
     iterate,
     save_iteration_csv,
     tracking_cost,
@@ -38,18 +39,16 @@ from .control import (
     ONE,
     DelayPolynomial,
     PoleSpec,
-    bezout_design,
     check_pole_placement,
     controller_to_text,
-    desired_poles,
     pi_design,
     sensitivity,
 )
 from .errors import ConfigError, ValveBenchError
 from .fileio import read_key_values, write_csv, write_report
 from .ident import arx_least_squares, order_scan
-from .plant import DiscretePlantModel, ValveParams, ValveSimulator, open_loop, static_sweep
-from .presets import PRESET_NAMES, get_preset
+from .plant import ValveParams, ValveSimulator, open_loop, static_sweep
+from .presets import get_preset
 from .signals import PrbsConfig, prbs_generate
 from .spectral import corner_from_asymptotes, etfe, save_response_csv, slope_fit, smooth
 
@@ -210,8 +209,6 @@ def parse_set_args(pairs) -> list[tuple[str, str, str]]:
 
 
 def build_valve_params(plant_cfg: dict, preset: str, seed: int | None) -> ValveParams:
-    if preset not in PRESET_NAMES:
-        raise ConfigError(f"unknown preset '{preset}' (expected one of {', '.join(PRESET_NAMES)})")
     params = get_preset(preset)
     changes = {
         f.name: plant_cfg[f.name]
@@ -226,31 +223,27 @@ def build_valve_params(plant_cfg: dict, preset: str, seed: int | None) -> ValveP
         raise ConfigError(f"invalid plant parameters: {err}") from None
 
 
-def _prbs_from(exc: dict) -> PrbsConfig:
-    return PrbsConfig(
+def open_loop_record(params: ValveParams, Ts: float, exc: dict):
+    """Settle at the excitation offset, then record a multi-period PRBS run.
+
+    Returns (u, y, prbs) for the PRBS portion only, prbs being its config.
+    """
+    if exc["periods"] < 1:
+        raise ConfigError("excitation periods must be >= 1")
+    if not 1 <= exc["analyze_periods"] <= exc["periods"]:
+        raise ConfigError("analyze_periods must be in [1, periods]")
+    prbs = PrbsConfig(
         n_registers=exc["n_registers"],
         divider=exc["divider"],
         seed=exc["seed"],
         offset=exc["offset"],
         amplitude=exc["amplitude"],
     )
-
-
-def open_loop_record(params: ValveParams, Ts: float, exc: dict):
-    """Settle at the excitation offset, then record a multi-period PRBS run.
-
-    Returns (u, y, period) for the PRBS portion only.
-    """
-    if exc["periods"] < 1:
-        raise ConfigError("excitation periods must be >= 1")
-    if not 1 <= exc["analyze_periods"] <= exc["periods"]:
-        raise ConfigError("analyze_periods must be in [1, periods]")
-    cfg = _prbs_from(exc)
     sim = ValveSimulator(params, Ts)
     for _ in range(int(round(exc["settle"] / Ts))):
         sim.advance(exc["offset"])
-    u = prbs_generate(cfg, exc["periods"] * cfg.period)
-    return u, open_loop(sim, u), cfg.period
+    u = prbs_generate(prbs, exc["periods"] * prbs.period)
+    return u, open_loop(sim, u), prbs
 
 
 def _analysis_window(u, y, period: int, analyze_periods: int):
@@ -259,58 +252,38 @@ def _analysis_window(u, y, period: int, analyze_periods: int):
     return u_w - u_w.mean(), y_w - y_w.mean()
 
 
-def _model_from_cfg(model_cfg: dict, Ts: float) -> DiscretePlantModel:
-    a = model_cfg["a"]
-    b = model_cfg["b"]
+def _design_from_cfg(cfg: dict, Ts: float):
+    """The [model] and [design] sections as (design spec, model estimate
+    [a1..a_na, b1..b_nb], controller designed on that estimate)."""
+    model_cfg, design_cfg = cfg["model"], cfg["design"]
+    a, b = model_cfg["a"], model_cfg["b"]
     if not a or not b:
         raise ConfigError("model needs at least one a and one b coefficient")
-    return DiscretePlantModel(
-        a_coeffs=tuple(a), b_coeffs=tuple(b), delay=model_cfg["delay"], Ts=Ts
-    )
-
-
-def _pole_from_cfg(design_cfg: dict, Ts: float):
-    """Returns (PoleSpec, H_S, H_R) as chosen in [design]."""
-    pole = PoleSpec(
-        omega0=design_cfg["omega0"],
-        zeta=design_cfg["zeta"],
-        Ts=Ts,
-        auxiliary=DelayPolynomial(tuple(design_cfg["auxiliary"])),
-    )
-    hs = HS_INTEGRATOR if design_cfg["integrator"] else ONE
-    hr = HR_NYQUIST_ZERO if design_cfg["nyquist_zero"] else ONE
-    return pole, hs, hr
-
-
-def _design_from_cfg(design_cfg: dict, model: DiscretePlantModel):
-    """Returns (controller, pole polynomial) for either design mode."""
-    pole, hs, hr = _pole_from_cfg(design_cfg, model.Ts)
-    target = desired_poles(pole)
     mode = design_cfg["mode"]
-    if mode == "pi":
-        if model.na != 1 or model.nb != 1 or model.delay != 0:
-            raise ConfigError("pi mode needs a first-order model without delay")
-        controller = pi_design(model.a_coeffs[0], model.b_coeffs[0], target, Ts=model.Ts)
-    elif mode == "rst":
-        controller = bezout_design(model, target, hs=hs, hr=hr)
-    else:
+    if mode not in ("pi", "rst"):
         raise ConfigError(f"design mode must be 'pi' or 'rst', got '{mode}'")
-    check_pole_placement(model, controller, target)
-    return controller, pole
-
-
-def _design_spec_from_cfg(design_cfg: dict, model_cfg: dict, Ts: float) -> RstDesignSpec:
-    if design_cfg["mode"] != "rst":
-        raise ConfigError("adapt re-design supports only mode=rst")
-    pole, hs, hr = _pole_from_cfg(design_cfg, Ts)
-    return RstDesignSpec(
-        pole=pole,
-        na=len(model_cfg["a"]),
-        nb=len(model_cfg["b"]),
+    spec = RstDesignSpec(
+        pole=PoleSpec(
+            omega0=design_cfg["omega0"],
+            zeta=design_cfg["zeta"],
+            Ts=Ts,
+            auxiliary=DelayPolynomial(tuple(design_cfg["auxiliary"])),
+        ),
+        na=len(a),
+        nb=len(b),
         delay=model_cfg["delay"],
-        hs=hs,
-        hr=hr,
+        hs=HS_INTEGRATOR if design_cfg["integrator"] else ONE,
+        hr=HR_NYQUIST_ZERO if design_cfg["nyquist_zero"] else ONE,
     )
+    theta = np.array(a + b, dtype=float)
+    if mode == "rst":
+        return spec, theta, spec.design(theta)
+    model = spec.model_from(theta)
+    if model.na != 1 or model.nb != 1 or model.delay != 0:
+        raise ConfigError("pi mode needs a first-order model without delay")
+    controller = pi_design(model.a_coeffs[0], model.b_coeffs[0], spec.target, Ts=Ts)
+    check_pole_placement(model, controller, spec.target)
+    return spec, theta, controller
 
 
 # ---------------------------------------------------------------------------
@@ -346,13 +319,13 @@ def run_etfe(cfg, out_dir, preset, seed):
     Ts = cfg["plant"]["Ts"]
     exc = cfg["excitation"]
     sp = cfg["spectral"]
-    u, y, period = open_loop_record(params, Ts, exc)
+    u, y, prbs = open_loop_record(params, Ts, exc)
     write_csv(
         os.path.join(out_dir, "excitation.csv"),
         ["t", "u_pct", "angle_deg"],
         [np.arange(len(u)), u, y],
     )
-    u_d, y_d = _analysis_window(u, y, period, exc["analyze_periods"])
+    u_d, y_d = _analysis_window(u, y, prbs.period, exc["analyze_periods"])
     raw = etfe(u_d, y_d, Ts)
     smoothed = smooth(raw, size=sp["smooth_window"])
     save_response_csv(os.path.join(out_dir, "etfe_raw.csv"), raw)
@@ -361,7 +334,6 @@ def run_etfe(cfg, out_dir, preset, seed):
     corner = corner_from_asymptotes(
         smoothed, (sp["plateau_lo"], sp["plateau_hi"]), (sp["slope_lo"], sp["slope_hi"])
     )
-    prbs = _prbs_from(exc)
     return [
         ("preset", preset),
         ("n_bins", len(raw.frequencies)),
@@ -375,17 +347,17 @@ def run_identify(cfg, out_dir, preset, seed):
     params = build_valve_params(cfg["plant"], preset, seed)
     Ts = cfg["plant"]["Ts"]
     idf = cfg["identify"]
-    u, y, period = open_loop_record(params, Ts, cfg["excitation"])
-    u_d, y_d = _analysis_window(u, y, period, cfg["excitation"]["analyze_periods"])
+    if idf["na"] < 1 or idf["nb"] < 1:
+        raise ConfigError("identify na and nb must be >= 1")
+    if idf["scan_max"] < max(idf["na"], idf["nb"]):
+        raise ConfigError("scan_max must cover the chosen na and nb")
+    u, y, prbs = open_loop_record(params, Ts, cfg["excitation"])
+    u_d, y_d = _analysis_window(u, y, prbs.period, cfg["excitation"]["analyze_periods"])
     write_csv(
         os.path.join(out_dir, "data.csv"),
         ["t", "u_dev_pct", "angle_dev_deg"],
         [np.arange(len(u_d)), u_d, y_d],
     )
-    if idf["na"] < 1 or idf["nb"] < 1:
-        raise ConfigError("identify na and nb must be >= 1")
-    if idf["scan_max"] < max(idf["na"], idf["nb"]):
-        raise ConfigError("scan_max must cover the chosen na and nb")
     orders = range(1, idf["scan_max"] + 1)
     table = order_scan(u_d, y_d, orders, orders)
     write_csv(
@@ -406,8 +378,8 @@ def run_identify(cfg, out_dir, preset, seed):
 
 def run_design(cfg, out_dir, preset, seed):
     del preset, seed  # pure computation, no plant involved
-    model = _model_from_cfg(cfg["model"], cfg["model"]["Ts"])
-    controller, pole = _design_from_cfg(cfg["design"], model)
+    spec, theta, controller = _design_from_cfg(cfg, cfg["model"]["Ts"])
+    model = spec.model_from(theta)
     with open(os.path.join(out_dir, "controller.txt"), "w") as fh:
         fh.write(controller_to_text(controller))
     analysis = sensitivity(model, controller)
@@ -416,9 +388,8 @@ def run_design(cfg, out_dir, preset, seed):
         ["omega_rad_s", "syp_db", "sup_db"],
         [analysis.omegas, analysis.syp_db, analysis.sup_db],
     )
-    target = desired_poles(pole)
     items = [("mode", cfg["design"]["mode"])]
-    items += [(f"p{i}", float(c)) for i, c in enumerate(target.coeffs) if i > 0]
+    items += [(f"p{i}", float(c)) for i, c in enumerate(spec.target.coeffs) if i > 0]
     items += [(f"r{i}", float(c)) for i, c in enumerate(controller.r.coeffs)]
     items += [(f"s{i}", float(c)) for i, c in enumerate(controller.s.coeffs)]
     items += [
@@ -446,11 +417,9 @@ def run_track(cfg, out_dir, preset, seed):
     Ts = cfg["plant"]["Ts"]
     tr = cfg["track"]
     scenario, reference = _scenario_from_cfg(tr, Ts)
-    model = _model_from_cfg(cfg["model"], Ts)
-    controller, _ = _design_from_cfg(cfg["design"], model)
+    _, _, controller = _design_from_cfg(cfg, Ts)
     sim = ValveSimulator(params, Ts)
-    n_settle = max(1, int(round(tr["settle"] / Ts)))
-    y_s, u_s, _ = tracking_run(sim, controller, np.full(n_settle, reference[0]))
+    y_s, u_s = _settle(sim, controller, reference[0], tr["settle"])
     y, u, sat = tracking_run(
         sim, controller, reference, u0=float(u_s[-1]), y0=float(y_s[-1])
     )
@@ -470,19 +439,11 @@ def run_adapt(cfg, out_dir, preset, seed):
     params = build_valve_params(cfg["plant"], preset, seed)
     Ts = cfg["plant"]["Ts"]
     scenario, _ = _scenario_from_cfg(cfg["track"], Ts)
-    model_cfg = cfg["model"]
-    design = _design_spec_from_cfg(cfg["design"], model_cfg, Ts)
-    theta0 = np.array(model_cfg["a"] + model_cfg["b"], dtype=float)
-    initial = design.design(theta0)
+    if cfg["design"]["mode"] != "rst":
+        raise ConfigError("adapt re-design supports only mode=rst")
+    design, theta0, initial = _design_from_cfg(cfg, Ts)
     ad = cfg["adapt"]
-    exc_cfg = cfg["excitation"]
-    excitation = ExcitationSpec(
-        n_registers=exc_cfg["n_registers"],
-        divider=exc_cfg["divider"],
-        amplitude=exc_cfg["amplitude"],
-        seed=exc_cfg["seed"],
-        length=exc_cfg["length"],
-    )
+    excitation = ExcitationSpec(**cfg["excitation"])
     sim = ValveSimulator(params, Ts)
     records = iterate(
         sim,
@@ -543,41 +504,34 @@ def _remove_empty(dirs) -> None:
 
 
 def _execute(command: str, cfg: dict, preset, out_dir: str, seed) -> None:
-    """Run one scenario in a staging directory inside out_dir and move its
-    files up only once it has succeeded.  out_dir's parent exists; a failed
-    run removes the staging directory and out_dir if it created it and it is
-    still empty.  Staging inside out_dir keeps the renames on one filesystem
-    even when out_dir is a mount point."""
-    created = _missing_dirs(out_dir)
-    os.makedirs(out_dir, exist_ok=True)
+    """Run one scenario in a staging directory inside out_dir, which exists,
+    and move its files up only once it has succeeded; the staging directory
+    is removed either way.  Staging inside out_dir keeps the renames on one
+    filesystem even when out_dir is a mount point."""
+    staging = tempfile.mkdtemp(prefix=".valvebench-", dir=out_dir)
     try:
-        staging = tempfile.mkdtemp(prefix=".valvebench-", dir=out_dir)
-        try:
-            items = HANDLERS[command](cfg, staging, preset, seed)
-            write_report(os.path.join(staging, "report.txt"), items)
-            for name in os.listdir(staging):
-                os.replace(os.path.join(staging, name), os.path.join(out_dir, name))
-        finally:
-            shutil.rmtree(staging, ignore_errors=True)
-    except BaseException:
-        _remove_empty(created)
-        raise
+        items = HANDLERS[command](cfg, staging, preset, seed)
+        write_report(os.path.join(staging, "report.txt"), items)
+        for name in os.listdir(staging):
+            os.replace(os.path.join(staging, name), os.path.join(out_dir, name))
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
 
 
 def _run(command: str, cfg: dict, presets: list, out: str, seed, parallel: int) -> None:
     """Run the scenario into out for one preset, or into out/<preset> for
-    each of several, in up to `parallel` worker processes.  out and its
-    missing parents are created here, before any run, and a failed run
-    removes those of them that are still empty, once every run has ended;
-    a directory that existed before is never removed."""
-    created = _missing_dirs(out)
-    os.makedirs(out, exist_ok=True)
+    each of several, in up to `parallel` worker processes.  Every output
+    directory and the missing parents of out are created here, before any
+    run, and a failed run removes those of them that are still empty, once
+    every run has ended; a directory that existed before is never removed."""
+    dirs = [out] if len(presets) == 1 else [os.path.join(out, p) for p in presets]
+    # a path is longer than its parents: longest first removes children first
+    created = sorted({m for d in dirs for m in _missing_dirs(d)}, key=len, reverse=True)
+    for d in dirs:
+        os.makedirs(d, exist_ok=True)
     try:
-        if len(presets) == 1:
-            _execute(command, cfg, presets[0], out, seed)
-            return
-        jobs = [(command, cfg, p, os.path.join(out, p), seed) for p in presets]
-        if parallel > 1:
+        jobs = [(command, cfg, p, d, seed) for p, d in zip(presets, dirs)]
+        if parallel > 1 and len(jobs) > 1:
             # leaving the pool waits for every submitted run
             with concurrent.futures.ProcessPoolExecutor(parallel) as pool:
                 futures = [pool.submit(_execute, *j) for j in jobs]

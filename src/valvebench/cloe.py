@@ -36,8 +36,8 @@ class ClosedLoopPredictor:
     Call :meth:`predict` once per sample to form u_hat(t) and the one-step
     prediction, then :meth:`adapt` with the next measured output.  The
     histories carry a posteriori predictions.  The controller runs in its
-    own unclamped :class:`ControllerRuntime`, `runtime`; a redesign is
-    swapped in as `runtime.controller`.  Histories hold at least `depth`
+    own unclamped :class:`ControllerRuntime`, `runtime`, whose y history is
+    also the regressor's; a redesign is swapped in as `runtime.controller`.  Histories hold at least `depth`
     samples, so that a redesign longer than the initial controller fits.
 
     Regressors are lists of Python floats.  :func:`~valvebench.ident.rls_step`
@@ -82,18 +82,16 @@ class ClosedLoopPredictor:
                 hist[depth - len(tail):] = tail
             return hist
 
+        self.runtime = ControllerRuntime(controller, limits=None, depth=depth)
         if y_hist is not None and len(y_hist):
             # the newest supplied sample plays the role of y_hat(t)
             self._y_current = float(np.asarray(y_hist, dtype=float)[-1])
-            self._y = init_hist(np.asarray(y_hist, dtype=float)[:-1])
+            self.runtime._y = init_hist(np.asarray(y_hist, dtype=float)[:-1])
         else:
             self._y_current = 0.0
-            self._y = init_hist(None)
         self._u = init_hist(u_hist)  # u_hat history, most recent last
         # The controller's own output starts from the same record as u_hat.
-        self.runtime = ControllerRuntime(controller, limits=None, depth=depth)
         self.runtime._u = list(self._u)
-        self.runtime._y = list(self._y)
         self._pending_phi: list[float] | None = None
 
     @property
@@ -108,15 +106,15 @@ class ClosedLoopPredictor:
         """
         if self._pending_phi is not None:
             raise RuntimeError("predict called twice without adapt")
-        y_now = self._y_current
-        u_ctrl, _ = self.runtime.step(y_now, float(r_dev))
+        u_ctrl, _ = self.runtime.step(self._y_current, float(r_dev))
         u_hat = u_ctrl + float(r_u)
-        y_h, u_h = self._y, self._u
+        y_h, u_h = self.runtime._y, self._u
         u_h.append(u_hat)
         u_h.pop(0)
 
-        # [-y(t) ... -y(t-na+1), u(t-d) ... u(t-d-nb+1)]
-        phi = [-y_now] + [-y_h[-i] for i in range(1, self.na)]
+        # [-y(t) ... -y(t-na+1), u(t-d) ... u(t-d-nb+1)]; the controller's
+        # step has just appended y(t) to the y history
+        phi = [-y_h[-1 - i] for i in range(self.na)]
         phi += [u_h[-1 - self.delay - j] for j in range(self.nb)]
         self._pending_phi = phi
         return _dot(self.state.theta_hat.tolist(), phi), u_hat
@@ -134,9 +132,7 @@ class ClosedLoopPredictor:
         y_post = _dot(self.state.theta_hat.tolist(), phi)
         if not update:
             eps0 = eps = float(y_measured_next) - y_post
-        # a posteriori prediction becomes the new current history sample
-        self._y.append(self._y_current)
-        self._y.pop(0)
+        # a posteriori prediction becomes the new current sample
         self._y_current = y_post
         self._pending_phi = None
         return eps0, eps
@@ -161,6 +157,12 @@ class CloeRun:
     @property
     def theta_final(self) -> np.ndarray:
         return self.theta[-1] if len(self.theta) else self.final_state.theta_hat
+
+
+def _operating_duty(u) -> float:
+    """The duty holding a settled loop at its reference: the mean of the
+    last quarter of its record (one sample at least)."""
+    return float(np.mean(u[-max(1, len(u) // 4):]))
 
 
 def _loop_sample(plant, predictor, runtime, y_abs, r_bar, r, r_u, update=True):
@@ -211,7 +213,7 @@ def cl_identify(
     u_bar = 0.0
     if warmup > 0:
         y_w, u_w, _ = runtime.track(plant, np.full(warmup, r_bar))
-        u_bar = float(np.mean(u_w[-max(1, warmup // 4):]))
+        u_bar = _operating_duty(u_w)
         y_hist, u_hist = y_w - r_bar, u_w - u_bar
     predictor = ClosedLoopPredictor(
         controller, na, nb, delay, init, y_hist=y_hist, u_hist=u_hist

@@ -14,9 +14,9 @@ coulomb_open / coulomb_close levels give the asymmetric hysteresis seen on
 real hardware.
 
 Friction events (breakaway, latching, hitting a stop) are resolved on an
-internal 1 ms sub-step grid.  :func:`valve_step` advances one sub-step with
-the active friction mode frozen, which makes the dynamics linear and allows an
-exact exponential update; it is the reference integrator.
+internal 1 ms sub-step grid.  One sub-step with the active friction mode
+frozen makes the dynamics linear and allows an exact exponential update; the
+tests keep that sub-step loop as the reference integrator.
 :class:`ValveSimulator` reaches the same grid by phase jumps: the duty cycle is
 constant within a sample, so it jumps a whole friction phase in closed form to
 its first event sub-step instead of stepping through it.  With friction,
@@ -134,72 +134,16 @@ def rest_state(params: ValveParams) -> ValveState:
     return ValveState(angle=params.spring_rest_angle, velocity=0.0, moving=False)
 
 
-def valve_step(state: ValveState, params: ValveParams, u: float, dt: float) -> ValveState:
-    """Advance the plate by one sub-step of dt seconds under duty cycle u.
-
-    Pure function of its inputs; quantization and noise are applied at the
-    sampling layer (see :class:`ValveSimulator`), not here.
-    """
-    if not (0.0 < dt <= 0.01):
-        raise ValueError("dt must be in (0, 0.01] s")
-    if not (0.0 <= u <= 100.0):
-        raise ValueError("u must be in [0, 100] %")
-
-    k = params.spring_stiffness
-    angle = state.angle
-    # Net torque toward increasing angle, friction excluded.
-    net = params.spring_stiffness * (params.spring_rest_angle - angle) - params.motor_gain * u
-
-    def mode_target(direction: float) -> float:
-        c_kin = params.coulomb_open if direction > 0.0 else params.coulomb_close
-        # Equilibrium of the active friction mode; motion decays toward it.
-        return params.spring_rest_angle - (params.motor_gain * u + direction * c_kin) / k
-
-    direction = 0.0
-    if state.moving:
-        d = 1.0 if state.velocity > 0.0 else -1.0
-        target = mode_target(d)
-        if d * (target - angle) > 0.0:
-            direction = d
-    if direction == 0.0:
-        # At rest, or the moving-mode torque reversed: static breakaway test.
-        d = 1.0 if net > 0.0 else -1.0
-        c_break = params.stiction_ratio * (
-            params.coulomb_open if d > 0.0 else params.coulomb_close
-        )
-        if abs(net) <= c_break:
-            return state if not state.moving and state.velocity == 0.0 else ValveState(angle, 0.0, False)
-        # Breakaway implies the kinetic mode can sustain motion
-        # (stiction_ratio >= 1 makes |net| > coulomb(d)).
-        direction = d
-        target = mode_target(d)
-
-    tau = params.viscous_coeff / k
-    decay = math.exp(-dt / tau)
-    new_angle = target + (angle - target) * decay
-    velocity = (target - new_angle) / tau
-
-    moving = True
-    if abs(velocity) < V_STOP:
-        velocity = 0.0
-        moving = False
-    if new_angle <= params.angle_min:
-        new_angle, velocity, moving = params.angle_min, 0.0, False
-    elif new_angle >= params.angle_max:
-        new_angle, velocity, moving = params.angle_max, 0.0, False
-    return ValveState(new_angle, velocity, moving)
-
-
 class ValveSimulator:
-    """Sampled valve: the reference :func:`valve_step` integrated by phase jumps.
+    """Sampled valve: the 1 ms sub-step integrator advanced by phase jumps.
 
     The convention is measure-then-apply: :meth:`measure` senses the current
     angle (quantization plus noise), then :meth:`advance` applies a duty cycle
     for one sampling period.  Output sample k therefore depends on inputs up
     to k - 1, matching the one-step-delayed discrete models used elsewhere.
 
-    :meth:`advance` gives the same states as n_sub calls of :func:`valve_step`
-    (to rounding) without making them.  The duty cycle is constant within a
+    :meth:`advance` gives the same states as n_sub frozen-mode sub-steps (to
+    rounding) without making them.  The duty cycle is constant within a
     sample, so each friction mode is an exact exponential toward its kinetic
     target.  A plate that fails the breakaway test stays latched for the rest
     of the sample.  A moving plate jumps straight to the earliest of: the end
@@ -229,7 +173,8 @@ class ValveSimulator:
             self._q_step = (params.angle_max - params.angle_min) / (2**params.adc_bits - 1)
         else:
             self._q_step = 0.0
-        # Same expressions as valve_step, so the per-mode exponentials agree.
+        # Same expressions as the sub-step reference, so the per-mode
+        # exponentials agree.
         tau = params.viscous_coeff / params.spring_stiffness
         decay = math.exp(-DT_INTERNAL / tau)
         # Per-simulator constants of the phase jump, unpacked once per sample.
@@ -296,7 +241,7 @@ class ValveSimulator:
         self._u_raw = u_raw
 
     def _jump(self, state: ValveState) -> ValveState:
-        """State after n_sub sub-steps of valve_step under the current law.
+        """State after n_sub frozen-mode sub-steps under the current law.
 
         Works on local floats and builds at most one ValveState; a plate that
         ends where it started, at rest, gets `state` itself back.
@@ -307,7 +252,7 @@ class ValveSimulator:
         same = True  # angle, velocity and moving are still those of `state`
         left = self.n_sub
         while True:
-            # Friction mode for the next sub-step, decided as valve_step does:
+            # Friction mode for the next sub-step, decided as the sub-step does:
             # a moving plate keeps its direction while its target lies ahead.
             kinetic = False
             if moving:

@@ -96,18 +96,21 @@ def smooth(response: FrequencyResponse, size: int = 25) -> FrequencyResponse:
     return FrequencyResponse(response.frequencies, num / den, response.Ts)
 
 
+def _line_fit(response: FrequencyResponse, band: tuple[float, float]):
+    """Least-squares line of |G| in dB against log10 frequency over the band
+    (rad/s): [slope per decade, intercept]."""
+    mask = (response.frequencies >= band[0]) & (response.frequencies <= band[1])
+    if int(mask.sum()) < 5:
+        raise ValueError("slope fit needs at least 5 bins in the band")
+    return np.polyfit(np.log10(response.frequencies[mask]), db(response.values[mask]), 1)
+
+
 def slope_fit(response: FrequencyResponse, band: tuple[float, float]) -> float:
     """Least-squares slope of |G| in dB per decade over the band (rad/s)."""
     lo, hi = band
     if not (0 < lo < hi):
         raise ValueError("band must satisfy 0 < lo < hi")
-    mask = (response.frequencies >= lo) & (response.frequencies <= hi)
-    if int(mask.sum()) < 5:
-        raise ValueError("slope fit needs at least 5 bins in the band")
-    x = np.log10(response.frequencies[mask])
-    mag = db(response.values[mask])
-    coeffs = np.polyfit(x, mag, 1)
-    return float(coeffs[0])
+    return float(_line_fit(response, band)[0])
 
 
 def corner_from_asymptotes(
@@ -121,13 +124,7 @@ def corner_from_asymptotes(
     if int(mask.sum()) < 1:
         raise ValueError("no bins in plateau band")
     plateau = float(np.mean(db(response.values[mask])))
-    lo, hi = slope_band
-    mask2 = (response.frequencies >= lo) & (response.frequencies <= hi)
-    if int(mask2.sum()) < 5:
-        raise ValueError("slope fit needs at least 5 bins in the band")
-    x = np.log10(response.frequencies[mask2])
-    mag = db(response.values[mask2])
-    slope, intercept = np.polyfit(x, mag, 1)
+    slope, intercept = _line_fit(response, slope_band)
     if slope >= 0:
         raise ValueError("mid-band slope is not a roll-off")
     return float(10.0 ** ((plateau - intercept) / slope))

@@ -9,7 +9,7 @@ from pathlib import Path
 
 from valvebench import cli
 from valvebench.cli import main, parse_set_args, resolve_config
-from valvebench.errors import ConfigError
+from valvebench.errors import ConfigError, DivergenceError
 from valvebench.fileio import parse_key_values
 
 import pytest
@@ -176,6 +176,25 @@ def test_identify_runs_quickly(tmp_path):
     assert (tmp_path / "orders.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "override, message",
+    [
+        ("identify.na=0", "identify na and nb must be >= 1"),
+        ("identify.scan_max=0", "scan_max must cover the chosen na and nb"),
+    ],
+)
+def test_identify_orders_are_rejected_before_any_simulation(
+    tmp_path, capsys, monkeypatch, override, message
+):
+    def never(*args, **kwargs):
+        raise AssertionError("the valve record was simulated before the orders were checked")
+
+    monkeypatch.setattr(cli, "open_loop_record", never)
+    assert main(["identify", "--out", str(tmp_path / "out"), "--set", override]) == 2
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_exit_codes(tmp_path, capsys):
     assert main(["sweep", "--out", str(tmp_path), "--set", "plant.preset=valveX"]) == 2
     assert "valvebench sweep:" in capsys.readouterr().err
@@ -210,6 +229,7 @@ def test_out_of_range_skip_is_rejected_before_any_simulation(tmp_path, capsys, m
         raise AssertionError("a closed loop ran before track.skip was checked")
 
     monkeypatch.setattr(cli, "tracking_run", never)
+    monkeypatch.setattr(cli, "_settle", never)
     monkeypatch.setattr(cli, "iterate", never)
     rc = main(argv + ["--out", str(tmp_path), "--set", "track.skip=100000"])
     assert rc == 2
@@ -304,6 +324,27 @@ def test_rejected_fan_out_leaves_nothing_on_disk(tmp_path, capsys, argv, paralle
     assert main(argv + ["--out", str(tmp_path)]) == 2
     assert tmp_path.is_dir() and list(tmp_path.iterdir()) == []
     assert capsys.readouterr().err.count("valvebench") == 2
+
+
+def test_failed_preset_of_a_fan_out_leaves_no_directory(tmp_path, capsys, monkeypatch):
+    """A fan-out whose second preset fails exits 1, keeps the first preset's
+    complete output and leaves no directory for the failed one."""
+    sweep = cli.HANDLERS["sweep"]
+
+    def failing_on_valve1(cfg, out_dir, preset, seed):
+        if preset == "valve1":
+            raise DivergenceError("estimate diverged")
+        return sweep(cfg, out_dir, preset, seed)
+
+    monkeypatch.setitem(cli.HANDLERS, "sweep", failing_on_valve1)
+    out = tmp_path / "out"
+    argv = ["sweep", "--out", str(out), "--set", "plant.preset=valve0,valve1", "--set",
+            "sweep.u_max=5", "--parallel", "1"]
+    assert main(argv) == 1
+    assert "valvebench sweep failed: estimate diverged" in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == ["valve0"]
+    assert sorted(p.name for p in (out / "valve0").iterdir()) == ["report.txt", "sweep.csv"]
+    assert parse_report(out / "valve0" / "report.txt")["preset"] == "valve0"
 
 
 def test_run_stages_inside_out_so_its_renames_stay_on_one_filesystem(tmp_path, monkeypatch):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from valvebench.plant import (
     DT_INTERNAL,
+    V_STOP,
     DiscretePlantModel,
     LinearSimulator,
     ValveParams,
@@ -18,7 +19,6 @@ from valvebench.plant import (
     rest_state,
     static_sweep,
     valve_run,
-    valve_step,
 )
 from valvebench.presets import (
     PRESET_NAMES,
@@ -116,6 +116,64 @@ def test_angle_never_leaves_stops(stiffness, gain, viscous, c_open, c_close, sti
         assert params.angle_min <= sim.state.angle <= params.angle_max
         if not sim.state.moving:
             assert sim.state.velocity == 0.0
+
+
+def valve_step(state: ValveState, params: ValveParams, u: float, dt: float) -> ValveState:
+    """Reference integrator: advance the plate by one sub-step of dt seconds
+    under duty cycle u, with the active friction mode frozen.
+
+    Pure function of its inputs; quantization and noise are applied at the
+    sampling layer (see :class:`ValveSimulator`), not here.  The simulator's
+    phase jumps are checked against a loop of these sub-steps.
+    """
+    if not (0.0 < dt <= 0.01):
+        raise ValueError("dt must be in (0, 0.01] s")
+    if not (0.0 <= u <= 100.0):
+        raise ValueError("u must be in [0, 100] %")
+
+    k = params.spring_stiffness
+    angle = state.angle
+    # Net torque toward increasing angle, friction excluded.
+    net = params.spring_stiffness * (params.spring_rest_angle - angle) - params.motor_gain * u
+
+    def mode_target(direction: float) -> float:
+        c_kin = params.coulomb_open if direction > 0.0 else params.coulomb_close
+        # Equilibrium of the active friction mode; motion decays toward it.
+        return params.spring_rest_angle - (params.motor_gain * u + direction * c_kin) / k
+
+    direction = 0.0
+    if state.moving:
+        d = 1.0 if state.velocity > 0.0 else -1.0
+        target = mode_target(d)
+        if d * (target - angle) > 0.0:
+            direction = d
+    if direction == 0.0:
+        # At rest, or the moving-mode torque reversed: static breakaway test.
+        d = 1.0 if net > 0.0 else -1.0
+        c_break = params.stiction_ratio * (
+            params.coulomb_open if d > 0.0 else params.coulomb_close
+        )
+        if abs(net) <= c_break:
+            return state if not state.moving and state.velocity == 0.0 else ValveState(angle, 0.0, False)
+        # Breakaway implies the kinetic mode can sustain motion
+        # (stiction_ratio >= 1 makes |net| > coulomb(d)).
+        direction = d
+        target = mode_target(d)
+
+    tau = params.viscous_coeff / k
+    decay = math.exp(-dt / tau)
+    new_angle = target + (angle - target) * decay
+    velocity = (target - new_angle) / tau
+
+    moving = True
+    if abs(velocity) < V_STOP:
+        velocity = 0.0
+        moving = False
+    if new_angle <= params.angle_min:
+        new_angle, velocity, moving = params.angle_min, 0.0, False
+    elif new_angle >= params.angle_max:
+        new_angle, velocity, moving = params.angle_max, 0.0, False
+    return ValveState(new_angle, velocity, moving)
 
 
 def substep_reference(state, params, u, n_sub):
