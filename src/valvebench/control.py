@@ -294,32 +294,114 @@ def _check_sylvester(M: np.ndarray) -> None:
         )
 
 
+def _sylvester_matrix(a1, b1) -> np.ndarray:
+    """The n x n Sylvester matrix M of A1 (degree n_a) and B1 (degree n_b),
+    n = n_a + n_b: column j < n_b holds A1 from row j down, column n_b + j
+    holds B1 from row j down."""
+    n_a, n_b = len(a1) - 1, len(b1) - 1
+    M = np.zeros((n_a + n_b, n_a + n_b))
+    for j in range(n_b):  # columns for S' coefficients
+        M[j:j + n_a + 1, j] = a1
+    for j in range(n_a):  # columns for R' coefficients
+        M[j:j + n_b + 1, n_b + j] = b1
+    return M
+
+
 @functools.lru_cache(maxsize=32)
-def _sylvester_system(n_a: int, n_b: int, pole_coeffs: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """(layout, rhs) of the Sylvester solve for A1 of degree n_a and B1 of
-    degree n_b, n = n_a + n_b unknowns.  M is [0, *A1, *B1] gathered through
-    the n x n index layout: column j < n_b holds A1 from row j down, column
-    n_b + j holds B1 from row j down, every other entry is the leading 0.
-    The right-hand sides are single columns: the trimmed target P first, so
-    that its solution carries the bits of np.linalg.solve(M, P) alone, then
-    the unit vectors, whose solutions are the columns of M^-1.  Both are
-    read-only, shared by every design with these degrees and target."""
+def _sylvester_kernel(n_a: int, n_b: int, pole_coeffs: tuple):
+    """kernel(a1, b1) -> (x, bound): the solution of M x = P for the
+    Sylvester matrix M of A1 (degree n_a) and B1 (degree n_b) with B1[0] = 0,
+    and an upper bound on the 2-norm condition number of M.
+
+    The kernel is straight-line Python generated for these degrees and this
+    target, and compiled once; every design with them shares it.  P's
+    coefficients are literals in it, and no entry of M is stored or operated
+    on where the structure makes it zero.  Row 0 of M is A1[0] e_0, so
+    x_0 = p_0 / A1[0]; the other n - 1 unknowns come from Gaussian
+    elimination with partial pivoting, the pivot row chosen as LAPACK's
+    getrf chooses it (the first of the largest magnitudes).  A zero pivot,
+    so a singular M, raises ZeroDivisionError.
+
+    The bound is |M|_F^n / ((n - 1)^((n - 1) / 2) |det M|), with det M the
+    product of A1[0] and the pivots.  It holds for n >= 1: the n - 1
+    largest singular values have a product of at most
+    (|M|_F^2 / (n - 1))^((n - 1) / 2) by the AM-GM inequality on their
+    squares, sigma_min is |det M| over their product, and
+    sigma_max <= |M|_F.  Overflow gives an infinite or NaN bound, which
+    the caller treats as exceeded."""
     n = n_a + n_b
     p = _trimmed(pole_coeffs)
     if len(p) - 1 > n - 1:
         raise DesignError(
             f"desired polynomial degree {len(p) - 1} exceeds solvable degree {n - 1}"
         )
-    layout = np.zeros((n, n), dtype=np.intp)
-    for j in range(n_b):  # columns for S' coefficients
-        layout[j:j + n_a + 1, j] = np.arange(1, n_a + 2)
-    for j in range(n_a):  # columns for R' coefficients
-        layout[j:j + n_b + 1, n_b + j] = np.arange(n_a + 2, n + 3)
-    rhs = np.eye(n + 1, n, -1)
-    rhs[0, : len(p)] = p
-    rhs = rhs[:, :, None]
-    layout.flags.writeable = rhs.flags.writeable = False
-    return layout, rhs
+    p = [float(v) for v in p] + [0.0] * (n - len(p))
+    a = [f"a{k}" for k in range(n_a + 1)]
+    b = [None] + [f"b{k}" for k in range(1, n_b + 1)]
+
+    def entry(i, j):  # M[i][j] as source text, None where it is zero
+        k = i - j if j < n_b else i - j + n_b
+        coeffs = a if j < n_b else b
+        return coeffs[k] if 0 <= k < len(coeffs) else None
+
+    code = [
+        "def kernel(a, b):",
+        f"    {', '.join(a)}, = a",
+        f"    _, {', '.join(b[1:])}, = b",
+        f"    x0 = {p[0]!r} / a0",
+    ]
+    # Rows and columns 1..n-1 once x0 is known; nz marks the entries that
+    # may be nonzero, v the right-hand side.
+    nz = {}
+    for i in range(1, n):
+        for j in range(1, n):
+            nz[i, j] = entry(i, j) is not None
+            if nz[i, j]:
+                code.append(f"    m{i}_{j} = {entry(i, j)}")
+        rhs = [repr(p[i])] + ([f"{entry(i, 0)} * x0"] if entry(i, 0) else [])
+        code.append(f"    v{i} = {' - '.join(rhs)}")
+    for k in range(1, n):
+        if not nz[k, k]:
+            code.append(f"    m{k}_{k} = 0.0")
+            nz[k, k] = True
+        rows = [r for r in range(k + 1, n) if nz[r, k]]
+        for r in rows:  # bring the first largest |m[r][k]| to row k
+            cols = [j for j in range(k, n) if nz[k, j] or nz[r, j]]
+            for j in cols:  # a zero that may move gets a name
+                for i in (k, r):
+                    if not nz[i, j]:
+                        code.append(f"    m{i}_{j} = 0.0")
+                        nz[i, j] = True
+            names_k = [f"m{k}_{j}" for j in cols] + [f"v{k}"]
+            names_r = [f"m{r}_{j}" for j in cols] + [f"v{r}"]
+            code.append(
+                f"    if abs(m{r}_{k}) > abs(m{k}_{k}): "
+                f"{', '.join(names_k + names_r)} = {', '.join(names_r + names_k)}"
+            )
+        for r in rows:
+            code.append(f"    q = m{r}_{k} / m{k}_{k}")
+            for j in range(k + 1, n):
+                if nz[k, j]:
+                    code.append(f"    m{r}_{j} = {f'm{r}_{j} - ' if nz[r, j] else '-'}q * m{k}_{j}")
+                    nz[r, j] = True
+            code.append(f"    v{r} -= q * v{k}")
+    for k in range(n - 1, 0, -1):
+        terms = [f"v{k}"] + [f"m{k}_{j} * x{j}" for j in range(k + 1, n) if nz[k, j]]
+        code.append(f"    x{k} = ({' - '.join(terms)}) / m{k}_{k}")
+    frob2 = " + ".join(
+        [f"{n_b} * ({' + '.join(f'{c} * {c}' for c in a)})"]
+        + ([f"{n_a} * ({' + '.join(f'{c} * {c}' for c in b[1:])})"] if n_a else [])
+    )
+    power = " * ".join(["f2"] * (n // 2) + (["math.sqrt(f2)"] if n % 2 else []))
+    det = " * ".join(["a0"] + [f"m{k}_{k}" for k in range(1, n)])
+    code += [
+        f"    f2 = {frob2}",
+        f"    bound = {power} / ({(n - 1) ** ((n - 1) / 2)!r} * abs({det}))",
+        f"    return [{', '.join(f'x{k}' for k in range(n))}], bound",
+    ]
+    namespace = {"math": math}
+    exec(compile("\n".join(code), f"<sylvester kernel {n_a}x{n_b}>", "exec"), namespace)
+    return namespace["kernel"]
 
 
 def bezout_design(
@@ -337,15 +419,15 @@ def bezout_design(
     than SYLVESTER_MAX_COND (a common factor), the numerator is zero or P is
     of too high a degree.
 
-    Works on coefficient lists; only M and its solve are numpy.  The same
-    call that solves M x = P solves M for the unit vectors, which gives
-    M^-1.  cond_F(M) = |M|_F |M^-1|_F is never below the 2-norm condition
-    number (Golub & Van Loan, sec. 2.3), so the SVD of the condition check
-    runs only when that bound exceeds SYLVESTER_MAX_COND, or when M is
-    singular; then it decides, with the value it reports.  The norms are
-    taken with math.hypot.  M is one gather through an index layout, and the
-    layout and right-hand sides are built once per pair of degrees and
-    target (:func:`_sylvester_system`).
+    Works on coefficient lists, with no numpy call on the accepted path.
+    M x = P is solved by a straight-line kernel built and compiled once per
+    pair of degrees and target (:func:`_sylvester_kernel`): Gaussian
+    elimination with partial pivoting on the entries of M that its structure
+    leaves nonzero.  The kernel also returns
+    |M|_F^n / ((n - 1)^((n - 1) / 2) |det M|), which is never below the
+    2-norm condition number of M.  The SVD of the condition check runs only
+    when that bound exceeds SYLVESTER_MAX_COND, or when a pivot is zero;
+    then it decides, with the value it reports.
     """
     a, b = _model_arrays(model)
     a1 = _trimmed(_convolve(a, hs.coeffs))
@@ -356,21 +438,14 @@ def bezout_design(
     n_b = len(b1) - 1
     if n_b < 1:
         raise DesignError("plant must have at least one step of delay")
-    n = n_a + n_b
-    layout, rhs = _sylvester_system(n_a, n_b, pole_poly.coeffs)
-
-    M = np.array([0.0, *a1, *b1])[layout]
+    kernel = _sylvester_kernel(n_a, n_b, pole_poly.coeffs)
     try:
-        x = np.linalg.solve(M, rhs)
-    except np.linalg.LinAlgError:
-        _check_sylvester(M)
+        sol, bound = kernel(a1, b1)
+    except ZeroDivisionError:
+        _check_sylvester(_sylvester_matrix(a1, b1))
         raise
-    flat = x.ravel().tolist()  # x, then the columns of M^-1
-    sol = flat[:n]
-    # |M|_F from the n_b copies of A1 and the n_a copies of B1 in M
-    norm = math.hypot(math.sqrt(n_b) * math.hypot(*a1), math.sqrt(n_a) * math.hypot(*b1))
-    if not norm * math.hypot(*flat[n:]) <= SYLVESTER_MAX_COND:
-        _check_sylvester(M)
+    if not bound <= SYLVESTER_MAX_COND:
+        _check_sylvester(_sylvester_matrix(a1, b1))
     # Monic P against monic A1 pins s'_0 = 1; renormalize defensively so the
     # stored controller always has s0 = 1.
     lead = sol[0]
