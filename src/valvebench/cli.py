@@ -595,6 +595,8 @@ def main(argv=None) -> int:
         presets = cfg["plant"]["preset"] if "plant" in cfg else [None]
         if not presets:
             raise ConfigError("plant preset list is empty")
+        for preset in filter(None, presets):  # every name, before any output exists
+            get_preset(preset)
         _run(args.command, cfg, presets, args.out, args.seed, args.parallel)
     except ConfigError as err:
         print(f"valvebench {args.command}: {err}", file=sys.stderr)

@@ -326,6 +326,19 @@ def test_rejected_fan_out_leaves_nothing_on_disk(tmp_path, capsys, argv, paralle
     assert capsys.readouterr().err.count("valvebench") == 2
 
 
+@pytest.mark.parametrize("presets", ["valve9,valve0", "valve0,valve9"])
+@pytest.mark.parametrize("parallel", ["1", "2"])
+def test_unknown_preset_of_a_fan_out_leaves_nothing_on_disk(tmp_path, capsys, presets, parallel):
+    """Every preset name is checked before any run starts: an unknown one
+    exits 2 with nothing on disk, wherever it stands in the list and
+    whether the presets run in one process or in parallel workers."""
+    argv = ["sweep", "--set", f"plant.preset={presets}", "--set", "sweep.u_max=5",
+            "--parallel", parallel, "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert list(tmp_path.iterdir()) == []
+    assert "unknown preset 'valve9'" in capsys.readouterr().err
+
+
 def test_failed_preset_of_a_fan_out_leaves_no_directory(tmp_path, capsys, monkeypatch):
     """A fan-out whose second preset fails exits 1, keeps the first preset's
     complete output and leaves no directory for the failed one."""
