@@ -285,26 +285,23 @@ def pi_design(a1_hat: float, b1_hat: float, pole_poly: DelayPolynomial, Ts: floa
     )
 
 
-def _check_sylvester(M: np.ndarray) -> None:
-    cond = np.linalg.cond(M)
-    if not np.isfinite(cond) or cond > SYLVESTER_MAX_COND:
-        raise DesignError(
-            f"Sylvester matrix condition {cond:.3g} exceeds {SYLVESTER_MAX_COND:.0e}; "
-            "plant and fixed parts likely share a common factor"
-        )
-
-
-def _sylvester_matrix(a1, b1) -> np.ndarray:
-    """The n x n Sylvester matrix M of A1 (degree n_a) and B1 (degree n_b),
-    n = n_a + n_b: column j < n_b holds A1 from row j down, column n_b + j
-    holds B1 from row j down."""
+def _check_sylvester(a1, b1) -> None:
+    """Raise when the SVD conditions the n x n Sylvester matrix M of A1
+    (degree n_a) and B1 (degree n_b), n = n_a + n_b, worse than
+    SYLVESTER_MAX_COND.  Column j < n_b of M holds A1 from row j down,
+    column n_b + j holds B1 from row j down."""
     n_a, n_b = len(a1) - 1, len(b1) - 1
     M = np.zeros((n_a + n_b, n_a + n_b))
     for j in range(n_b):  # columns for S' coefficients
         M[j:j + n_a + 1, j] = a1
     for j in range(n_a):  # columns for R' coefficients
         M[j:j + n_b + 1, n_b + j] = b1
-    return M
+    cond = np.linalg.cond(M)
+    if not np.isfinite(cond) or cond > SYLVESTER_MAX_COND:
+        raise DesignError(
+            f"Sylvester matrix condition {cond:.3g} exceeds {SYLVESTER_MAX_COND:.0e}; "
+            "plant and fixed parts likely share a common factor"
+        )
 
 
 @functools.lru_cache(maxsize=32)
@@ -335,7 +332,7 @@ def _sylvester_kernel(n_a: int, n_b: int, pole_coeffs: tuple):
         raise DesignError(
             f"desired polynomial degree {len(p) - 1} exceeds solvable degree {n - 1}"
         )
-    p = [float(v) for v in p] + [0.0] * (n - len(p))
+    p = p + [0.0] * (n - len(p))
     a = [f"a{k}" for k in range(n_a + 1)]
     b = [None] + [f"b{k}" for k in range(1, n_b + 1)]
 
@@ -441,11 +438,11 @@ def bezout_design(
     kernel = _sylvester_kernel(n_a, n_b, pole_poly.coeffs)
     try:
         sol, bound = kernel(a1, b1)
-    except ZeroDivisionError:
-        _check_sylvester(_sylvester_matrix(a1, b1))
+    except ZeroDivisionError:  # a zero pivot: M is singular
+        _check_sylvester(a1, b1)
         raise
     if not bound <= SYLVESTER_MAX_COND:
-        _check_sylvester(_sylvester_matrix(a1, b1))
+        _check_sylvester(a1, b1)
     # Monic P against monic A1 pins s'_0 = 1; renormalize defensively so the
     # stored controller always has s0 = 1.
     lead = sol[0]
