@@ -73,9 +73,6 @@ class ExcitationSpec:
         """Zero-mean two-level injection of `length` samples."""
         return prbs_deviation(self.config, self.length)
 
-    def longest_pulse(self, Ts: float) -> float:
-        return self.config.longest_pulse(Ts)
-
 
 @dataclass(frozen=True)
 class RstDesignSpec:

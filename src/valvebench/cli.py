@@ -6,8 +6,10 @@ and leaves CSV traces plus a grep-friendly `report.txt` in the output
 directory.  Unknown keys are rejected with the offending line number; all
 floats are serialized with 9 significant digits so reruns diff cleanly.
 
-Exit codes: 0 success, 1 runtime failure inside a scenario (e.g. a design
-that cannot place its poles), 2 argument or config validation errors.
+Every check runs before any output directory exists; a fan-out over several
+presets then runs each one whatever `--parallel` says, with one stderr line
+per failed preset.  Exit codes: 0 success, 1 runtime failure inside a scenario
+(e.g. a design that cannot place its poles), 2 argument or config errors.
 """
 
 from __future__ import annotations
@@ -223,27 +225,27 @@ def build_valve_params(plant_cfg: dict, preset: str, seed: int | None) -> ValveP
         raise ConfigError(f"invalid plant parameters: {err}") from None
 
 
-def open_loop_record(params: ValveParams, Ts: float, exc: dict):
-    """Settle at the excitation offset, then record a multi-period PRBS run.
-
-    Returns (u, y, prbs) for the PRBS portion only, prbs being its config.
-    """
+def _prbs_from_cfg(exc: dict) -> PrbsConfig:
     if exc["periods"] < 1:
         raise ConfigError("excitation periods must be >= 1")
     if not 1 <= exc["analyze_periods"] <= exc["periods"]:
         raise ConfigError("analyze_periods must be in [1, periods]")
-    prbs = PrbsConfig(
+    return PrbsConfig(
         n_registers=exc["n_registers"],
         divider=exc["divider"],
         seed=exc["seed"],
         offset=exc["offset"],
         amplitude=exc["amplitude"],
     )
+
+
+def open_loop_record(params: ValveParams, Ts: float, exc: dict, prbs: PrbsConfig):
+    """Settle at the excitation offset, then record a multi-period PRBS run: (u, y) of the PRBS."""
     sim = ValveSimulator(params, Ts)
     for _ in range(int(round(exc["settle"] / Ts))):
         sim.advance(exc["offset"])
     u = prbs_generate(prbs, exc["periods"] * prbs.period)
-    return u, open_loop(sim, u), prbs
+    return u, open_loop(sim, u)
 
 
 def _analysis_window(u, y, period: int, analyze_periods: int):
@@ -287,18 +289,20 @@ def _design_from_cfg(cfg: dict, Ts: float):
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers.  Each writes its artifacts into out_dir and returns
-# the report items.
+# Subcommands.  plan_<cmd>(cfg) makes every check that no preset changes and returns
+# the job, run_<cmd> bound to what it built: job(out_dir, preset, params) -> report items.
 
 
-def run_sweep(cfg, out_dir, preset, seed):
-    params = build_valve_params(cfg["plant"], preset, seed)
-    Ts = cfg["plant"]["Ts"]
+def plan_sweep(cfg):
     sw = cfg["sweep"]
     if sw["step"] <= 0 or sw["u_max"] <= 0:
         raise ConfigError("sweep u_max and step must be > 0")
     levels = np.arange(0.0, sw["u_max"] + sw["step"] / 2, sw["step"])
-    hmap = static_sweep(params, levels, hold=sw["hold"], Ts=Ts)
+    return functools.partial(run_sweep, cfg, levels)
+
+
+def run_sweep(cfg, levels, out_dir, preset, params):
+    hmap = static_sweep(params, levels, hold=cfg["sweep"]["hold"], Ts=cfg["plant"]["Ts"])
     write_csv(
         os.path.join(out_dir, "sweep.csv"),
         ["u_pct", "angle_up_deg", "angle_down_deg"],
@@ -314,12 +318,15 @@ def run_sweep(cfg, out_dir, preset, seed):
     ]
 
 
-def run_etfe(cfg, out_dir, preset, seed):
-    params = build_valve_params(cfg["plant"], preset, seed)
+def plan_etfe(cfg):
+    return functools.partial(run_etfe, cfg, _prbs_from_cfg(cfg["excitation"]))
+
+
+def run_etfe(cfg, prbs, out_dir, preset, params):
     Ts = cfg["plant"]["Ts"]
     exc = cfg["excitation"]
     sp = cfg["spectral"]
-    u, y, prbs = open_loop_record(params, Ts, exc)
+    u, y = open_loop_record(params, Ts, exc, prbs)
     write_csv(
         os.path.join(out_dir, "excitation.csv"),
         ["t", "u_pct", "angle_deg"],
@@ -343,15 +350,18 @@ def run_etfe(cfg, out_dir, preset, seed):
     ]
 
 
-def run_identify(cfg, out_dir, preset, seed):
-    params = build_valve_params(cfg["plant"], preset, seed)
-    Ts = cfg["plant"]["Ts"]
+def plan_identify(cfg):
     idf = cfg["identify"]
     if idf["na"] < 1 or idf["nb"] < 1:
         raise ConfigError("identify na and nb must be >= 1")
     if idf["scan_max"] < max(idf["na"], idf["nb"]):
         raise ConfigError("scan_max must cover the chosen na and nb")
-    u, y, prbs = open_loop_record(params, Ts, cfg["excitation"])
+    return functools.partial(run_identify, cfg, _prbs_from_cfg(cfg["excitation"]))
+
+
+def run_identify(cfg, prbs, out_dir, preset, params):
+    idf = cfg["identify"]
+    u, y = open_loop_record(params, cfg["plant"]["Ts"], cfg["excitation"], prbs)
     u_d, y_d = _analysis_window(u, y, prbs.period, cfg["excitation"]["analyze_periods"])
     write_csv(
         os.path.join(out_dir, "data.csv"),
@@ -376,9 +386,12 @@ def run_identify(cfg, out_dir, preset, seed):
     return items
 
 
-def run_design(cfg, out_dir, preset, seed):
-    del preset, seed  # pure computation, no plant involved
-    spec, theta, controller = _design_from_cfg(cfg, cfg["model"]["Ts"])
+def plan_design(cfg):
+    return functools.partial(run_design, cfg, *_design_from_cfg(cfg, cfg["model"]["Ts"]))
+
+
+def run_design(cfg, spec, theta, controller, out_dir, preset, params):
+    del preset, params  # pure computation, no plant involved
     model = spec.model_from(theta)
     with open(os.path.join(out_dir, "controller.txt"), "w") as fh:
         fh.write(controller_to_text(controller))
@@ -412,13 +425,16 @@ def _scenario_from_cfg(tr: dict, Ts: float) -> tuple[EvalScenario, np.ndarray]:
     return scenario, reference
 
 
-def run_track(cfg, out_dir, preset, seed):
-    params = build_valve_params(cfg["plant"], preset, seed)
+def plan_track(cfg):
     Ts = cfg["plant"]["Ts"]
-    tr = cfg["track"]
-    scenario, reference = _scenario_from_cfg(tr, Ts)
+    _, reference = _scenario_from_cfg(cfg["track"], Ts)
     _, _, controller = _design_from_cfg(cfg, Ts)
-    sim = ValveSimulator(params, Ts)
+    return functools.partial(run_track, cfg, reference, controller)
+
+
+def run_track(cfg, reference, controller, out_dir, preset, params):
+    tr = cfg["track"]
+    sim = ValveSimulator(params, cfg["plant"]["Ts"])
     y_s, u_s = _settle(sim, controller, reference[0], tr["settle"])
     y, u, sat = tracking_run(
         sim, controller, reference, u0=float(u_s[-1]), y0=float(y_s[-1])
@@ -435,16 +451,18 @@ def run_track(cfg, out_dir, preset, seed):
     ]
 
 
-def run_adapt(cfg, out_dir, preset, seed):
-    params = build_valve_params(cfg["plant"], preset, seed)
+def plan_adapt(cfg):
     Ts = cfg["plant"]["Ts"]
     scenario, _ = _scenario_from_cfg(cfg["track"], Ts)
     if cfg["design"]["mode"] != "rst":
         raise ConfigError("adapt re-design supports only mode=rst")
-    design, theta0, initial = _design_from_cfg(cfg, Ts)
+    designed = _design_from_cfg(cfg, Ts)
+    return functools.partial(run_adapt, cfg, scenario, *designed, ExcitationSpec(**cfg["excitation"]))
+
+
+def run_adapt(cfg, scenario, design, theta0, initial, excitation, out_dir, preset, params):
     ad = cfg["adapt"]
-    excitation = ExcitationSpec(**cfg["excitation"])
-    sim = ValveSimulator(params, Ts)
+    sim = ValveSimulator(params, cfg["plant"]["Ts"])
     records = iterate(
         sim,
         initial,
@@ -475,13 +493,13 @@ def run_adapt(cfg, out_dir, preset, seed):
     return items
 
 
-HANDLERS = {
-    "sweep": run_sweep,
-    "etfe": run_etfe,
-    "identify": run_identify,
-    "design": run_design,
-    "track": run_track,
-    "adapt": run_adapt,
+PLANS = {
+    "sweep": plan_sweep,
+    "etfe": plan_etfe,
+    "identify": plan_identify,
+    "design": plan_design,
+    "track": plan_track,
+    "adapt": plan_adapt,
 }
 
 
@@ -503,46 +521,41 @@ def _remove_empty(dirs) -> None:
             pass
 
 
-def _execute(command: str, cfg: dict, preset, out_dir: str, seed) -> None:
-    """Run one scenario in a staging directory inside out_dir, which exists,
-    and move its files up only once it has succeeded; the staging directory
-    is removed either way.  Staging inside out_dir keeps the renames on one
-    filesystem even when out_dir is a mount point."""
+def _execute(job, out_dir: str, preset, params):
+    """Run one job in a staging directory inside out_dir (so that the renames stay
+    on one filesystem even when out_dir is a mount point), move its files up once it
+    has succeeded, remove the staging directory, and return the error of a failed job."""
     staging = tempfile.mkdtemp(prefix=".valvebench-", dir=out_dir)
     try:
-        items = HANDLERS[command](cfg, staging, preset, seed)
-        write_report(os.path.join(staging, "report.txt"), items)
+        write_report(os.path.join(staging, "report.txt"), job(staging, preset, params))
         for name in os.listdir(staging):
             os.replace(os.path.join(staging, name), os.path.join(out_dir, name))
+    except (ValveBenchError, ValueError) as err:
+        return err
     finally:
         shutil.rmtree(staging, ignore_errors=True)
 
 
-def _run(command: str, cfg: dict, presets: list, out: str, seed, parallel: int) -> None:
-    """Run the scenario into out for one preset, or into out/<preset> for
-    each of several, in up to `parallel` worker processes.  Every output
-    directory and the missing parents of out are created here, before any
-    run, and a failed run removes those of them that are still empty, once
-    every run has ended; a directory that existed before is never removed."""
+def _run(job, presets: list, plants: list, out: str, parallel: int) -> list:
+    """Run the job for every preset, into out for one or into out/<preset> for
+    several, in-process or in up to `parallel` workers; return (preset, error)
+    per failed job.  The output directories and missing parents of out are made
+    here, before any job, and removed if still empty once all have ended."""
     dirs = [out] if len(presets) == 1 else [os.path.join(out, p) for p in presets]
     # a path is longer than its parents: longest first removes children first
     created = sorted({m for d in dirs for m in _missing_dirs(d)}, key=len, reverse=True)
     for d in dirs:
         os.makedirs(d, exist_ok=True)
     try:
-        jobs = [(command, cfg, p, d, seed) for p, d in zip(presets, dirs)]
-        if parallel > 1 and len(jobs) > 1:
-            # leaving the pool waits for every submitted run
+        if parallel > 1 and len(dirs) > 1:
+            # leaving the pool waits for every submitted job
             with concurrent.futures.ProcessPoolExecutor(parallel) as pool:
-                futures = [pool.submit(_execute, *j) for j in jobs]
-                for f in futures:
-                    f.result()
+                errors = list(pool.map(_execute, [job] * len(dirs), dirs, presets, plants))
         else:
-            for j in jobs:
-                _execute(*j)
-    except BaseException:
+            errors = list(map(_execute, [job] * len(dirs), dirs, presets, plants))
+    finally:
         _remove_empty(created)
-        raise
+    return [(p, err) for p, err in zip(presets, errors) if err is not None]
 
 
 @functools.cache
@@ -586,6 +599,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    preset = None
     try:
         entries = read_key_values(args.config) if args.config else []
         overrides = parse_set_args(args.set)
@@ -595,19 +609,18 @@ def main(argv=None) -> int:
         presets = cfg["plant"]["preset"] if "plant" in cfg else [None]
         if not presets:
             raise ConfigError("plant preset list is empty")
-        for preset in filter(None, presets):  # every name, before any output exists
-            get_preset(preset)
-        _run(args.command, cfg, presets, args.out, args.seed, args.parallel)
-    except ConfigError as err:
-        print(f"valvebench {args.command}: {err}", file=sys.stderr)
-        return 2
-    except ValveBenchError as err:
-        print(f"valvebench {args.command} failed: {err}", file=sys.stderr)
-        return 1
-    except ValueError as err:
-        print(f"valvebench {args.command}: {err}", file=sys.stderr)
-        return 2
-    return 0
+        job = PLANS[args.command](cfg)
+        plants = []
+        for preset in presets:  # the only check that depends on the preset; a failure names it
+            plants.append(preset and build_valve_params(cfg["plant"], preset, args.seed))
+        failures = _run(job, presets, plants, args.out, args.parallel)
+    except (ValveBenchError, ValueError) as err:
+        failures = [(preset, err)]
+    codes = [2 if isinstance(e, (ConfigError, ValueError)) else 1 for _, e in failures]
+    for (preset, err), code in zip(failures, codes):  # exit 2 for bad input, 1 for a failed run
+        where = f" ({preset})" if preset and len(presets) > 1 else ""
+        print(f"valvebench {args.command}{' failed' * (code == 1)}: {err}{where}", file=sys.stderr)
+    return max(codes, default=0)
 
 
 def console_main() -> None:

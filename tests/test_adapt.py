@@ -60,7 +60,6 @@ def run_iterate(plant, n_iter, design=None, **kwargs):
 def test_excitation_spec_basics():
     spec = ExcitationSpec()
     assert spec.config.offset == 50.0
-    assert spec.longest_pulse(Ts) == pytest.approx(8 * 4 * Ts)
     seq = spec.sequence()
     assert len(seq) == 300
     assert set(np.unique(seq)) == {-10.0, 10.0}

@@ -339,17 +339,73 @@ def test_unknown_preset_of_a_fan_out_leaves_nothing_on_disk(tmp_path, capsys, pr
     assert "unknown preset 'valve9'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("presets", ["valve0,valve1", "valve1,valve0"])
+@pytest.mark.parametrize("parallel", ["1", "2"])
+def test_plant_rejected_for_one_preset_of_a_fan_out_leaves_nothing_on_disk(
+    tmp_path, capsys, presets, parallel
+):
+    """Every preset's plant is built before any output exists: a plant
+    override that only valve0 rejects exits 2 with nothing on disk, in either
+    order and under any --parallel, on one stderr line naming valve0."""
+    argv = ["sweep", "--set", f"plant.preset={presets}", "--set", "plant.angle_max=85",
+            "--set", "sweep.u_max=5", "--parallel", parallel, "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert list(tmp_path.iterdir()) == []
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert "spring_rest_angle must lie within the stops (valve0)" in err[0]
+
+
+@pytest.mark.parametrize("parallel", ["1", "2"])
+def test_diverging_preset_of_a_fan_out_leaves_the_others_complete(tmp_path, capsys, parallel):
+    """A preset whose run diverges does not stop the others, in one process
+    or in workers: valve7's output is the one a single-preset run writes,
+    valve0 leaves no directory, and one stderr line names valve0."""
+    argv = ["adapt", "--config", str(CONFIGS / "adapt_valve6.cfg"), "--set", "adapt.gain=1e14"]
+    out, single = tmp_path / "out", tmp_path / "single"
+    assert main(argv + ["--set", "plant.preset=valve7", "--out", str(single)]) == 0
+    rc = main(argv + ["--set", "plant.preset=valve0,valve7", "--parallel", parallel,
+                      "--out", str(out)])
+    assert rc == 1
+    assert sorted(p.name for p in out.iterdir()) == ["valve7"]
+    names = sorted(p.name for p in single.iterdir())
+    assert sorted(p.name for p in (out / "valve7").iterdir()) == names
+    for name in names:
+        assert (out / "valve7" / name).read_bytes() == (single / name).read_bytes()
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert "valvebench adapt failed:" in err[0] and "(valve0)" in err[0]
+
+
+def test_fan_out_designs_the_controller_once(tmp_path, monkeypatch):
+    """The design of a track run does not depend on the preset, so a
+    fan-out makes it once, in the plan."""
+    calls = []
+    design = cli._design_from_cfg
+    monkeypatch.setattr(cli, "_design_from_cfg", lambda *a: calls.append(a) or design(*a))
+    argv = ["track", "--set", "plant.preset=valve0,valve1", "--set", "track.levels=40,50",
+            "--set", "track.hold=1.0", "--set", "track.settle=1.0", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    assert len(calls) == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["valve0", "valve1"]
+
+
 def test_failed_preset_of_a_fan_out_leaves_no_directory(tmp_path, capsys, monkeypatch):
     """A fan-out whose second preset fails exits 1, keeps the first preset's
     complete output and leaves no directory for the failed one."""
-    sweep = cli.HANDLERS["sweep"]
+    plan_sweep = cli.PLANS["sweep"]
 
-    def failing_on_valve1(cfg, out_dir, preset, seed):
-        if preset == "valve1":
-            raise DivergenceError("estimate diverged")
-        return sweep(cfg, out_dir, preset, seed)
+    def failing_on_valve1(cfg):
+        job = plan_sweep(cfg)
 
-    monkeypatch.setitem(cli.HANDLERS, "sweep", failing_on_valve1)
+        def run(out_dir, preset, params):
+            if preset == "valve1":
+                raise DivergenceError("estimate diverged")
+            return job(out_dir, preset, params)
+
+        return run
+
+    monkeypatch.setitem(cli.PLANS, "sweep", failing_on_valve1)
     out = tmp_path / "out"
     argv = ["sweep", "--out", str(out), "--set", "plant.preset=valve0,valve1", "--set",
             "sweep.u_max=5", "--parallel", "1"]
