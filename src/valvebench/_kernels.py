@@ -1,0 +1,398 @@
+"""Source of the straight-line kernels that run the per-sample arithmetic.
+
+A kernel is Python generated for one shape (the parameter count of an RLS
+update; the orders, delay, fixed parts and target of a design) and compiled
+once by its caller, which caches it: `ident._rls_kernel`,
+`control._sylvester_kernel`, `control._design_kernel` and
+`control._pole_check_kernel`.  The source forms every value with the
+operations of the loop it replaces, in the same order, so each result
+carries the same bits; the loops are kept as oracles in the tests.
+"""
+
+from __future__ import annotations
+
+import math
+from itertools import zip_longest
+
+
+def compiled(code: list[str], name: str, **names):
+    """The function `kernel` that the source lines define, with `names`
+    and `isfinite` and `sqrt` bound for it."""
+    namespace = {"isfinite": math.isfinite, "sqrt": math.sqrt, **names}
+    exec(compile("\n".join(code), name, "exec"), namespace)
+    return namespace["kernel"]
+
+
+def indented(lines) -> list[str]:
+    return ["    " + line for line in lines]
+
+
+# ---------------------------------------------------------------------------
+# Recursive least squares
+
+
+def sum_text(terms) -> str:
+    """Source text of a sum accumulated as a loop accumulates it: from 0.0,
+    adding each term in order."""
+    return " + ".join(["0.0", *terms])
+
+
+def rls_source(n: int) -> list[str]:
+    """Source of kernel(theta, F, lambda1, lambda2, lambda0, profile, phi,
+    y_new) -> (theta, F, lambda1, a priori error, a posteriori error), one
+    recursive least-squares update of n parameters on Python floats.
+
+    theta, phi and the rows of F are sequences of n floats, F row-major;
+    the successor's theta and F are new lists.  Each sum starts from 0.0 and
+    adds its terms in index order, and each F entry is
+    0.5 ((F_ij - f_i f_j / denom) / lambda1 + (F_ji - f_j f_i / denom) /
+    lambda1) with f = F phi and denom = lambda1 / lambda2 + phi' F phi, or
+    0.5 (F_ij / lambda1 + F_ji / lambda1) when lambda2 = 0.
+
+    The kernel raises ValueError for non-finite phi or y_new, and
+    DivergenceError (a name the caller binds, with the messages NOT_FINITE
+    and NOT_DEFINITE) when theta' F theta of the successor is not finite
+    (so some entry of theta or F is not; a zero denominator counts as
+    that), when F is no longer positive definite, or when lambda1 leaves
+    (0, 1].  Definiteness is Sylvester's criterion through the pivots of
+    Gaussian elimination without pivoting, the squares of F's Cholesky
+    diagonal: at n = 2, F00 > 0 and det F > 0.
+    """
+    idx = range(n)
+    phi = [f"p{i}" for i in idx]
+    theta = [f"t{i}" for i in idx]
+    F = [[f"F{i}_{j}" for j in idx] for i in idx]
+    G = [[f"G{min(i, j)}_{max(i, j)}" for j in idx] for i in idx]
+    code = [
+        "def kernel(theta, F, lambda1, lambda2, lambda0, profile, phi, y_new):",
+        f"    {', '.join(phi)}, = phi",
+        f"    if not ({' and '.join(f'isfinite({p})' for p in phi)} and isfinite(y_new)):",
+        '        raise ValueError("phi and y_new must be finite")',
+        f"    {', '.join(theta)}, = theta",
+        f"    {', '.join('(' + ', '.join(row) + ',)' for row in F)}, = F",
+        "    try:",
+    ]
+    code += [f"        f{i} = {sum_text(f'{F[i][j]} * {phi[j]}' for j in idx)}" for i in idx]
+    code += [
+        f"        quad = {sum_text(f'{phi[i]} * f{i}' for i in idx)}",
+        f"        eps0 = y_new - ({sum_text(f'{theta[i]} * {phi[i]}' for i in idx)})",
+        "        eps = eps0 / (1.0 + quad)",
+    ]
+    code += [f"        u{i} = {theta[i]} + f{i} * eps" for i in idx]
+    code += ["        if lambda2 != 0.0:", "            denom = lambda1 / lambda2 + quad"]
+    for i in idx:
+        for j in range(i, n):  # f_j f_i / denom is f_i f_j / denom, bit for bit
+            code += [
+                f"            g = f{i} * f{j} / denom",
+                f"            {G[i][j]} = 0.5 * "
+                f"(({F[i][j]} - g) / lambda1 + ({F[j][i]} - g) / lambda1)",
+            ]
+    code.append("        else:")
+    code += [
+        f"            {G[i][j]} = 0.5 * ({F[i][j]} / lambda1 + {F[j][i]} / lambda1)"
+        for i in idx for j in range(i, n)
+    ]
+    # theta' F theta is not finite whenever any entry of either is (inf * 0 is NaN).
+    rows = [f"({sum_text(f'{G[i][j]} * u{j}' for j in idx)})" for i in idx]
+    code += [
+        f"        finite = isfinite({sum_text(f'{rows[i]} * u{i}' for i in idx)})",
+        "    except ZeroDivisionError:  # a zero denominator",
+        "        finite = False",
+        "    if not finite:",
+        "        raise DivergenceError(NOT_FINITE)",
+    ]
+    c = [row[:] for row in G]  # the names of the entries elimination works on
+    for k in idx:
+        code += [
+            f"    if not {c[k][k]} > 0.0:",
+            "        raise DivergenceError(NOT_DEFINITE)",
+        ]
+        for r in range(k + 1, n):
+            code.append(f"    m = {c[r][k]} / {c[k][k]}")
+            for j in range(k + 1, n):
+                code.append(f"    c{r}_{j} = {c[r][j]} - m * {c[k][j]}")
+                c[r][j] = f"c{r}_{j}"
+    code += [
+        '    if profile == "variable-forgetting":',
+        "        lambda1 = lambda0 * lambda1 + 1.0 - lambda0",
+        "    if not 0.0 < lambda1 <= 1.0:",
+        "        raise DivergenceError("
+        'f"recursive estimator diverged: lambda1 = {lambda1!r} left (0, 1]")',
+        f"    return [{', '.join(f'u{i}' for i in idx)}], "
+        f"[{', '.join('[' + ', '.join(row) + ']' for row in G)}], lambda1, eps0, eps",
+    ]
+    return code
+
+
+# ---------------------------------------------------------------------------
+# Sylvester solve, Bezout design and pole check
+
+
+def sylvester_lines(n_a: int, n_b: int, p: list) -> list[str]:
+    """Unindented straight-line source that solves M x = P for the
+    Sylvester matrix M of A1 = a0..a{n_a} and B1 = 0, b1..b{n_b} (names the
+    lines read) with P = p, n = n_a + n_b literals; it binds x0..x{n-1} and
+    bound, an upper bound on the 2-norm condition number of M.
+
+    No entry of M is stored or operated on where the structure makes it
+    zero.  Row 0 of M is A1[0] e_0, so x_0 = p_0 / A1[0]; the other n - 1
+    unknowns come from Gaussian elimination with partial pivoting, the pivot
+    row chosen as LAPACK's getrf chooses it (the first of the largest
+    magnitudes).  A zero pivot, so a singular M, raises ZeroDivisionError.
+
+    The bound is |M|_F^n / ((n - 1)^((n - 1) / 2) |det M|), with det M the
+    product of A1[0] and the pivots.  It holds for n >= 1: the n - 1
+    largest singular values have a product of at most
+    (|M|_F^2 / (n - 1))^((n - 1) / 2) by the AM-GM inequality on their
+    squares, sigma_min is |det M| over their product, and
+    sigma_max <= |M|_F.  Overflow gives an infinite or NaN bound, which
+    the caller treats as exceeded."""
+    n = n_a + n_b
+    a = [f"a{k}" for k in range(n_a + 1)]
+    b = [None] + [f"b{k}" for k in range(1, n_b + 1)]
+
+    def entry(i, j):  # M[i][j] as source text, None where it is zero
+        k = i - j if j < n_b else i - j + n_b
+        coeffs = a if j < n_b else b
+        return coeffs[k] if 0 <= k < len(coeffs) else None
+
+    code = [f"x0 = {p[0]!r} / a0"]
+    # Rows and columns 1..n-1 once x0 is known; nz marks the entries that
+    # may be nonzero, v the right-hand side.
+    nz = {}
+    for i in range(1, n):
+        for j in range(1, n):
+            nz[i, j] = entry(i, j) is not None
+            if nz[i, j]:
+                code.append(f"m{i}_{j} = {entry(i, j)}")
+        rhs = [repr(p[i])] + ([f"{entry(i, 0)} * x0"] if entry(i, 0) else [])
+        code.append(f"v{i} = {' - '.join(rhs)}")
+    for k in range(1, n):
+        if not nz[k, k]:
+            code.append(f"m{k}_{k} = 0.0")
+            nz[k, k] = True
+        rows = [r for r in range(k + 1, n) if nz[r, k]]
+        for r in rows:  # bring the first largest |m[r][k]| to row k
+            cols = [j for j in range(k, n) if nz[k, j] or nz[r, j]]
+            for j in cols:  # a zero that may move gets a name
+                for i in (k, r):
+                    if not nz[i, j]:
+                        code.append(f"m{i}_{j} = 0.0")
+                        nz[i, j] = True
+            names_k = [f"m{k}_{j}" for j in cols] + [f"v{k}"]
+            names_r = [f"m{r}_{j}" for j in cols] + [f"v{r}"]
+            code.append(
+                f"if abs(m{r}_{k}) > abs(m{k}_{k}): "
+                f"{', '.join(names_k + names_r)} = {', '.join(names_r + names_k)}"
+            )
+        for r in rows:
+            code.append(f"q = m{r}_{k} / m{k}_{k}")
+            for j in range(k + 1, n):
+                if nz[k, j]:
+                    code.append(f"m{r}_{j} = {f'm{r}_{j} - ' if nz[r, j] else '-'}q * m{k}_{j}")
+                    nz[r, j] = True
+            code.append(f"v{r} -= q * v{k}")
+    for k in range(n - 1, 0, -1):
+        terms = [f"v{k}"] + [f"m{k}_{j} * x{j}" for j in range(k + 1, n) if nz[k, j]]
+        code.append(f"x{k} = ({' - '.join(terms)}) / m{k}_{k}")
+    frob2 = " + ".join(
+        [f"{n_b} * ({' + '.join(f'{c} * {c}' for c in a)})"]
+        + ([f"{n_a} * ({' + '.join(f'{c} * {c}' for c in b[1:])})"] if n_a else [])
+    )
+    power = " * ".join(["f2"] * (n // 2) + (["sqrt(f2)"] if n % 2 else []))
+    det = " * ".join(["a0"] + [f"m{k}_{k}" for k in range(1, n)])
+    return code + [
+        f"f2 = {frob2}",
+        f"bound = {power} / ({(n - 1) ** ((n - 1) / 2)!r} * abs({det}))",
+    ]
+
+
+def product_source(x, y) -> list:
+    """The coefficients of ``control._convolve(x, y)`` for entries that are
+    float constants or names of floats: each a float where every product is
+    constant, else source text that forms the same sum in the same order.
+
+    Constant products are added at generation time.  A product with the
+    constant 1.0 is the other factor, which is exact.  A product with the
+    constant 0.0 is left out: a sum that starts from 0.0 is never -0.0, so
+    adding +-0.0 leaves it as it is.  (That takes a finite name; where a
+    name may not be finite, the kernel tests the name itself and gives the
+    input to the general route.)"""
+    out = []
+    for k in range(len(x) + len(y) - 1):
+        acc, terms = 0.0, []
+        for i, xi in enumerate(x):
+            if not 0 <= k - i < len(y):
+                continue
+            yj = y[k - i]
+            if isinstance(xi, float) and isinstance(yj, float):
+                if terms:
+                    terms.append(repr(xi * yj))
+                else:
+                    acc += xi * yj
+            elif isinstance(xi, float) or isinstance(yj, float):
+                c, name = (xi, yj) if isinstance(xi, float) else (yj, xi)
+                if c != 0.0:
+                    terms.append(name if c == 1.0 else f"{c!r} * {name}")
+            else:
+                terms.append(f"{xi} * {yj}")
+        out.append(" + ".join([repr(acc), *terms]) if terms else acc)
+    return out
+
+
+def src(entry) -> str:
+    """An entry of :func:`product_source` as source text."""
+    return entry if isinstance(entry, str) else repr(entry)
+
+
+def named(prefix: str, entries: list, code: list[str]) -> list:
+    """The entries with each source text bound to prefix<k> by a line
+    appended to code; float constants stay as they are."""
+    names = []
+    for k, e in enumerate(entries):
+        if isinstance(e, str):
+            code.append(f"{prefix}{k} = {e}")
+            e = f"{prefix}{k}"
+        names.append(e)
+    return names
+
+
+def scale_source(entries: list) -> str:
+    """Source text of the largest magnitude among the entries, with the
+    nonzero constants folded into one literal; at least one is a name."""
+    scale = [f"abs({e})" for e in entries if isinstance(e, str)]
+    consts = [abs(e) for e in entries if isinstance(e, float) and e]
+    if consts:
+        scale.append(repr(max(consts)))
+    return scale[0] if len(scale) == 1 else f"max({', '.join(scale)})"
+
+
+def untrimmed_source(entries: list, rel_tol: float):
+    """Whether ``control._trimmed`` at rel_tol keeps every one of these finite
+    entries: a bool when all are constants, else a source condition."""
+    if not any(isinstance(e, str) for e in entries):
+        return abs(entries[-1]) > rel_tol * max(map(abs, entries))
+    return f"abs({src(entries[-1])}) > {rel_tol!r} * {scale_source(entries)}"
+
+
+def guards(conditions) -> list[str]:
+    """Lines that return None unless every condition holds; a condition is
+    source text, or a bool known at generation time (True is left out)."""
+    return [
+        line
+        for c in conditions if c is not True
+        for line in (f"if not ({c}):", "    return None")
+    ]
+
+
+def finite_source(entries: list) -> str | bool:
+    """A source condition true when the named floats among the entries are
+    all finite (and false, at worst, when their sum overflows)."""
+    names = [e for e in entries if isinstance(e, str)]
+    return f"isfinite({' + '.join(names)})" if names else True
+
+
+def design_source(na: int, nb: int, delay: int, hs: tuple, hr: tuple, p: list, max_cond: float):
+    """Source of kernel(a_coeffs, b_coeffs) -> (r_core, s_core, t, r, s) or
+    None, the whole of a Bezout design for a model of these orders and
+    delay, with these fixed parts and the padded target p; None where no
+    kernel applies.
+
+    The kernel forms A1 = A H_S and B1 = q^-d B H_R (:func:`product_source`),
+    solves the Sylvester system (:func:`sylvester_lines`), normalises by
+    s'_0, forms R = H_R R' and S = H_S S', and sums T = R(1) from the
+    highest power down.  It returns None on a trailing A1, B1 or R term at
+    or below 1e-12 of its polynomial's largest (a trimmed degree, a zero
+    numerator), a zero pivot, a condition bound past max_cond, or a
+    coefficient that is not finite.  With an A1 of degree 0, a zero
+    x_0 = p_0 / A1[0] or an s_0 = H_S[0] away from 1, no kernel applies."""
+    n_a, n_b = na + len(hs) - 1, delay + nb + len(hr) - 1
+    if n_a == 0:  # no R' at all
+        return None
+    ma = [f"ma{i}" for i in range(1, na + 1)]
+    mb = [f"mb{j}" for j in range(1, nb + 1)]
+    body = [f"{', '.join(mb)}, = mb"] + ([f"{', '.join(ma)}, = ma"] if na else [])
+    a1 = named("a", product_source([1.0, *ma], hs), body)
+    b1 = named("b", product_source([0.0] * (delay + 1) + mb, hr), body)
+    # A1[0] = H_S[0] and B1[0] = 0 are constants, so is x_0 and, with
+    # s'_0 = x_0 / x_0 = 1, s_0 = H_S[0].
+    x0 = p[0] / a1[0] if a1[0] else 0.0
+    if not (x0 and math.isfinite(x0)) or abs(hs[0] - 1.0) > 1e-9:
+        return None
+    body += [f"a{k} = {e!r}" for k, e in enumerate(a1) if isinstance(e, float)]
+    body += [f"b{k} = {e!r}" for k, e in enumerate(b1) if k and isinstance(e, float)]
+    untrimmed = [untrimmed_source(a1, 1e-12), untrimmed_source(b1, 1e-12)]
+    if False in untrimmed:
+        return None
+    body += guards([finite_source(a1 + b1), *untrimmed])
+    body += ["try:", *indented(sylvester_lines(n_a, n_b, p))]
+    body += ["except ZeroDivisionError:", "    return None"]
+    body += guards([f"bound <= {max_cond!r}"])
+    s_core = [f"sc{k}" for k in range(n_b)]
+    r_core = [f"rc{k}" for k in range(n_a)]
+    body += [f"{name} = x{k} / x0" for k, name in enumerate(s_core + r_core)]
+    r = named("r", product_source(hr, r_core), body)
+    s = named("s", product_source(hs, s_core), body)
+    untrimmed_r = untrimmed_source(r, 1e-12)
+    if untrimmed_r is False:
+        return None
+    # R(1), summed from the highest power down as DelayPolynomial evaluates it
+    body.append(f"t = {' + '.join(['0.0', *map(src, reversed(r))])}")
+    body += guards([finite_source(["t", *s_core, *r_core, *r, *s]), untrimmed_r])
+
+    def tup(entries):
+        return f"({', '.join(map(src, entries))},)"
+
+    body.append(f"return {tup(r_core)}, {tup(s_core)}, t, {tup(r)}, {tup(s)}")
+    return ["def kernel(ma, mb):", *indented(body)]
+
+
+def pole_check_source(na: int, nb: int, delay: int, len_s: int, len_r: int, wanted: tuple):
+    """Source of kernel(a_coeffs, b_coeffs, s, r) -> err or None, the error
+    of a pole check for a model of these orders and delay, a controller of
+    these lengths of S and R, and the monic target `wanted`.
+
+    The kernel forms A S + q^-d B R (:func:`product_source`, the longer of
+    A S and q^-d B R plus the shorter) and compares it, divided by its
+    leading coefficient, with `wanted` as literals, after the trim at 1e-9
+    of the largest magnitude: one branch per length the trim may leave.  It
+    returns None on a zero leading coefficient or a coefficient that is not
+    finite."""
+    s = [f"s{k}" for k in range(len_s)]
+    r = [f"r{k}" for k in range(len_r)]
+    ma = [f"ma{i}" for i in range(1, na + 1)]
+    mb = [f"mb{j}" for j in range(1, nb + 1)]
+    body = [
+        f"{', '.join(names)}, = {arg}"
+        for names, arg in ((ma, "ma"), (mb, "mb"), (s, "s"), (r, "r")) if names
+    ]
+    as_ = product_source([1.0, *ma], s)
+    br = product_source([0.0] * (delay + 1) + mb, r)
+    if len(as_) < len(br):
+        as_, br = br, as_
+    closed = []
+    for k, x in enumerate(as_):
+        y = br[k] if k < len(br) else 0.0
+        if isinstance(x, float) and isinstance(y, float):
+            closed.append(x + y)
+        elif isinstance(x, float) or isinstance(y, float):
+            c, text = (x, y) if isinstance(x, float) else (y, x)
+            # a sum from 0.0 is never -0.0, so adding +0.0 leaves it as it is
+            closed.append(text if c == 0.0 else f"{c!r} + ({text})")
+        else:
+            closed.append(f"({x}) + ({y})")
+    closed = named("c", closed, body)  # c0 = s0 is a name
+    body += guards([finite_source(closed), f"{closed[0]} != 0.0"])
+    body.append(f"tol = 1e-09 * {scale_source(closed)}")
+    # One return per length that the trim at 1e-9 may leave, longest first.
+    for keep in range(len(closed), 0, -1):
+        achieved = closed[:keep]
+        errors = [
+            f"abs({src(c)} / {closed[0]} - {v!r})"
+            for c, v in zip_longest(achieved, wanted, fillvalue=0.0)
+        ]
+        err = errors[0] if len(errors) == 1 else f"max({', '.join(errors)})"
+        if keep > 1:
+            body.append(f"if abs({src(achieved[-1])}) > tol:")
+        body.append(f"{'    ' * (keep > 1)}return {err}")
+    return ["def kernel(ma, mb, s, r):", *indented(body)]

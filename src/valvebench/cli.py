@@ -48,11 +48,26 @@ from .control import (
 )
 from .errors import ConfigError, ValveBenchError
 from .fileio import read_key_values, write_csv, write_report
-from .ident import arx_least_squares, order_scan
-from .plant import ValveParams, ValveSimulator, open_loop, static_sweep
+from .ident import PROFILES, arx_least_squares, order_scan
+from .plant import (
+    ValveParams,
+    ValveSimulator,
+    _check_sweep_hold,
+    _substeps,
+    open_loop,
+    static_sweep,
+)
 from .presets import get_preset
 from .signals import PrbsConfig, prbs_generate
-from .spectral import corner_from_asymptotes, etfe, save_response_csv, slope_fit, smooth
+from .spectral import (
+    _check_band,
+    _check_smooth_size,
+    corner_from_asymptotes,
+    etfe,
+    save_response_csv,
+    slope_fit,
+    smooth,
+)
 
 _INT_PLANT_FIELDS = ("adc_bits", "pwm_levels", "rng_seed")
 
@@ -291,12 +306,16 @@ def _design_from_cfg(cfg: dict, Ts: float):
 # ---------------------------------------------------------------------------
 # Subcommands.  plan_<cmd>(cfg) makes every check that no preset changes and returns
 # the job, run_<cmd> bound to what it built: job(out_dir, preset, params) -> report items.
+# A check on the input fails in the plan (exit 2); a job that fails has failed to run
+# (exit 1).
 
 
 def plan_sweep(cfg):
     sw = cfg["sweep"]
     if sw["step"] <= 0 or sw["u_max"] <= 0:
         raise ConfigError("sweep u_max and step must be > 0")
+    _check_sweep_hold(sw["hold"])
+    _substeps(cfg["plant"]["Ts"])
     levels = np.arange(0.0, sw["u_max"] + sw["step"] / 2, sw["step"])
     return functools.partial(run_sweep, cfg, levels)
 
@@ -319,6 +338,12 @@ def run_sweep(cfg, levels, out_dir, preset, params):
 
 
 def plan_etfe(cfg):
+    sp = cfg["spectral"]
+    _check_smooth_size(sp["smooth_window"])
+    _check_band((sp["slope_lo"], sp["slope_hi"]))
+    if sp["plateau_lo"] > sp["plateau_hi"]:
+        raise ConfigError("spectral plateau_lo must not exceed plateau_hi")
+    _substeps(cfg["plant"]["Ts"])
     return functools.partial(run_etfe, cfg, _prbs_from_cfg(cfg["excitation"]))
 
 
@@ -356,6 +381,7 @@ def plan_identify(cfg):
         raise ConfigError("identify na and nb must be >= 1")
     if idf["scan_max"] < max(idf["na"], idf["nb"]):
         raise ConfigError("scan_max must cover the chosen na and nb")
+    _substeps(cfg["plant"]["Ts"])
     return functools.partial(run_identify, cfg, _prbs_from_cfg(cfg["excitation"]))
 
 
@@ -427,6 +453,7 @@ def _scenario_from_cfg(tr: dict, Ts: float) -> tuple[EvalScenario, np.ndarray]:
 
 def plan_track(cfg):
     Ts = cfg["plant"]["Ts"]
+    _substeps(Ts)
     _, reference = _scenario_from_cfg(cfg["track"], Ts)
     _, _, controller = _design_from_cfg(cfg, Ts)
     return functools.partial(run_track, cfg, reference, controller)
@@ -453,9 +480,19 @@ def run_track(cfg, reference, controller, out_dir, preset, params):
 
 def plan_adapt(cfg):
     Ts = cfg["plant"]["Ts"]
+    _substeps(Ts)
     scenario, _ = _scenario_from_cfg(cfg["track"], Ts)
     if cfg["design"]["mode"] != "rst":
         raise ConfigError("adapt re-design supports only mode=rst")
+    ad = cfg["adapt"]
+    if ad["n_iter"] < 1:
+        raise ConfigError("adapt n_iter must be >= 1")
+    if ad["gain"] <= 0:
+        raise ConfigError("adapt gain must be > 0")
+    if ad["profile"] not in PROFILES:
+        raise ConfigError(f"adapt profile must be one of {PROFILES}")
+    if not 0.0 < ad["lambda0"] <= 1.0:
+        raise ConfigError("adapt lambda0 must be in (0, 1]")
     designed = _design_from_cfg(cfg, Ts)
     return functools.partial(run_adapt, cfg, scenario, *designed, ExcitationSpec(**cfg["excitation"]))
 
@@ -614,9 +651,10 @@ def main(argv=None) -> int:
         for preset in presets:  # the only check that depends on the preset; a failure names it
             plants.append(preset and build_valve_params(cfg["plant"], preset, args.seed))
         failures = _run(job, presets, plants, args.out, args.parallel)
-    except (ValveBenchError, ValueError) as err:
+        codes = [2 if isinstance(e, ConfigError) else 1 for _, e in failures]
+    except (ValveBenchError, ValueError) as err:  # the input, before any job ran
         failures = [(preset, err)]
-    codes = [2 if isinstance(e, (ConfigError, ValueError)) else 1 for _, e in failures]
+        codes = [2 if isinstance(err, (ConfigError, ValueError)) else 1]
     for (preset, err), code in zip(failures, codes):  # exit 2 for bad input, 1 for a failed run
         where = f" ({preset})" if preset and len(presets) > 1 else ""
         print(f"valvebench {args.command}{' failed' * (code == 1)}: {err}{where}", file=sys.stderr)

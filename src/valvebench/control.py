@@ -18,6 +18,7 @@ from itertools import zip_longest
 
 import numpy as np
 
+from . import _kernels
 from .errors import DesignError
 from .fileio import format_float
 from .plant import DiscretePlantModel
@@ -240,6 +241,11 @@ class RstController:
             raise ValueError("coefficients must be finite")
         if abs(s[0] - 1.0) > 1e-9:
             raise ValueError("S must be normalized with s0 = 1")
+        return cls._of_parts(r_core, s_core, t_gain, r, s, Ts, hr, hs)
+
+    @classmethod
+    def _of_parts(cls, r_core, s_core, t_gain, r, s, Ts, hr, hs) -> "RstController":
+        """The controller of checked parts, as :meth:`_solved` builds it."""
         poly = DelayPolynomial._of_floats
         ctrl = object.__new__(cls)
         ctrl.__dict__.update(
@@ -304,101 +310,78 @@ def _check_sylvester(a1, b1) -> None:
         )
 
 
-@functools.lru_cache(maxsize=32)
-def _sylvester_kernel(n_a: int, n_b: int, pole_coeffs: tuple):
-    """kernel(a1, b1) -> (x, bound): the solution of M x = P for the
-    Sylvester matrix M of A1 (degree n_a) and B1 (degree n_b) with B1[0] = 0,
-    and an upper bound on the 2-norm condition number of M.
-
-    The kernel is straight-line Python generated for these degrees and this
-    target, and compiled once; every design with them shares it.  P's
-    coefficients are literals in it, and no entry of M is stored or operated
-    on where the structure makes it zero.  Row 0 of M is A1[0] e_0, so
-    x_0 = p_0 / A1[0]; the other n - 1 unknowns come from Gaussian
-    elimination with partial pivoting, the pivot row chosen as LAPACK's
-    getrf chooses it (the first of the largest magnitudes).  A zero pivot,
-    so a singular M, raises ZeroDivisionError.
-
-    The bound is |M|_F^n / ((n - 1)^((n - 1) / 2) |det M|), with det M the
-    product of A1[0] and the pivots.  It holds for n >= 1: the n - 1
-    largest singular values have a product of at most
-    (|M|_F^2 / (n - 1))^((n - 1) / 2) by the AM-GM inequality on their
-    squares, sigma_min is |det M| over their product, and
-    sigma_max <= |M|_F.  Overflow gives an infinite or NaN bound, which
-    the caller treats as exceeded."""
-    n = n_a + n_b
+def _padded_target(n: int, pole_coeffs: tuple) -> list[float]:
+    """P trimmed and padded with zeros to the n rows of a Sylvester system;
+    raises :class:`DesignError` when its degree exceeds n - 1."""
     p = _trimmed(pole_coeffs)
     if len(p) - 1 > n - 1:
         raise DesignError(
             f"desired polynomial degree {len(p) - 1} exceeds solvable degree {n - 1}"
         )
-    p = p + [0.0] * (n - len(p))
+    return p + [0.0] * (n - len(p))
+
+
+@functools.lru_cache(maxsize=32)
+def _sylvester_kernel(n_a: int, n_b: int, pole_coeffs: tuple):
+    """kernel(a1, b1) -> (x, bound): the solution of M x = P for the
+    Sylvester matrix M of A1 (degree n_a) and B1 (degree n_b) with B1[0] = 0,
+    and an upper bound on the 2-norm condition number of M
+    (:func:`valvebench._kernels.sylvester_lines`).  Raises
+    :class:`DesignError` when P's degree exceeds n_a + n_b - 1.
+
+    The kernel is straight-line Python generated for these degrees and this
+    target, and compiled once; every design with them shares it."""
+    p = _padded_target(n_a + n_b, pole_coeffs)
     a = [f"a{k}" for k in range(n_a + 1)]
-    b = [None] + [f"b{k}" for k in range(1, n_b + 1)]
-
-    def entry(i, j):  # M[i][j] as source text, None where it is zero
-        k = i - j if j < n_b else i - j + n_b
-        coeffs = a if j < n_b else b
-        return coeffs[k] if 0 <= k < len(coeffs) else None
-
+    b = [f"b{k}" for k in range(1, n_b + 1)]
     code = [
         "def kernel(a, b):",
         f"    {', '.join(a)}, = a",
-        f"    _, {', '.join(b[1:])}, = b",
-        f"    x0 = {p[0]!r} / a0",
+        f"    _, {', '.join(b)}, = b",
+        *_kernels.indented(_kernels.sylvester_lines(n_a, n_b, p)),
+        f"    return [{', '.join(f'x{k}' for k in range(n_a + n_b))}], bound",
     ]
-    # Rows and columns 1..n-1 once x0 is known; nz marks the entries that
-    # may be nonzero, v the right-hand side.
-    nz = {}
-    for i in range(1, n):
-        for j in range(1, n):
-            nz[i, j] = entry(i, j) is not None
-            if nz[i, j]:
-                code.append(f"    m{i}_{j} = {entry(i, j)}")
-        rhs = [repr(p[i])] + ([f"{entry(i, 0)} * x0"] if entry(i, 0) else [])
-        code.append(f"    v{i} = {' - '.join(rhs)}")
-    for k in range(1, n):
-        if not nz[k, k]:
-            code.append(f"    m{k}_{k} = 0.0")
-            nz[k, k] = True
-        rows = [r for r in range(k + 1, n) if nz[r, k]]
-        for r in rows:  # bring the first largest |m[r][k]| to row k
-            cols = [j for j in range(k, n) if nz[k, j] or nz[r, j]]
-            for j in cols:  # a zero that may move gets a name
-                for i in (k, r):
-                    if not nz[i, j]:
-                        code.append(f"    m{i}_{j} = 0.0")
-                        nz[i, j] = True
-            names_k = [f"m{k}_{j}" for j in cols] + [f"v{k}"]
-            names_r = [f"m{r}_{j}" for j in cols] + [f"v{r}"]
-            code.append(
-                f"    if abs(m{r}_{k}) > abs(m{k}_{k}): "
-                f"{', '.join(names_k + names_r)} = {', '.join(names_r + names_k)}"
-            )
-        for r in rows:
-            code.append(f"    q = m{r}_{k} / m{k}_{k}")
-            for j in range(k + 1, n):
-                if nz[k, j]:
-                    code.append(f"    m{r}_{j} = {f'm{r}_{j} - ' if nz[r, j] else '-'}q * m{k}_{j}")
-                    nz[r, j] = True
-            code.append(f"    v{r} -= q * v{k}")
-    for k in range(n - 1, 0, -1):
-        terms = [f"v{k}"] + [f"m{k}_{j} * x{j}" for j in range(k + 1, n) if nz[k, j]]
-        code.append(f"    x{k} = ({' - '.join(terms)}) / m{k}_{k}")
-    frob2 = " + ".join(
-        [f"{n_b} * ({' + '.join(f'{c} * {c}' for c in a)})"]
-        + ([f"{n_a} * ({' + '.join(f'{c} * {c}' for c in b[1:])})"] if n_a else [])
-    )
-    power = " * ".join(["f2"] * (n // 2) + (["math.sqrt(f2)"] if n % 2 else []))
-    det = " * ".join(["a0"] + [f"m{k}_{k}" for k in range(1, n)])
-    code += [
-        f"    f2 = {frob2}",
-        f"    bound = {power} / ({(n - 1) ** ((n - 1) / 2)!r} * abs({det}))",
-        f"    return [{', '.join(f'x{k}' for k in range(n))}], bound",
-    ]
-    namespace = {"math": math}
-    exec(compile("\n".join(code), f"<sylvester kernel {n_a}x{n_b}>", "exec"), namespace)
-    return namespace["kernel"]
+    return _kernels.compiled(code, f"<sylvester kernel {n_a}x{n_b}>")
+
+
+@functools.lru_cache(maxsize=32)
+def _design_kernel(na: int, nb: int, delay: int, hs: tuple, hr: tuple, pole_coeffs: tuple):
+    """kernel(a_coeffs, b_coeffs) -> (r_core, s_core, t, r, s) or None: the
+    whole of :func:`bezout_design` for a model of these orders and delay
+    with these fixed parts and target, as straight-line Python generated
+    and compiled once (:func:`valvebench._kernels.design_source`); None, the
+    function, where no kernel applies, a P of too high a degree among them.
+
+    Every value carries the bits the general route gives it.  The kernel
+    returns None, for the general route to decide, on a trimmed degree of
+    A1, B1 or R, a zero numerator, a zero pivot, a condition bound past
+    SYLVESTER_MAX_COND, or a coefficient that is not finite."""
+    n = na + len(hs) - 1 + delay + nb + len(hr) - 1
+    try:
+        p = _padded_target(n, pole_coeffs)
+    except DesignError:
+        return None
+    code = _kernels.design_source(na, nb, delay, hs, hr, p, SYLVESTER_MAX_COND)
+    if code is None:
+        return None
+    return _kernels.compiled(code, f"<design kernel {na}, {nb}, {delay}>")
+
+
+@functools.lru_cache(maxsize=32)
+def _pole_check_kernel(na: int, nb: int, delay: int, len_s: int, len_r: int, pole_coeffs: tuple):
+    """kernel(a_coeffs, b_coeffs, s, r) -> err or None: the error of
+    :func:`check_pole_placement` for a model of these orders and delay, a
+    controller of these lengths of S and R, and this target, as
+    straight-line Python generated and compiled once
+    (:func:`valvebench._kernels.pole_check_source`); None, the function,
+    where the target's leading coefficient is zero.  The kernel returns
+    None, for the general route to decide, on a zero leading coefficient or
+    a coefficient that is not finite."""
+    wanted = _monic_target(pole_coeffs)
+    if wanted is None:
+        return None
+    code = _kernels.pole_check_source(na, nb, delay, len_s, len_r, wanted)
+    return _kernels.compiled(code, f"<pole check kernel {na}, {nb}, {delay}>")
 
 
 def bezout_design(
@@ -416,7 +399,27 @@ def bezout_design(
     than SYLVESTER_MAX_COND (a common factor), the numerator is zero or P is
     of too high a degree.
 
-    Works on coefficient lists, with no numpy call on the accepted path.
+    Runs the design kernel of the model's orders and delay, the fixed
+    parts and the target (:func:`_design_kernel`), straight-line Python
+    compiled once per key.  It gives the bits of the general route
+    (:func:`_bezout_general`), which decides every input the kernel returns
+    None for: a trimmed degree of A1, B1 or R, a zero numerator, a zero
+    pivot, a condition bound past SYLVESTER_MAX_COND, or a value that is
+    not finite.
+    """
+    kernel = _design_kernel(
+        len(model.a_coeffs), len(model.b_coeffs), model.delay, hs.coeffs, hr.coeffs,
+        pole_poly.coeffs,
+    )
+    solved = None if kernel is None else kernel(model.a_coeffs, model.b_coeffs)
+    if solved is None:
+        return _bezout_general(model, pole_poly, hs, hr)
+    return RstController._of_parts(*solved, model.Ts, hr, hs)
+
+
+def _bezout_general(model, pole_poly, hs, hr) -> RstController:
+    """:func:`bezout_design` on coefficient lists, for any input.
+
     M x = P is solved by a straight-line kernel built and compiled once per
     pair of degrees and target (:func:`_sylvester_kernel`): Gaussian
     elimination with partial pivoting on the entries of M that its structure
@@ -510,16 +513,29 @@ def check_pole_placement(
     double root) while the coefficients are not.  Raises
     :class:`DesignError` above tol.
     """
+    kernel = _pole_check_kernel(
+        len(model.a_coeffs), len(model.b_coeffs), model.delay, len(controller.s.coeffs),
+        len(controller.r.coeffs), pole_poly.coeffs,
+    )
+    err = None if kernel is None else kernel(
+        model.a_coeffs, model.b_coeffs, controller.s.coeffs, controller.r.coeffs
+    )
+    if err is None:
+        err = _placement_error(model, controller, pole_poly)
+    if err > tol:
+        raise DesignError(f"pole placement error {err:.3g} exceeds {tol:.1e}")
+    return err
+
+
+def _placement_error(model, controller, pole_poly) -> float:
+    """The error of :func:`check_pole_placement` for any input."""
     achieved = _trimmed(_closed_loop(model, controller), 1e-9)
     wanted = _monic_target(pole_poly.coeffs)
     lead = achieved[0]
     if lead == 0.0 or wanted is None:
         raise DesignError("closed-loop polynomial lost its leading coefficient")
     # a padded 0.0 / lead is +-0.0, so the shorter side compares as zeros
-    err = max([abs(c / lead - v) for c, v in zip_longest(achieved, wanted, fillvalue=0.0)])
-    if err > tol:
-        raise DesignError(f"pole placement error {err:.3g} exceeds {tol:.1e}")
-    return err
+    return max([abs(c / lead - v) for c, v in zip_longest(achieved, wanted, fillvalue=0.0)])
 
 
 # ---------------------------------------------------------------------------

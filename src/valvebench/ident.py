@@ -16,11 +16,13 @@ forgetting-factor weightings; three profiles are supported:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import _kernels
 from .errors import DivergenceError, IdentifiabilityError
 
 MAX_NORMAL_COND = 1e12
@@ -214,7 +216,7 @@ class AdaptationState:
     def _updated(self, theta, F, lambda1: float) -> "AdaptationState":
         """This state with a new estimate, gain matrix and lambda1, built
         without the constructor's validation: the update that produced them
-        (:func:`_rls_update`) has checked what it can break, and lambda2,
+        (:func:`_rls_kernel`) has checked what it can break, and lambda2,
         lambda0 and the profile are copied.  The instance dict is filled
         directly."""
         new = object.__new__(AdaptationState)
@@ -275,71 +277,26 @@ def _dot(x, y) -> float:
     return acc
 
 
-def _positive_definite(F) -> bool:
-    """Sylvester's criterion through the pivots of Gaussian elimination
-    without pivoting, which are the squares of F's Cholesky diagonal: all are
-    positive exactly when the symmetric F is positive definite.  At n = 2
-    that is F00 > 0 and det F > 0."""
-    rows = [list(row) for row in F]
-    for k, pivot_row in enumerate(rows):
-        pivot = pivot_row[k]
-        if not pivot > 0.0:
-            return False
-        for row in rows[k + 1:]:
-            m = row[k] / pivot
-            for j in range(k + 1, len(row)):
-                row[j] -= m * pivot_row[j]
-    return True
+_NOT_FINITE = "recursive estimator diverged: parameter estimate or gain matrix F is not finite"
+_NOT_DEFINITE = "recursive estimator diverged: gain matrix F lost positive definiteness"
 
 
-def _rls_update(theta, F, lambda1, lambda2, lambda0, profile, phi, y_new):
-    """One recursive update on Python floats; the kernel of :func:`rls_step`.
-
-    theta, phi and the rows of F are lists of floats, F row-major.  Returns
-    (theta, F, lambda1, a priori error, a posteriori error) of the successor
-    as new lists.  Raises ValueError for non-finite data and
-    :class:`DivergenceError` for an estimate or F that is not finite, an F
-    that is no longer positive definite, or lambda1 outside (0, 1].
-    """
-    if not (all(map(math.isfinite, phi)) and math.isfinite(y_new)):
-        raise ValueError("phi and y_new must be finite")
-    try:
-        f_phi = [_dot(row, phi) for row in F]
-        quad = _dot(phi, f_phi)
-        eps0 = y_new - _dot(theta, phi)
-        eps = eps0 / (1.0 + quad)
-        theta_new = [t + f * eps for t, f in zip(theta, f_phi)]
-        denom = lambda1 / lambda2 + quad if lambda2 != 0.0 else None
-        # (F - F phi phi' F / denom) / lambda1, or F / lambda1 when lambda2 = 0,
-        # symmetrised as 0.5 (F_new + F_new'): entries (i, j) and (j, i) at once
-        n = len(F)
-        F_new = [[0.0] * n for _ in range(n)]
-        for i, fi in enumerate(f_phi):
-            for j in range(i, n):
-                if denom is None:
-                    x, y = F[i][j] / lambda1, F[j][i] / lambda1
-                else:
-                    fj = f_phi[j]
-                    x = (F[i][j] - fi * fj / denom) / lambda1
-                    y = (F[j][i] - fj * fi / denom) / lambda1
-                F_new[i][j] = F_new[j][i] = 0.5 * (x + y)
-        # theta' F theta is not finite whenever any entry of either is (inf * 0 is NaN).
-        finite = math.isfinite(_dot([_dot(row, theta_new) for row in F_new], theta_new))
-    except ZeroDivisionError:  # a zero denominator: numpy's inf or NaN
-        finite = False
-    if not finite:
-        raise DivergenceError(
-            "recursive estimator diverged: parameter estimate or gain matrix F is not finite"
-        )
-    if not _positive_definite(F_new):
-        raise DivergenceError(
-            "recursive estimator diverged: gain matrix F lost positive definiteness"
-        )
-    if profile == "variable-forgetting":
-        lambda1 = lambda0 * lambda1 + 1.0 - lambda0
-    if not 0.0 < lambda1 <= 1.0:
-        raise DivergenceError(f"recursive estimator diverged: lambda1 = {lambda1!r} left (0, 1]")
-    return theta_new, F_new, lambda1, eps0, eps
+@functools.lru_cache(maxsize=8)
+def _rls_kernel(n: int):
+    """kernel(theta, F, lambda1, lambda2, lambda0, profile, phi, y_new) ->
+    (theta, F, lambda1, a priori error, a posteriori error): one recursive
+    update of n parameters on Python floats, the arithmetic of
+    :func:`rls_step` and :func:`rls_run`, as straight-line Python generated
+    (:func:`valvebench._kernels.rls_source`) and compiled once; every update
+    of that dimension shares it.  Each sum is formed as :func:`_dot` forms
+    it.  Raises ValueError for non-finite phi or y_new, and
+    :class:`DivergenceError` for a successor whose estimate or F is not
+    finite, an F that is no longer positive definite, or lambda1 outside
+    (0, 1]."""
+    return _kernels.compiled(
+        _kernels.rls_source(n), f"<rls kernel n={n}>", DivergenceError=DivergenceError,
+        NOT_FINITE=_NOT_FINITE, NOT_DEFINITE=_NOT_DEFINITE,
+    )
 
 
 def rls_step(
@@ -352,8 +309,9 @@ def rls_step(
     posteriori error.  F then shrinks through the matrix-inversion-lemma form
     of  F_new^-1 = lambda1 F^-1 + lambda2 phi phi'.
 
-    The arithmetic runs on Python floats, in the kernel that :func:`rls_run`
-    also calls directly; this wrapper converts the state's arrays and builds
+    The arithmetic runs on Python floats, in the kernel generated for the
+    dimension (:func:`_rls_kernel`) that :func:`rls_run` also calls
+    directly; this wrapper converts the state's arrays and builds
     the successor without rerunning the :class:`AdaptationState` validation,
     which the input state has passed.  A list phi, the closed-loop
     predictor's regressor, is taken as it is once its length matches; its
@@ -370,7 +328,7 @@ def rls_step(
         phi = phi.tolist()
     elif len(phi) != len(theta):
         raise ValueError("phi must match theta_hat")
-    theta, F, lambda1, eps0, eps = _rls_update(
+    theta, F, lambda1, eps0, eps = _rls_kernel(len(phi))(
         theta.tolist(), state.F.tolist(), state.lambda1, state.lambda2,
         state.lambda0, state.profile, phi, float(y_new),
     )
@@ -399,8 +357,9 @@ def rls_run(u, y, na: int, nb: int, init: AdaptationState) -> RlsRun:
         raise ValueError("init state dimension must equal na + nb")
     theta, F, lam1 = init.theta_hat.tolist(), init.F.tolist(), init.lambda1
     thetas, Fs, lam1s, e0, e1 = [], [], [], [], []
+    update = _rls_kernel(n)
     for row, target in zip(phi.tolist(), tgt.tolist()):
-        theta, F, lam1, eps0, eps = _rls_update(
+        theta, F, lam1, eps0, eps = update(
             theta, F, lam1, init.lambda2, init.lambda0, init.profile, row, target
         )
         thetas.append(theta)

@@ -134,6 +134,17 @@ def rest_state(params: ValveParams) -> ValveState:
     return ValveState(angle=params.spring_rest_angle, velocity=0.0, moving=False)
 
 
+def _substeps(Ts: float) -> int:
+    """The 1 ms sub-steps in one sample; raises ValueError unless Ts is a
+    positive whole number of them."""
+    if Ts <= 0:
+        raise ValueError("Ts must be > 0")
+    n_sub = Ts / DT_INTERNAL
+    if abs(n_sub - round(n_sub)) > 1e-9:
+        raise ValueError("Ts must be an integer multiple of the 1 ms sub-step")
+    return int(round(n_sub))
+
+
 class ValveSimulator:
     """Sampled valve: the 1 ms sub-step integrator advanced by phase jumps.
 
@@ -159,14 +170,9 @@ class ValveSimulator:
     """
 
     def __init__(self, params: ValveParams, Ts: float = 0.05, state: ValveState | None = None):
-        if Ts <= 0:
-            raise ValueError("Ts must be > 0")
-        n_sub = Ts / DT_INTERNAL
-        if abs(n_sub - round(n_sub)) > 1e-9:
-            raise ValueError("Ts must be an integer multiple of the 1 ms sub-step")
+        self.n_sub = _substeps(Ts)
         self.params = params
         self.Ts = Ts
-        self.n_sub = int(round(n_sub))
         self.state = state if state is not None else rest_state(params)
         self.rng = np.random.default_rng(params.rng_seed)
         if params.adc_bits:
@@ -284,17 +290,18 @@ class ValveSimulator:
             # V_STOP, or the plate reaches a stop its target lies beyond.
             # Then corrected on the grid against the same test; left + 1
             # means no event this sample.
+            # A ratio that underflows to 0 puts its event past any sample.
             first = left + 1
             if stop_reach >= mag:
                 first = 1
-            elif stop_reach > 0.0 and log_decay < 0.0:
+            elif stop_reach > 0.0 and stop_reach / mag > 0.0 and log_decay < 0.0:
                 first = min(first, math.ceil(math.log(stop_reach / mag) / log_decay))
             reach = target - a_max
             if a_min - target > reach:
                 reach = a_min - target
             if reach >= mag:
                 first = 1
-            elif reach > 0.0 and log_decay < 0.0:
+            elif reach > 0.0 and reach / mag > 0.0 and log_decay < 0.0:
                 first = min(first, math.ceil(math.log(reach / mag) / log_decay))
             j = first if first > 1 else 1
             while j > 1:
@@ -373,6 +380,12 @@ class HysteresisMap:
         return float(np.max(np.abs(self.angle_up - self.angle_down)))
 
 
+def _check_sweep_hold(hold: float) -> None:
+    """Raise ValueError for a hold too short for a quasi-static sweep."""
+    if hold < 2.5:
+        raise ValueError("hold must be >= 2.5 s for a quasi-static sweep")
+
+
 def static_sweep(
     params: ValveParams,
     u_levels: np.ndarray,
@@ -386,8 +399,7 @@ def static_sweep(
     are returned separately.
     """
     u_levels = np.asarray(u_levels, dtype=float)
-    if hold < 2.5:
-        raise ValueError("hold must be >= 2.5 s for a quasi-static sweep")
+    _check_sweep_hold(hold)
     n_hold = int(round(hold / Ts))
     n_avg = max(1, int(round(0.5 / Ts)))
     sim = ValveSimulator(params, Ts)

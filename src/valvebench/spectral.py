@@ -79,14 +79,19 @@ def etfe(u: np.ndarray, y: np.ndarray, Ts: float) -> FrequencyResponse:
     return FrequencyResponse(omega, Y[k] / U[k], Ts)
 
 
+def _check_smooth_size(size: int) -> None:
+    """Raise ValueError unless size is a window :func:`smooth` takes."""
+    if size < 1 or size % 2 == 0:
+        raise ValueError("smoothing size must be odd and >= 1")
+
+
 def smooth(response: FrequencyResponse, size: int = 25) -> FrequencyResponse:
     """Hann-weighted complex moving average across bins.
 
     size must be odd (1 returns a copy).  Near the edges the window is
     truncated and its weights renormalized.
     """
-    if size < 1 or size % 2 == 0:
-        raise ValueError("smoothing size must be odd and >= 1")
+    _check_smooth_size(size)
     if size == 1 or len(response.values) == 0:
         return FrequencyResponse(response.frequencies, response.values.copy(), response.Ts)
     w = np.hanning(size)
@@ -105,11 +110,16 @@ def _line_fit(response: FrequencyResponse, band: tuple[float, float]):
     return np.polyfit(np.log10(response.frequencies[mask]), db(response.values[mask]), 1)
 
 
-def slope_fit(response: FrequencyResponse, band: tuple[float, float]) -> float:
-    """Least-squares slope of |G| in dB per decade over the band (rad/s)."""
+def _check_band(band: tuple[float, float]) -> None:
+    """Raise ValueError unless the band is one :func:`slope_fit` takes."""
     lo, hi = band
     if not (0 < lo < hi):
         raise ValueError("band must satisfy 0 < lo < hi")
+
+
+def slope_fit(response: FrequencyResponse, band: tuple[float, float]) -> float:
+    """Least-squares slope of |G| in dB per decade over the band (rad/s)."""
+    _check_band(band)
     return float(_line_fit(response, band)[0])
 
 

@@ -221,6 +221,60 @@ def test_exit_codes(tmp_path, capsys):
     assert main(["sweep", "--out", str(tmp_path), "--parallel", "0"]) == 2
 
 
+def test_numerical_failure_mid_run_exits_1(tmp_path, capsys):
+    """A PI design on a gain of -1e-307 passes every check of the input, and
+    its loop computes a non-finite duty cycle: a failed run, not bad input."""
+    out = tmp_path / "out"
+    rc = main(["track", "--out", str(out), "--set", "design.mode=pi", "--set", "model.b=-1e-307"])
+    assert rc == 1
+    assert "valvebench track failed: duty cycle must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_plain_value_error_mid_run_is_a_run_failure(tmp_path, capsys, monkeypatch):
+    """A job that raises a plain ValueError after writing some of its files
+    exits 1 and leaves no partial output."""
+    def failing_fit(*args, **kwargs):
+        raise ValueError("fit failed")
+
+    monkeypatch.setattr(cli, "slope_fit", failing_fit)
+    out = tmp_path / "out"
+    assert main(["etfe", "--out", str(out)]) == 1
+    assert "valvebench etfe failed: fit failed" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, override, message",
+    [
+        ("sweep", "sweep.hold=1.0", "hold must be >= 2.5 s"),
+        ("sweep", "plant.Ts=0.0015", "integer multiple of the 1 ms sub-step"),
+        ("etfe", "spectral.smooth_window=4", "smoothing size must be odd"),
+        ("etfe", "spectral.slope_lo=40", "band must satisfy 0 < lo < hi"),
+        ("etfe", "spectral.plateau_lo=2.0", "plateau_lo must not exceed plateau_hi"),
+        ("identify", "plant.Ts=0", "Ts must be > 0"),
+        ("track", "plant.Ts=0.0025", "integer multiple of the 1 ms sub-step"),
+        ("adapt", "adapt.n_iter=0", "n_iter must be >= 1"),
+        ("adapt", "adapt.gain=-1", "gain must be > 0"),
+        ("adapt", "adapt.profile=fast", "profile must be one of"),
+        ("adapt", "adapt.lambda0=1.5", "lambda0 must be in (0, 1]"),
+    ],
+)
+def test_input_checks_run_before_any_simulation(tmp_path, capsys, monkeypatch, command, override, message):
+    """Each check on the input that a job used to make mid-run is made by the
+    plan: exit 2, the library's message, and nothing simulated or written."""
+    def never(*args, **kwargs):
+        raise AssertionError("a plant ran before the input was checked")
+
+    for name in ("ValveSimulator", "static_sweep", "open_loop_record", "iterate"):
+        monkeypatch.setattr(cli, name, never)
+    out = tmp_path / "out"
+    assert main([command, "--out", str(out), "--set", override]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"valvebench {command}: ") and message in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "argv", [["track"], ["adapt", "--config", str(CONFIGS / "adapt_valve6.cfg")]], ids=["track", "adapt"]
 )

@@ -1,4 +1,5 @@
 import math
+from itertools import zip_longest
 
 import numpy as np
 import pytest
@@ -15,7 +16,15 @@ from valvebench.control import (
     DelayPolynomial,
     PoleSpec,
     RstController,
+    _check_sylvester,
+    _closed_loop,
+    _convolve,
+    _design_kernel,
+    _model_arrays,
+    _monic_target,
+    _pole_check_kernel,
     _sylvester_kernel,
+    _trimmed,
     bezout_design,
     check_pole_placement,
     closed_loop_polynomial,
@@ -665,3 +674,177 @@ def test_design_edge_cases_match_oracle(monkeypatch, a, b, message):
         assert kernel_bound == pytest.approx(bound, rel=1e-6)
     if a == (NEAR_COMMON,):
         assert np.linalg.cond(M) <= SYLVESTER_MAX_COND < bound
+
+
+# ---------------------------------------------------------------------------
+# Generic list-level design and pole check: the bit-for-bit references of
+# the generated design and pole-check kernels
+
+
+def _reference_bezout_design(model, pole_poly, hs=HS_INTEGRATOR, hr=HR_NYQUIST_ZERO):
+    """bezout_design as generic Python on coefficient lists, for any input."""
+    a, b = _model_arrays(model)
+    a1 = _trimmed(_convolve(a, hs.coeffs))
+    b1 = _trimmed(_convolve(b, hr.coeffs))
+    if not any(b1):
+        raise DesignError("plant numerator is zero")
+    n_a = len(a1) - 1
+    n_b = len(b1) - 1
+    if n_b < 1:
+        raise DesignError("plant must have at least one step of delay")
+    kernel = _sylvester_kernel(n_a, n_b, pole_poly.coeffs)
+    try:
+        sol, bound = kernel(a1, b1)
+    except ZeroDivisionError:
+        _check_sylvester(a1, b1)
+        raise
+    if not bound <= SYLVESTER_MAX_COND:
+        _check_sylvester(a1, b1)
+    lead = sol[0]
+    if lead == 0.0 or not math.isfinite(lead):
+        raise DesignError("degenerate solution with s0 = 0")
+    s_core = [v / lead for v in sol[:n_b]]
+    r_core = [v / lead for v in sol[n_b:]]
+    r = _convolve(hr.coeffs, r_core)
+    t_gain = 0.0
+    for c in reversed(_trimmed(r)):
+        t_gain += c
+    return RstController._solved(
+        r_core, s_core, t_gain, r, _convolve(hs.coeffs, s_core), model.Ts, hr, hs
+    )
+
+
+def _reference_check_pole_placement(model, controller, pole_poly, tol=1e-9):
+    """check_pole_placement as generic Python on coefficient lists."""
+    achieved = _trimmed(_closed_loop(model, controller), 1e-9)
+    wanted = _monic_target(pole_poly.coeffs)
+    lead = achieved[0]
+    if lead == 0.0 or wanted is None:
+        raise DesignError("closed-loop polynomial lost its leading coefficient")
+    err = max([abs(c / lead - v) for c, v in zip_longest(achieved, wanted, fillvalue=0.0)])
+    if err > tol:
+        raise DesignError(f"pole placement error {err:.3g} exceeds {tol:.1e}")
+    return err
+
+
+def _hex(values):
+    return [v.hex() for v in values]
+
+
+def _design_bits(fn, model, target, hs, hr):
+    """r_core, s_core, t, r and s of a design as the hex of each float, or
+    the error type and message."""
+    try:
+        ctrl = fn(model, target, hs=hs, hr=hr)
+    except (DesignError, ValueError) as err:
+        return type(err), str(err)
+    return [_hex(getattr(ctrl, name).coeffs) for name in ("r_core", "s_core", "t", "r", "s")]
+
+
+def _pole_check_bits(fn, model, ctrl, target, tol=1e-9):
+    try:
+        return fn(model, ctrl, target, tol).hex()
+    except (DesignError, ValueError) as err:
+        return type(err), str(err)
+
+
+def _assert_design_bits_match_reference(model, target, hs, hr):
+    """bezout_design and check_pole_placement give the reference's bits:
+    the same coefficients and pole-check error, or the same error."""
+    got = _design_bits(bezout_design, model, target, hs, hr)
+    assert got == _design_bits(_reference_bezout_design, model, target, hs, hr)
+    if isinstance(got, tuple):
+        return got
+    ctrl = _reference_bezout_design(model, target, hs=hs, hr=hr)
+    for wanted in (target, DelayPolynomial(target.coeffs[:2])):
+        for tol in (1e-9, math.inf):
+            assert _pole_check_bits(check_pole_placement, model, ctrl, wanted, tol) == (
+                _pole_check_bits(_reference_check_pole_placement, model, ctrl, wanted, tol)
+            )
+    return got
+
+
+FIXED_PARTS = [ONE, HS_INTEGRATOR, HR_NYQUIST_ZERO]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    na=st.integers(1, 3),
+    nb=st.integers(1, 3),
+    delay=st.integers(0, 2),
+    hs=st.sampled_from(FIXED_PARTS),
+    hr=st.sampled_from(FIXED_PARTS),
+    n_aux=st.integers(0, 2),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_design_kernels_match_reference_bits(na, nb, delay, hs, hr, n_aux, seed):
+    """On seeded estimates, the generated design and pole-check kernels give
+    the bits of the generic list-level route: r_core, s_core, t, r, s and
+    the pole-check error, or the same error type and message."""
+    rng = np.random.default_rng(seed)
+    model = DiscretePlantModel(
+        tuple(rng.uniform(-2, 2, na)), tuple(rng.uniform(-2, 2, nb)), delay, Ts
+    )
+    aux = DelayPolynomial((1.0, *rng.uniform(-0.9, 0.9, n_aux)))
+    pole = PoleSpec(float(rng.uniform(0.5, 30.0)), float(rng.uniform(0.3, 2.0)), Ts, aux)
+    _assert_design_bits_match_reference(model, desired_poles(pole), hs, hr)
+
+
+def test_design_kernel_runs_on_the_adaptive_redesign():
+    """The default spec's redesign takes the generated kernels, not the
+    general route, and their results are the reference's."""
+    spec = RstDesignSpec(PoleSpec(5.0, 1.0, Ts))
+    model = spec.model_from([-0.9152, -0.0609])
+    key = (1, 1, 0, spec.hs.coeffs, spec.hr.coeffs, spec.target.coeffs)
+    solved = _design_kernel(*key)(model.a_coeffs, model.b_coeffs)
+    ctrl = spec.design([-0.9152, -0.0609])
+    assert solved is not None
+    r_core, s_core, t_gain, r, s = solved
+    assert [_hex(part) for part in (r_core, s_core, (t_gain,), r, s)] == [
+        _hex(ctrl.r_core.coeffs), _hex(ctrl.s_core.coeffs), _hex(ctrl.t.coeffs),
+        _hex(ctrl.r.coeffs), _hex(ctrl.s.coeffs),
+    ]
+    err = _pole_check_kernel(1, 1, 0, 3, 3, spec.target.coeffs)(
+        model.a_coeffs, model.b_coeffs, ctrl.s.coeffs, ctrl.r.coeffs
+    )
+    assert err == _reference_check_pole_placement(model, ctrl, spec.target)
+
+
+@pytest.mark.parametrize(
+    "a, b, delay, hs, hr, aux, message",
+    [
+        # a_2 at 1e-14 of A1: A1 trims a degree
+        ((-0.9, 1e-14), (0.5, 0.1), 0, HS_INTEGRATOR, HR_NYQUIST_ZERO, None, None),
+        # b_2 at 1e-14 of B1: B1 trims a degree
+        ((-0.9,), (0.5, 1e-14), 0, HS_INTEGRATOR, HR_NYQUIST_ZERO, None, None),
+        ((-0.9,), (0.0,), 1, HS_INTEGRATOR, HR_NYQUIST_ZERO, None, "plant numerator is zero"),
+        ((NEAR_COMMON,), (0.5,), 0, HS_INTEGRATOR, HR_NYQUIST_ZERO, None, "pole placement error"),
+        ((1.0,), (0.5,), 0, HS_INTEGRATOR, HR_NYQUIST_ZERO, None, "common factor"),
+        # B1 = q^-1 (b_1 + b_2) (1 + q^-1) overflows
+        ((-0.9,), (1e308, 1e308), 0, ONE, HR_NYQUIST_ZERO, None, "coefficients must be finite"),
+        # an auxiliary of degree 2 makes P of degree 4, past the 3 the system solves
+        ((-0.9,), (0.5,), 0, HS_INTEGRATOR, HR_NYQUIST_ZERO, (1.0, -0.5, 0.06),
+         "exceeds solvable degree"),
+        ((-0.9,), (0.5,), 0, DelayPolynomial((2.0, -2.0)), ONE, None, "s0 = 1"),
+    ],
+    ids=["trimmed-a1", "trimmed-b1", "zero-numerator", "near-common-factor", "common-factor",
+         "non-finite", "p-too-high", "s0-not-one"],
+)
+def test_design_kernel_edges_match_reference(a, b, delay, hs, hr, aux, message):
+    """Each input the design kernel leaves to the general route takes it, and
+    the design and RstDesignSpec.design raise what the reference raises, or
+    give its bits."""
+    model = DiscretePlantModel(a, b, delay, Ts)
+    pole = PoleSpec(5.0, 1.0, Ts, DelayPolynomial(aux or (1.0,)))
+    wanted = desired_poles(pole)
+    kernel = _design_kernel(len(a), len(b), delay, hs.coeffs, hr.coeffs, wanted.coeffs)
+    assert kernel is None or kernel(a, b) is None  # the general route decides
+    got = _assert_design_bits_match_reference(model, wanted, hs, hr)
+    spec = RstDesignSpec(pole, na=len(a), nb=len(b), delay=delay, hs=hs, hr=hr)
+    designed = _outcome(spec.design, a + b)
+    if message is None:
+        assert not isinstance(got, tuple) and designed[1] is None
+    else:
+        assert message in designed[1][1]
+        if not message.startswith("pole placement"):
+            assert designed[1] == got

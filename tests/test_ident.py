@@ -15,7 +15,8 @@ from valvebench.ident import (
     build_regressors,
     initial_adaptation_state,
     order_scan,
-    _rls_update,
+    _dot,
+    _rls_kernel,
     rls_run,
     rls_step,
 )
@@ -370,6 +371,68 @@ def _rls_step_numpy(theta, F, lambda1, lambda2, lambda0, profile, phi, y_new):
     return theta_new, F_new, lambda1, eps0, eps
 
 
+def _positive_definite_oracle(F) -> bool:
+    """Sylvester's criterion through the pivots of Gaussian elimination
+    without pivoting, as a loop over the rows."""
+    rows = [list(row) for row in F]
+    for k, pivot_row in enumerate(rows):
+        pivot = pivot_row[k]
+        if not pivot > 0.0:
+            return False
+        for row in rows[k + 1:]:
+            m = row[k] / pivot
+            for j in range(k + 1, len(row)):
+                row[j] -= m * pivot_row[j]
+    return True
+
+
+def _rls_update_oracle(theta, F, lambda1, lambda2, lambda0, profile, phi, y_new):
+    """The recursive update as loops over lists, each sum through _dot: the
+    bit-for-bit reference of the generated kernel (_rls_kernel), with its
+    arguments, results and errors."""
+    if not (all(map(math.isfinite, phi)) and math.isfinite(y_new)):
+        raise ValueError("phi and y_new must be finite")
+    try:
+        f_phi = [_dot(row, phi) for row in F]
+        quad = _dot(phi, f_phi)
+        eps0 = y_new - _dot(theta, phi)
+        eps = eps0 / (1.0 + quad)
+        theta_new = [t + f * eps for t, f in zip(theta, f_phi)]
+        denom = lambda1 / lambda2 + quad if lambda2 != 0.0 else None
+        n = len(F)
+        F_new = [[0.0] * n for _ in range(n)]
+        for i, fi in enumerate(f_phi):
+            for j in range(i, n):
+                if denom is None:
+                    x, y = F[i][j] / lambda1, F[j][i] / lambda1
+                else:
+                    fj = f_phi[j]
+                    x = (F[i][j] - fi * fj / denom) / lambda1
+                    y = (F[j][i] - fj * fi / denom) / lambda1
+                F_new[i][j] = F_new[j][i] = 0.5 * (x + y)
+        finite = math.isfinite(_dot([_dot(row, theta_new) for row in F_new], theta_new))
+    except ZeroDivisionError:
+        finite = False
+    if not finite:
+        raise DivergenceError(
+            "recursive estimator diverged: parameter estimate or gain matrix F is not finite"
+        )
+    if not _positive_definite_oracle(F_new):
+        raise DivergenceError(
+            "recursive estimator diverged: gain matrix F lost positive definiteness"
+        )
+    if profile == "variable-forgetting":
+        lambda1 = lambda0 * lambda1 + 1.0 - lambda0
+    if not 0.0 < lambda1 <= 1.0:
+        raise DivergenceError(f"recursive estimator diverged: lambda1 = {lambda1!r} left (0, 1]")
+    return theta_new, F_new, lambda1, eps0, eps
+
+
+def _rls_update(theta, F, *args):
+    """The generated kernel of theta's dimension, called as rls_step calls it."""
+    return _rls_kernel(len(theta))(theta, F, *args)
+
+
 def _assert_update_agrees(got, want, state, phi, y_new):
     """`got` is (successor, eps0, eps) of one update of `state` by rls_step,
     `want` the (theta, F, lambda1, eps0, eps) of _rls_step_numpy.
@@ -529,10 +592,89 @@ def test_rls_kernel_errors_match_numpy_body(theta, F, lambda1, lambda0, profile,
     want = outcome(_rls_step_numpy, np.array(theta), np.array(F), lambda1, 1.0, lambda0,
                    profile, np.array(phi), y_new)
     assert want is not None and got == want
+    assert got == outcome(_rls_update_oracle, theta, F, lambda1, 1.0, lambda0, profile, phi, y_new)
 
 
 def test_rls_kernel_zero_innovation_denominator_is_divergence():
     """1 + phi' F phi = 0, which the numpy body let escape as a
     ZeroDivisionError, is the not-finite divergence."""
+    args = ([0.5], [[-1.0]], 1.0, 1.0, 0.97, "decreasing", [1.0], 1.0)
     with pytest.raises(DivergenceError, match="not finite"):
-        _rls_update([0.5], [[-1.0]], 1.0, 1.0, 0.97, "decreasing", [1.0], 1.0)
+        _rls_update(*args)
+    with pytest.raises(DivergenceError, match="not finite"):
+        _rls_update_oracle(*args)
+
+
+def _bits(value):
+    """A result of the update with every float as its bytes, so that -0.0
+    and 0.0 (or two NaNs) compare as their bits do."""
+    if isinstance(value, float):
+        return value.hex() if math.isfinite(value) else repr(value)
+    if isinstance(value, (list, tuple)):
+        return [_bits(v) for v in value]
+    return value
+
+
+def _update_outcome(fn, *args):
+    try:
+        return _bits(fn(*args))
+    except (DivergenceError, ValueError) as err:
+        return type(err), str(err)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(1, 6),
+    profile=st.sampled_from(["decreasing", "constant-gain", "variable-forgetting"]),
+    kind=st.sampled_from(
+        ["spd", "ill-conditioned", "indefinite", "overflow", "zero-denominator",
+         "lambda1-out", "signed-zero"]
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_rls_kernel_matches_loop_oracle(n, profile, kind, seed):
+    """The generated kernel against the loop update it replaces, bit for bit:
+    the same successor theta, F and lambda1, the same errors, or the same
+    error type and message.  The kinds of draw reach every error of the
+    update: F losing definiteness, a non-finite F, a zero denominator and
+    lambda1 leaving (0, 1]."""
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** {"ill-conditioned": rng.uniform(-3, 14), "overflow": 300.0}.get(
+        kind, rng.uniform(-3, 4)
+    )
+    A = rng.standard_normal((n, n))
+    F = (A @ A.T + 1e-3 * np.eye(n)) * scale
+    if kind == "indefinite":
+        F = (A + A.T) * scale
+    theta = rng.standard_normal(n) * 10.0 ** rng.uniform(-2, 3)
+    phi = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 5)
+    y_new = float(rng.standard_normal() * 10.0 ** rng.uniform(-2, 3))
+    lambda1 = float(rng.uniform(0.05, 1.0))
+    lambda0 = float(rng.uniform(0.5, 1.0))
+    if kind == "signed-zero":
+        phi[rng.integers(n)] = -0.0
+        theta[rng.integers(n)] = -0.0
+        y_new = -0.0
+    elif kind == "zero-denominator":  # phi' F phi = -1, so 1 + phi' F phi = 0
+        phi = np.eye(n)[rng.integers(n)]
+        F = -np.eye(n)
+    elif kind == "lambda1-out":
+        lambda0 = -1.0
+    lambda2 = 0.0 if profile == "constant-gain" else 1.0
+    args = (theta.tolist(), F.tolist(), lambda1, lambda2, lambda0, profile, phi.tolist(), y_new)
+    assert _update_outcome(_rls_kernel(n), *args) == _update_outcome(_rls_update_oracle, *args)
+
+
+def test_rls_kernel_is_built_once_per_dimension():
+    """rls_step and rls_run share one compiled kernel per dimension: a
+    second update of the same n reuses it."""
+    state = initial_adaptation_state(5)
+    phi = [0.1, -0.2, 0.3, 0.4, -0.5]
+    state, _, _ = rls_step(state, phi, 1.0)
+    kernel = _rls_kernel(5)
+    misses = _rls_kernel.cache_info().misses
+    rls_step(state, phi, 2.0)
+    u, y = _record(3, 40, "random")
+    rls_run(u, y, 2, 3, initial_adaptation_state(5))
+    assert _rls_kernel.cache_info().misses == misses
+    assert _rls_kernel(5) is kernel
