@@ -1,12 +1,14 @@
 """Source of the straight-line kernels that run the per-sample arithmetic.
 
 A kernel is Python generated for one shape (the parameter count of an RLS
-update; the orders, delay, fixed parts and target of a design) and compiled
+update; the orders, delay, fixed parts and target of a design; the lengths
+of S, R and T of a control law) and compiled
 once by its caller, which caches it: `ident._rls_kernel`,
-`control._sylvester_kernel`, `control._design_kernel` and
-`control._pole_check_kernel`.  The source forms every value with the
-operations of the loop it replaces, in the same order, so each result
-carries the same bits; the loops are kept as oracles in the tests.
+`control._sylvester_kernel`, `control._design_kernel`,
+`control._pole_check_kernel` and `control._law_kernel`.  The source forms
+every value with the operations of the loop it replaces, in the same order,
+so each result carries the same bits; the loops are kept as oracles in the
+tests.
 """
 
 from __future__ import annotations
@@ -396,3 +398,50 @@ def pole_check_source(na: int, nb: int, delay: int, len_s: int, len_r: int, want
             body.append(f"if abs({src(achieved[-1])}) > tol:")
         body.append(f"{'    ' * (keep > 1)}return {err}")
     return ["def kernel(ma, mb, s, r):", *indented(body)]
+
+
+# ---------------------------------------------------------------------------
+# RST control law
+
+
+def law_source(len_s: int, len_r: int, len_t: int, clamped: bool) -> list[str]:
+    """Source of kernel(s, r, t, u_hist, y_hist, r_hist, y_t, r_t, limits) ->
+    (u, saturated), one step of S u = -R y + T r for these lengths of S, R
+    and T.
+
+    u starts from t0 r_t - r0 y_t, subtracts s_i u(t-i), then r_i y(t-i),
+    and adds t_i r(t-i), each for i = 1, 2, ... in turn; with `clamped` it
+    is clamped to limits = (lo, hi), which sets `saturated`.  The kernel
+    appends float(u), float(y_t) and float(r_t) to the history lists (most
+    recent last) and pops the oldest of each.  A history shorter than its
+    polynomial raises IndexError."""
+    code = [
+        "def kernel(s, r, t, u_h, y_h, r_h, y_t, r_t, limits):",
+        *(
+            f"    {', '.join(f'{name}{i}' for i in range(n))}, = {name}"
+            for name, n in (("s", len_s), ("r", len_r), ("t", len_t))
+        ),
+        "    u = t0 * r_t - r0 * y_t",
+    ]
+    code += [f"    u -= s{i} * u_h[-{i}]" for i in range(1, len_s)]
+    code += [f"    u -= r{i} * y_h[-{i}]" for i in range(1, len_r)]
+    code += [f"    u += t{i} * r_h[-{i}]" for i in range(1, len_t)]
+    code.append("    saturated = False")
+    if clamped:
+        code += [
+            "    lo, hi = limits",
+            "    if u < lo:",
+            "        u, saturated = lo, True",
+            "    elif u > hi:",
+            "        u, saturated = hi, True",
+        ]
+    return code + [
+        "    u = float(u)",
+        "    u_h.append(u)",
+        "    u_h.pop(0)",
+        "    y_h.append(float(y_t))",
+        "    y_h.pop(0)",
+        "    r_h.append(float(r_t))",
+        "    r_h.pop(0)",
+        "    return u, saturated",
+    ]

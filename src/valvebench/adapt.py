@@ -98,8 +98,13 @@ class RstDesignSpec:
     def model_from(self, theta) -> DiscretePlantModel:
         """The model of an estimate [a1..a_na, b1..b_nb], as the constructor
         builds it; the orders and delay were checked with the spec, so only
-        the check that depends on theta runs (finite coefficients)."""
-        theta = np.asarray(theta, dtype=float).tolist()
+        the check that depends on theta runs (finite coefficients).  A list
+        is read as it is, each entry converted to float; anything else goes
+        through numpy."""
+        if type(theta) is list:
+            theta = list(map(float, theta))
+        else:
+            theta = np.asarray(theta, dtype=float).tolist()
         na = self.na
         if len(theta) != na + self.nb:
             raise ValueError("theta length must equal na + nb")
@@ -400,7 +405,7 @@ def adaptive_run(
         _, _, u_plant, _, y_abs, _, _ = _loop_sample(
             plant, predictor, runtime, y_abs, r_bar, r_k, e_k
         )
-        theta = predictor.theta_hat.copy()
+        theta = predictor.state._theta_list()
         try:
             controller = design.design(theta)
             runtime.controller = predictor.runtime.controller = controller

@@ -42,7 +42,8 @@ class ClosedLoopPredictor:
 
     Regressors are lists of Python floats.  :func:`~valvebench.ident.rls_step`
     updates `state` with them, and predictions sum theta' phi in index
-    order, as the estimator sums it.
+    order, as the estimator sums it, over the estimate read as a list, so
+    no array of the state is built per sample.
     """
 
     def __init__(
@@ -66,14 +67,7 @@ class ClosedLoopPredictor:
         self.nb = nb
         self.delay = delay
         self.state = adaptation
-        depth = max(
-            depth,
-            na,
-            nb + delay,
-            len(controller.s.coeffs),
-            len(controller.r.coeffs),
-            len(controller.t.coeffs),
-        )
+        depth = max(depth, na, nb + delay, *map(len, controller._law))
 
         def init_hist(values):
             hist = [0.0] * depth
@@ -117,7 +111,7 @@ class ClosedLoopPredictor:
         phi = [-y_h[-1 - i] for i in range(self.na)]
         phi += [u_h[-1 - self.delay - j] for j in range(self.nb)]
         self._pending_phi = phi
-        return _dot(self.state.theta_hat.tolist(), phi), u_hat
+        return _dot(self.state._theta_list(), phi), u_hat
 
     def adapt(self, y_measured_next: float, update: bool = True) -> tuple[float, float]:
         """Consume the next measured output; returns (a priori, a posteriori)
@@ -129,7 +123,7 @@ class ClosedLoopPredictor:
         if update:
             self.state, eps0, eps = rls_step(self.state, phi, float(y_measured_next))
         # the a posteriori prediction; with frozen parameters also the a priori one
-        y_post = _dot(self.state.theta_hat.tolist(), phi)
+        y_post = _dot(self.state._theta_list(), phi)
         if not update:
             eps0 = eps = float(y_measured_next) - y_post
         # a posteriori prediction becomes the new current sample
@@ -236,7 +230,7 @@ def cl_identify(
             plant, predictor, runtime, y_abs, r_bar, r_bar, excitation[k], update
         )
         u_arr[k] = u_plant - u_bar
-        theta[k] = predictor.theta_hat
+        theta[k] = predictor.state._theta_list()
 
     return CloeRun(
         theta=theta,

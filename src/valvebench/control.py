@@ -211,6 +211,14 @@ class RstController:
     R = H_R * R' and S = H_S * S'; keeping the parts lets evaluations at the
     fixed parts' zeros (z = 1 for the integrator, z = -1 for the Nyquist
     zero) return exact nulls instead of rounding residue.
+
+    Every controller carries `_law`, the coefficient tuples (S, R, T) that
+    :class:`ControllerRuntime` and :func:`check_pole_placement` read.  A
+    solved design (:meth:`_of_parts`) holds `_law` and its R' and S' in
+    private entries and builds its five polynomial fields (`r_core`,
+    `s_core`, `t`, `r`, `s`) at the first read of any of them, dropping
+    R' and S' then; an adaptive loop that redesigns every sample builds
+    none of them.
     """
 
     r_core: DelayPolynomial
@@ -229,6 +237,18 @@ class RstController:
         object.__setattr__(self, "s", self.hs * self.s_core)
         if abs(self.s.coeffs[0] - 1.0) > 1e-9:
             raise ValueError("S must be normalized with s0 = 1")
+        object.__setattr__(self, "_law", (self.s.coeffs, self.r.coeffs, self.t.coeffs))
+
+    def __getattr__(self, name):
+        # Reached only for a name missing from the instance dict: the
+        # polynomials of a solved design, on their first read.
+        d = self.__dict__
+        if name in ("r_core", "s_core", "t", "r", "s") and "_cores" in d:
+            poly = DelayPolynomial._of_floats
+            (s, r, t), (r_core, s_core) = d["_law"], d.pop("_cores")
+            d.update(r_core=poly(r_core), s_core=poly(s_core), t=poly(t), r=poly(r), s=poly(s))
+            return d[name]
+        raise AttributeError(f"'RstController' object has no attribute {name!r}")
 
     @classmethod
     def _solved(cls, r_core, s_core, t_gain, r, s, Ts, hr, hs) -> "RstController":
@@ -245,12 +265,11 @@ class RstController:
 
     @classmethod
     def _of_parts(cls, r_core, s_core, t_gain, r, s, Ts, hr, hs) -> "RstController":
-        """The controller of checked parts, as :meth:`_solved` builds it."""
-        poly = DelayPolynomial._of_floats
+        """The controller of checked parts, as :meth:`_solved` builds it: the
+        law and the cores are stored, the polynomials built on first read."""
         ctrl = object.__new__(cls)
         ctrl.__dict__.update(
-            r_core=poly(r_core), s_core=poly(s_core), t=poly((t_gain,)), Ts=Ts,
-            hr=hr, hs=hs, r=poly(r), s=poly(s),
+            _law=(tuple(s), tuple(r), (t_gain,)), _cores=(r_core, s_core), Ts=Ts, hr=hr, hs=hs
         )
         return ctrl
 
@@ -438,6 +457,10 @@ def _bezout_general(model, pole_poly, hs, hr) -> RstController:
     n_b = len(b1) - 1
     if n_b < 1:
         raise DesignError("plant must have at least one step of delay")
+    if n_a < 1:
+        raise DesignError(
+            "A H_S has degree 0: it leaves no R', so no feedback can place the poles"
+        )
     kernel = _sylvester_kernel(n_a, n_b, pole_poly.coeffs)
     try:
         sol, bound = kernel(a1, b1)
@@ -478,8 +501,9 @@ def rst_law_length(
 def _closed_loop(model: DiscretePlantModel, controller: RstController) -> list[float]:
     """Coefficients of A S + q^-d B R."""
     a, b = _model_arrays(model)
-    as_ = _convolve(a, controller.s.coeffs)
-    br = _convolve(b, controller.r.coeffs)
+    s, r, _ = controller._law
+    as_ = _convolve(a, s)
+    br = _convolve(b, r)
     if len(as_) < len(br):
         as_, br = br, as_
     for i, c in enumerate(br):
@@ -513,13 +537,11 @@ def check_pole_placement(
     double root) while the coefficients are not.  Raises
     :class:`DesignError` above tol.
     """
+    s, r, _ = controller._law
     kernel = _pole_check_kernel(
-        len(model.a_coeffs), len(model.b_coeffs), model.delay, len(controller.s.coeffs),
-        len(controller.r.coeffs), pole_poly.coeffs,
+        len(model.a_coeffs), len(model.b_coeffs), model.delay, len(s), len(r), pole_poly.coeffs
     )
-    err = None if kernel is None else kernel(
-        model.a_coeffs, model.b_coeffs, controller.s.coeffs, controller.r.coeffs
-    )
+    err = None if kernel is None else kernel(model.a_coeffs, model.b_coeffs, s, r)
     if err is None:
         err = _placement_error(model, controller, pole_poly)
     if err > tol:
@@ -616,6 +638,16 @@ def sensitivity(
 # Controller execution
 
 
+@functools.lru_cache(maxsize=32)
+def _law_kernel(len_s: int, len_r: int, len_t: int, clamped: bool):
+    """kernel(s, r, t, u_hist, y_hist, r_hist, y_t, r_t, limits) -> (u,
+    saturated): one step of an RST law with these lengths of S, R and T,
+    clamped to `limits` or not, as straight-line Python generated
+    (:func:`valvebench._kernels.law_source`) and compiled once."""
+    code = _kernels.law_source(len_s, len_r, len_t, clamped)
+    return _kernels.compiled(code, f"<law kernel {len_s}, {len_r}, {len_t}, {clamped}>")
+
+
 class ControllerRuntime:
     """Mutable execution state (u, y, r histories) around an RST law.
 
@@ -634,9 +666,7 @@ class ControllerRuntime:
     ):
         self.controller = controller
         self.limits = limits
-        depth = max(
-            depth, len(controller.s.coeffs), len(controller.r.coeffs), len(controller.t.coeffs)
-        )
+        depth = max(depth, *map(len, controller._law))
         self._u = [0.0] * depth
         self._y = [0.0] * depth
         self._r = [0.0] * depth
@@ -650,33 +680,15 @@ class ControllerRuntime:
     def step(self, y_t: float, r_t: float) -> tuple[float, bool]:
         """u(t) from S u = -R y + T r, clamped to `limits`; returns (u, saturated).
 
-        No anti-windup correction is applied beyond the clamp.
+        No anti-windup correction is applied beyond the clamp.  The law runs
+        in the kernel of the controller's lengths of S, R and T
+        (:func:`_law_kernel`), which appends u, y_t and r_t to the histories
+        and drops their oldest values.
         """
-        ctrl = self.controller
-        s_c, r_c, t_c = ctrl.s.coeffs, ctrl.r.coeffs, ctrl.t.coeffs
-        u_h, y_h, r_h = self._u, self._y, self._r
-        u = t_c[0] * r_t - r_c[0] * y_t
-        for i in range(1, len(s_c)):
-            u -= s_c[i] * u_h[-i]
-        for i in range(1, len(r_c)):
-            u -= r_c[i] * y_h[-i]
-        for i in range(1, len(t_c)):
-            u += t_c[i] * r_h[-i]
-        saturated = False
-        if self.limits is not None:
-            lo, hi = self.limits
-            if u < lo:
-                u, saturated = lo, True
-            elif u > hi:
-                u, saturated = hi, True
-        u = float(u)
-        u_h.append(u)
-        u_h.pop(0)
-        y_h.append(float(y_t))
-        y_h.pop(0)
-        r_h.append(float(r_t))
-        r_h.pop(0)
-        return u, saturated
+        s, r, t = self.controller._law
+        limits = self.limits
+        kernel = _law_kernel(len(s), len(r), len(t), limits is not None)
+        return kernel(s, r, t, self._u, self._y, self._r, y_t, r_t, limits)
 
     def track(self, plant, reference) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The sampled loop measure -> step -> advance, once per reference

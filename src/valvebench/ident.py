@@ -183,7 +183,16 @@ def order_scan(u, y, na_values=(1, 2, 3), nb_values=(1, 2, 3)) -> dict[tuple[int
 
 @dataclass(frozen=True)
 class AdaptationState:
-    """Recursive estimator state: parameter vector, gain matrix, forgetting."""
+    """Recursive estimator state: parameter vector, gain matrix, forgetting.
+
+    A successor that :func:`rls_step` or :func:`rls_run` builds
+    (:meth:`_updated`) holds the update kernel's lists of theta and F in
+    private entries, `_theta` and `_F`, and no arrays.  The first read of
+    `theta_hat` or `F` builds both arrays and drops both lists, so the
+    arrays are public, writeable and the only copy of the state.  Until then
+    the next update takes the lists as they are, and the estimate is read as
+    a list (:meth:`_theta_list`) without an array built per sample.
+    """
 
     theta_hat: np.ndarray
     F: np.ndarray
@@ -213,16 +222,33 @@ class AdaptationState:
         if self.profile not in PROFILES:
             raise ValueError(f"profile must be one of {PROFILES}")
 
-    def _updated(self, theta, F, lambda1: float) -> "AdaptationState":
+    def __getattr__(self, name):
+        # Reached only for a name missing from the instance dict: the arrays
+        # of a successor, on their first read.
+        d = self.__dict__
+        if name in ("theta_hat", "F") and "_theta" in d:
+            d["theta_hat"] = np.array(d.pop("_theta"), dtype=float)
+            d["F"] = np.array(d.pop("_F"), dtype=float)
+            return d[name]
+        raise AttributeError(f"'AdaptationState' object has no attribute {name!r}")
+
+    def _theta_list(self) -> list[float]:
+        """The estimate as a list of floats, for reading only: the successor's
+        own list while its arrays are unbuilt."""
+        d = self.__dict__
+        return d["_theta"] if "_theta" in d else self.theta_hat.tolist()
+
+    def _updated(self, theta: list, F: list, lambda1: float) -> "AdaptationState":
         """This state with a new estimate, gain matrix and lambda1, built
         without the constructor's validation: the update that produced them
         (:func:`_rls_kernel`) has checked what it can break, and lambda2,
         lambda0 and the profile are copied.  The instance dict is filled
-        directly."""
+        directly, with the lists of theta and of F's rows, which no one
+        mutates; the arrays are built from them on first read."""
         new = object.__new__(AdaptationState)
         new.__dict__.update(
-            theta_hat=np.array(theta, dtype=float),
-            F=np.array(F, dtype=float),
+            _theta=theta,
+            _F=F,
             lambda1=lambda1,
             lambda2=self.lambda2,
             lambda0=self.lambda0,
@@ -311,26 +337,30 @@ def rls_step(
 
     The arithmetic runs on Python floats, in the kernel generated for the
     dimension (:func:`_rls_kernel`) that :func:`rls_run` also calls
-    directly; this wrapper converts the state's arrays and builds
-    the successor without rerunning the :class:`AdaptationState` validation,
-    which the input state has passed.  A list phi, the closed-loop
-    predictor's regressor, is taken as it is once its length matches; its
-    entries must be real numbers.  What an update can break raises
+    directly.  A successor's lists go to the kernel as they are; a state
+    with arrays is converted.  The successor holds the kernel's lists and is
+    built without rerunning the :class:`AdaptationState` validation, which
+    the input state has passed.  A list phi, the closed-loop predictor's
+    regressor, is taken as it is once its length matches; its entries must
+    be real numbers.  What an update can break raises
     :class:`DivergenceError`: a new estimate or F that is not finite, an F
     that is no longer positive definite (a Cholesky pivot at or below zero),
     or lambda1 outside (0, 1].
     """
-    theta = state.theta_hat
+    d = state.__dict__
+    if "_theta" in d:
+        theta, F = d["_theta"], d["_F"]
+    else:
+        theta, F = state.theta_hat.tolist(), state.F.tolist()
     if type(phi) is not list:
         phi = np.asarray(phi, dtype=float)
-        if phi.shape != theta.shape:
+        if phi.shape != (len(theta),):
             raise ValueError("phi must match theta_hat")
         phi = phi.tolist()
     elif len(phi) != len(theta):
         raise ValueError("phi must match theta_hat")
     theta, F, lambda1, eps0, eps = _rls_kernel(len(phi))(
-        theta.tolist(), state.F.tolist(), state.lambda1, state.lambda2,
-        state.lambda0, state.profile, phi, float(y_new),
+        theta, F, state.lambda1, state.lambda2, state.lambda0, state.profile, phi, float(y_new)
     )
     return state._updated(theta, F, lambda1), eps0, eps
 

@@ -15,7 +15,14 @@ from valvebench.adapt import (
     tracking_cost,
     tracking_run,
 )
-from valvebench.control import DelayPolynomial, PoleSpec, dominant_poles, pi_design, rst_law_length
+from valvebench.control import (
+    ONE,
+    DelayPolynomial,
+    PoleSpec,
+    dominant_poles,
+    pi_design,
+    rst_law_length,
+)
 from valvebench.errors import DesignError
 from valvebench.plant import DiscretePlantModel, LinearSimulator
 from valvebench.signals import step_sequence
@@ -267,6 +274,37 @@ def test_adaptive_run_validation():
         )
     with pytest.raises(ValueError):
         adaptive_run(plant, ctrl0, spec, np.zeros(10), np.array([1.0]))
+
+
+DEGREE_0 = "A H_S has degree 0: it leaves no R', so no feedback can place the poles"
+
+
+def test_design_rejects_an_a_hs_of_degree_0():
+    """With na = 0 and H_S = 1 there is no R' to solve for: the design says
+    so as a DesignError."""
+    spec = RstDesignSpec(PoleSpec(5.0, 1.0, 0.05), na=0, nb=3, hs=ONE, hr=ONE)
+    with pytest.raises(DesignError, match=f"^{DEGREE_0}$"):
+        spec.design([0.5, 0.2, 0.1])
+
+
+def test_adaptive_run_rejects_redesigns_on_an_a_hs_of_degree_0():
+    """An estimate whose a1 trims away under H_S = 1 leaves A H_S of degree
+    0; every such redesign is rejected and the loop keeps its controller.
+    A constant gain of 1e-300 keeps a1 within 1e-12 of zero; nb = 3 lets
+    the Sylvester system reach P's degree, so the solve itself runs."""
+    spec = RstDesignSpec(PoleSpec(5.0, 1.0, Ts), na=1, nb=3, hs=ONE, hr=ONE)
+    ctrl0 = pi_design(-0.6, -0.2, dominant_poles(PoleSpec(5.0, 1.0, Ts)), Ts)
+    theta0 = np.array([0.0, -0.2, 0.1, 0.05])
+    with pytest.raises(DesignError, match=f"^{DEGREE_0}$"):
+        spec.design([1e-300, -0.2, 0.1, 0.05])
+    reference = np.zeros(20)
+    run = adaptive_run(
+        LinearSimulator(TRUE), ctrl0, spec, reference, theta0,
+        adaptation_gain=1e-300, profile="constant-gain", settle=0.5, limits=None,
+    )
+    assert (run.redesigns, run.rejected) == (0, len(reference))
+    assert run.final_controller is ctrl0
+    assert np.all(np.abs(run.theta[:, 0]) <= 1e-12)
 
 
 def test_adaptive_run_with_initial_controller_of_lower_degree():

@@ -1,4 +1,8 @@
+import copy
+import dataclasses
 import math
+import pickle
+import struct
 from itertools import zip_longest
 
 import numpy as np
@@ -7,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from valvebench.adapt import RstDesignSpec
+from valvebench import _kernels
 from valvebench.control import (
     HR_NYQUIST_ZERO,
     HS_INTEGRATOR,
@@ -20,6 +25,7 @@ from valvebench.control import (
     _closed_loop,
     _convolve,
     _design_kernel,
+    _law_kernel,
     _model_arrays,
     _monic_target,
     _pole_check_kernel,
@@ -285,6 +291,111 @@ def test_runtime_step_matches_oracle(s_tail, r, t, limits, data):
         for hist, v in ((u_h, want[0]), (y_h, y_t), (r_h, r_t)):
             hist.append(v)
             hist.pop(0)
+
+
+def _runtime_step_loop(runtime, y_t, r_t):
+    """ControllerRuntime.step as the loop over the controller's polynomials
+    that it was before the law kernel took it over; it updates the
+    runtime's histories as the step does."""
+    ctrl = runtime.controller
+    s_c, r_c, t_c = ctrl.s.coeffs, ctrl.r.coeffs, ctrl.t.coeffs
+    u_h, y_h, r_h = runtime._u, runtime._y, runtime._r
+    u = t_c[0] * r_t - r_c[0] * y_t
+    for i in range(1, len(s_c)):
+        u -= s_c[i] * u_h[-i]
+    for i in range(1, len(r_c)):
+        u -= r_c[i] * y_h[-i]
+    for i in range(1, len(t_c)):
+        u += t_c[i] * r_h[-i]
+    saturated = False
+    if runtime.limits is not None:
+        lo, hi = runtime.limits
+        if u < lo:
+            u, saturated = lo, True
+        elif u > hi:
+            u, saturated = hi, True
+    u = float(u)
+    u_h.append(u)
+    u_h.pop(0)
+    y_h.append(float(y_t))
+    y_h.pop(0)
+    r_h.append(float(r_t))
+    r_h.pop(0)
+    return u, saturated
+
+
+def _random_controller(rng, len_s, len_r, len_t):
+    return RstController(
+        r_core=DelayPolynomial(tuple(rng.uniform(-3, 3, len_r))),
+        s_core=DelayPolynomial((1.0, *rng.uniform(-1.5, 1.5, len_s - 1))),
+        t=DelayPolynomial(tuple(rng.uniform(-3, 3, len_t))),
+        Ts=Ts,
+    )
+
+
+def _runtime_bits(runtime, out):
+    """(u, saturated) and the three histories, floats as their bytes."""
+    u, sat = out
+    hists = (runtime._u, runtime._y, runtime._r)
+    return struct.pack("d", u), sat, [struct.pack(f"{len(h)}d", *h) for h in hists]
+
+
+LAW_LENGTHS = [(ls, lr, lt) for ls in range(1, 6) for lr in range(1, 6) for lt in range(1, 6)]
+
+
+def test_law_kernel_matches_loop_oracle(monkeypatch):
+    """The compiled law against the loop it replaced, bit for bit in u, the
+    saturation flag and all three histories: every length of S, R and T
+    from 1 to 5, clamped and unclamped, outputs beyond each limit, a swap
+    to a longer controller within the depth, and non-finite measurements,
+    which pass through as the loop passes them.  One kernel is built per
+    shape."""
+    built = []
+    compiled = _kernels.compiled
+
+    def counting(code, name, **names):
+        built.append(name)
+        return compiled(code, name, **names)
+
+    monkeypatch.setattr(_kernels, "compiled", counting)
+    _law_kernel.cache_clear()
+    rng = np.random.default_rng(11)
+    ys = [0.0, 1.5, -2.0, 1e4, -1e4, 35.0, 7.0, -3e3, 0.25, math.inf, -math.inf, math.nan]
+    shapes = set()
+    for lengths in LAW_LENGTHS:
+        for limits in ((-10.0, 10.0), None):
+            ctrl = _random_controller(rng, *lengths)
+            longer = _random_controller(rng, 5, 5, 5)
+            runs = [ControllerRuntime(ctrl, limits=limits, depth=5) for _ in range(2)]
+            hists = [rng.uniform(-20, 20, 5).tolist() for _ in range(3)]
+            for rt in runs:
+                rt._u, rt._y, rt._r = (list(h) for h in hists)
+            kernel_rt, loop_rt = runs
+            saturated = set()
+            for k, y_t in enumerate(ys):
+                if k == len(ys) // 2:  # swap mid-run, keeping the histories
+                    kernel_rt.controller = loop_rt.controller = longer
+                r_t = float(rng.uniform(-20, 20))
+                got = kernel_rt.step(y_t, r_t)
+                want = _runtime_step_loop(loop_rt, y_t, r_t)
+                assert _runtime_bits(kernel_rt, got) == _runtime_bits(loop_rt, want)
+                if got[1]:
+                    saturated.add(got[0])
+            assert saturated == ({-10.0, 10.0} if limits else set())
+            shapes |= {(*lengths, limits is not None), (5, 5, 5, limits is not None)}
+    assert len(built) == len(shapes) == len(set(built))
+
+
+def test_law_kernel_leaves_its_polynomials_alone():
+    """The kernel reads S, R and T, given as lists here, and changes only
+    the three histories."""
+    s, r, t = [1.0, -0.5, 0.25], [2.0, -1.0], [1.0]
+    law = copy.deepcopy((s, r, t))
+    hists = [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, 9.0]]
+    _law_kernel(3, 2, 1, True)(s, r, t, *hists, 4.5, 5.5, (0.0, 100.0))
+    assert (s, r, t) == law
+    assert hists[0][:2] == [2.0, 3.0]
+    assert hists[1] == [5.0, 6.0, 4.5] and hists[2] == [8.0, 9.0, 5.5]
 
 
 def test_runtime_track_is_measure_step_advance():
@@ -626,6 +737,65 @@ def test_designed_controller_is_the_constructed_one(model, hr):
         if isinstance(value, DelayPolynomial):
             assert vars(got) == vars(value) and hash(got) == hash(value)
             assert all(type(c) is float for c in got.coeffs)
+
+
+def _designed():
+    return bezout_design(PLANT, desired_poles(PoleSpec(5.0, 1.0, Ts)))
+
+
+def _assert_same_controller(got, want):
+    """Equal field by field, bit for bit, with the law of the polynomials."""
+    assert got == want and hash(got) == hash(want)
+    for f in dataclasses.fields(RstController):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        assert type(a) is type(b)
+        if isinstance(b, DelayPolynomial):
+            assert struct.pack(f"{len(a.coeffs)}d", *a.coeffs) == struct.pack(
+                f"{len(b.coeffs)}d", *b.coeffs
+            )
+    assert got._law == (got.s.coeffs, got.r.coeffs, got.t.coeffs)
+
+
+@pytest.mark.parametrize(
+    "view",
+    [
+        lambda c: c,
+        lambda c: pickle.loads(pickle.dumps(c)),
+        copy.copy,
+        copy.deepcopy,
+        lambda c: dataclasses.replace(c),
+    ],
+    ids=["as-built", "pickle", "copy", "deepcopy", "replace"],
+)
+def test_designed_controller_builds_its_polynomials_on_first_read(view):
+    """A design holds its law and its R' and S' until a polynomial is read;
+    then it builds all five, drops R' and S', and is the constructor's
+    controller.  A pickle, a copy or a replace of the unread design is too."""
+    ctrl = _designed()
+    assert {"r_core", "s_core", "t", "r", "s"}.isdisjoint(vars(ctrl))
+    got = view(ctrl)
+    ref = RstController(
+        r_core=DelayPolynomial(got.r_core.coeffs),
+        s_core=DelayPolynomial(got.s_core.coeffs),
+        t=DelayPolynomial(got.t.coeffs),
+        Ts=Ts,
+        hr=HR_NYQUIST_ZERO,
+        hs=HS_INTEGRATOR,
+    )
+    assert "_cores" not in vars(got) and "_law" in vars(got)
+    _assert_same_controller(got, ref)
+    assert vars(got).keys() == vars(ref).keys()
+    assert _designed() == ctrl  # the original builds the same polynomials
+
+
+def test_controller_reads_of_unknown_names_fail_as_attribute_errors():
+    ctrl = _designed()
+    for name in ("missing", "__setstate__", "_cores_x"):
+        with pytest.raises(AttributeError, match=name):
+            getattr(ctrl, name)
+    bare = object.__new__(RstController)  # as an unpickler first sees it
+    with pytest.raises(AttributeError, match="'r'"):
+        bare.r
 
 
 # A plant pole 5.62e-10 inside z = -1, the root of H_R: the Sylvester matrix

@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -528,6 +530,7 @@ def test_rls_step_takes_a_list_regressor_as_it_takes_an_array(n, profile, seed):
         from_array = rls_step(state, phi, y_new)
         assert from_list[1:] == from_array[1:]
         new, ref = from_list[0], from_array[0]
+        new.theta_hat, new.F  # a successor builds its arrays on first read
         assert vars(new).keys() == vars(state).keys()
         for name in ("theta_hat", "F"):
             got, want = getattr(new, name), getattr(ref, name)
@@ -678,3 +681,93 @@ def test_rls_kernel_is_built_once_per_dimension():
     rls_run(u, y, 2, 3, initial_adaptation_state(5))
     assert _rls_kernel.cache_info().misses == misses
     assert _rls_kernel(5) is kernel
+
+
+def _successor(n=3, seed=4):
+    """An unread rls_step successor, with the kernel's own output."""
+    rng = np.random.default_rng(seed)
+    state = initial_adaptation_state(n, gain=50.0, profile="variable-forgetting",
+                                     theta0=rng.standard_normal(n))
+    phi, y_new = rng.uniform(-3, 3, n).tolist(), float(rng.uniform(-3, 3))
+    out = _rls_kernel(n)(state.theta_hat.tolist(), state.F.tolist(), state.lambda1,
+                         state.lambda2, state.lambda0, state.profile, phi, y_new)
+    new, _, _ = rls_step(state, phi, y_new)
+    return new, out
+
+
+def _assert_same_state(got, want):
+    for name in ("theta_hat", "F"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert a.flags.writeable
+    assert (got.lambda1, got.lambda2, got.lambda0, got.profile) == (
+        want.lambda1, want.lambda2, want.lambda0, want.profile
+    )
+    assert vars(got).keys() == vars(want).keys()
+
+
+@pytest.mark.parametrize(
+    "view",
+    [
+        lambda s: s,
+        lambda s: pickle.loads(pickle.dumps(s)),
+        copy.copy,
+        copy.deepcopy,
+        lambda s: dataclasses.replace(s),
+    ],
+    ids=["as-built", "pickle", "copy", "deepcopy", "replace"],
+)
+def test_successor_builds_its_arrays_on_first_read(view):
+    """A successor holds the kernel's lists until theta_hat or F is read;
+    then it builds both arrays, drops both lists, and is the constructor's
+    state.  A pickle, a copy or a replace of the unread successor is too."""
+    new, (theta, F, lambda1, _, _) = _successor()
+    assert vars(new)["_theta"] == theta and vars(new)["_F"] == F
+    assert {"theta_hat", "F"}.isdisjoint(vars(new))
+    assert new._theta_list() is vars(new)["_theta"]
+    got = view(new)
+    unread = "_theta" in vars(new)  # replace reads the fields it copies
+    ref = AdaptationState(np.array(theta), np.array(F), lambda1, new.lambda2, new.lambda0,
+                          new.profile)
+    _assert_same_state(got, ref)
+    assert "_theta" not in vars(got) and "_F" not in vars(got)
+    _assert_same_state(new, ref)
+    if got is not new and unread:  # each builds arrays of its own
+        assert got.theta_hat is not new.theta_hat and got.F is not new.F
+
+
+def test_successor_arrays_are_the_only_copy_once_read():
+    """A write into the read arrays is what the next update and the list
+    reader see: no stale list is left behind."""
+    new, _ = _successor()
+    new.theta_hat[0] = 0.5
+    new.F[1, 1] *= 2.0
+    assert new._theta_list() == new.theta_hat.tolist()
+    phi = [0.3, -0.1, 0.2]
+    fresh = AdaptationState(new.theta_hat.copy(), new.F.copy(), new.lambda1, new.lambda2,
+                            new.lambda0, new.profile)
+    got, want = rls_step(new, phi, 1.0), rls_step(fresh, phi, 1.0)
+    assert got[1:] == want[1:]
+    _assert_same_state(got[0], want[0])
+
+
+def test_rls_kernel_leaves_its_input_lists_alone():
+    """A successor's lists go to the next update as they are, and the list
+    reader hands the estimate out: the kernel must not change them."""
+    new, _ = _successor()
+    theta, F = vars(new)["_theta"], vars(new)["_F"]
+    before = copy.deepcopy((theta, F))
+    phi = [0.3, -0.1, 0.2]
+    nxt, _, _ = rls_step(new, phi, 1.0)
+    assert (theta, F) == before and phi == [0.3, -0.1, 0.2]
+    assert vars(nxt)["_theta"] is not theta and vars(nxt)["_F"] is not F
+
+
+def test_state_reads_of_unknown_names_fail_as_attribute_errors():
+    new, _ = _successor()
+    for name in ("missing", "__setstate__", "_theta_x"):
+        with pytest.raises(AttributeError, match=name):
+            getattr(new, name)
+    bare = object.__new__(AdaptationState)  # as an unpickler first sees it
+    with pytest.raises(AttributeError, match="'theta_hat'"):
+        bare.theta_hat
