@@ -98,13 +98,9 @@ class RstDesignSpec:
     def model_from(self, theta) -> DiscretePlantModel:
         """The model of an estimate [a1..a_na, b1..b_nb], as the constructor
         builds it; the orders and delay were checked with the spec, so only
-        the check that depends on theta runs (finite coefficients).  A list
-        is read as it is, each entry converted to float; anything else goes
-        through numpy."""
-        if type(theta) is list:
-            theta = list(map(float, theta))
-        else:
-            theta = np.asarray(theta, dtype=float).tolist()
+        the check that depends on theta runs (finite coefficients).  Each
+        entry is converted with float."""
+        theta = list(map(float, theta))
         na = self.na
         if len(theta) != na + self.nb:
             raise ValueError("theta length must equal na + nb")

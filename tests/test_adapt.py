@@ -16,6 +16,7 @@ from valvebench.adapt import (
     tracking_run,
 )
 from valvebench.control import (
+    HR_NYQUIST_ZERO,
     ONE,
     DelayPolynomial,
     PoleSpec,
@@ -279,10 +280,13 @@ def test_adaptive_run_validation():
 DEGREE_0 = "A H_S has degree 0: it leaves no R', so no feedback can place the poles"
 
 
-def test_design_rejects_an_a_hs_of_degree_0():
+@pytest.mark.parametrize("hr", [ONE, HR_NYQUIST_ZERO], ids=["no-hr", "nyquist-hr"])
+def test_design_rejects_an_a_hs_of_degree_0(hr):
     """With na = 0 and H_S = 1 there is no R' to solve for: the design says
-    so as a DesignError."""
-    spec = RstDesignSpec(PoleSpec(5.0, 1.0, 0.05), na=0, nb=3, hs=ONE, hr=ONE)
+    so as a DesignError, whatever H_R is.  With H_R = 1 + q^-1 the solve
+    would give R = 0 and T = 0, the law S u = 0 that reads neither y nor r,
+    so that estimate is rejected as well."""
+    spec = RstDesignSpec(PoleSpec(5.0, 1.0, 0.05), na=0, nb=3, hs=ONE, hr=hr)
     with pytest.raises(DesignError, match=f"^{DEGREE_0}$"):
         spec.design([0.5, 0.2, 0.1])
 
