@@ -60,8 +60,11 @@ from .plant import (
 from .presets import get_preset
 from .signals import PrbsConfig, prbs_generate
 from .spectral import (
+    _MIN_FIT_BINS,
     _check_band,
     _check_smooth_size,
+    _harmonic_bins,
+    _in_band,
     corner_from_asymptotes,
     etfe,
     save_response_csv,
@@ -339,12 +342,30 @@ def run_sweep(cfg, levels, out_dir, preset, params):
 
 def plan_etfe(cfg):
     sp = cfg["spectral"]
+    slope_band, plateau_band = (sp["slope_lo"], sp["slope_hi"]), (sp["plateau_lo"], sp["plateau_hi"])
     _check_smooth_size(sp["smooth_window"])
-    _check_band((sp["slope_lo"], sp["slope_hi"]))
+    _check_band(slope_band)
     if sp["plateau_lo"] > sp["plateau_hi"]:
         raise ConfigError("spectral plateau_lo must not exceed plateau_hi")
-    _substeps(cfg["plant"]["Ts"])
-    return functools.partial(run_etfe, cfg, _prbs_from_cfg(cfg["excitation"]))
+    Ts = cfg["plant"]["Ts"]
+    _substeps(Ts)
+    prbs = _prbs_from_cfg(cfg["excitation"])
+    # The job's ETFE keeps only the bins the PRBS excites, so a band short
+    # of them fails its fit whatever the plant does.
+    bins = _harmonic_bins(prbs.period, prbs.bit_period, cfg["excitation"]["analyze_periods"], Ts)
+    if prbs.amplitude == 0:  # a constant input excites no bin
+        bins = bins[:0]
+    in_slope = int(_in_band(bins, slope_band).sum())
+    if in_slope < _MIN_FIT_BINS:
+        raise ConfigError(
+            f"the slope fit needs at least {_MIN_FIT_BINS} bins in the band, and the PRBS excites "
+            f"{in_slope} in [{slope_band[0]}, {slope_band[1]}] rad/s"
+        )
+    if not _in_band(bins, plateau_band).any():
+        raise ConfigError(
+            f"the PRBS excites no bin in the plateau band [{plateau_band[0]}, {plateau_band[1]}] rad/s"
+        )
+    return functools.partial(run_etfe, cfg, prbs)
 
 
 def run_etfe(cfg, prbs, out_dir, preset, params):

@@ -202,8 +202,10 @@ class AdaptationState:
     profile: str = "decreasing"
 
     def __post_init__(self):
-        theta = np.asarray(self.theta_hat, dtype=float)
-        F = np.asarray(self.F, dtype=float)
+        # Copies: the state shares no memory with a caller's arrays or with
+        # the source of a dataclasses.replace.
+        theta = np.array(self.theta_hat, dtype=float)
+        F = np.array(self.F, dtype=float)
         object.__setattr__(self, "theta_hat", theta)
         object.__setattr__(self, "F", F)
         n = len(theta)

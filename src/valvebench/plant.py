@@ -24,10 +24,14 @@ quantization and noise disabled the sampled response therefore matches the
 zero-order-hold discretization of the continuous model to floating-point
 accuracy.
 
-Per sample, :meth:`ValveSimulator.advance` checks, clamps and PWM-quantizes
-the duty cycle only when it differs from the last one: the resulting law
-(motor torque and both kinetic targets) is kept in one slot, so every sample
-of a held input reuses it.  :func:`open_loop` records the true angles of a
+A simulator holds the plate's state as three floats (angle, velocity and
+the moving flag), and :meth:`ValveSimulator.advance` jumps them on locals,
+with no object built per sample; the :attr:`ValveSimulator.state` view is a
+:class:`ValveState` built at its first read after a change.  A duty cycle is
+checked, clamped and PWM-quantized only when it is neither of the last two
+distinct values applied: the resulting laws (motor torque and both kinetic
+targets) are kept in two slots, so a held input and a PRBS toggling between
+two levels reuse theirs.  :func:`open_loop` records the true angles of a
 valve and applies ADC quantization and measurement noise to the whole record
 at once; the values and the noise stream are those of one
 :meth:`ValveSimulator.measure` per sample, which closed loops still call.
@@ -162,11 +166,23 @@ class ValveSimulator:
     at a hard stop.  Every event therefore stays on the 1 ms grid, and the
     friction mode is decided afresh after each one.
 
+    The state lives in three floats, `_angle`, `_velocity` and `_moving`,
+    which :meth:`advance` reads into locals and writes back only when the
+    plate changed.  :attr:`state` builds a :class:`ValveState` from them at
+    its first read after a change and returns that object until the next
+    one, so a plate that stays latched keeps its state object; setting
+    `state` unpacks a :class:`ValveState`.
+
     The drive law of a duty cycle (finiteness check, clamp to [0, 100], PWM
-    quantization, motor torque and the two kinetic targets) is kept for the
-    last value applied, so a held input reuses it.  :func:`open_loop` senses
-    a whole record at once, with the same ADC rounding and noise stream as
-    :meth:`measure` called once per sample.
+    quantization, motor torque and the two kinetic targets) is kept in two
+    slots, for the last two distinct values applied.  An input equal to the
+    current value reuses its law; one equal to the previous value swaps the
+    slots; any other goes through :meth:`_set_law`, which checks it before
+    it shifts the current law into the second slot, so a rejected input
+    leaves both slots as they were (a NaN equals no slot and always reaches
+    the check).  :func:`open_loop` senses a whole record at once, with the
+    same ADC rounding and noise stream as :meth:`measure` called once per
+    sample.
     """
 
     def __init__(self, params: ValveParams, Ts: float = 0.05, state: ValveState | None = None):
@@ -196,13 +212,27 @@ class ValveSimulator:
             params.stiction_ratio * params.coulomb_open,
             params.stiction_ratio * params.coulomb_close,
         )
-        # The last duty cycle applied and its (drive, target_open,
-        # target_close); NaN equals no input.
-        self._u_raw = math.nan
-        self._law = (0.0, 0.0, 0.0)
+        # The laws (drive, target_open, target_close) of the last two
+        # distinct duty cycles applied, the current one first; NaN equals no
+        # input.
+        self._u_raw = self._u_prev = math.nan
+        self._law = self._law_prev = (0.0, 0.0, 0.0)
+
+    @property
+    def state(self) -> ValveState:
+        """The plate's state, built at its first read after a change."""
+        state = self._state
+        if state is None:
+            state = self._state = ValveState(self._angle, self._velocity, self._moving)
+        return state
+
+    @state.setter
+    def state(self, state: ValveState) -> None:
+        self._angle, self._velocity, self._moving = state.angle, state.velocity, state.moving
+        self._state = state
 
     def measure(self) -> float:
-        y = self.state.angle
+        y = self._angle
         if self._q_step:
             code = round((y - self.params.angle_min) / self._q_step)
             y = self.params.angle_min + code * self._q_step
@@ -224,39 +254,19 @@ class ValveSimulator:
         return y
 
     def advance(self, u: float) -> None:
+        """Apply duty cycle u for one sample: n_sub frozen-mode sub-steps
+        under its law, taken as phase jumps on the three state floats."""
         # NaN equals nothing, so it always reaches the finiteness check.
         if u != self._u_raw:
-            self._set_law(u)
-        self.state = self._jump(self.state)
-
-    def _set_law(self, u_raw) -> None:
-        p = self.params
-        u = float(u_raw)
-        if not math.isfinite(u):
-            raise ValueError("duty cycle must be finite")
-        u = min(100.0, max(0.0, u))
-        if p.pwm_levels:
-            levels = p.pwm_levels - 1
-            u = round(u / 100.0 * levels) * 100.0 / levels
-        drive = p.motor_gain * u
-        self._law = (
-            drive,
-            p.spring_rest_angle - (drive + p.coulomb_open) / p.spring_stiffness,
-            p.spring_rest_angle - (drive - p.coulomb_close) / p.spring_stiffness,
-        )
-        self._u_raw = u_raw
-
-    def _jump(self, state: ValveState) -> ValveState:
-        """State after n_sub frozen-mode sub-steps under the current law.
-
-        Works on local floats and builds at most one ValveState; a plate that
-        ends where it started, at rest, gets `state` itself back.
-        """
+            if u == self._u_prev:
+                self._u_raw, self._law, self._u_prev, self._law_prev = (
+                    self._u_prev, self._law_prev, self._u_raw, self._law)
+            else:
+                self._set_law(u)
         k, rest, a_min, a_max, tau, decay, log_decay, stop_reach, break_open, break_close = self._consts
         drive, target_open, target_close = self._law
-        angle, velocity, moving = state.angle, state.velocity, state.moving
-        same = True  # angle, velocity and moving are still those of `state`
-        left = self.n_sub
+        angle, velocity, moving = self._angle, self._velocity, self._moving
+        n_sub = left = self.n_sub
         while True:
             # Friction mode for the next sub-step, decided as the sub-step does:
             # a moving plate keeps its direction while its target lies ahead.
@@ -278,9 +288,11 @@ class ValveSimulator:
                     target = target_close
                 if latched:
                     # Nothing changes until u does: latched for the sample.
-                    if not moving and velocity == 0.0:
-                        return state if same else ValveState(angle, velocity, moving)
-                    return ValveState(angle, 0.0, False)
+                    if moving or velocity != 0.0:
+                        velocity, moving = 0.0, False
+                    elif left == n_sub:
+                        return  # no phase ran: the state is unchanged
+                    break
 
             # Sub-step j puts the plate at target + gap * decay**j.
             gap = angle - target
@@ -317,15 +329,40 @@ class ValveSimulator:
 
             if j > left:
                 a = target + gap * decay**left
-                return ValveState(a, (target - a) / tau, True)
+                angle, velocity, moving = a, (target - a) / tau, True
+                break
             a = min(max(target + gap * decay**j, a_min), a_max)
             if a == angle and not moving and velocity == 0.0:
                 # Pinned (at a stop or by rounding): every sub-step repeats.
-                return state if same else ValveState(angle, velocity, moving)
-            angle, velocity, moving, same = a, 0.0, False, False
+                if left == n_sub:
+                    return
+                break
+            angle, velocity, moving = a, 0.0, False
             left -= j
             if left == 0:
-                return ValveState(angle, velocity, moving)
+                break
+        self._angle, self._velocity, self._moving, self._state = angle, velocity, moving, None
+
+    def _set_law(self, u_raw) -> None:
+        """Check, clamp and PWM-quantize duty cycle u_raw and put its law in
+        the first slot, the law it replaces in the second.  A rejected input
+        leaves both slots alone."""
+        p = self.params
+        u = float(u_raw)
+        if not math.isfinite(u):
+            raise ValueError("duty cycle must be finite")
+        u = min(100.0, max(0.0, u))
+        if p.pwm_levels:
+            levels = p.pwm_levels - 1
+            u = round(u / 100.0 * levels) * 100.0 / levels
+        drive = p.motor_gain * u
+        law = (
+            drive,
+            p.spring_rest_angle - (drive + p.coulomb_open) / p.spring_stiffness,
+            p.spring_rest_angle - (drive - p.coulomb_close) / p.spring_stiffness,
+        )
+        self._u_prev, self._law_prev = self._u_raw, self._law
+        self._u_raw, self._law = u_raw, law
 
 
 def valve_run(params: ValveParams, u_sequence: np.ndarray, Ts: float = 0.05) -> np.ndarray:
@@ -361,7 +398,7 @@ def open_loop(sim, u) -> np.ndarray:
     record, advance = angles.append, sim.advance
     try:
         for u_k in np.asarray(u, dtype=float).tolist():
-            record(sim.state.angle)
+            record(sim._angle)
             advance(u_k)
     finally:
         y = sim._sense(angles)

@@ -16,6 +16,8 @@ import numpy as np
 from .fileio import write_csv
 
 _EMPTY_BIN_REL = 1e-12
+# Bins a line fit over a band needs.
+_MIN_FIT_BINS = 5
 
 
 @dataclass(frozen=True)
@@ -75,8 +77,28 @@ def etfe(u: np.ndarray, y: np.ndarray, Ts: float) -> FrequencyResponse:
     k = np.arange(1, len(U))
     keep = np.abs(U[k]) > _EMPTY_BIN_REL * n * max(1.0, float(np.max(np.abs(u))))
     k = k[keep]
-    omega = 2.0 * math.pi * k / (n * Ts)
-    return FrequencyResponse(omega, Y[k] / U[k], Ts)
+    return FrequencyResponse(_bin_frequencies(k, n, Ts), Y[k] / U[k], Ts)
+
+
+def _bin_frequencies(k: np.ndarray, n: int, Ts: float) -> np.ndarray:
+    """rad/s of DFT bins k of an n-sample record."""
+    return 2.0 * math.pi * k / (n * Ts)
+
+
+def _harmonic_bins(period: int, bit_period: int, periods: int, Ts: float) -> np.ndarray:
+    """Frequencies, as :func:`etfe` forms them, of the bins that a
+    maximum-length PRBS of `bit_period` bits, each held for
+    period / bit_period samples, excites in a record of `periods` whole
+    periods: the harmonics 2 pi m / (period Ts), m = 1 .. period // 2.  Its
+    bit spectrum is flat off DC, and the hold nulls only the multiples of
+    bit_period, which are left out."""
+    n = periods * period
+    m = np.arange(1, period // 2 + 1)
+    return _bin_frequencies(periods * m[m % bit_period != 0], n, Ts)
+
+
+def _in_band(frequencies: np.ndarray, band: tuple[float, float]) -> np.ndarray:
+    return (frequencies >= band[0]) & (frequencies <= band[1])
 
 
 def _check_smooth_size(size: int) -> None:
@@ -104,9 +126,9 @@ def smooth(response: FrequencyResponse, size: int = 25) -> FrequencyResponse:
 def _line_fit(response: FrequencyResponse, band: tuple[float, float]):
     """Least-squares line of |G| in dB against log10 frequency over the band
     (rad/s): [slope per decade, intercept]."""
-    mask = (response.frequencies >= band[0]) & (response.frequencies <= band[1])
-    if int(mask.sum()) < 5:
-        raise ValueError("slope fit needs at least 5 bins in the band")
+    mask = _in_band(response.frequencies, band)
+    if int(mask.sum()) < _MIN_FIT_BINS:
+        raise ValueError(f"slope fit needs at least {_MIN_FIT_BINS} bins in the band")
     return np.polyfit(np.log10(response.frequencies[mask]), db(response.values[mask]), 1)
 
 
@@ -130,7 +152,7 @@ def corner_from_asymptotes(
 ) -> float:
     """First-order corner frequency from the low-frequency plateau and the
     mid-band roll-off line, rad/s."""
-    mask = (response.frequencies >= plateau_band[0]) & (response.frequencies <= plateau_band[1])
+    mask = _in_band(response.frequencies, plateau_band)
     if int(mask.sum()) < 1:
         raise ValueError("no bins in plateau band")
     plateau = float(np.mean(db(response.values[mask])))

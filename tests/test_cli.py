@@ -12,6 +12,7 @@ from valvebench.cli import main, parse_set_args, resolve_config
 from valvebench.errors import ConfigError, DivergenceError
 from valvebench.fileio import parse_key_values
 
+import numpy as np
 import pytest
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -252,6 +253,8 @@ def test_plain_value_error_mid_run_is_a_run_failure(tmp_path, capsys, monkeypatc
         ("etfe", "spectral.smooth_window=4", "smoothing size must be odd"),
         ("etfe", "spectral.slope_lo=40", "band must satisfy 0 < lo < hi"),
         ("etfe", "spectral.plateau_lo=2.0", "plateau_lo must not exceed plateau_hi"),
+        ("etfe", "spectral.slope_lo=3 spectral.slope_hi=3.1", "PRBS excites 1 in [3.0, 3.1] rad/s"),
+        ("etfe", "spectral.plateau_lo=0.01 spectral.plateau_hi=0.02", "no bin in the plateau band"),
         ("identify", "plant.Ts=0", "Ts must be > 0"),
         ("track", "plant.Ts=0.0025", "integer multiple of the 1 ms sub-step"),
         ("adapt", "adapt.n_iter=0", "n_iter must be >= 1"),
@@ -269,10 +272,69 @@ def test_input_checks_run_before_any_simulation(tmp_path, capsys, monkeypatch, c
     for name in ("ValveSimulator", "static_sweep", "open_loop_record", "iterate"):
         monkeypatch.setattr(cli, name, never)
     out = tmp_path / "out"
-    assert main([command, "--out", str(out), "--set", override]) == 2
+    sets = [arg for entry in override.split() for arg in ("--set", entry)]
+    assert main([command, "--out", str(out), *sets]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"valvebench {command}: ") and message in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv", [[], ["--config", str(CONFIGS / "etfe_valve0.cfg")]], ids=["defaults", "cfg"]
+)
+def test_etfe_band_plan_passes_the_shipped_bands(tmp_path, argv):
+    out = tmp_path / "out"
+    assert main(["etfe", "--out", str(out), *argv]) == 0
+    assert (out / "report.txt").is_file()
+
+
+@pytest.mark.parametrize(
+    "excitation",
+    [[], ["excitation.divider=1"], ["excitation.divider=3", "excitation.analyze_periods=3"],
+     ["excitation.divider=4", "excitation.n_registers=6", "excitation.analyze_periods=1"],
+     ["excitation.amplitude=0"]],
+    ids=["defaults", "divider-1", "divider-3", "divider-4", "no-amplitude"],
+)
+def test_etfe_plan_rejects_exactly_the_bands_the_job_cannot_fit(excitation):
+    """Over a grid of slope and plateau bands, including bands whose edges
+    sit on excited bins or reach the Nyquist bin the hold nulls, plan_etfe
+    rejects a band exactly when the job's own bin check fails on the
+    smoothed ETFE of a run."""
+    overrides = parse_set_args(excitation)
+    cfg = resolve_config("etfe", [], overrides)
+    exc, Ts = cfg["excitation"], cfg["plant"]["Ts"]
+    prbs = cli._prbs_from_cfg(exc)
+    u, y = cli.open_loop_record(cli.get_preset("valve0"), Ts, exc, prbs)
+    u_d, y_d = cli._analysis_window(u, y, prbs.period, exc["analyze_periods"])
+    response = cli.smooth(cli.etfe(u_d, y_d, Ts), size=cfg["spectral"]["smooth_window"])
+    f = response.frequencies
+    bands = [(lo, lo * ratio) for lo in np.geomspace(0.05, 60.0, 25) for ratio in (1.01, 1.1, 1.3, 2.0)]
+    bands += [(f[i], f[i + width]) for i in range(0, len(f) - 6, 37) for width in (0, 3, 4, 5)]
+    bands += [(f[-width], math.pi / Ts) for width in (1, 4, 5) if width <= len(f)]
+    verdicts = set()
+    for lo, hi in bands:
+        for key in ("slope", "plateau"):
+            if key == "slope" and not lo < hi:
+                continue
+            band = [f"spectral.{key}_lo={float(lo)!r}", f"spectral.{key}_hi={float(hi)!r}"]
+            try:
+                cli.plan_etfe(resolve_config("etfe", [], overrides + parse_set_args(band)))
+                planned = True
+            except ConfigError as err:
+                assert f"{key} band" in str(err) or "bins in the band" in str(err)
+                planned = False
+            try:
+                if key == "slope":
+                    cli.slope_fit(response, (lo, hi))
+                else:
+                    cli.corner_from_asymptotes(response, (lo, hi), (3.0, 30.0))
+                fits = True
+            except ValueError as err:
+                assert "bins" in str(err)
+                fits = False
+            assert planned == fits, (key, lo, hi)
+            verdicts.add(planned)
+    assert verdicts == ({False} if excitation == ["excitation.amplitude=0"] else {True, False})
 
 
 @pytest.mark.parametrize(

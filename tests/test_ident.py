@@ -726,14 +726,28 @@ def test_successor_builds_its_arrays_on_first_read(view):
     assert {"theta_hat", "F"}.isdisjoint(vars(new))
     assert new._theta_list() is vars(new)["_theta"]
     got = view(new)
-    unread = "_theta" in vars(new)  # replace reads the fields it copies
     ref = AdaptationState(np.array(theta), np.array(F), lambda1, new.lambda2, new.lambda0,
                           new.profile)
     _assert_same_state(got, ref)
     assert "_theta" not in vars(got) and "_F" not in vars(got)
     _assert_same_state(new, ref)
-    if got is not new and unread:  # each builds arrays of its own
-        assert got.theta_hat is not new.theta_hat and got.F is not new.F
+    if got is not new:  # each holds arrays of its own
+        assert not np.shares_memory(got.theta_hat, new.theta_hat)
+        assert not np.shares_memory(got.F, new.F)
+
+
+def test_constructed_and_replaced_states_share_no_arrays():
+    """The constructor copies theta_hat and F, so a write into a replaced
+    state's arrays, or into the arrays a caller passed, leaves the other
+    state alone."""
+    theta, F = np.array([0.1, -0.2]), np.eye(2)
+    state = AdaptationState(theta, F)
+    theta[0], F[0, 1] = 9.0, 9.0
+    assert state.theta_hat.tolist() == [0.1, -0.2] and state.F.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+    replaced = dataclasses.replace(state, lambda1=0.5)
+    replaced.theta_hat[1] = 7.0
+    replaced.F[1, 1] = 7.0
+    assert state.theta_hat.tolist() == [0.1, -0.2] and state.F.tolist() == [[1.0, 0.0], [0.0, 1.0]]
 
 
 def test_successor_arrays_are_the_only_copy_once_read():

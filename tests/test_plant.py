@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -251,6 +253,208 @@ def test_advance_stops_mid_sample_then_latches():
     assert sim.state is latched
 
 
+def law_oracle(params: ValveParams, u_raw) -> tuple[float, float, float]:
+    """(drive, target_open, target_close) of duty cycle u_raw, formed afresh."""
+    u = float(u_raw)
+    if not math.isfinite(u):
+        raise ValueError("duty cycle must be finite")
+    u = min(100.0, max(0.0, u))
+    if params.pwm_levels:
+        levels = params.pwm_levels - 1
+        u = round(u / 100.0 * levels) * 100.0 / levels
+    drive = params.motor_gain * u
+    return (
+        drive,
+        params.spring_rest_angle - (drive + params.coulomb_open) / params.spring_stiffness,
+        params.spring_rest_angle - (drive - params.coulomb_close) / params.spring_stiffness,
+    )
+
+
+def jump_oracle(params: ValveParams, n_sub: int, law, state: ValveState) -> ValveState:
+    """State after n_sub frozen-mode sub-steps under `law`, by phase jumps on
+    ValveState objects: the simulator's advance before its state moved into
+    three floats, with the same operations in the same order.  A plate that
+    ends where it started, at rest, gets `state` itself back."""
+    k, rest, a_min, a_max = (
+        params.spring_stiffness, params.spring_rest_angle, params.angle_min, params.angle_max)
+    tau = params.viscous_coeff / params.spring_stiffness
+    decay = math.exp(-DT_INTERNAL / tau)
+    log_decay = math.log(decay) if decay > 0.0 else -math.inf
+    stop_reach = V_STOP * tau
+    break_open = params.stiction_ratio * params.coulomb_open
+    break_close = params.stiction_ratio * params.coulomb_close
+    drive, target_open, target_close = law
+    angle, velocity, moving = state.angle, state.velocity, state.moving
+    same = True  # angle, velocity and moving are still those of `state`
+    left = n_sub
+    while True:
+        kinetic = False
+        if moving:
+            if velocity > 0.0:
+                target = target_open
+                kinetic = target > angle
+            else:
+                target = target_close
+                kinetic = target < angle
+        if not kinetic:
+            net = k * (rest - angle) - drive
+            if net > 0.0:
+                latched = net <= break_open
+                target = target_open
+            else:
+                latched = -net <= break_close
+                target = target_close
+            if latched:
+                if not moving and velocity == 0.0:
+                    return state if same else ValveState(angle, velocity, moving)
+                return ValveState(angle, 0.0, False)
+
+        gap = angle - target
+        mag = abs(gap)
+        first = left + 1
+        if stop_reach >= mag:
+            first = 1
+        elif stop_reach > 0.0 and stop_reach / mag > 0.0 and log_decay < 0.0:
+            first = min(first, math.ceil(math.log(stop_reach / mag) / log_decay))
+        reach = target - a_max
+        if a_min - target > reach:
+            reach = a_min - target
+        if reach >= mag:
+            first = 1
+        elif reach > 0.0 and reach / mag > 0.0 and log_decay < 0.0:
+            first = min(first, math.ceil(math.log(reach / mag) / log_decay))
+        j = first if first > 1 else 1
+        while j > 1:
+            a = target + gap * decay ** (j - 1)
+            if not (abs((target - a) / tau) < V_STOP or a <= a_min or a >= a_max):
+                break
+            j -= 1
+        while j <= left:
+            a = target + gap * decay**j
+            if abs((target - a) / tau) < V_STOP or a <= a_min or a >= a_max:
+                break
+            j += 1
+
+        if j > left:
+            a = target + gap * decay**left
+            return ValveState(a, (target - a) / tau, True)
+        a = min(max(target + gap * decay**j, a_min), a_max)
+        if a == angle and not moving and velocity == 0.0:
+            return state if same else ValveState(angle, velocity, moving)
+        angle, velocity, moving, same = a, 0.0, False, False
+        left -= j
+        if left == 0:
+            return ValveState(angle, velocity, moving)
+
+
+class OracleValve:
+    """measure/advance on a ValveState, with every law formed afresh and
+    the phase jump of :func:`jump_oracle`."""
+
+    def __init__(self, params: ValveParams, Ts: float, state: ValveState):
+        self.params, self.state = params, state
+        self.n_sub = int(round(Ts / DT_INTERNAL))
+        self.rng = np.random.default_rng(params.rng_seed)
+
+    def measure(self) -> float:
+        p, y = self.params, self.state.angle
+        if p.adc_bits:
+            q_step = (p.angle_max - p.angle_min) / (2**p.adc_bits - 1)
+            y = p.angle_min + round((y - p.angle_min) / q_step) * q_step
+        if p.output_noise_std > 0:
+            y += p.output_noise_std * self.rng.standard_normal()
+        return y
+
+    def advance(self, u) -> None:
+        self.state = jump_oracle(self.params, self.n_sub, law_oracle(self.params, u), self.state)
+
+
+def bits(state: ValveState) -> tuple:
+    return (state.angle.hex(), float(state.velocity).hex(), state.moving)
+
+
+def float_bits(sim: ValveSimulator) -> tuple:
+    return (sim._angle.hex(), float(sim._velocity).hex(), sim._moving)
+
+
+levels = st.one_of(st.sampled_from([0.0, -0.0, 100.0]), st.floats(-10.0, 110.0))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    stops=st.sampled_from([(0.0, 95.0), (5.0, 90.0), (0.0, 60.0)]),
+    rest_at=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    viscous=st.one_of(st.just(0.001), st.floats(0.001, 0.6)),
+    c_open=st.one_of(st.just(0.0), st.floats(0.0, 3.0)),
+    c_close=st.one_of(st.just(0.0), st.floats(0.0, 3.0)),
+    stiction=st.one_of(st.just(1.0), st.floats(1.0, 2.0)),
+    adc_bits=st.sampled_from([0, 10]),
+    pwm_levels=st.sampled_from([0, 256]),
+    noise=st.sampled_from([0.0, 0.1]),
+    seed=st.integers(0, 2**16),
+    Ts_ms=st.sampled_from([1, 20, 50]),
+    segments=st.lists(
+        st.one_of(
+            st.tuples(levels, st.integers(1, 20)).map(lambda held: [held[0]] * held[1]),
+            st.tuples(levels, levels, st.integers(1, 10)).map(lambda alt: [alt[0], alt[1]] * alt[2]),
+            st.tuples(st.lists(levels, min_size=3, max_size=3), st.lists(st.integers(0, 2), max_size=30))
+            .map(lambda three: [three[0][i] for i in three[1]]),
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+    touches=st.dictionaries(
+        st.integers(0, 150),
+        st.one_of(
+            st.just(None),
+            st.tuples(st.floats(0.0, 1.0), st.one_of(st.just(0.0), st.floats(-50.0, 50.0))),
+        ),
+        max_size=6,
+    ),
+)
+def test_advance_matches_jump_oracle_bits(
+    stops, rest_at, viscous, c_open, c_close, stiction, adc_bits, pwm_levels, noise, seed,
+    Ts_ms, segments, touches,
+):
+    """The advance on three floats with two law slots against the phase jump
+    on ValveState objects with a fresh law per sample: the same bits of
+    angle, velocity and moving after every sample, the same measurements and
+    the same rng state, also where `state` is read or set mid-record."""
+    a_min, a_max = stops
+    params = ValveParams(
+        spring_stiffness=1.0,
+        spring_rest_angle=a_min + rest_at * (a_max - a_min),
+        motor_gain=0.95,
+        viscous_coeff=viscous,
+        coulomb_open=c_open,
+        coulomb_close=c_close,
+        stiction_ratio=stiction,
+        angle_min=a_min,
+        angle_max=a_max,
+        adc_bits=adc_bits,
+        pwm_levels=pwm_levels,
+        output_noise_std=noise,
+        rng_seed=seed,
+    )
+    sim = ValveSimulator(params, Ts_ms * 1e-3)
+    ref = OracleValve(params, Ts_ms * 1e-3, rest_state(params))
+    u = [v for segment in segments for v in segment]
+    for i, u_i in enumerate(u):
+        if i in touches:
+            if touches[i] is None:  # read
+                assert bits(sim.state) == bits(ref.state)
+            else:  # set
+                at, velocity = touches[i]
+                new = ValveState(a_min + at * (a_max - a_min), velocity, velocity != 0.0)
+                sim.state, ref.state = new, new
+        assert float(sim.measure()).hex() == float(ref.measure()).hex()
+        sim.advance(u_i)
+        ref.advance(u_i)
+        assert float_bits(sim) == bits(ref.state)
+    assert bits(sim.state) == bits(ref.state)
+    assert sim.rng.bit_generator.state == ref.rng.bit_generator.state
+
+
 def sample_loop_oracle(sim, u):
     """The open-loop record one sample at a time: measure, then advance."""
     y = np.empty(len(u))
@@ -320,16 +524,31 @@ def test_advance_law_cache_edge_cases():
     """A repeated duty cycle reuses its law only where a fresh law is equal."""
     params = clean_params(pwm_levels=256, coulomb_open=0.5, coulomb_close=0.8, stiction_ratio=1.2)
     sim = ValveSimulator(params, Ts)
-    sim.advance(30.0)
-    for bad in (float("nan"), float("inf")):
+    for u in (30.0, 60.0, 30.0):  # the third swaps the two slots
+        sim.advance(u)
+    slots = (sim._u_raw, sim._law, sim._u_prev, sim._law_prev)
+    assert slots[0] == 30.0 and slots[2] == 60.0
+    for bad in (float("nan"), float("inf"), -float("inf")):
         with pytest.raises(ValueError, match="duty cycle must be finite"):
             sim.advance(bad)
+        assert (sim._u_raw, sim._law, sim._u_prev, sim._law_prev) == slots
+
+    def never(u):
+        raise AssertionError(f"law of {u} formed again")
+
+    sim._set_law = never  # the two slots serve a record alternating between them
+    for u in (60.0, 30.0, 60, np.float64(30.0)):
+        sim.advance(u)
 
     sequences = (
         [30.0, np.float64(30.0), 30, 30.0],
         [0.0, -0.0, 0.0, 100.0, 100],
         [10.0, 60.0] * 4,
         [10.0, 10.1, 10.0, -5.0, 0.0, 120.0, 100.0],
+        [0.0, 50.0, -0.0, 50.0, 0.0, -0.0],
+        [30, 60.0, np.float64(30.0), 60, 30.0],
+        [10.3, 70.0, 10.31, 70.0, 10.3, 10.31],  # 10.3 and 10.31 snap to one PWM level
+        [10.0, 60.0, 90.0, 10.0, 60.0, 90.0, 60.0],
     )
     for seq in sequences:
         sim = ValveSimulator(params, Ts)
@@ -350,6 +569,40 @@ def test_advance_law_cache_edge_cases():
         sample_loop_oracle(slow, u)
     assert final(fast) == final(slow)
     assert fast.rng.bit_generator.state == slow.rng.bit_generator.state
+
+
+def test_state_view_setter_and_copies():
+    """`state` is one object while the plate rests, the setter round-trips,
+    and a pickled or deep-copied simulator continues a record as the
+    original does."""
+    params = get_preset("valve3")
+    sim = ValveSimulator(params, Ts)
+    rest = sim.state
+    sim.advance(0.0)  # at the rest angle with no drive: latched
+    assert sim.state is rest
+    sim.advance(40.0)
+    moved = sim.state
+    assert moved.angle != rest.angle and sim.state is moved
+
+    state = ValveState(55.0, -3.0, True)
+    sim.state = state
+    assert sim.state is state
+    fresh = ValveSimulator(params, Ts, state=state)
+    sim.advance(20.0)
+    fresh.advance(20.0)
+    assert bits(sim.state) == bits(fresh.state)
+
+    u = np.tile([12.0, 30.0, 12.0, 12.0, 45.0], 12)
+    sim = ValveSimulator(params, Ts)
+    first = sample_loop_oracle(sim, u[:31])
+    copies = [sim, pickle.loads(pickle.dumps(sim)), copy.deepcopy(sim)]
+    records = [np.concatenate([first, sample_loop_oracle(c, u[31:])]) for c in copies]
+    whole = ValveSimulator(params, Ts)
+    want = sample_loop_oracle(whole, u)
+    for c, y in zip(copies, records):
+        assert y.tobytes() == want.tobytes()
+        assert bits(c.state) == bits(whole.state)
+        assert c.rng.bit_generator.state == whole.rng.bit_generator.state
 
 
 def test_stiction_deadband():
