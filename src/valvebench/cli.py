@@ -403,7 +403,10 @@ def plan_identify(cfg):
     if idf["scan_max"] < max(idf["na"], idf["nb"]):
         raise ConfigError("scan_max must cover the chosen na and nb")
     _substeps(cfg["plant"]["Ts"])
-    return functools.partial(run_identify, cfg, _prbs_from_cfg(cfg["excitation"]))
+    prbs = _prbs_from_cfg(cfg["excitation"])
+    if prbs.amplitude == 0:  # a constant input leaves the ARX fit singular
+        raise ConfigError("identify needs a PRBS amplitude > 0: a constant input excites nothing to fit")
+    return functools.partial(run_identify, cfg, prbs)
 
 
 def run_identify(cfg, prbs, out_dir, preset, params):

@@ -213,34 +213,31 @@ def cl_identify(
         controller, na, nb, delay, init, y_hist=y_hist, u_hist=u_hist
     )
 
-    T = len(excitation)
-    theta = np.empty((T, na + nb))
-    y_arr = np.empty(T)
-    yh_arr = np.empty(T)
-    u_arr = np.empty(T)
-    uh_arr = np.empty(T)
-    e0_arr = np.empty(T)
-    e1_arr = np.empty(T)
-    sat_arr = np.zeros(T, dtype=bool)
-
+    # Each sample runs on Python floats; the arrays are built once, at the end.
+    thetas, ys, y_hats, us, u_hats, e0s, e1s, sats = [], [], [], [], [], [], [], []
     y_abs = plant.measure()
-    for k in range(T):
-        y_arr[k] = y_abs - r_bar
-        yh_arr[k], uh_arr[k], u_plant, sat_arr[k], y_abs, e0_arr[k], e1_arr[k] = _loop_sample(
-            plant, predictor, runtime, y_abs, r_bar, r_bar, excitation[k], update
+    for r_u in excitation.tolist():
+        ys.append(y_abs - r_bar)
+        y_pred, u_hat, u_plant, sat, y_abs, eps0, eps = _loop_sample(
+            plant, predictor, runtime, y_abs, r_bar, r_bar, r_u, update
         )
-        u_arr[k] = u_plant - u_bar
-        theta[k] = predictor.state._theta_list()
+        y_hats.append(y_pred)
+        u_hats.append(u_hat)
+        us.append(u_plant - u_bar)
+        sats.append(sat)
+        e0s.append(eps0)
+        e1s.append(eps)
+        thetas.append(predictor.state._theta_list())
 
     return CloeRun(
-        theta=theta,
-        y=y_arr,
-        y_hat=yh_arr,
-        u=u_arr,
-        u_hat=uh_arr,
-        eps_apriori=e0_arr,
-        eps_aposteriori=e1_arr,
-        saturated=sat_arr,
+        theta=np.array(thetas, dtype=float).reshape(len(thetas), na + nb),
+        y=np.array(ys, dtype=float),
+        y_hat=np.array(y_hats, dtype=float),
+        u=np.array(us, dtype=float),
+        u_hat=np.array(u_hats, dtype=float),
+        eps_apriori=np.array(e0s, dtype=float),
+        eps_aposteriori=np.array(e1s, dtype=float),
+        saturated=np.array(sats, dtype=bool),
         final_state=predictor.state,
         u_operating=u_bar,
         y_last=y_abs,

@@ -27,13 +27,18 @@ accuracy.
 A simulator holds the plate's state as three floats (angle, velocity and
 the moving flag), and :meth:`ValveSimulator.advance` jumps them on locals,
 with no object built per sample; the :attr:`ValveSimulator.state` view is a
-:class:`ValveState` built at its first read after a change.  A duty cycle is
-checked, clamped and PWM-quantized only when it is neither of the last two
-distinct values applied: the resulting laws (motor torque and both kinetic
-targets) are kept in two slots, so a held input and a PRBS toggling between
-two levels reuse theirs.  :func:`open_loop` records the true angles of a
-valve and applies ADC quantization and measurement noise to the whole record
-at once; the values and the noise stream are those of one
+:class:`ValveState` built at its first read after a change.  A sample in
+which the plate keeps moving toward a target inside the stops takes no
+logarithm or power: the closed form of its stop-speed event is skipped where
+a bound, set once per simulator, proves that it would leave the first event
+past the sample, and decay**n_sub is computed once by the same expression,
+so the bits are those of the closed form.  A duty cycle, converted to a
+float, is checked, clamped and PWM-quantized only when it is neither of the
+last two distinct values applied: the resulting laws (motor torque and both
+kinetic targets) are kept in two slots, so a held input and a PRBS toggling
+between two levels reuse theirs.  :func:`open_loop` records the true angles
+of a valve and applies ADC quantization and measurement noise to the whole
+record at once; the values and the noise stream are those of one
 :meth:`ValveSimulator.measure` per sample, which closed loops still call.
 """
 
@@ -175,7 +180,9 @@ class ValveSimulator:
 
     The drive law of a duty cycle (finiteness check, clamp to [0, 100], PWM
     quantization, motor torque and the two kinetic targets) is kept in two
-    slots, for the last two distinct values applied.  An input equal to the
+    slots, for the last two distinct values applied, keyed on the input
+    converted to a float (so an ``np.float32(0.1)``, equal to 0.1 under
+    numpy's promotion, gets the law of its own value).  An input equal to the
     current value reuses its law; one equal to the previous value swaps the
     slots; any other goes through :meth:`_set_law`, which checks it before
     it shifts the current law into the second slot, so a rejected input
@@ -199,6 +206,21 @@ class ValveSimulator:
         # exponentials agree.
         tau = params.viscous_coeff / params.spring_stiffness
         decay = math.exp(-DT_INTERNAL / tau)
+        log_decay = math.log(decay) if decay > 0.0 else -math.inf
+        n_sub = self.n_sub
+        # The V_STOP closed form in advance is ceil(log(ratio) / log_decay),
+        # ratio = V_STOP * tau / |gap|.  A ratio below no_stop =
+        # decay**(n_sub + 1/2) makes the quotient exceed n_sub + 1/2, which
+        # puts the event past the sample in any phase, so advance takes no
+        # log for it.  In the log domain that margin is |log_decay| / 2;
+        # the skip test, the bound, the log and the quotient together err
+        # by a few ulps of 1 + |log(no_stop)|, and the guard keeps the
+        # margin above 1e-9 times that, some 1e6 times the rounding.
+        # no_stop = 0.0 never skips: for a decay of 0 or 1, or a log_decay
+        # too close to 0 for the margin.
+        no_stop = 0.0
+        if 0.0 < decay < 1.0 and -0.5 * log_decay > 1e-9 * (1.0 - (n_sub + 0.5) * log_decay):
+            no_stop = math.exp((n_sub + 0.5) * log_decay)
         # Per-simulator constants of the phase jump, unpacked once per sample.
         self._consts = (
             params.spring_stiffness,
@@ -207,10 +229,22 @@ class ValveSimulator:
             params.angle_max,
             tau,
             decay,
-            math.log(decay) if decay > 0.0 else -math.inf,
+            log_decay,
             V_STOP * tau,
             params.stiction_ratio * params.coulomb_open,
             params.stiction_ratio * params.coulomb_close,
+            decay**n_sub,
+            no_stop,
+        )
+        # Per-simulator constants of the duty-cycle law, unpacked once per
+        # law formed.
+        self._law_consts = (
+            params.pwm_levels - 1 if params.pwm_levels else 0,
+            params.motor_gain,
+            params.spring_rest_angle,
+            params.coulomb_open,
+            params.coulomb_close,
+            params.spring_stiffness,
         )
         # The laws (drive, target_open, target_close) of the last two
         # distinct duty cycles applied, the current one first; NaN equals no
@@ -255,7 +289,21 @@ class ValveSimulator:
 
     def advance(self, u: float) -> None:
         """Apply duty cycle u for one sample: n_sub frozen-mode sub-steps
-        under its law, taken as phase jumps on the three state floats."""
+        under its law, taken as phase jumps on the three state floats.
+
+        An event-free phase toward a target inside the stops takes no
+        logarithm or power.  Its V_STOP closed form is skipped where the
+        ratio V_STOP * tau / |gap| lies below the simulator's bound, which
+        proves with a half sub-step to spare that the closed form would give
+        no event in the sample, and the end-of-sample angle and the grid
+        check of sub-step n_sub use decay**n_sub computed once by the same
+        expression.  Either way the states are bit for bit those of the
+        closed form.
+        """
+        # The slots hold floats, so an input of another type that compares
+        # equal to one (np.float32(0.1) == 0.1) cannot reuse its law.
+        if type(u) is not float:
+            u = float(u)
         # NaN equals nothing, so it always reaches the finiteness check.
         if u != self._u_raw:
             if u == self._u_prev:
@@ -263,7 +311,8 @@ class ValveSimulator:
                     self._u_prev, self._law_prev, self._u_raw, self._law)
             else:
                 self._set_law(u)
-        k, rest, a_min, a_max, tau, decay, log_decay, stop_reach, break_open, break_close = self._consts
+        (k, rest, a_min, a_max, tau, decay, log_decay, stop_reach, break_open, break_close,
+         decay_n, no_stop) = self._consts
         drive, target_open, target_close = self._law
         angle, velocity, moving = self._angle, self._velocity, self._moving
         n_sub = left = self.n_sub
@@ -302,11 +351,13 @@ class ValveSimulator:
             # V_STOP, or the plate reaches a stop its target lies beyond.
             # Then corrected on the grid against the same test; left + 1
             # means no event this sample.
-            # A ratio that underflows to 0 puts its event past any sample.
+            # A ratio that underflows to 0, or one below no_stop, puts its
+            # event past any sample, so no logarithm is taken for it.
             first = left + 1
             if stop_reach >= mag:
                 first = 1
-            elif stop_reach > 0.0 and stop_reach / mag > 0.0 and log_decay < 0.0:
+            elif (stop_reach >= mag * no_stop and stop_reach > 0.0
+                  and stop_reach / mag > 0.0 and log_decay < 0.0):
                 first = min(first, math.ceil(math.log(stop_reach / mag) / log_decay))
             reach = target - a_max
             if a_min - target > reach:
@@ -317,7 +368,7 @@ class ValveSimulator:
                 first = min(first, math.ceil(math.log(reach / mag) / log_decay))
             j = first if first > 1 else 1
             while j > 1:
-                a = target + gap * decay ** (j - 1)
+                a = target + gap * (decay_n if j - 1 == n_sub else decay ** (j - 1))
                 if not (abs((target - a) / tau) < V_STOP or a <= a_min or a >= a_max):
                     break
                 j -= 1
@@ -328,7 +379,7 @@ class ValveSimulator:
                 j += 1
 
             if j > left:
-                a = target + gap * decay**left
+                a = target + gap * (decay_n if left == n_sub else decay**left)
                 angle, velocity, moving = a, (target - a) / tau, True
                 break
             a = min(max(target + gap * decay**j, a_min), a_max)
@@ -343,24 +394,18 @@ class ValveSimulator:
                 break
         self._angle, self._velocity, self._moving, self._state = angle, velocity, moving, None
 
-    def _set_law(self, u_raw) -> None:
+    def _set_law(self, u_raw: float) -> None:
         """Check, clamp and PWM-quantize duty cycle u_raw and put its law in
         the first slot, the law it replaces in the second.  A rejected input
         leaves both slots alone."""
-        p = self.params
-        u = float(u_raw)
-        if not math.isfinite(u):
+        if not math.isfinite(u_raw):
             raise ValueError("duty cycle must be finite")
-        u = min(100.0, max(0.0, u))
-        if p.pwm_levels:
-            levels = p.pwm_levels - 1
+        levels, gain, rest, c_open, c_close, k = self._law_consts
+        u = min(100.0, max(0.0, u_raw))
+        if levels:
             u = round(u / 100.0 * levels) * 100.0 / levels
-        drive = p.motor_gain * u
-        law = (
-            drive,
-            p.spring_rest_angle - (drive + p.coulomb_open) / p.spring_stiffness,
-            p.spring_rest_angle - (drive - p.coulomb_close) / p.spring_stiffness,
-        )
+        drive = gain * u
+        law = (drive, rest - (drive + c_open) / k, rest - (drive - c_close) / k)
         self._u_prev, self._law_prev = self._u_raw, self._law
         self._u_raw, self._law = u_raw, law
 

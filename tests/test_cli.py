@@ -256,6 +256,7 @@ def test_plain_value_error_mid_run_is_a_run_failure(tmp_path, capsys, monkeypatc
         ("etfe", "spectral.slope_lo=3 spectral.slope_hi=3.1", "PRBS excites 1 in [3.0, 3.1] rad/s"),
         ("etfe", "spectral.plateau_lo=0.01 spectral.plateau_hi=0.02", "no bin in the plateau band"),
         ("identify", "plant.Ts=0", "Ts must be > 0"),
+        ("identify", "excitation.amplitude=0", "identify needs a PRBS amplitude > 0"),
         ("track", "plant.Ts=0.0025", "integer multiple of the 1 ms sub-step"),
         ("adapt", "adapt.n_iter=0", "n_iter must be >= 1"),
         ("adapt", "adapt.gain=-1", "gain must be > 0"),

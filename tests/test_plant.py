@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from valvebench import plant
 from valvebench.plant import (
     DT_INTERNAL,
     V_STOP,
@@ -603,6 +604,144 @@ def test_state_view_setter_and_copies():
         assert y.tobytes() == want.tobytes()
         assert bits(c.state) == bits(whole.state)
         assert c.rng.bit_generator.state == whole.rng.bit_generator.state
+
+
+def test_advance_keys_the_law_on_the_float_value():
+    """np.float32(0.1) compares equal to 0.1 but applies its own value: a
+    record that follows 0.1 with it matches the float-converted record bit
+    for bit, and a NaN of any type still reaches the finiteness check."""
+    params = clean_params()
+    f32 = np.float32(0.1)
+    assert f32 == 0.1 and float(f32) != 0.1
+    for seq in ([0.1] + [f32] * 19, [0.1, f32] * 10, [f32, 0.1, 30.0, f32, 0.1]):
+        sim, want = ValveSimulator(params, Ts), ValveSimulator(params, Ts)
+        for u in seq:
+            sim.advance(u)
+            want.advance(float(u))
+            assert float_bits(sim) == float_bits(want)
+    sim = ValveSimulator(params, Ts)
+    for u in (0.1, f32):  # both slots hold a law
+        sim.advance(u)
+    slots = (sim._u_raw, sim._law, sim._u_prev, sim._law_prev)
+    for bad in (np.float32("nan"), np.float64("nan"), float("nan")):
+        with pytest.raises(ValueError, match="duty cycle must be finite"):
+            sim.advance(bad)
+        assert (sim._u_raw, sim._law, sim._u_prev, sim._law_prev) == slots
+
+
+class CountingMath:
+    """The math module, with its calls of log counted."""
+
+    def __init__(self):
+        self.logs = 0
+
+    def __getattr__(self, name):
+        return getattr(math, name)
+
+    def log(self, x):
+        self.logs += 1
+        return math.log(x)
+
+
+def boundary_params(viscous: float) -> ValveParams:
+    """A valve whose opening target at u = 0 is exactly 0.0, so that a plate
+    at -mag moving up has |gap| = mag to the last bit, and whose stiction
+    latches it where it stops."""
+    return ValveParams(
+        spring_stiffness=1.0,
+        spring_rest_angle=0.5,
+        motor_gain=0.95,
+        viscous_coeff=viscous,
+        coulomb_open=0.5,
+        coulomb_close=0.5,
+        stiction_ratio=1.2,
+        angle_min=-10.0,
+        angle_max=95.0,
+        adc_bits=0,
+        pwm_levels=0,
+    )
+
+
+def advance_against_jump_oracle(params, Ts, mag, monkeypatch) -> int:
+    """One sample at u = 0 from a plate at -mag moving up, against
+    jump_oracle: asserts equal bits and returns the logs advance took."""
+    state = ValveState(-mag, 1.0, True)
+    sim = ValveSimulator(params, Ts, state=state)
+    counting = CountingMath()
+    monkeypatch.setattr(plant, "math", counting)
+    sim.advance(0.0)
+    monkeypatch.setattr(plant, "math", math)
+    assert sim._law[1] == 0.0
+    want = jump_oracle(params, sim.n_sub, law_oracle(params, 0.0), state)
+    assert float_bits(sim) == bits(want), mag
+    return counting.logs
+
+
+@pytest.mark.parametrize("Ts_ms", [1, 2, 50])
+def test_advance_skips_the_stop_log_exactly_past_the_sample(Ts_ms, monkeypatch):
+    """Around the bound that skips the V_STOP closed form, and where that
+    closed form puts the first event at n_sub - 1, n_sub and n_sub + 1, the
+    advance gives jump_oracle's bits, and it takes a log exactly where the
+    skip test fails."""
+    params, Ts_s = boundary_params(0.26), Ts_ms * 1e-3
+    sim = ValveSimulator(params, Ts_s)
+    _, _, _, _, _, decay, log_decay, stop_reach, _, _, decay_n, no_stop = sim._consts
+    n_sub = sim.n_sub
+    assert 0.0 < no_stop < 1.0 and decay_n == decay**n_sub
+
+    # mag at the switch of the skip test and six ulps either side
+    mag = stop_reach / no_stop
+    while stop_reach < mag * no_stop:
+        mag = math.nextafter(mag, 0.0)
+    mags = [mag]
+    for _ in range(6):
+        mags = [math.nextafter(mags[0], 0.0), *mags, math.nextafter(mags[-1], 1.0)]
+    skips = [stop_reach < m * no_stop for m in mags]
+    assert skips == [False] * 7 + [True] * 6
+    for m, skip in zip(mags, skips):
+        assert (advance_against_jump_oracle(params, Ts_s, m, monkeypatch) == 0) == skip
+
+    for event in (n_sub - 1, n_sub, n_sub + 1):
+        if event < 1:
+            continue
+        mag = stop_reach / decay ** (event - 0.3)
+        assert math.ceil(math.log(stop_reach / mag) / log_decay) == event
+        logs = advance_against_jump_oracle(params, Ts_s, mag, monkeypatch)
+        assert (logs == 0) == (event > n_sub)
+
+
+@pytest.mark.parametrize("Ts_ms", [1, 2, 50])
+@pytest.mark.parametrize(
+    "viscous, skips",
+    [(1e14, False), (1e9, False), (1e5, True), (1e-7, False)],
+    ids=["decay-rounds-to-1", "log-decay-near-rounding", "slow", "decay-underflows-to-0"],
+)
+def test_advance_at_decay_extremes_matches_jump_oracle(viscous, skips, Ts_ms, monkeypatch):
+    """A decay that rounds to 1, one whose log lies too close to 0 for the
+    half-sub-step margin, and one that underflows to 0 never skip the closed
+    form; every plate gives jump_oracle's bits."""
+    params = boundary_params(viscous)
+    sim = ValveSimulator(params, Ts_ms * 1e-3)
+    *_, no_stop = sim._consts
+    assert (no_stop > 0.0) == skips
+    for mag in (1e-20, 1e-12, 1e-6, 0.05, 1.0, 5.0):
+        advance_against_jump_oracle(params, Ts_ms * 1e-3, mag, monkeypatch)
+
+
+def test_event_free_record_takes_no_log(monkeypatch):
+    """A held input whose plate moves toward a target inside the stops for
+    the whole record takes no logarithm."""
+    params = clean_params()
+    sim = ValveSimulator(params, Ts)
+    counting = CountingMath()
+    monkeypatch.setattr(plant, "math", counting)
+    y = open_loop(sim, np.full(20, 30.0))
+    assert counting.logs == 0
+    assert sim.state.moving and params.angle_min < y[-1] < y[0]
+    ref = OracleValve(params, Ts, rest_state(params))
+    for _ in range(20):
+        ref.advance(30.0)
+    assert bits(sim.state) == bits(ref.state)
 
 
 def test_stiction_deadband():
