@@ -36,7 +36,7 @@ from .cloe import ClosedLoopPredictor, _loop_sample, _operating_duty, cl_identif
 from .errors import DesignError
 from .fileio import write_csv
 from .ident import AdaptationState, initial_adaptation_state
-from .plant import DiscretePlantModel
+from .plant import DiscretePlantModel, _record_sensor
 from .signals import PrbsConfig, prbs_deviation, step_sequence
 
 DEFAULT_LIMITS = (0.0, 100.0)
@@ -391,31 +391,30 @@ def adaptive_run(
     runtime = ControllerRuntime(controller, limits=limits, depth=depth)
     runtime.prime(u=float(u_tr[-1]), y=float(y_tr[-1]), r=r_bar)
 
-    y_arr = np.empty(T)
-    u_arr = np.empty(T)
-    theta_arr = np.empty((T, n))
+    ys, us, thetas = [], [], []
     redesigns = 0
     rejected = 0
-    y_abs = plant.measure()
-    for k, (r_k, e_k) in enumerate(zip(reference.tolist(), excitation.tolist())):
-        _, _, u_plant, _, y_abs, _, _ = _loop_sample(
-            plant, predictor, runtime, y_abs, r_bar, r_k, e_k
-        )
-        theta = predictor.state._theta_list()
-        try:
-            controller = design.design(theta)
-            runtime.controller = predictor.runtime.controller = controller
-            redesigns += 1
-        except DesignError:
-            rejected += 1
-        y_arr[k] = y_abs
-        u_arr[k] = u_plant
-        theta_arr[k] = theta
+    with _record_sensor(plant, T + 1) as measure:
+        y_abs = measure()
+        for r_k, e_k in zip(reference.tolist(), excitation.tolist()):
+            _, _, u_plant, _, y_abs, _, _ = _loop_sample(
+                plant, measure, predictor, runtime, y_abs, r_bar, r_k, e_k
+            )
+            theta = predictor.state._theta_list()
+            try:
+                controller = design.design(theta)
+                runtime.controller = predictor.runtime.controller = controller
+                redesigns += 1
+            except DesignError:
+                rejected += 1
+            ys.append(y_abs)
+            us.append(u_plant)
+            thetas.extend(theta)
     return AdaptiveRun(
-        y=y_arr,
-        u=u_arr,
+        y=np.array(ys, dtype=float),
+        u=np.array(us, dtype=float),
         reference=reference,
-        theta=theta_arr,
+        theta=np.array(thetas, dtype=float).reshape(T, n),
         redesigns=redesigns,
         rejected=rejected,
         final_controller=controller,

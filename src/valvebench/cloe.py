@@ -28,6 +28,7 @@ import numpy as np
 from .control import ControllerRuntime, RstController
 from .fileio import write_csv
 from .ident import AdaptationState, _dot, rls_step
+from .plant import _record_sensor
 
 
 class ClosedLoopPredictor:
@@ -159,21 +160,23 @@ def _operating_duty(u) -> float:
     return float(np.mean(u[-max(1, len(u) // 4):]))
 
 
-def _loop_sample(plant, predictor, runtime, y_abs, r_bar, r, r_u, update=True):
+def _loop_sample(plant, measure, predictor, runtime, y_abs, r_bar, r, r_u, update=True):
     """One CLOE sample: predict, control, inject r_u, clip to the runtime's
-    limits, advance, measure, adapt.  y_abs is the current measurement and
-    r_bar the operating reference the predictor works around.  Returns
-    (y_pred, u_hat, u_plant, saturated, y_next, eps0, eps)."""
+    limits, advance, measure, adapt.  `measure` senses the plant (its
+    record's sensor), y_abs is the current measurement and r_bar the
+    operating reference the predictor works around.  Returns (y_pred, u_hat,
+    u_plant, saturated, y_next, eps0, eps)."""
     y_pred, u_hat = predictor.predict(r_u, r - r_bar)
     u_cmd, sat = runtime.step(y_abs, r)
     u_plant = u_cmd + r_u
-    if runtime.limits is not None:
-        lo, hi = runtime.limits
+    limits = runtime._limits
+    if limits is not None:
+        lo, hi = limits
         clipped = min(hi, max(lo, u_plant))
         sat = sat or (clipped != u_plant)
         u_plant = clipped
     plant.advance(u_plant)
-    y_next = plant.measure()
+    y_next = measure()
     eps0, eps = predictor.adapt(y_next - r_bar, update=update)
     return y_pred, u_hat, u_plant, sat, y_next, eps0, eps
 
@@ -198,6 +201,10 @@ def cl_identify(
     of that many samples settles the loop first and seeds the predictor
     histories with measured data, suppressing the initial transient of the
     parallel predictor.
+
+    The samples run on Python floats, sensed by the plant's record-scoped
+    sensor (the values and noise stream of one measure() per sample, drawn
+    as one block), and the arrays are built once, at the end.
     """
     excitation = np.asarray(excitation, dtype=float)
     runtime = ControllerRuntime(controller, limits=limits)
@@ -213,24 +220,24 @@ def cl_identify(
         controller, na, nb, delay, init, y_hist=y_hist, u_hist=u_hist
     )
 
-    # Each sample runs on Python floats; the arrays are built once, at the end.
     thetas, ys, y_hats, us, u_hats, e0s, e1s, sats = [], [], [], [], [], [], [], []
-    y_abs = plant.measure()
-    for r_u in excitation.tolist():
-        ys.append(y_abs - r_bar)
-        y_pred, u_hat, u_plant, sat, y_abs, eps0, eps = _loop_sample(
-            plant, predictor, runtime, y_abs, r_bar, r_bar, r_u, update
-        )
-        y_hats.append(y_pred)
-        u_hats.append(u_hat)
-        us.append(u_plant - u_bar)
-        sats.append(sat)
-        e0s.append(eps0)
-        e1s.append(eps)
-        thetas.append(predictor.state._theta_list())
+    with _record_sensor(plant, len(excitation) + 1) as measure:
+        y_abs = measure()
+        for r_u in excitation.tolist():
+            ys.append(y_abs - r_bar)
+            y_pred, u_hat, u_plant, sat, y_abs, eps0, eps = _loop_sample(
+                plant, measure, predictor, runtime, y_abs, r_bar, r_bar, r_u, update
+            )
+            y_hats.append(y_pred)
+            u_hats.append(u_hat)
+            us.append(u_plant - u_bar)
+            sats.append(sat)
+            e0s.append(eps0)
+            e1s.append(eps)
+            thetas.extend(predictor.state._theta_list())
 
     return CloeRun(
-        theta=np.array(thetas, dtype=float).reshape(len(thetas), na + nb),
+        theta=np.array(thetas, dtype=float).reshape(len(excitation), na + nb),
         y=np.array(ys, dtype=float),
         y_hat=np.array(y_hats, dtype=float),
         u=np.array(us, dtype=float),

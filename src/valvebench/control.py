@@ -21,7 +21,7 @@ import numpy as np
 from . import _kernels
 from .errors import DesignError
 from .fileio import format_float
-from .plant import DiscretePlantModel
+from .plant import DiscretePlantModel, _record_sensor
 
 SYLVESTER_MAX_COND = 1e10
 DB_FLOOR = -400.0
@@ -656,6 +656,10 @@ class ControllerRuntime:
     tracking run go through it.  Histories hold past values, most recent
     last, `depth` of them or more; the controller may be swapped for one
     whose R, S and T fit in them.
+
+    The law kernel (:func:`_law_kernel`) is resolved when `controller` or
+    `limits` is set, so a step looks nothing up.  :meth:`track` runs a
+    record on Python floats, sensed by the plant's record-scoped sensor.
     """
 
     def __init__(
@@ -664,12 +668,31 @@ class ControllerRuntime:
         limits: tuple[float, float] | None = (0.0, 100.0),
         depth: int = 2,
     ):
+        self._limits = limits
         self.controller = controller
-        self.limits = limits
         depth = max(depth, *map(len, controller._law))
         self._u = [0.0] * depth
         self._y = [0.0] * depth
         self._r = [0.0] * depth
+
+    @property
+    def controller(self) -> RstController:
+        return self._controller
+
+    @controller.setter
+    def controller(self, controller: RstController) -> None:
+        self._controller = controller
+        s, r, t = self._law = controller._law
+        self._kernel = _law_kernel(len(s), len(r), len(t), self._limits is not None)
+
+    @property
+    def limits(self) -> tuple[float, float] | None:
+        return self._limits
+
+    @limits.setter
+    def limits(self, limits: tuple[float, float] | None) -> None:
+        self._limits = limits
+        self.controller = self._controller  # the kernel of the new clamping
 
     def prime(self, u: float = 0.0, y: float = 0.0, r: float = 0.0) -> None:
         """Fill histories with steady values (bumpless start at a setpoint)."""
@@ -682,30 +705,31 @@ class ControllerRuntime:
 
         No anti-windup correction is applied beyond the clamp.  The law runs
         in the kernel of the controller's lengths of S, R and T
-        (:func:`_law_kernel`), which appends u, y_t and r_t to the histories
-        and drops their oldest values.
+        (:func:`_law_kernel`), resolved when the controller or `limits` was
+        set, which appends u, y_t and r_t to the histories and drops their
+        oldest values.
         """
-        s, r, t = self.controller._law
-        limits = self.limits
-        kernel = _law_kernel(len(s), len(r), len(t), limits is not None)
-        return kernel(s, r, t, self._u, self._y, self._r, y_t, r_t, limits)
+        s, r, t = self._law
+        return self._kernel(s, r, t, self._u, self._y, self._r, y_t, r_t, self._limits)
 
     def track(self, plant, reference) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The sampled loop measure -> step -> advance, once per reference
         sample, from the current histories.  `plant` provides
-        measure()/advance().  Returns (y, u, saturated) arrays."""
-        T = len(reference)
-        y = np.empty(T)
-        u = np.empty(T)
-        sat = np.zeros(T, dtype=bool)
-        for k in range(T):
-            yk = plant.measure()
-            uk, s = self.step(yk, float(reference[k]))
-            plant.advance(uk)
-            y[k] = yk
-            u[k] = uk
-            sat[k] = s
-        return y, u, sat
+        measure()/advance(); its record-scoped sensor, where it has one,
+        senses the record as measure() would.  Returns (y, u, saturated)
+        arrays, built once the loop ends."""
+        ys, us, sats = [], [], []
+        step, advance = self.step, plant.advance
+        references = np.asarray(reference, dtype=float).tolist()
+        with _record_sensor(plant, len(references)) as measure:
+            for r_k in references:
+                y_k = measure()
+                u_k, saturated = step(y_k, r_k)
+                advance(u_k)
+                ys.append(y_k)
+                us.append(u_k)
+                sats.append(saturated)
+        return np.array(ys, dtype=float), np.array(us, dtype=float), np.array(sats, dtype=bool)
 
 
 # ---------------------------------------------------------------------------

@@ -36,15 +36,19 @@ so the bits are those of the closed form.  A duty cycle, converted to a
 float, is checked, clamped and PWM-quantized only when it is neither of the
 last two distinct values applied: the resulting laws (motor torque and both
 kinetic targets) are kept in two slots, so a held input and a PRBS toggling
-between two levels reuse theirs.  :func:`open_loop` records the true angles
-of a valve and applies ADC quantization and measurement noise to the whole
-record at once; the values and the noise stream are those of one
-:meth:`ValveSimulator.measure` per sample, which closed loops still call.
+between two levels reuse theirs, and a PWM valve forms the law of each PWM
+code once.  :func:`open_loop` records the true angles of a valve and applies
+ADC quantization and measurement noise to the whole record at once; a closed
+loop senses its record through the simulator's record-scoped sensor, which
+draws the record's noise as one block.  Either way the values and the noise
+stream are those of one :meth:`ValveSimulator.measure` per sample.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -145,13 +149,18 @@ def rest_state(params: ValveParams) -> ValveState:
 
 def _substeps(Ts: float) -> int:
     """The 1 ms sub-steps in one sample; raises ValueError unless Ts is a
-    positive whole number of them."""
+    finite whole number of them, one at least."""
     if Ts <= 0:
         raise ValueError("Ts must be > 0")
     n_sub = Ts / DT_INTERNAL
-    if abs(n_sub - round(n_sub)) > 1e-9:
+    if not math.isfinite(n_sub):
+        raise ValueError("Ts must be a finite number of 1 ms sub-steps")
+    n = round(n_sub)
+    if abs(n_sub - n) > 1e-9:
         raise ValueError("Ts must be an integer multiple of the 1 ms sub-step")
-    return int(round(n_sub))
+    if n < 1:
+        raise ValueError("Ts must be at least the 1 ms sub-step")
+    return n
 
 
 class ValveSimulator:
@@ -187,9 +196,17 @@ class ValveSimulator:
     slots; any other goes through :meth:`_set_law`, which checks it before
     it shifts the current law into the second slot, so a rejected input
     leaves both slots as they were (a NaN equals no slot and always reaches
-    the check).  :func:`open_loop` senses a whole record at once, with the
-    same ADC rounding and noise stream as :meth:`measure` called once per
-    sample.
+    the check).  On a PWM valve, :meth:`_set_law` looks the law up by the
+    integer PWM code of the clamped input, in `_pwm_laws`, and forms it only
+    at the code's first use, so a closed loop, whose input changes every
+    sample, forms at most `pwm_levels` laws.
+
+    :func:`open_loop` senses a whole record at once, with the same ADC
+    rounding and noise stream as :meth:`measure` called once per sample.  A
+    closed-loop record opens :meth:`_sensor` once: a zero-argument measure()
+    with the ADC expression of :meth:`measure` and the record's normals drawn
+    as one block (:func:`_noisy`), which leaves `rng` where one
+    :meth:`measure` per sample would, also when the record ends early.
     """
 
     def __init__(self, params: ValveParams, Ts: float = 0.05, state: ValveState | None = None):
@@ -251,6 +268,8 @@ class ValveSimulator:
         # input.
         self._u_raw = self._u_prev = math.nan
         self._law = self._law_prev = (0.0, 0.0, 0.0)
+        # PWM code -> law, at most pwm_levels entries.
+        self._pwm_laws: dict[int, tuple[float, float, float]] = {}
 
     @property
     def state(self) -> ValveState:
@@ -273,6 +292,19 @@ class ValveSimulator:
         if self.params.output_noise_std > 0:
             y += self.params.output_noise_std * self.rng.standard_normal()
         return y
+
+    def _sensor(self, n: int):
+        """Context manager of a zero-argument measure() for a record of up
+        to n samples: the values and noise stream of :meth:`measure`, with
+        the noise drawn as one block (see :func:`_noisy`)."""
+        q_step, a_min = self._q_step, self.params.angle_min
+        if q_step:
+            def read():
+                return a_min + round((self._angle - a_min) / q_step) * q_step
+        else:
+            def read():
+                return self._angle
+        return _noisy(read, self.params.output_noise_std, self.rng, n)
 
     def _sense(self, angles: list[float]) -> np.ndarray:
         """measure() of each angle in turn, as array operations.
@@ -379,7 +411,8 @@ class ValveSimulator:
                 j += 1
 
             if j > left:
-                a = target + gap * (decay_n if left == n_sub else decay**left)
+                # The last grid check, back or forward, was of sub-step
+                # left: `a` is already the end-of-sample angle.
                 angle, velocity, moving = a, (target - a) / tau, True
                 break
             a = min(max(target + gap * decay**j, a_min), a_max)
@@ -397,17 +430,71 @@ class ValveSimulator:
     def _set_law(self, u_raw: float) -> None:
         """Check, clamp and PWM-quantize duty cycle u_raw and put its law in
         the first slot, the law it replaces in the second.  A rejected input
-        leaves both slots alone."""
+        leaves both slots alone.  On a PWM valve the law of each integer PWM
+        code is formed once and kept in `_pwm_laws`."""
         if not math.isfinite(u_raw):
             raise ValueError("duty cycle must be finite")
-        levels, gain, rest, c_open, c_close, k = self._law_consts
-        u = min(100.0, max(0.0, u_raw))
+        # min(100.0, max(0.0, u_raw)) by comparisons: -0.0 clamps to 0.0.
+        if u_raw > 100.0:
+            u = 100.0
+        elif u_raw > 0.0:
+            u = u_raw
+        else:
+            u = 0.0
+        levels = self._law_consts[0]
         if levels:
-            u = round(u / 100.0 * levels) * 100.0 / levels
-        drive = gain * u
-        law = (drive, rest - (drive + c_open) / k, rest - (drive - c_close) / k)
+            code = round(u / 100.0 * levels)
+            law = self._pwm_laws.get(code)
+            if law is None:
+                law = self._pwm_laws[code] = self._law_of(code * 100.0 / levels)
+        else:
+            law = self._law_of(u)
         self._u_prev, self._law_prev = self._u_raw, self._law
         self._u_raw, self._law = u_raw, law
+
+    def _law_of(self, u: float) -> tuple[float, float, float]:
+        """(drive, target_open, target_close) of the applied duty cycle u."""
+        _, gain, rest, c_open, c_close, k = self._law_consts
+        drive = gain * u
+        return drive, rest - (drive + c_open) / k, rest - (drive - c_close) / k
+
+
+@contextlib.contextmanager
+def _noisy(read, std: float, rng: np.random.Generator, n: int):
+    """A zero-argument measure() of read() plus std times the next standard
+    normal of `rng`, for up to n reads, with the n normals drawn as one
+    block; a block of n is the stream of n scalar draws.  On exit after k < n
+    reads (an exception mid-record) the bit generator is set back to its
+    entry state and k normals are drawn again, so `rng` ends where k scalar
+    draws leave it.  Without noise (std not > 0) it is read itself and draws
+    nothing."""
+    if not std > 0:
+        yield read
+        return
+    bit_generator = rng.bit_generator
+    entry = bit_generator.state
+    normals = iter(rng.standard_normal(n).tolist())
+    draw = normals.__next__
+
+    def measure():
+        return read() + std * draw()
+
+    try:
+        yield measure
+    finally:
+        unread = operator.length_hint(normals)
+        if unread:
+            bit_generator.state = entry
+            rng.standard_normal(n - unread)
+
+
+def _record_sensor(plant, n: int):
+    """Context manager of a measure() for a record of up to n samples of
+    `plant`: its own `_sensor(n)`, or its measure() for a plant without one."""
+    sensor = getattr(plant, "_sensor", None)
+    if sensor is None:
+        return contextlib.nullcontext(plant.measure)
+    return sensor(n)
 
 
 def valve_run(params: ValveParams, u_sequence: np.ndarray, Ts: float = 0.05) -> np.ndarray:
@@ -609,7 +696,9 @@ class LinearSimulator:
     :class:`ValveSimulator`.
 
     Measurement noise is additive on the sensed output only; the internal
-    recursion stays noise free (output-error structure).
+    recursion stays noise free (output-error structure).  A closed-loop
+    record senses it through :meth:`_sensor`, which draws the record's noise
+    as one block with the stream of one :meth:`measure` per sample.
     """
 
     def __init__(
@@ -639,6 +728,11 @@ class LinearSimulator:
         if self.noise_std > 0:
             y += self.noise_std * self.rng.standard_normal()
         return y
+
+    def _sensor(self, n: int):
+        """Context manager of a zero-argument measure() for a record of up
+        to n samples, as :meth:`ValveSimulator._sensor`."""
+        return _noisy(self._output, self.noise_std, self.rng, n)
 
     def advance(self, u: float) -> None:
         y = self._output()

@@ -258,6 +258,13 @@ def test_plain_value_error_mid_run_is_a_run_failure(tmp_path, capsys, monkeypatc
         ("identify", "plant.Ts=0", "Ts must be > 0"),
         ("identify", "excitation.amplitude=0", "identify needs a PRBS amplitude > 0"),
         ("track", "plant.Ts=0.0025", "integer multiple of the 1 ms sub-step"),
+        ("sweep", "plant.Ts=inf", "Ts must be a finite number of 1 ms sub-steps"),
+        ("identify", "plant.Ts=inf", "Ts must be a finite number of 1 ms sub-steps"),
+        ("track", "plant.Ts=inf", "Ts must be a finite number of 1 ms sub-steps"),
+        ("adapt", "plant.Ts=1e308", "Ts must be a finite number of 1 ms sub-steps"),
+        ("sweep", "plant.Ts=1e-307", "Ts must be at least the 1 ms sub-step"),
+        ("identify", "plant.Ts=1e-307", "Ts must be at least the 1 ms sub-step"),
+        ("track", "plant.Ts=1e-307", "Ts must be at least the 1 ms sub-step"),
         ("adapt", "adapt.n_iter=0", "n_iter must be >= 1"),
         ("adapt", "adapt.gain=-1", "gain must be > 0"),
         ("adapt", "adapt.profile=fast", "profile must be one of"),

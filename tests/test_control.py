@@ -427,6 +427,29 @@ def test_runtime_track_is_measure_step_advance():
     assert plant.calls[1::2] == [("advance", uk) for uk in u]
 
 
+def test_runtime_resolves_its_kernel_when_limits_or_controller_change():
+    """The kernel is resolved per installed controller and clamping: after
+    `limits` is reassigned (to None, back, to a narrower band) or the
+    controller is swapped, every step agrees with the loop oracle reading
+    the current `limits` and controller, so no stale kernel runs."""
+    rng = np.random.default_rng(3)
+    short, long = _random_controller(rng, 2, 2, 1), _random_controller(rng, 4, 3, 2)
+    runtime = ControllerRuntime(short, limits=(0.0, 100.0), depth=4)
+    oracle = ControllerRuntime(short, limits=(0.0, 100.0), depth=4)
+    changes = [("limits", None), ("limits", (0.0, 100.0)), ("limits", (40.0, 45.0)),
+               ("controller", long), ("limits", None), ("controller", short)]
+    saturated = []
+    for attr, value in changes:
+        setattr(runtime, attr, value)
+        setattr(oracle, attr, value)
+        for y_t, r_t in rng.uniform(-300.0, 300.0, (6, 2)).tolist():
+            got = runtime.step(y_t, r_t)
+            assert _runtime_bits(runtime, got) == _runtime_bits(oracle, _runtime_step_loop(oracle, y_t, r_t))
+            saturated.append(got[1])
+        assert runtime.limits == value if attr == "limits" else runtime.controller is value
+    assert any(saturated) and not all(saturated)
+
+
 # ---------------------------------------------------------------------------
 # Object-level reference design: every product a DelayPolynomial
 

@@ -572,6 +572,111 @@ def test_advance_law_cache_edge_cases():
     assert fast.rng.bit_generator.state == slow.rng.bit_generator.state
 
 
+def law_bits(law) -> list[str]:
+    return [float(x).hex() for x in law]
+
+
+def test_law_by_pwm_code_matches_law_oracle():
+    """The law of a duty cycle, looked up by its PWM code or formed afresh
+    without PWM, against a law formed afresh: the same bits for signed
+    zeros, the range ends, inputs beyond them and inputs that share a code.
+    A NaN after a slot swap is rejected and leaves the slots and the laws by
+    code alone."""
+    inputs = [-0.0, 0.0, 100.0, 100, -5.0, -1e308, 120.0, 1e308, 50.0, 10.3, 10.31, 10.3, 0.19, 0.2, 99.9]
+    for pwm_levels in (256, 5, 0):
+        params = clean_params(pwm_levels=pwm_levels, coulomb_open=0.5, coulomb_close=0.8)
+        sim = ValveSimulator(params, Ts)
+        for u in inputs:
+            sim._set_law(float(u))
+            assert law_bits(sim._law) == law_bits(law_oracle(params, u))
+        if pwm_levels:
+            levels = pwm_levels - 1
+            codes = {round(min(100.0, max(0.0, float(u))) / 100.0 * levels) for u in inputs}
+            assert sorted(sim._pwm_laws) == sorted(codes)
+            assert len(sim._pwm_laws) <= pwm_levels
+            for code, law in sim._pwm_laws.items():
+                assert law_bits(law) == law_bits(law_oracle(params, code * 100.0 / levels))
+        else:
+            assert sim._pwm_laws == {}
+
+        for u in (30.0, 60.0, 30.0):  # the third swaps the two slots
+            sim.advance(u)
+        slots = (sim._u_raw, sim._law, sim._u_prev, sim._law_prev)
+        laws = dict(sim._pwm_laws)
+        with pytest.raises(ValueError, match="duty cycle must be finite"):
+            sim.advance(math.nan)
+        assert (sim._u_raw, sim._law, sim._u_prev, sim._law_prev) == slots
+        assert sim._pwm_laws == laws
+
+
+def sensor_sim(kind: str, adc_bits: int, noise: float, seed: int = 11):
+    if kind == "valve":
+        params = clean_params(
+            adc_bits=adc_bits, output_noise_std=noise, rng_seed=seed, coulomb_open=0.4, coulomb_close=0.6
+        )
+        return ValveSimulator(params, Ts)
+    return LinearSimulator(DiscretePlantModel((-0.9,), (0.1,), 0, Ts), noise_std=noise, rng_seed=seed)
+
+
+# Both simulators with noise on and off, and the valve's ADC on and off.
+SENSORS = [("valve", a, n) for a in (0, 10) for n in (0.0, 0.1)] + [("linear", 0, n) for n in (0.0, 0.1)]
+SENSOR_IDS = [f"{kind}-adc{a}-noise{n}" for kind, a, n in SENSORS]
+
+
+@pytest.mark.parametrize("kind, adc_bits, noise", SENSORS, ids=SENSOR_IDS)
+def test_record_sensor_matches_measure_bits(kind, adc_bits, noise):
+    """A full record sensed by the record-scoped sensor against one
+    measure() per sample: the same bits and the same rng state after it; a
+    noise-free plant draws nothing."""
+    u = np.random.default_rng(0).uniform(-5.0, 105.0, 60).tolist()
+    fast, slow = sensor_sim(kind, adc_bits, noise), sensor_sim(kind, adc_bits, noise)
+    entry = fast.rng.bit_generator.state
+    got, want = [], []
+    with plant._record_sensor(fast, len(u)) as measure:
+        for u_k in u:
+            got.append(measure())
+            fast.advance(u_k)
+    for u_k in u:
+        want.append(slow.measure())
+        slow.advance(u_k)
+    assert [y.hex() for y in got] == [float(y).hex() for y in want]
+    assert fast.rng.bit_generator.state == slow.rng.bit_generator.state
+    if noise == 0.0:
+        assert fast.rng.bit_generator.state == entry
+
+
+@pytest.mark.parametrize("k", [0, 7, 59])
+@pytest.mark.parametrize("kind, adc_bits, noise", SENSORS, ids=SENSOR_IDS)
+def test_record_sensor_raising_at_sample_k_leaves_k_plus_1_draws(kind, adc_bits, noise, k):
+    """A record of 60 samples that raises at sample k, after its measure,
+    leaves the rng where k + 1 scalar draws leave it (none without noise),
+    and the next measure() continues the stream."""
+    sim = sensor_sim(kind, adc_bits, noise)
+    with pytest.raises(RuntimeError, match="mid-record"):
+        with plant._record_sensor(sim, 60) as measure:
+            for i in range(60):
+                measure()
+                if i == k:
+                    raise RuntimeError("mid-record")
+                sim.advance(40.0)
+    ref = np.random.default_rng(11)
+    for _ in range(k + 1 if noise else 0):
+        ref.standard_normal()
+    assert sim.rng.bit_generator.state == ref.bit_generator.state
+    assert sim.rng.standard_normal() == ref.standard_normal()
+
+
+def test_record_sensor_of_a_plant_without_one():
+    """A duck-typed plant without `_sensor` is sensed by its own measure()."""
+    class Bare:
+        def measure(self):
+            return 1.5
+
+    bare = Bare()
+    with plant._record_sensor(bare, 3) as measure:
+        assert measure == bare.measure and measure() == 1.5
+
+
 def test_state_view_setter_and_copies():
     """`state` is one object while the plate rests, the setter round-trips,
     and a pickled or deep-copied simulator continues a record as the
