@@ -1,19 +1,24 @@
 """Agreement of bezout_design with the LAPACK oracle on seeded random designs.
 
-bezout_design solves the Sylvester system with a straight-line kernel; the
-oracle (`_bezout_design_oracle` in tests/test_control.py) forms every product
-as a DelayPolynomial, checks every Sylvester matrix by its SVD and solves it
-with np.linalg.solve.  This script runs both, each followed by its pole check
-at 1e-9, on plants with na, nb in {1, 2, 3} and delay in {0, 1, 2}, H_S and
-H_R each on or off, 0 to 2 auxiliary poles, and five kinds of plant: generic,
-a small gain (|b| down to 1e-3), a pole near the Nyquist zero of H_R, a zero
-near the integrator of H_S, and A and B near a common root.
+bezout_design solves the Sylvester system with its straight-line design
+kernel; every design the kernel declines takes the general route, which
+checks the Sylvester matrix by its SVD and solves it with np.linalg.solve.
+The oracle (`_bezout_design_oracle` in tests/test_control.py) forms every
+product as a DelayPolynomial, checks every Sylvester matrix by its SVD and
+solves it with np.linalg.solve.  This script runs both, each followed by its
+pole check at 1e-9, on plants with na, nb in {1, 2, 3} and delay in
+{0, 1, 2}, H_S and H_R each on or off, 0 to 2 auxiliary poles, and five
+kinds of plant: generic, a small gain (|b| down to 1e-3), a pole near the
+Nyquist zero of H_R, a zero near the integrator of H_S, and A and B near a
+common root.
 
 It prints the largest difference of R, S and T scaled by cond_2(M) eps and
-the largest coefficient, the SVD calls on each side, the accept/reject
-differences inside the pole check's band, and the mismatches: any pair of
-outcomes that breaks the agreement rule of tests/test_control.py.  It exits
-1 if there is a mismatch.
+the largest coefficient, the SVD calls on each side, the designs that take
+the general route, the accept/reject differences inside the pole check's
+band, and the mismatches: any pair of outcomes that breaks the agreement
+rule of tests/test_control.py, and any general-route design whose
+r_core, s_core, t, r and s, or error, are not the oracle's bit for bit.  It
+exits 1 if there is a mismatch.
 
 Run:  python scripts/design_agreement.py [--designs 20000] [--seed 0]
 """
@@ -102,7 +107,7 @@ def main(argv=None) -> int:
         svd[counting[0]] += 1
         return real_cond(M)
 
-    worst, accepted, mismatches = 0.0, 0, []
+    worst, accepted, n_general, mismatches = 0.0, 0, 0, []
     in_band = {"kernel": 0, "oracle": 0}  # differences, by the side that accepts
     np.linalg.cond = counted_cond
     try:
@@ -116,7 +121,15 @@ def main(argv=None) -> int:
                 oracle._bezout_design_oracle, oracle._check_pole_placement_oracle,
                 model, target, hs, hr,
             )
-            counting[0] = "rule"  # the agreement rule's own SVDs
+            counting[0] = "rule"  # the agreement rule's own SVDs, and the bit checks'
+            if not oracle._kernel_answers(model, target, hs, hr):  # the general route
+                n_general += 1
+                bits = [
+                    oracle._design_bits(fn, model, target, hs, hr)
+                    for fn in (bezout_design, oracle._bezout_design_oracle)
+                ]
+                if bits[0] != bits[1]:
+                    mismatches.append((i, kind, model, target, hs, hr, *bits))
             try:
                 oracle._assert_outcomes_agree(got, ref, model, target, hs, hr, pole_check=True)
             except AssertionError:
@@ -135,6 +148,7 @@ def main(argv=None) -> int:
     print(f"largest deviation of R, S, T: {worst:.3g} cond_2(M) eps "
           f"(the tests allow {oracle.K_COND})")
     print(f"SVD calls: kernel {svd['kernel']}, oracle {svd['oracle']}")
+    print(f"general-route designs: {n_general} (each checked bit for bit against the oracle)")
     print(f"accept/reject differences inside the pole check's band: kernel accepts "
           f"{in_band['kernel']}, oracle accepts {in_band['oracle']}")
     print(f"mismatches: {len(mismatches)}")

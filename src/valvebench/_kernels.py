@@ -2,9 +2,8 @@
 
 A kernel is Python generated for one shape (the parameter count of an RLS
 update; the orders, delay, fixed parts and target of a design; the lengths
-of S, R and T of a control law) and compiled
-once by its caller, which caches it: `ident._rls_kernel`,
-`control._sylvester_kernel`, `control._design_kernel`,
+of S, R and T of a control law) and compiled once by its caller, which
+caches it: `ident._rls_kernel`, `control._design_kernel`,
 `control._pole_check_kernel` and `control._law_kernel`.  The source forms
 every value with the operations of the loop it replaces, in the same order,
 so each result carries the same bits; the loops are kept as oracles in the

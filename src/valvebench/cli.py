@@ -317,8 +317,8 @@ def plan_sweep(cfg):
     sw = cfg["sweep"]
     if sw["step"] <= 0 or sw["u_max"] <= 0:
         raise ConfigError("sweep u_max and step must be > 0")
-    _check_sweep_hold(sw["hold"])
     _substeps(cfg["plant"]["Ts"])
+    _check_sweep_hold(sw["hold"], cfg["plant"]["Ts"])
     levels = np.arange(0.0, sw["u_max"] + sw["step"] / 2, sw["step"])
     return functools.partial(run_sweep, cfg, levels)
 

@@ -310,25 +310,6 @@ def pi_design(a1_hat: float, b1_hat: float, pole_poly: DelayPolynomial, Ts: floa
     )
 
 
-def _check_sylvester(a1, b1) -> None:
-    """Raise when the SVD conditions the n x n Sylvester matrix M of A1
-    (degree n_a) and B1 (degree n_b), n = n_a + n_b, worse than
-    SYLVESTER_MAX_COND.  Column j < n_b of M holds A1 from row j down,
-    column n_b + j holds B1 from row j down."""
-    n_a, n_b = len(a1) - 1, len(b1) - 1
-    M = np.zeros((n_a + n_b, n_a + n_b))
-    for j in range(n_b):  # columns for S' coefficients
-        M[j:j + n_a + 1, j] = a1
-    for j in range(n_a):  # columns for R' coefficients
-        M[j:j + n_b + 1, n_b + j] = b1
-    cond = np.linalg.cond(M)
-    if not np.isfinite(cond) or cond > SYLVESTER_MAX_COND:
-        raise DesignError(
-            f"Sylvester matrix condition {cond:.3g} exceeds {SYLVESTER_MAX_COND:.0e}; "
-            "plant and fixed parts likely share a common factor"
-        )
-
-
 def _padded_target(n: int, pole_coeffs: tuple) -> list[float]:
     """P trimmed and padded with zeros to the n rows of a Sylvester system;
     raises :class:`DesignError` when its degree exceeds n - 1."""
@@ -341,40 +322,15 @@ def _padded_target(n: int, pole_coeffs: tuple) -> list[float]:
 
 
 @functools.lru_cache(maxsize=32)
-def _sylvester_kernel(n_a: int, n_b: int, pole_coeffs: tuple):
-    """kernel(a1, b1) -> (x, bound): the solution of M x = P for the
-    Sylvester matrix M of A1 (degree n_a) and B1 (degree n_b) with B1[0] = 0,
-    and an upper bound on the 2-norm condition number of M
-    (:func:`valvebench._kernels.sylvester_lines`).  Raises
-    :class:`DesignError` when P's degree exceeds n_a + n_b - 1.
-
-    The kernel is straight-line Python generated for these degrees and this
-    target, and compiled once; every design with them shares it."""
-    p = _padded_target(n_a + n_b, pole_coeffs)
-    a = [f"a{k}" for k in range(n_a + 1)]
-    b = [f"b{k}" for k in range(1, n_b + 1)]
-    code = [
-        "def kernel(a, b):",
-        f"    {', '.join(a)}, = a",
-        f"    _, {', '.join(b)}, = b",
-        *_kernels.indented(_kernels.sylvester_lines(n_a, n_b, p)),
-        f"    return [{', '.join(f'x{k}' for k in range(n_a + n_b))}], bound",
-    ]
-    return _kernels.compiled(code, f"<sylvester kernel {n_a}x{n_b}>")
-
-
-@functools.lru_cache(maxsize=32)
 def _design_kernel(na: int, nb: int, delay: int, hs: tuple, hr: tuple, pole_coeffs: tuple):
     """kernel(a_coeffs, b_coeffs) -> (r_core, s_core, t, r, s) or None: the
     whole of :func:`bezout_design` for a model of these orders and delay
     with these fixed parts and target, as straight-line Python generated
     and compiled once (:func:`valvebench._kernels.design_source`); None, the
     function, where no kernel applies, a P of too high a degree among them.
-
-    Every value carries the bits the general route gives it.  The kernel
-    returns None, for the general route to decide, on a trimmed degree of
-    A1, B1 or R, a zero numerator, a zero pivot, a condition bound past
-    SYLVESTER_MAX_COND, or a coefficient that is not finite."""
+    The kernel returns None, for the general route to decide, on a trimmed
+    degree of A1, B1 or R, a zero numerator, a zero pivot, a condition
+    bound past SYLVESTER_MAX_COND, or a coefficient that is not finite."""
     n = na + len(hs) - 1 + delay + nb + len(hr) - 1
     try:
         p = _padded_target(n, pole_coeffs)
@@ -420,11 +376,8 @@ def bezout_design(
 
     Runs the design kernel of the model's orders and delay, the fixed
     parts and the target (:func:`_design_kernel`), straight-line Python
-    compiled once per key.  It gives the bits of the general route
-    (:func:`_bezout_general`), which decides every input the kernel returns
-    None for: a trimmed degree of A1, B1 or R, a zero numerator, a zero
-    pivot, a condition bound past SYLVESTER_MAX_COND, or a value that is
-    not finite.
+    compiled once per key.  The general route (:func:`_bezout_general`)
+    decides every input the kernel returns None for.
     """
     kernel = _design_kernel(
         len(model.a_coeffs), len(model.b_coeffs), model.delay, hs.coeffs, hr.coeffs,
@@ -437,16 +390,8 @@ def bezout_design(
 
 
 def _bezout_general(model, pole_poly, hs, hr) -> RstController:
-    """:func:`bezout_design` on coefficient lists, for any input.
-
-    M x = P is solved by a straight-line kernel built and compiled once per
-    pair of degrees and target (:func:`_sylvester_kernel`): Gaussian
-    elimination with partial pivoting on the entries of M that its structure
-    leaves nonzero.  The kernel also returns
-    |M|_F^n / ((n - 1)^((n - 1) / 2) |det M|), which is never below the
-    2-norm condition number of M.  The SVD of the condition check runs only
-    when that bound exceeds SYLVESTER_MAX_COND, or when a pivot is zero;
-    then it decides, with the value it reports.
+    """:func:`bezout_design` on coefficient lists, for any input: the
+    Sylvester matrix M is checked by its SVD and M x = P solved by LAPACK.
     """
     a, b = _model_arrays(model)
     a1 = _trimmed(_convolve(a, hs.coeffs))
@@ -461,14 +406,20 @@ def _bezout_general(model, pole_poly, hs, hr) -> RstController:
         raise DesignError(
             "A H_S has degree 0: it leaves no R', so no feedback can place the poles"
         )
-    kernel = _sylvester_kernel(n_a, n_b, pole_poly.coeffs)
-    try:
-        sol, bound = kernel(a1, b1)
-    except ZeroDivisionError:  # a zero pivot: M is singular
-        _check_sylvester(a1, b1)
-        raise
-    if not bound <= SYLVESTER_MAX_COND:
-        _check_sylvester(a1, b1)
+    p = _padded_target(n_a + n_b, pole_poly.coeffs)
+    # Column j < n_b of M holds A1 from row j down, column n_b + j holds B1.
+    M = np.zeros((n_a + n_b, n_a + n_b))
+    for j in range(n_b):
+        M[j:j + n_a + 1, j] = a1
+    for j in range(n_a):
+        M[j:j + n_b + 1, n_b + j] = b1
+    cond = np.linalg.cond(M)
+    if not cond <= SYLVESTER_MAX_COND:
+        raise DesignError(
+            f"Sylvester matrix condition {cond:.3g} exceeds {SYLVESTER_MAX_COND:.0e}; "
+            "plant and fixed parts likely share a common factor"
+        )
+    sol = np.linalg.solve(M, p).tolist()
     # Monic P against monic A1 pins s'_0 = 1; renormalize defensively so the
     # stored controller always has s0 = 1.
     lead = sol[0]

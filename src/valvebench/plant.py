@@ -49,7 +49,7 @@ from __future__ import annotations
 import contextlib
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -88,7 +88,9 @@ class ValveParams:
     output_noise_std:
         Std-dev of Gaussian measurement noise, deg.
     rng_seed:
-        Seed for the measurement-noise stream.
+        Seed for the measurement-noise stream (>= 0).
+
+    Every float parameter must be finite.
     """
 
     spring_stiffness: float
@@ -106,6 +108,11 @@ class ValveParams:
     rng_seed: int = 0
 
     def __post_init__(self):
+        for f in fields(self):
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite")
+        if self.rng_seed < 0:
+            raise ValueError("rng_seed must be >= 0")
         if not (self.spring_stiffness > 0):
             raise ValueError("spring_stiffness must be > 0")
         if not (self.viscous_coeff > 0):
@@ -549,10 +556,17 @@ class HysteresisMap:
         return float(np.max(np.abs(self.angle_up - self.angle_down)))
 
 
-def _check_sweep_hold(hold: float) -> None:
-    """Raise ValueError for a hold too short for a quasi-static sweep."""
+def _check_sweep_hold(hold: float, Ts: float) -> None:
+    """Raise ValueError for a hold that is not finite, too short for a
+    quasi-static sweep, or not a finite number of samples, one at least, of
+    a valid Ts."""
+    if not math.isfinite(hold):
+        raise ValueError("hold must be finite")
     if hold < 2.5:
         raise ValueError("hold must be >= 2.5 s for a quasi-static sweep")
+    n_hold = hold / Ts
+    if not (math.isfinite(n_hold) and round(n_hold) >= 1):
+        raise ValueError(f"hold must be a finite number of samples, one at least (Ts = {Ts!r} s)")
 
 
 def static_sweep(
@@ -568,10 +582,10 @@ def static_sweep(
     are returned separately.
     """
     u_levels = np.asarray(u_levels, dtype=float)
-    _check_sweep_hold(hold)
+    sim = ValveSimulator(params, Ts)
+    _check_sweep_hold(hold, Ts)
     n_hold = int(round(hold / Ts))
     n_avg = max(1, int(round(0.5 / Ts)))
-    sim = ValveSimulator(params, Ts)
 
     def run_branch(levels):
         return np.array([open_loop(sim, np.full(n_hold, u))[-n_avg:].mean() for u in levels])

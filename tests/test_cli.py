@@ -269,6 +269,13 @@ def test_plain_value_error_mid_run_is_a_run_failure(tmp_path, capsys, monkeypatc
         ("adapt", "adapt.gain=-1", "gain must be > 0"),
         ("adapt", "adapt.profile=fast", "profile must be one of"),
         ("adapt", "adapt.lambda0=1.5", "lambda0 must be in (0, 1]"),
+        ("sweep", "plant.Ts=10", "hold must be a finite number of samples, one at least"),
+        ("sweep", "sweep.hold=inf", "hold must be finite"),
+        ("sweep", "sweep.hold=nan", "hold must be finite"),
+        ("sweep", "plant.spring_stiffness=inf", "spring_stiffness must be finite"),
+        ("sweep", "plant.coulomb_open=nan", "coulomb_open must be finite"),
+        ("track", "plant.motor_gain=nan", "motor_gain must be finite"),
+        ("sweep", "plant.rng_seed=-1", "rng_seed must be >= 0"),
     ],
 )
 def test_input_checks_run_before_any_simulation(tmp_path, capsys, monkeypatch, command, override, message):

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import functools
 import math
 import pickle
 import struct
@@ -21,15 +22,14 @@ from valvebench.control import (
     DelayPolynomial,
     PoleSpec,
     RstController,
-    _check_sylvester,
     _closed_loop,
     _convolve,
     _design_kernel,
     _law_kernel,
     _model_arrays,
     _monic_target,
+    _padded_target,
     _pole_check_kernel,
-    _sylvester_kernel,
     _trimmed,
     bezout_design,
     check_pole_placement,
@@ -557,8 +557,9 @@ def _outcome(fn, *args, **kwargs):
         return None, (type(err), str(err))
 
 
-# bezout_design solves the Sylvester system in its own order of operations,
-# so its r, s and t differ from the LAPACK solve of the oracle by rounding:
+# The design kernel solves the Sylvester system in its own order of
+# operations, so its r, s and t differ from the LAPACK solve of the oracle by
+# rounding (the general route is the oracle's solve, bit for bit):
 # at most K_COND cond_2(M) eps relative to the largest coefficient of R and
 # S (times the length of R for t = R(1), a sum of R's coefficients).
 # Backward-stable elimination on both sides bounds the difference by a small
@@ -627,13 +628,31 @@ def _pole_check_band(model, ctrl, hs, hr):
     return K_COND * np.linalg.cond(M) * EPS * coeffs * norms
 
 
+@functools.lru_cache(maxsize=32)
+def _gepp_sylvester(n_a, n_b, pole_coeffs):
+    """solve(a1, b1) -> (x, bound): the Sylvester solve that the design
+    kernel inlines, compiled from _kernels.sylvester_lines for A1 of degree
+    n_a and B1 of degree n_b (B1[0] = 0) and this target.  It is Gaussian
+    elimination with partial pivoting, bit for bit the kernel's, and the
+    kernel's bound on cond_2(M); a zero pivot raises ZeroDivisionError."""
+    p = _padded_target(n_a + n_b, pole_coeffs)
+    code = [
+        "def kernel(a, b):",
+        f"    {', '.join(f'a{k}' for k in range(n_a + 1))}, = a",
+        f"    _, {', '.join(f'b{k}' for k in range(1, n_b + 1))}, = b",
+        *_kernels.indented(_kernels.sylvester_lines(n_a, n_b, p)),
+        f"    return [{', '.join(f'x{k}' for k in range(n_a + n_b))}], bound",
+    ]
+    return _kernels.compiled(code, f"<sylvester reference {n_a}x{n_b}>")
+
+
 def _kernel_bound(model, target, hs, hr):
-    """The condition bound of bezout_design's Sylvester kernel, inf where
-    its elimination meets a zero pivot; None where no kernel applies."""
+    """The condition bound of the design kernel's Sylvester solve, inf where
+    its elimination meets a zero pivot; None where no solve applies."""
     M, a1, b1 = _design_matrix(model, hs, hr)
     if not any(b1) or len(b1) < 2 or len(target.trimmed().coeffs) > len(M):
         return None
-    kernel = _sylvester_kernel(len(a1) - 1, len(b1) - 1, target.coeffs)
+    kernel = _gepp_sylvester(len(a1) - 1, len(b1) - 1, target.coeffs)
     try:
         return kernel(a1, b1)[1]
     except ZeroDivisionError:
@@ -833,14 +852,16 @@ NEAR_COMMON = 1.0 - 5.62e-10
         ((-0.9,), (0.0,), "plant numerator is zero"),
         ((-0.9, 0.0), (0.5, 0.1), None),  # a_2 = 0 drops a degree of R'
         ((NEAR_COMMON,), (0.5,), "pole placement error"),  # bound > 1e10 >= cond_2
+        ((-0.9,), (0.5,), None),  # the design kernel answers
     ],
 )
 def test_design_edge_cases_match_oracle(monkeypatch, a, b, message):
     """bezout_design and RstDesignSpec.design at each edge of the design
     against the object-level oracle, which checks every Sylvester matrix by
-    its SVD: bezout_design takes the SVD only when its bound
-    |M|_F^n / ((n - 1)^((n - 1) / 2) |det M|) on the condition number
-    exceeds SYLVESTER_MAX_COND, or M is singular."""
+    its SVD.  bezout_design takes one SVD on the general route once its
+    degree checks pass, and none where the design kernel answers; the
+    kernel's bound |M|_F^n / ((n - 1)^((n - 1) / 2) |det M|) on the
+    condition number is never below the SVD's."""
     model = DiscretePlantModel(a, b, 0, Ts)
     pole = PoleSpec(5.0, 1.0, Ts)
     target = desired_poles(pole)
@@ -855,12 +876,13 @@ def test_design_edge_cases_match_oracle(monkeypatch, a, b, message):
     assert (designed[1] is None) == (message is None)
     if message is not None:
         assert message in designed[1][1]
+    general = not _kernel_answers(model, target, HS_INTEGRATOR, HR_NYQUIST_ZERO)
     if b == (0.0,):
-        assert svd_calls == []
+        assert general and svd_calls == []
         return
+    assert len(svd_calls) == general
     M = _design_matrix(model, HS_INTEGRATOR, HR_NYQUIST_ZERO)[0]
     bound = _cond_bound(M)
-    assert len(svd_calls) == (not bound <= SYLVESTER_MAX_COND)
     kernel_bound = _kernel_bound(model, target, HS_INTEGRATOR, HR_NYQUIST_ZERO)
     _assert_bound_holds(kernel_bound, M)
     if math.isfinite(bound):
@@ -875,29 +897,17 @@ def test_design_edge_cases_match_oracle(monkeypatch, a, b, message):
 
 
 def _reference_bezout_design(model, pole_poly, hs=HS_INTEGRATOR, hr=HR_NYQUIST_ZERO):
-    """bezout_design as generic Python on coefficient lists, for any input."""
+    """The design kernel as generic Python on coefficient lists, for an
+    input the kernel answers: the solve of _gepp_sylvester, within its
+    bound, then the normalisation, R = H_R R', S = H_S S' and T = R(1)."""
     a, b = _model_arrays(model)
     a1 = _trimmed(_convolve(a, hs.coeffs))
     b1 = _trimmed(_convolve(b, hr.coeffs))
-    if not any(b1):
-        raise DesignError("plant numerator is zero")
-    n_a = len(a1) - 1
+    sol, bound = _gepp_sylvester(len(a1) - 1, len(b1) - 1, pole_poly.coeffs)(a1, b1)
+    assert bound <= SYLVESTER_MAX_COND
     n_b = len(b1) - 1
-    if n_b < 1:
-        raise DesignError("plant must have at least one step of delay")
-    kernel = _sylvester_kernel(n_a, n_b, pole_poly.coeffs)
-    try:
-        sol, bound = kernel(a1, b1)
-    except ZeroDivisionError:
-        _check_sylvester(a1, b1)
-        raise
-    if not bound <= SYLVESTER_MAX_COND:
-        _check_sylvester(a1, b1)
-    lead = sol[0]
-    if lead == 0.0 or not math.isfinite(lead):
-        raise DesignError("degenerate solution with s0 = 0")
-    s_core = [v / lead for v in sol[:n_b]]
-    r_core = [v / lead for v in sol[n_b:]]
+    s_core = [v / sol[0] for v in sol[:n_b]]
+    r_core = [v / sol[0] for v in sol[n_b:]]
     r = _convolve(hr.coeffs, r_core)
     t_gain = 0.0
     for c in reversed(_trimmed(r)):
@@ -941,14 +951,30 @@ def _pole_check_bits(fn, model, ctrl, target, tol=1e-9):
         return type(err), str(err)
 
 
+def _kernel_answers(model, target, hs, hr):
+    """Whether the design kernel of this input answers it, rather than
+    leaving it to the general route."""
+    kernel = _design_kernel(
+        len(model.a_coeffs), len(model.b_coeffs), model.delay, hs.coeffs, hr.coeffs,
+        target.coeffs,
+    )
+    return kernel is not None and kernel(model.a_coeffs, model.b_coeffs) is not None
+
+
 def _assert_design_bits_match_reference(model, target, hs, hr):
-    """bezout_design and check_pole_placement give the reference's bits:
-    the same coefficients and pole-check error, or the same error."""
+    """bezout_design gives the bits of the kernel's reference where the
+    design kernel answers, and of the LAPACK oracle where it declines: the
+    same r_core, s_core, t, r and s, or the same error.  check_pole_placement
+    gives its reference's bits: the same error value, or the same error."""
+    reference = (
+        _reference_bezout_design if _kernel_answers(model, target, hs, hr)
+        else _bezout_design_oracle
+    )
     got = _design_bits(bezout_design, model, target, hs, hr)
-    assert got == _design_bits(_reference_bezout_design, model, target, hs, hr)
+    assert got == _design_bits(reference, model, target, hs, hr)
     if isinstance(got, tuple):
         return got
-    ctrl = _reference_bezout_design(model, target, hs=hs, hr=hr)
+    ctrl = bezout_design(model, target, hs=hs, hr=hr)
     for wanted in (target, DelayPolynomial(target.coeffs[:2])):
         for tol in (1e-9, math.inf):
             assert _pole_check_bits(check_pole_placement, model, ctrl, wanted, tol) == (
@@ -971,9 +997,11 @@ FIXED_PARTS = [ONE, HS_INTEGRATOR, HR_NYQUIST_ZERO]
     seed=st.integers(0, 2**32 - 1),
 )
 def test_design_kernels_match_reference_bits(na, nb, delay, hs, hr, n_aux, seed):
-    """On seeded estimates, the generated design and pole-check kernels give
-    the bits of the generic list-level route: r_core, s_core, t, r, s and
-    the pole-check error, or the same error type and message."""
+    """On seeded estimates, bezout_design gives the bits of the design
+    kernel's reference where the kernel answers and of the LAPACK oracle
+    where it declines, and the pole-check kernel those of its reference:
+    r_core, s_core, t, r, s and the pole-check error, or the same error type
+    and message."""
     rng = np.random.default_rng(seed)
     model = DiscretePlantModel(
         tuple(rng.uniform(-2, 2, na)), tuple(rng.uniform(-2, 2, nb)), delay, Ts
@@ -1010,6 +1038,8 @@ def test_design_kernel_runs_on_the_adaptive_redesign():
         ((-0.9, 1e-14), (0.5, 0.1), 0, HS_INTEGRATOR, HR_NYQUIST_ZERO, None, None),
         # b_2 at 1e-14 of B1: B1 trims a degree
         ((-0.9,), (0.5, 1e-14), 0, HS_INTEGRATOR, HR_NYQUIST_ZERO, None, None),
+        # a_2 = 0: A1 drops a degree
+        ((-0.9, 0.0), (0.5, 0.1), 0, HS_INTEGRATOR, HR_NYQUIST_ZERO, None, None),
         ((-0.9,), (0.0,), 1, HS_INTEGRATOR, HR_NYQUIST_ZERO, None, "plant numerator is zero"),
         ((NEAR_COMMON,), (0.5,), 0, HS_INTEGRATOR, HR_NYQUIST_ZERO, None, "pole placement error"),
         ((1.0,), (0.5,), 0, HS_INTEGRATOR, HR_NYQUIST_ZERO, None, "common factor"),
@@ -1020,18 +1050,17 @@ def test_design_kernel_runs_on_the_adaptive_redesign():
          "exceeds solvable degree"),
         ((-0.9,), (0.5,), 0, DelayPolynomial((2.0, -2.0)), ONE, None, "s0 = 1"),
     ],
-    ids=["trimmed-a1", "trimmed-b1", "zero-numerator", "near-common-factor", "common-factor",
-         "non-finite", "p-too-high", "s0-not-one"],
+    ids=["trimmed-a1", "trimmed-b1", "a2-zero", "zero-numerator", "near-common-factor",
+         "common-factor", "non-finite", "p-too-high", "s0-not-one"],
 )
 def test_design_kernel_edges_match_reference(a, b, delay, hs, hr, aux, message):
     """Each input the design kernel leaves to the general route takes it, and
-    the design and RstDesignSpec.design raise what the reference raises, or
-    give its bits."""
+    the design and RstDesignSpec.design raise what the LAPACK oracle raises,
+    or give its bits."""
     model = DiscretePlantModel(a, b, delay, Ts)
     pole = PoleSpec(5.0, 1.0, Ts, DelayPolynomial(aux or (1.0,)))
     wanted = desired_poles(pole)
-    kernel = _design_kernel(len(a), len(b), delay, hs.coeffs, hr.coeffs, wanted.coeffs)
-    assert kernel is None or kernel(a, b) is None  # the general route decides
+    assert not _kernel_answers(model, wanted, hs, hr)  # the general route decides
     got = _assert_design_bits_match_reference(model, wanted, hs, hr)
     spec = RstDesignSpec(pole, na=len(a), nb=len(b), delay=delay, hs=hs, hr=hr)
     designed = _outcome(spec.design, a + b)

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import math
 import pickle
 
@@ -880,6 +881,24 @@ def test_static_sweep_rejects_fast_hold():
         static_sweep(clean_params(), np.array([0.0, 10.0]), hold=1.0)
 
 
+@pytest.mark.parametrize(
+    "hold, Ts_, message",
+    [
+        (math.inf, Ts, "hold must be finite"),
+        (math.nan, Ts, "hold must be finite"),
+        (1e308, Ts, "finite number of samples"),  # hold / Ts overflows
+        (2.5, 10.0, "one at least"),  # rounds to 0 samples
+        (2.5, 5.0, "one at least"),  # 0.5 samples, which round to 0
+    ],
+)
+def test_static_sweep_rejects_hold_outside_the_samples(hold, Ts_, message):
+    """A hold that is not finite, or not a whole sample of Ts, is a
+    ValueError before anything is simulated, not a NaN map or an overflow."""
+    with pytest.raises(ValueError, match=message):
+        static_sweep(clean_params(), np.array([0.0, 10.0]), hold=hold, Ts=Ts_)
+    static_sweep(clean_params(), np.array([0.0, 10.0]), hold=2.5, Ts=2.0)  # 1 sample
+
+
 def test_measurement_quantization_grid():
     params = clean_params(adc_bits=10)
     sim = ValveSimulator(params, Ts)
@@ -929,6 +948,25 @@ def test_params_validation():
         clean_params(spring_rest_angle=200.0)
     with pytest.raises(ValueError):
         clean_params(pwm_levels=1)
+
+
+# ValveParams finds its float fields by their annotations, which are strings
+# in plant.py; the count below fails if they stop matching.
+FLOAT_PARAMS = [f.name for f in dataclasses.fields(ValveParams) if f.type == "float"]
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("name", FLOAT_PARAMS)
+def test_params_reject_non_finite_values(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        clean_params(**{name: value})
+
+
+def test_params_reject_a_negative_seed():
+    assert len(FLOAT_PARAMS) == 10
+    with pytest.raises(ValueError, match="rng_seed must be >= 0"):
+        clean_params(rng_seed=-1)
+    assert clean_params(rng_seed=0).rng_seed == 0
 
 
 def test_rise_time_against_analytic_exponential():
