@@ -15,62 +15,26 @@ per failed preset.  Exit codes: 0 success, 1 runtime failure inside a scenario
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import dataclasses
 import functools
 import os
 import shutil
 import sys
 import tempfile
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .adapt import (
-    EvalScenario,
-    ExcitationSpec,
-    RstDesignSpec,
-    _settle,
-    iterate,
-    save_iteration_csv,
-    tracking_cost,
-    tracking_run,
-)
-from .control import (
-    HR_NYQUIST_ZERO,
-    HS_INTEGRATOR,
-    ONE,
-    DelayPolynomial,
-    PoleSpec,
-    check_pole_placement,
-    controller_to_text,
-    pi_design,
-    sensitivity,
-)
+# Only what every command needs loads with the module; each plan and job
+# imports the layers it runs when it runs, and looks their names up there.
 from .errors import ConfigError, ValveBenchError
 from .fileio import read_key_values, write_csv, write_report
-from .ident import PROFILES, arx_least_squares, order_scan
-from .plant import (
-    ValveParams,
-    ValveSimulator,
-    _check_sweep_hold,
-    _substeps,
-    open_loop,
-    static_sweep,
-)
+from .plant import ValveParams, _check_duration, _check_sweep_hold, _substeps
 from .presets import get_preset
-from .signals import PrbsConfig, prbs_generate
-from .spectral import (
-    _MIN_FIT_BINS,
-    _check_band,
-    _check_smooth_size,
-    _harmonic_bins,
-    _in_band,
-    corner_from_asymptotes,
-    etfe,
-    save_response_csv,
-    slope_fit,
-    smooth,
-)
+
+if TYPE_CHECKING:
+    from .adapt import EvalScenario
+    from .signals import PrbsConfig
 
 _INT_PLANT_FIELDS = ("adc_bits", "pwm_levels", "rng_seed")
 
@@ -244,6 +208,8 @@ def build_valve_params(plant_cfg: dict, preset: str, seed: int | None) -> ValveP
 
 
 def _prbs_from_cfg(exc: dict) -> PrbsConfig:
+    from .signals import PrbsConfig
+
     if exc["periods"] < 1:
         raise ConfigError("excitation periods must be >= 1")
     if not 1 <= exc["analyze_periods"] <= exc["periods"]:
@@ -259,6 +225,9 @@ def _prbs_from_cfg(exc: dict) -> PrbsConfig:
 
 def open_loop_record(params: ValveParams, Ts: float, exc: dict, prbs: PrbsConfig):
     """Settle at the excitation offset, then record a multi-period PRBS run: (u, y) of the PRBS."""
+    from .plant import ValveSimulator, open_loop
+    from .signals import prbs_generate
+
     sim = ValveSimulator(params, Ts)
     for _ in range(int(round(exc["settle"] / Ts))):
         sim.advance(exc["offset"])
@@ -275,6 +244,17 @@ def _analysis_window(u, y, period: int, analyze_periods: int):
 def _design_from_cfg(cfg: dict, Ts: float):
     """The [model] and [design] sections as (design spec, model estimate
     [a1..a_na, b1..b_nb], controller designed on that estimate)."""
+    from .adapt import RstDesignSpec
+    from .control import (
+        HR_NYQUIST_ZERO,
+        HS_INTEGRATOR,
+        ONE,
+        DelayPolynomial,
+        PoleSpec,
+        check_pole_placement,
+        pi_design,
+    )
+
     model_cfg, design_cfg = cfg["model"], cfg["design"]
     a, b = model_cfg["a"], model_cfg["b"]
     if not a or not b:
@@ -324,6 +304,8 @@ def plan_sweep(cfg):
 
 
 def run_sweep(cfg, levels, out_dir, preset, params):
+    from .plant import static_sweep
+
     hmap = static_sweep(params, levels, hold=cfg["sweep"]["hold"], Ts=cfg["plant"]["Ts"])
     write_csv(
         os.path.join(out_dir, "sweep.csv"),
@@ -341,6 +323,8 @@ def run_sweep(cfg, levels, out_dir, preset, params):
 
 
 def plan_etfe(cfg):
+    from .spectral import _MIN_FIT_BINS, _check_band, _check_smooth_size, _harmonic_bins, _in_band
+
     sp = cfg["spectral"]
     slope_band, plateau_band = (sp["slope_lo"], sp["slope_hi"]), (sp["plateau_lo"], sp["plateau_hi"])
     _check_smooth_size(sp["smooth_window"])
@@ -349,6 +333,7 @@ def plan_etfe(cfg):
         raise ConfigError("spectral plateau_lo must not exceed plateau_hi")
     Ts = cfg["plant"]["Ts"]
     _substeps(Ts)
+    _check_duration("excitation settle", cfg["excitation"]["settle"], Ts)
     prbs = _prbs_from_cfg(cfg["excitation"])
     # The job's ETFE keeps only the bins the PRBS excites, so a band short
     # of them fails its fit whatever the plant does.
@@ -369,6 +354,8 @@ def plan_etfe(cfg):
 
 
 def run_etfe(cfg, prbs, out_dir, preset, params):
+    from .spectral import corner_from_asymptotes, etfe, save_response_csv, slope_fit, smooth
+
     Ts = cfg["plant"]["Ts"]
     exc = cfg["excitation"]
     sp = cfg["spectral"]
@@ -403,6 +390,7 @@ def plan_identify(cfg):
     if idf["scan_max"] < max(idf["na"], idf["nb"]):
         raise ConfigError("scan_max must cover the chosen na and nb")
     _substeps(cfg["plant"]["Ts"])
+    _check_duration("excitation settle", cfg["excitation"]["settle"], cfg["plant"]["Ts"])
     prbs = _prbs_from_cfg(cfg["excitation"])
     if prbs.amplitude == 0:  # a constant input leaves the ARX fit singular
         raise ConfigError("identify needs a PRBS amplitude > 0: a constant input excites nothing to fit")
@@ -410,6 +398,8 @@ def plan_identify(cfg):
 
 
 def run_identify(cfg, prbs, out_dir, preset, params):
+    from .ident import arx_least_squares, order_scan
+
     idf = cfg["identify"]
     u, y = open_loop_record(params, cfg["plant"]["Ts"], cfg["excitation"], prbs)
     u_d, y_d = _analysis_window(u, y, prbs.period, cfg["excitation"]["analyze_periods"])
@@ -441,6 +431,8 @@ def plan_design(cfg):
 
 
 def run_design(cfg, spec, theta, controller, out_dir, preset, params):
+    from .control import controller_to_text, sensitivity
+
     del preset, params  # pure computation, no plant involved
     model = spec.model_from(theta)
     with open(os.path.join(out_dir, "controller.txt"), "w") as fh:
@@ -468,6 +460,9 @@ def run_design(cfg, spec, theta, controller, out_dir, preset, params):
 def _scenario_from_cfg(tr: dict, Ts: float) -> tuple[EvalScenario, np.ndarray]:
     """The evaluation staircase and its reference, with skip checked against
     the reference length before any closed loop runs."""
+    from .adapt import EvalScenario
+
+    _check_duration("track hold", tr["hold"], Ts)
     scenario = EvalScenario(levels=tuple(tr["levels"]), hold=tr["hold"], skip=tr["skip"])
     reference = scenario.reference(Ts)
     if not 0 <= scenario.skip < len(reference):
@@ -479,11 +474,15 @@ def plan_track(cfg):
     Ts = cfg["plant"]["Ts"]
     _substeps(Ts)
     _, reference = _scenario_from_cfg(cfg["track"], Ts)
+    _check_duration("track settle", cfg["track"]["settle"], Ts)
     _, _, controller = _design_from_cfg(cfg, Ts)
     return functools.partial(run_track, cfg, reference, controller)
 
 
 def run_track(cfg, reference, controller, out_dir, preset, params):
+    from .adapt import _settle, tracking_cost, tracking_run
+    from .plant import ValveSimulator
+
     tr = cfg["track"]
     sim = ValveSimulator(params, cfg["plant"]["Ts"])
     y_s, u_s = _settle(sim, controller, reference[0], tr["settle"])
@@ -503,6 +502,9 @@ def run_track(cfg, reference, controller, out_dir, preset, params):
 
 
 def plan_adapt(cfg):
+    from .adapt import ExcitationSpec
+    from .ident import PROFILES
+
     Ts = cfg["plant"]["Ts"]
     _substeps(Ts)
     scenario, _ = _scenario_from_cfg(cfg["track"], Ts)
@@ -517,11 +519,15 @@ def plan_adapt(cfg):
         raise ConfigError(f"adapt profile must be one of {PROFILES}")
     if not 0.0 < ad["lambda0"] <= 1.0:
         raise ConfigError("adapt lambda0 must be in (0, 1]")
+    _check_duration("adapt settle", ad["settle"], Ts)
     designed = _design_from_cfg(cfg, Ts)
     return functools.partial(run_adapt, cfg, scenario, *designed, ExcitationSpec(**cfg["excitation"]))
 
 
 def run_adapt(cfg, scenario, design, theta0, initial, excitation, out_dir, preset, params):
+    from .adapt import iterate, save_iteration_csv
+    from .plant import ValveSimulator
+
     ad = cfg["adapt"]
     sim = ValveSimulator(params, cfg["plant"]["Ts"])
     records = iterate(
@@ -609,6 +615,8 @@ def _run(job, presets: list, plants: list, out: str, parallel: int) -> list:
         os.makedirs(d, exist_ok=True)
     try:
         if parallel > 1 and len(dirs) > 1:
+            import concurrent.futures
+
             # leaving the pool waits for every submitted job
             with concurrent.futures.ProcessPoolExecutor(parallel) as pool:
                 errors = list(pool.map(_execute, [job] * len(dirs), dirs, presets, plants))

@@ -49,6 +49,7 @@ from __future__ import annotations
 import contextlib
 import math
 import operator
+import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -81,10 +82,10 @@ class ValveParams:
         Hard stops, deg.
     adc_bits:
         Angle sensor resolution over [angle_min, angle_max]; 0 disables
-        quantization.
+        quantization.  At most 53.
     pwm_levels:
         Number of distinct duty-cycle levels over [0, 100]; 0 disables input
-        quantization.
+        quantization.  At most 2**53 + 1.
     output_noise_std:
         Std-dev of Gaussian measurement noise, deg.
     rng_seed:
@@ -129,6 +130,12 @@ class ValveParams:
             raise ValueError("adc_bits and pwm_levels must be >= 0")
         if self.pwm_levels == 1:
             raise ValueError("pwm_levels must be 0 (off) or >= 2")
+        # A double holds every whole number up to 2**53 exactly, and so every
+        # ADC and PWM code up to there; past it the codes collide.
+        if self.adc_bits > 53:
+            raise ValueError("adc_bits must be <= 53: a double holds no finer ADC code")
+        if self.pwm_levels > 2**53 + 1:
+            raise ValueError("pwm_levels must be <= 2**53 + 1: a double holds no finer PWM code")
         if self.output_noise_std < 0:
             raise ValueError("output_noise_std must be >= 0")
 
@@ -567,6 +574,19 @@ def _check_sweep_hold(hold: float, Ts: float) -> None:
     n_hold = hold / Ts
     if not (math.isfinite(n_hold) and round(n_hold) >= 1):
         raise ValueError(f"hold must be a finite number of samples, one at least (Ts = {Ts!r} s)")
+
+
+def _check_duration(name: str, seconds: float, Ts: float) -> None:
+    """Raise ValueError for a duration that is not finite, is negative, or
+    spans more samples of a valid Ts, round(seconds / Ts), than an index
+    holds."""
+    if not math.isfinite(seconds):
+        raise ValueError(f"{name} must be finite")
+    if seconds < 0:
+        raise ValueError(f"{name} must be >= 0")
+    n = seconds / Ts
+    if not (math.isfinite(n) and round(n) <= sys.maxsize):
+        raise ValueError(f"{name} must be at most {sys.maxsize} samples (Ts = {Ts!r} s)")
 
 
 def static_sweep(

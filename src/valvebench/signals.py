@@ -96,7 +96,7 @@ class PrbsConfig:
         if self.amplitude < 0:
             raise ConfigError("amplitude must be >= 0")
         lo, hi = self.offset - self.amplitude, self.offset + self.amplitude
-        if lo < 0.0 or hi > 100.0:
+        if not (0.0 <= lo and hi <= 100.0):  # NaN fails too
             raise ConfigError(
                 f"excitation range [{lo:g}, {hi:g}] leaves the 0..100 duty-cycle band"
             )

@@ -2,12 +2,15 @@
 
 import errno
 import math
+import json
 import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
 
-from valvebench import cli
+from valvebench import adapt, cli, plant, spectral
 from valvebench.cli import main, parse_set_args, resolve_config
 from valvebench.errors import ConfigError, DivergenceError
 from valvebench.fileio import parse_key_values
@@ -94,6 +97,42 @@ def test_parser_is_built_once_and_keeps_no_state_between_runs(tmp_path, monkeypa
     assert resolved[1] == ([], [], resolve_config("design", [], []))
     assert parse_report(second / "report.txt") != parse_report(first / "report.txt")
     assert cli.build_parser().parse_args(["design"]).set == []
+
+
+# A fresh interpreter that lists the valvebench modules loaded after
+# `import valvebench`, then after one CLI run; argv: src dir, command, out dir.
+IMPORT_PROBE = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import valvebench
+after_import = sorted(m for m in sys.modules if m.startswith("valvebench."))
+rc = valvebench.cli.main([sys.argv[2], "--out", sys.argv[3]])
+print(json.dumps([after_import, rc, sorted(sys.modules)]))
+"""
+SRC = str(Path(cli.__file__).resolve().parent.parent)
+
+
+@pytest.mark.parametrize(
+    "command, absent",
+    [
+        ("sweep", ["control", "adapt", "cloe", "ident", "_kernels", "spectral"]),
+        ("etfe", ["control", "adapt", "cloe"]),
+        ("identify", ["control", "adapt", "cloe"]),
+    ],
+)
+def test_a_command_loads_only_the_layers_it_runs(tmp_path, command, absent):
+    """`import valvebench` loads no layer module, and an open-loop command
+    loads no design or adaptation layer; a single-preset run no process pool."""
+    probe = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE, SRC, command, str(tmp_path / "out")],
+        capture_output=True, text=True, check=True, timeout=120,
+    )
+    after_import, rc, loaded = json.loads(probe.stdout)
+    assert after_import == []
+    assert rc == 0
+    assert "valvebench.plant" in loaded
+    assert [m for m in loaded if m.removeprefix("valvebench.") in absent] == []
+    assert "concurrent.futures" not in loaded
 
 
 def test_design_pi_report_matches_hand_formula(tmp_path):
@@ -238,7 +277,7 @@ def test_plain_value_error_mid_run_is_a_run_failure(tmp_path, capsys, monkeypatc
     def failing_fit(*args, **kwargs):
         raise ValueError("fit failed")
 
-    monkeypatch.setattr(cli, "slope_fit", failing_fit)
+    monkeypatch.setattr(spectral, "slope_fit", failing_fit)
     out = tmp_path / "out"
     assert main(["etfe", "--out", str(out)]) == 1
     assert "valvebench etfe failed: fit failed" in capsys.readouterr().err
@@ -276,6 +315,20 @@ def test_plain_value_error_mid_run_is_a_run_failure(tmp_path, capsys, monkeypatc
         ("sweep", "plant.coulomb_open=nan", "coulomb_open must be finite"),
         ("track", "plant.motor_gain=nan", "motor_gain must be finite"),
         ("sweep", "plant.rng_seed=-1", "rng_seed must be >= 0"),
+        ("sweep", "plant.adc_bits=2000", "adc_bits must be <= 53"),
+        ("sweep", "plant.pwm_levels=1000000000000000000000000000000", "pwm_levels must be <= 2**53 + 1"),
+        ("etfe", "excitation.settle=1e308", "excitation settle must be at most"),
+        ("etfe", "excitation.settle=nan", "excitation settle must be finite"),
+        ("identify", "excitation.settle=-1", "excitation settle must be >= 0"),
+        ("etfe", "excitation.offset=nan", "excitation range [nan, nan] leaves"),
+        ("identify", "excitation.amplitude=nan", "excitation range [nan, nan] leaves"),
+        ("track", "track.hold=1e308", "track hold must be at most"),
+        ("track", "track.hold=1e20", "track hold must be at most"),
+        ("adapt", "track.hold=nan", "track hold must be finite"),
+        ("track", "track.settle=1e308", "track settle must be at most"),
+        ("track", "track.settle=nan", "track settle must be finite"),
+        ("adapt", "adapt.settle=1e308", "adapt settle must be at most"),
+        ("adapt", "adapt.settle=-1", "adapt settle must be >= 0"),
     ],
 )
 def test_input_checks_run_before_any_simulation(tmp_path, capsys, monkeypatch, command, override, message):
@@ -284,8 +337,10 @@ def test_input_checks_run_before_any_simulation(tmp_path, capsys, monkeypatch, c
     def never(*args, **kwargs):
         raise AssertionError("a plant ran before the input was checked")
 
-    for name in ("ValveSimulator", "static_sweep", "open_loop_record", "iterate"):
-        monkeypatch.setattr(cli, name, never)
+    monkeypatch.setattr(plant, "ValveSimulator", never)
+    monkeypatch.setattr(plant, "static_sweep", never)
+    monkeypatch.setattr(cli, "open_loop_record", never)
+    monkeypatch.setattr(adapt, "iterate", never)
     out = tmp_path / "out"
     sets = [arg for entry in override.split() for arg in ("--set", entry)]
     assert main([command, "--out", str(out), *sets]) == 2
@@ -321,7 +376,7 @@ def test_etfe_plan_rejects_exactly_the_bands_the_job_cannot_fit(excitation):
     prbs = cli._prbs_from_cfg(exc)
     u, y = cli.open_loop_record(cli.get_preset("valve0"), Ts, exc, prbs)
     u_d, y_d = cli._analysis_window(u, y, prbs.period, exc["analyze_periods"])
-    response = cli.smooth(cli.etfe(u_d, y_d, Ts), size=cfg["spectral"]["smooth_window"])
+    response = spectral.smooth(spectral.etfe(u_d, y_d, Ts), size=cfg["spectral"]["smooth_window"])
     f = response.frequencies
     bands = [(lo, lo * ratio) for lo in np.geomspace(0.05, 60.0, 25) for ratio in (1.01, 1.1, 1.3, 2.0)]
     bands += [(f[i], f[i + width]) for i in range(0, len(f) - 6, 37) for width in (0, 3, 4, 5)]
@@ -340,9 +395,9 @@ def test_etfe_plan_rejects_exactly_the_bands_the_job_cannot_fit(excitation):
                 planned = False
             try:
                 if key == "slope":
-                    cli.slope_fit(response, (lo, hi))
+                    spectral.slope_fit(response, (lo, hi))
                 else:
-                    cli.corner_from_asymptotes(response, (lo, hi), (3.0, 30.0))
+                    spectral.corner_from_asymptotes(response, (lo, hi), (3.0, 30.0))
                 fits = True
             except ValueError as err:
                 assert "bins" in str(err)
@@ -359,9 +414,9 @@ def test_out_of_range_skip_is_rejected_before_any_simulation(tmp_path, capsys, m
     def never(*args, **kwargs):
         raise AssertionError("a closed loop ran before track.skip was checked")
 
-    monkeypatch.setattr(cli, "tracking_run", never)
-    monkeypatch.setattr(cli, "_settle", never)
-    monkeypatch.setattr(cli, "iterate", never)
+    monkeypatch.setattr(adapt, "tracking_run", never)
+    monkeypatch.setattr(adapt, "_settle", never)
+    monkeypatch.setattr(adapt, "iterate", never)
     rc = main(argv + ["--out", str(tmp_path), "--set", "track.skip=100000"])
     assert rc == 2
     assert "skip must satisfy 0 <= skip < len(y)" in capsys.readouterr().err

@@ -950,6 +950,29 @@ def test_params_validation():
         clean_params(pwm_levels=1)
 
 
+def test_params_bound_the_adc_and_pwm_codes_by_a_double():
+    """Past 2**53 a double no longer tells neighbouring codes apart; the
+    largest resolutions accepted still build a simulator that measures."""
+    with pytest.raises(ValueError, match="adc_bits must be <= 53"):
+        clean_params(adc_bits=54)
+    with pytest.raises(ValueError, match=r"pwm_levels must be <= 2\*\*53 \+ 1"):
+        clean_params(pwm_levels=2**53 + 2)
+    sim = ValveSimulator(clean_params(adc_bits=53, pwm_levels=2**53 + 1), Ts)
+    sim.advance(10.0)
+    assert math.isfinite(sim.measure())
+
+
+@pytest.mark.parametrize(
+    "seconds, message",
+    [(math.nan, "finite"), (math.inf, "finite"), (-1.0, ">= 0"), (1e308, "at most"), (1e20, "at most")],
+)
+def test_duration_check_rejects_what_no_sample_count_holds(seconds, message):
+    with pytest.raises(ValueError, match=f"settle must be {message}"):
+        plant._check_duration("settle", seconds, Ts)
+    plant._check_duration("settle", 0.0, Ts)
+    plant._check_duration("settle", 1e9, Ts)
+
+
 # ValveParams finds its float fields by their annotations, which are strings
 # in plant.py; the count below fails if they stop matching.
 FLOAT_PARAMS = [f.name for f in dataclasses.fields(ValveParams) if f.type == "float"]
