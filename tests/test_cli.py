@@ -1,8 +1,8 @@
 """End-to-end subcommand runs, config resolution, and exit codes."""
 
 import errno
-import math
 import json
+import math
 import os
 import subprocess
 import sys
