@@ -8,10 +8,14 @@ digest of every column of every CSV the run wrote (:func:`digest`).  The
 per-sample adaptive run of the adaptive_model benchmark workload is pinned
 the same way: tests/golden/adaptive_model/traces.json digests the y, u and
 theta traces of its eight ops at seed 0.  tests/test_golden.py reruns the
-same cases and compares every value.
+same cases and compares every value, by the rule defined here
+(:func:`report_problems`, :func:`traces_problems`).
 
-Run it only when a change is meant to change results, and say so where the
-change is described.
+A golden file whose regenerated values agree with it by that rule is left
+as it is, so last-digit differences of a platform do not churn the files;
+only the files that moved are rewritten, golden files no case makes any
+more are removed, and each is named.  Run it only when a change is meant to
+change results, and say so where the change is described.
 
 Run:  python scripts/make_golden_reports.py
 """
@@ -20,7 +24,6 @@ import csv
 import json
 import math
 import os
-import shutil
 import sys
 import tempfile
 from collections import Counter
@@ -62,6 +65,80 @@ HOLD_S = 10.0
 SETTLE_S = 1.0
 NOISE_STD = 0.02
 INJECTION_AMPLITUDE = 2.0
+
+
+# The comparison rule: values agree within a relative REL_TOL (absolute
+# ABS_TOL for a golden zero); NaN equals NaN, an infinite value never
+# matches, and text matches exactly.
+REL_TOL = 1e-6
+ABS_TOL = 1e-12
+
+
+def close_float(g: float, w: float, scale: float | None = None) -> bool:
+    """g within REL_TOL of `scale` (default |w|), or ABS_TOL for a zero."""
+    if math.isnan(g) or math.isnan(w):
+        return math.isnan(g) and math.isnan(w)
+    return abs(g - w) <= max(REL_TOL * (abs(w) if scale is None else scale), ABS_TOL)
+
+
+def close(got: str, want: str) -> bool:
+    try:
+        g, w = float(got), float(want)
+    except ValueError:
+        return got == want
+    return close_float(g, w)
+
+
+def parse_report(text: str) -> dict[str, str]:
+    out = {}
+    for line in text.splitlines():
+        key, _, value = line.partition(" = ")
+        out[key.strip()] = value.strip()
+    return out
+
+
+def report_problems(got: str, want: str) -> list[str]:
+    """Differences of one report's text from the golden one."""
+    g, w = parse_report(got), parse_report(want)
+    if g.keys() != w.keys():
+        return [f"keys differ: {sorted(g.keys() ^ w.keys())}"]
+    return [f"{k} = {g[k]}, golden {w[k]}" for k in w if not close(g[k], w[k])]
+
+
+def digest_problems(got: dict, want: dict) -> list[str]:
+    """Entries of one column digest that differ from the golden one.  A
+    column's sum is held to REL_TOL of its sum of |x| instead of its own
+    value, since a zero-mean column sums to nearly 0."""
+    if got.keys() != want.keys() or got["rows"] != want["rows"]:
+        return [f"digest {sorted(got.items())[:3]} against {sorted(want.items())[:3]}"]
+    if "counts" in want:  # a text column matches exactly
+        return [] if got == want else ["text cells differ"]
+    bad = []
+    for key, w in want.items():
+        g = got[key]
+        if key == "every":
+            bad += [f"row {i * DIGEST_STEP} = {a!r}, golden {b!r}"
+                    for i, (a, b) in enumerate(zip(g, w)) if not close_float(a, b)]
+        elif key == "sum":
+            if not close_float(g, w, want["abs_sum"]):
+                bad.append(f"sum = {g!r}, golden {w!r}")
+        elif key != "rows" and not close_float(g, w):
+            bad.append(f"{key} = {g!r}, golden {w!r}")
+    return bad
+
+
+def traces_problems(got: dict, want: dict) -> list[str]:
+    """Differences of {trace name: {column: digest}} from the golden one."""
+    if got.keys() != want.keys():
+        return [f"traces differ: {sorted(got.keys() ^ want.keys())}"]
+    problems = []
+    for name in sorted(want):
+        if got[name].keys() != want[name].keys():
+            problems.append(f"{name}: columns differ: {sorted(got[name].keys() ^ want[name].keys())}")
+            continue
+        for col in want[name]:
+            problems += [f"{name}.{col}: {p}" for p in digest_problems(got[name][col], want[name][col])]
+    return problems
 
 
 def digest(cells) -> dict:
@@ -145,28 +222,54 @@ def adaptive_model_digests() -> dict[str, dict]:
     return out
 
 
-def _write_json(path: str, data) -> None:
+def _json_text(data) -> str:
+    return json.dumps(data, indent=1, sort_keys=True) + "\n"
+
+
+def _traces_text_problems(got: str, want: str) -> list[str]:
+    return traces_problems(json.loads(got), json.loads(want))
+
+
+def _update(path: str, text: str, problems) -> bool:
+    """Write text to path unless the file there agrees with it by
+    problems(text, old text); returns whether it wrote."""
+    if os.path.exists(path):
+        with open(path) as fh:
+            if not problems(text, fh.read()):
+                return False
     os.makedirs(os.path.dirname(path), exist_ok=True)
     with open(path, "w", newline="\n") as fh:
-        json.dump(data, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)
+    return True
 
 
 def main():
-    if os.path.isdir(GOLDEN):
-        shutil.rmtree(GOLDEN)
+    made = {}  # golden path -> (text, comparison)
     with tempfile.TemporaryDirectory() as tmp:
         for case in CASES:
             out_dir = os.path.join(tmp, case)
             for rel, text in run_case(case, out_dir).items():
-                path = os.path.join(GOLDEN, case, rel)
-                os.makedirs(os.path.dirname(path), exist_ok=True)
-                with open(path, "w", newline="\n") as fh:
-                    fh.write(text)
+                made[os.path.join(GOLDEN, case, rel)] = (text, report_problems)
             for rel, traces in trace_digests(out_dir).items():
-                _write_json(os.path.join(GOLDEN, case, rel), traces)
-    _write_json(os.path.join(GOLDEN, ADAPTIVE_MODEL, TRACES), adaptive_model_digests())
-    print(f"golden reports and trace digests written under {GOLDEN}")
+                made[os.path.join(GOLDEN, case, rel)] = (_json_text(traces), _traces_text_problems)
+    made[os.path.join(GOLDEN, ADAPTIVE_MODEL, TRACES)] = (
+        _json_text(adaptive_model_digests()), _traces_text_problems
+    )
+    changed = [path for path, (text, problems) in sorted(made.items()) if _update(path, text, problems)]
+    stale = sorted(
+        os.path.join(d, f) for d, _, files in os.walk(GOLDEN) for f in files
+        if os.path.join(d, f) not in made
+    )
+    for path in stale:
+        os.remove(path)
+    for d, _, _ in sorted(os.walk(GOLDEN), reverse=True):  # children before parents
+        if not os.listdir(d):
+            os.rmdir(d)
+    for verb, paths in (("rewrote", changed), ("removed", stale)):
+        for path in paths:
+            print(f"{verb} {os.path.relpath(path, ROOT)}")
+    if not changed and not stale:
+        print(f"every golden file under {GOLDEN} agrees with its regenerated values; none written")
 
 
 if __name__ == "__main__":

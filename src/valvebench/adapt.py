@@ -32,11 +32,11 @@ from .control import (
     rst_law_length,
     sensitivity,
 )
-from .cloe import ClosedLoopPredictor, _loop_sample, _operating_duty, cl_identify, save_cloe_csv
+from .cloe import ClosedLoopPredictor, _operating_duty, _run_record, cl_identify, save_cloe_csv
 from .errors import DesignError
 from .fileio import write_csv
 from .ident import AdaptationState, initial_adaptation_state
-from .plant import DiscretePlantModel, _record_sensor
+from .plant import DiscretePlantModel
 from .signals import PrbsConfig, prbs_deviation, step_sequence
 
 DEFAULT_LIMITS = (0.0, 100.0)
@@ -353,7 +353,9 @@ def adaptive_run(
     initial controller of lower degree than the designs is fine.  Estimates
     whose re-design fails the pole check leave the controller unchanged.
     The loop settles at reference[0] with the initial controller before
-    adaptation starts; that level is the predictor's operating point.
+    adaptation starts; that level is the predictor's operating point.  The
+    samples run in the adaptive record kernel of the spec's orders and delay
+    (``cloe._run_record``), which forms no a priori prediction.
     """
     reference = np.asarray(reference, dtype=float)
     T = len(reference)
@@ -391,25 +393,10 @@ def adaptive_run(
     runtime = ControllerRuntime(controller, limits=limits, depth=depth)
     runtime.prime(u=float(u_tr[-1]), y=float(y_tr[-1]), r=r_bar)
 
-    ys, us, thetas = [], [], []
-    redesigns = 0
-    rejected = 0
-    with _record_sensor(plant, T + 1) as measure:
-        y_abs = measure()
-        for r_k, e_k in zip(reference.tolist(), excitation.tolist()):
-            _, _, u_plant, _, y_abs, _, _ = _loop_sample(
-                plant, measure, predictor, runtime, y_abs, r_bar, r_k, e_k
-            )
-            theta = predictor.state._theta_list()
-            try:
-                controller = design.design(theta)
-                runtime.controller = predictor.runtime.controller = controller
-                redesigns += 1
-            except DesignError:
-                rejected += 1
-            ys.append(y_abs)
-            us.append(u_plant)
-            thetas.extend(theta)
+    ys, us, thetas, redesigns, rejected, controller = _run_record(
+        predictor, runtime, plant, T, excitation.tolist(), reference.tolist(), r_bar,
+        design.design, controller, adaptive=True,
+    )
     return AdaptiveRun(
         y=np.array(ys, dtype=float),
         u=np.array(us, dtype=float),

@@ -591,13 +591,15 @@ def _remove_empty(dirs) -> None:
 def _execute(job, out_dir: str, preset, params):
     """Run one job in a staging directory inside out_dir (so that the renames stay
     on one filesystem even when out_dir is a mount point), move its files up once it
-    has succeeded, remove the staging directory, and return the error of a failed job."""
+    has succeeded, remove the staging directory, and return the error of a failed job:
+    any exception it raises, which `main` reports on one line (exit 2 for a
+    ConfigError, else 1)."""
     staging = tempfile.mkdtemp(prefix=".valvebench-", dir=out_dir)
     try:
         write_report(os.path.join(staging, "report.txt"), job(staging, preset, params))
         for name in os.listdir(staging):
             os.replace(os.path.join(staging, name), os.path.join(out_dir, name))
-    except (ValveBenchError, ValueError) as err:
+    except Exception as err:
         return err
     finally:
         shutil.rmtree(staging, ignore_errors=True)

@@ -21,11 +21,14 @@ duty cycle.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import _kernels
 from .control import ControllerRuntime, RstController
+from .errors import DesignError
 from .fileio import write_csv
 from .ident import AdaptationState, _dot, rls_step
 from .plant import _record_sensor
@@ -160,25 +163,36 @@ def _operating_duty(u) -> float:
     return float(np.mean(u[-max(1, len(u) // 4):]))
 
 
-def _loop_sample(plant, measure, predictor, runtime, y_abs, r_bar, r, r_u, update=True):
-    """One CLOE sample: predict, control, inject r_u, clip to the runtime's
-    limits, advance, measure, adapt.  `measure` senses the plant (its
-    record's sensor), y_abs is the current measurement and r_bar the
-    operating reference the predictor works around.  Returns (y_pred, u_hat,
-    u_plant, saturated, y_next, eps0, eps)."""
-    y_pred, u_hat = predictor.predict(r_u, r - r_bar)
-    u_cmd, sat = runtime.step(y_abs, r)
-    u_plant = u_cmd + r_u
-    limits = runtime._limits
-    if limits is not None:
-        lo, hi = limits
-        clipped = min(hi, max(lo, u_plant))
-        sat = sat or (clipped != u_plant)
-        u_plant = clipped
-    plant.advance(u_plant)
-    y_next = measure()
-    eps0, eps = predictor.adapt(y_next - r_bar, update=update)
-    return y_pred, u_hat, u_plant, sat, y_next, eps0, eps
+@functools.lru_cache(maxsize=16)
+def _cloe_kernel(na: int, nb: int, delay: int, adaptive: bool):
+    """The record loop of a predictor of these orders and delay, for
+    :func:`cl_identify` or, with `adaptive`, for ``adapt.adaptive_run``, as
+    straight-line Python generated (:func:`valvebench._kernels.cloe_source`)
+    and compiled once per shape.  It makes the calls of
+    :meth:`ClosedLoopPredictor.predict` and :meth:`ClosedLoopPredictor.adapt`
+    and forms their values with the same operations in the same order."""
+    return _kernels.compiled(
+        _kernels.cloe_source(na, nb, delay, adaptive),
+        f"<cloe kernel na={na} nb={nb} delay={delay} adaptive={adaptive}>",
+        DesignError=DesignError,
+    )
+
+
+def _run_record(predictor, runtime, plant, n: int, *args, adaptive: bool = False):
+    """Run n samples of the real loop `runtime` on `plant` and the
+    predictor in lockstep, in the kernel of the predictor's shape
+    (:func:`_cloe_kernel`), sensed by the plant's record-scoped sensor; one
+    measure() precedes the first sample.  The per-sample calls (both law
+    steps, advance, measure, :func:`rls_step` and, in `args`, an adaptive
+    run's design) are resolved here, when the record starts, so that a
+    wrapper bound to any of them sees every call.  Returns the kernel's
+    result."""
+    kernel = _cloe_kernel(predictor.na, predictor.nb, predictor.delay, adaptive)
+    with _record_sensor(plant, n + 1) as measure:
+        return kernel(
+            predictor, runtime, predictor.runtime.step, runtime.step, plant.advance, measure,
+            rls_step, *args,
+        )
 
 
 def cl_identify(
@@ -202,9 +216,11 @@ def cl_identify(
     histories with measured data, suppressing the initial transient of the
     parallel predictor.
 
-    The samples run on Python floats, sensed by the plant's record-scoped
+    The samples run on Python floats in the record kernel of the
+    predictor's shape (:func:`_run_record`), which makes one predict/adapt
+    of the predictor's per sample, sensed by the plant's record-scoped
     sensor (the values and noise stream of one measure() per sample, drawn
-    as one block), and the arrays are built once, at the end.
+    as one block); the arrays are built once, at the end.
     """
     excitation = np.asarray(excitation, dtype=float)
     runtime = ControllerRuntime(controller, limits=limits)
@@ -220,21 +236,9 @@ def cl_identify(
         controller, na, nb, delay, init, y_hist=y_hist, u_hist=u_hist
     )
 
-    thetas, ys, y_hats, us, u_hats, e0s, e1s, sats = [], [], [], [], [], [], [], []
-    with _record_sensor(plant, len(excitation) + 1) as measure:
-        y_abs = measure()
-        for r_u in excitation.tolist():
-            ys.append(y_abs - r_bar)
-            y_pred, u_hat, u_plant, sat, y_abs, eps0, eps = _loop_sample(
-                plant, measure, predictor, runtime, y_abs, r_bar, r_bar, r_u, update
-            )
-            y_hats.append(y_pred)
-            u_hats.append(u_hat)
-            us.append(u_plant - u_bar)
-            sats.append(sat)
-            e0s.append(eps0)
-            e1s.append(eps)
-            thetas.extend(predictor.state._theta_list())
+    thetas, ys, y_hats, us, u_hats, e0s, e1s, sats, y_abs = _run_record(
+        predictor, runtime, plant, len(excitation), excitation.tolist(), r_bar, u_bar, update
+    )
 
     return CloeRun(
         theta=np.array(thetas, dtype=float).reshape(len(excitation), na + nb),

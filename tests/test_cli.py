@@ -602,6 +602,36 @@ def test_failed_preset_of_a_fan_out_leaves_no_directory(tmp_path, capsys, monkey
     assert parse_report(out / "valve0" / "report.txt")["preset"] == "valve0"
 
 
+def _job_failing_on_valve0(out_dir, preset, params):
+    """A job that writes a file, then fails on valve0 with an exception no
+    layer raises on purpose.  It is a module-level function, so that a
+    worker process can unpickle it."""
+    Path(out_dir, "partial.csv").write_text("t\n0\n")
+    if preset == "valve0":
+        return [("ratio", 1 / 0)]
+    return [("preset", preset)]
+
+
+@pytest.mark.parametrize("parallel", ["1", "2"])
+def test_any_exception_of_a_job_exits_1_on_one_line(tmp_path, capsys, monkeypatch, parallel):
+    """An exception of any kind from a job is a failed run: exit 1, one
+    stderr line and no traceback, and the failed job leaves no file, in one
+    process or in parallel workers."""
+    monkeypatch.setitem(cli.PLANS, "sweep", lambda cfg: _job_failing_on_valve0)
+    single, fan_out = tmp_path / "single", tmp_path / "fan_out"
+    assert main(["sweep", "--set", "plant.preset=valve0", "--out", str(single)]) == 1
+    assert not single.exists()
+    argv = ["sweep", "--set", "plant.preset=valve0,valve1", "--parallel", parallel,
+            "--out", str(fan_out)]
+    assert main(argv) == 1
+    assert sorted(p.name for p in fan_out.iterdir()) == ["valve1"]
+    assert sorted(p.name for p in (fan_out / "valve1").iterdir()) == ["partial.csv", "report.txt"]
+    assert capsys.readouterr().err.splitlines() == [
+        "valvebench sweep failed: division by zero",
+        "valvebench sweep failed: division by zero (valve0)",
+    ]
+
+
 def test_run_stages_inside_out_so_its_renames_stay_on_one_filesystem(tmp_path, monkeypatch):
     """--out may be a mount point: a rename into it from anywhere outside
     fails with EXDEV, so the staging directory must sit inside --out."""

@@ -1,15 +1,15 @@
 """Every scenario x preset against its golden report and trace digests
 (tests/golden/), and the adaptive_model benchmark ops against theirs.
 
-The goldens were made by scripts/make_golden_reports.py at seed 0.  Values
-must agree within a relative 1e-6 (absolute 1e-12 for a golden zero); NaN
-equals NaN, an infinite value never matches, and text matches exactly.  A
-column's sum is held to 1e-6 of its sum of |x| instead of its own value,
-since a zero-mean column sums to nearly 0.
+The goldens were made by scripts/make_golden_reports.py at seed 0, and the
+comparison is that script's rule, the one it regenerates by: values must
+agree within a relative 1e-6 (absolute 1e-12 for a golden zero); NaN equals
+NaN, an infinite value never matches, and text matches exactly.  A column's
+sum is held to 1e-6 of its sum of |x| instead of its own value, since a
+zero-mean column sums to nearly 0.
 """
 
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -19,67 +19,9 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "scripts"))
 
 import make_golden_reports as golden  # noqa: E402
+from make_golden_reports import close, digest_problems, report_problems, traces_problems  # noqa: E402
 
 GOLDEN = ROOT / "tests" / "golden"
-REL_TOL = 1e-6
-ABS_TOL = 1e-12
-
-
-def parse_report(text: str) -> dict[str, str]:
-    out = {}
-    for line in text.splitlines():
-        key, _, value = line.partition(" = ")
-        out[key.strip()] = value.strip()
-    return out
-
-
-def close_float(g: float, w: float, scale: float | None = None) -> bool:
-    """g within REL_TOL of `scale` (default |w|), or ABS_TOL for a zero."""
-    if math.isnan(g) or math.isnan(w):
-        return math.isnan(g) and math.isnan(w)
-    return abs(g - w) <= max(REL_TOL * (abs(w) if scale is None else scale), ABS_TOL)
-
-
-def close(got: str, want: str) -> bool:
-    try:
-        g, w = float(got), float(want)
-    except ValueError:
-        return got == want
-    return close_float(g, w)
-
-
-def digest_problems(got: dict, want: dict) -> list[str]:
-    """Entries of one column digest that differ from the golden one."""
-    if got.keys() != want.keys() or got["rows"] != want["rows"]:
-        return [f"digest {sorted(got.items())[:3]} against {sorted(want.items())[:3]}"]
-    if "counts" in want:  # a text column matches exactly
-        return [] if got == want else ["text cells differ"]
-    bad = []
-    for key, w in want.items():
-        g = got[key]
-        if key == "every":
-            bad += [f"row {i * golden.DIGEST_STEP} = {a!r}, golden {b!r}"
-                    for i, (a, b) in enumerate(zip(g, w)) if not close_float(a, b)]
-        elif key == "sum":
-            if not close_float(g, w, want["abs_sum"]):
-                bad.append(f"sum = {g!r}, golden {w!r}")
-        elif key != "rows" and not close_float(g, w):
-            bad.append(f"{key} = {g!r}, golden {w!r}")
-    return bad
-
-
-def traces_problems(got: dict, want: dict) -> list[str]:
-    """Differences of {trace name: {column: digest}} from the golden one."""
-    if got.keys() != want.keys():
-        return [f"traces differ: {sorted(got.keys() ^ want.keys())}"]
-    problems = []
-    for name in sorted(want):
-        if got[name].keys() != want[name].keys():
-            problems.append(f"{name}: columns differ: {sorted(got[name].keys() ^ want[name].keys())}")
-            continue
-        for col in want[name]:
-            problems += [f"{name}.{col}: {p}" for p in digest_problems(got[name][col], want[name][col])]
-    return problems
 
 
 def test_close_rule():
@@ -125,11 +67,7 @@ def test_reports_match_golden(case_run):
     assert sorted(got) == sorted(want)
     problems = []
     for rel in sorted(want):
-        g, w = parse_report(got[rel]), parse_report(want[rel])
-        if g.keys() != w.keys():
-            problems.append(f"{rel}: keys differ: {sorted(g.keys() ^ w.keys())}")
-            continue
-        problems += [f"{rel}: {k} = {g[k]}, golden {w[k]}" for k in w if not close(g[k], w[k])]
+        problems += [f"{rel}: {p}" for p in report_problems(got[rel], want[rel])]
     assert not problems, "\n".join(problems)
 
 
@@ -158,3 +96,15 @@ def test_adaptive_model_traces_match_golden():
     want = _golden_traces(golden.ADAPTIVE_MODEL)[golden.TRACES]
     problems = traces_problems(golden.adaptive_model_digests(), want)
     assert not problems, "\n".join(problems)
+
+
+def test_regeneration_rewrites_only_files_that_moved(tmp_path):
+    """A golden file that agrees with its regenerated text by the rule above
+    is kept byte for byte; one that moved is rewritten."""
+    path = tmp_path / "case" / "report.txt"
+    assert golden._update(str(path), "gain = 1.0\n", golden.report_problems)
+    assert path.read_text() == "gain = 1.0\n"
+    assert not golden._update(str(path), "gain = 1.0000005\n", golden.report_problems)
+    assert path.read_text() == "gain = 1.0\n"
+    assert golden._update(str(path), "gain = 1.1\n", golden.report_problems)
+    assert path.read_text() == "gain = 1.1\n"

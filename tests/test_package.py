@@ -1,11 +1,16 @@
-"""The package namespace: each exported name is looked up in its module."""
+"""The package namespace: each exported name is looked up in its module,
+and the bindings a tracer wraps are the ones the package calls."""
 
+import importlib.util
 import sys
+from pathlib import Path
 
 import pytest
 
 import valvebench
 from valvebench import plant
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_every_export_reads_its_module_and_binds_nothing():
@@ -33,3 +38,51 @@ def test_a_rebound_name_reads_through_and_restores(monkeypatch):
         assert valvebench.static_sweep is wrapper
     assert valvebench.static_sweep is original
     assert "static_sweep" not in vars(valvebench)
+
+
+def test_every_traced_method_is_in_its_class_dict():
+    """The bench tracer wraps these methods by their class dict entry."""
+    spec = importlib.util.spec_from_file_location("bench_tracing", ROOT / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for layer, cls_name, method, _ in tracing.METHODS:
+        cls = getattr(importlib.import_module(f"valvebench.{layer}"), cls_name)
+        assert callable(cls.__dict__[method]), f"{cls_name}.{method}"
+
+
+def test_closed_loop_record_calls_through_every_counted_binding(monkeypatch):
+    """Wrappers bound where a tracer binds them, when the record starts, see
+    each per-sample call of a cl_identify record: one rls_step and one
+    advance per sample, and two law steps (the predictor's and the loop's)."""
+    from valvebench import cloe, control
+    from valvebench.adapt import ExcitationSpec, RstDesignSpec
+    from valvebench.control import PoleSpec
+    from valvebench.ident import initial_adaptation_state
+    from valvebench.presets import get_preset
+
+    calls = {}
+
+    def counting(name, fn):
+        calls[name] = 0
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(cloe, "rls_step", counting("rls_step", cloe.rls_step))
+    step = control.ControllerRuntime.__dict__["step"]
+    monkeypatch.setattr(control.ControllerRuntime, "step", counting("step", step))
+    advance = plant.ValveSimulator.__dict__["advance"]
+    monkeypatch.setattr(plant.ValveSimulator, "advance", counting("advance", advance))
+
+    theta = [-0.9152, -0.0609]
+    controller = RstDesignSpec(PoleSpec(5.0, 1.0, 0.05)).design(theta)
+    run = cloe.cl_identify(
+        plant.ValveSimulator(get_preset("valve0")), controller,
+        ExcitationSpec(length=300).sequence(), initial_adaptation_state(2, theta0=theta),
+        1, 1, operating_reference=40.0, limits=(0.0, 100.0),
+    )
+    assert len(run.y) == 300
+    assert calls == {"rls_step": 300, "step": 600, "advance": 300}
