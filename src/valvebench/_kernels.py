@@ -3,11 +3,12 @@
 A kernel is Python generated for one shape (the parameter count of an RLS
 update; the orders, delay, fixed parts and target of a design; the lengths
 of S, R and T of a control law; the orders and delay of a closed-loop
-predictor) and compiled once by its caller, which caches it:
-`ident._rls_kernel`, `control._design_kernel`, `control._pole_check_kernel`,
-`control._law_kernel` and `cloe._cloe_kernel`.  The source forms every value
-with the operations of the loop it replaces, in the same order, so each
-result carries the same bits; the loops are kept as oracles in the tests.
+predictor's regressor; the length of a sum) and compiled once by its caller,
+which caches it: `ident._rls_kernel`, `control._design_kernel`,
+`control._pole_check_kernel`, `control._law_kernel` and
+`cloe._predictor_kernels`.  The source forms every value with the operations
+of the loop it replaces, in the same order, so each result carries the same
+bits; the loops are kept as oracles in the tests.
 """
 
 from __future__ import annotations
@@ -447,144 +448,44 @@ def law_source(len_s: int, len_r: int, len_t: int, clamped: bool) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# Closed-loop output-error record
+# Closed-loop output-error predictor
 
 
-def cloe_source(na: int, nb: int, delay: int, adaptive: bool) -> list[str]:
-    """Source of the record loop of a closed-loop predictor with na >= 1
-    y lags, nb >= 1 u lags and this delay: the samples of
-    ``cloe.cl_identify`` or, with `adaptive`, of ``adapt.adaptive_run``.
+def predictor_source(na: int, nb: int, delay: int) -> list[str]:
+    """Source of kernel(theta, y_h, u_h, u_hat) -> (phi, prediction), the
+    regressor step of a closed-loop predictor with na >= 1 y lags, nb >= 1
+    u lags and this delay.
 
-    kernel(pr, rt, step_hat, step, advance, measure, rls_step, inputs, ...)
-    runs every sample on locals: the predictor's law step (step_hat, the
-    bound step of pr.runtime), u_hat = u_ctrl + r_u and its history pr._u,
-    the regressor [-y_hat(t) ... -y_hat(t-na+1), u_hat(t-d) ...
-    u_hat(t-d-nb+1)], the prediction theta' phi summed from 0.0 in index
-    order, the real loop's step (rt's), u = u_cmd + r_u clipped as
-    min(hi, max(lo, u)) to rt's limits, advance, measure and rls_step.
-    These calls are arguments, so whatever is bound to them when the record
-    starts runs once per sample.  The predictor's estimate and current
-    prediction are written back to pr when the loop ends, also by an
-    exception.
-
-    The identification kernel takes (inputs, r_bar, u_bar, update) and
-    returns the per-sample lists (theta, y - r_bar, a priori prediction,
-    u - u_bar, u_hat, a priori and a posteriori errors, saturated) and the
-    last measurement.  With update false the estimate is frozen: the
-    a posteriori prediction is the a priori one.
-
-    The adaptive kernel takes (inputs, references, r_bar, design,
-    controller): the reference deviation r - r_bar drives the predictor,
-    and each update is followed by design(theta) and, unless it raises
-    DesignError (a name the caller binds), the swap of the design into rt
-    and pr.runtime.  It returns the lists y, u and theta, the counts of
-    accepted and rejected redesigns and the last controller installed.
-    It forms no a priori prediction and no saturation flag."""
+    y_h is the predictor's law history, whose last entry is y_hat(t); the
+    kernel appends u_hat(t) to the u_hat history u_h and pops its oldest
+    value.  phi is a new list, [-y_hat(t) ... -y_hat(t-na+1), u_hat(t-d)
+    ... u_hat(t-d-nb+1)], and the prediction is theta' phi, summed from 0.0
+    in index order."""
     n = na + nb
     p = [f"p{i}" for i in range(n)]
-    t = [f"t{i}" for i in range(n)]
-    # y_hat(t) is the value the law step has just appended to pr.runtime's
-    # y history, and u_hat(t) the one appended to pr._u.
-    regressor = ["p0 = -y_cur"] + [f"p{i} = -yh[-{1 + i}]" for i in range(1, na)]
+    regressor = [f"p{i} = -y_h[-{1 + i}]" for i in range(na)]
     regressor += [
-        f"p{na + j} = {'u_hat' if delay + j == 0 else f'uh[-{1 + delay + j}]'}"
+        f"p{na + j} = {'u_hat' if delay + j == 0 else f'u_h[-{1 + delay + j}]'}"
         for j in range(nb)
     ]
-    dot = sum_text(f"{t[i]} * {p[i]}" for i in range(n))
-    theta_names = f"{', '.join(t)}, = theta"
-    if adaptive:
-        head = [
-            "def kernel(pr, rt, step_hat, step, advance, measure, rls_step,",
-            "           inputs, references, r_bar, design, controller):",
-        ]
-        lists = "ys, us, thetas = [], [], []"
-        loop = [
-            "for r_k, e_k in zip(references, inputs):",
-            "    u_hat = step_hat(y_cur, r_k - r_bar)[0] + e_k",
-        ]
-    else:
-        head = [
-            "def kernel(pr, rt, step_hat, step, advance, measure, rls_step,",
-            "           inputs, r_bar, u_bar, update):",
-        ]
-        lists = "thetas, ys, y_hats, us, u_hats, e0s, e1s, sats = [], [], [], [], [], [], [], []"
-        loop = [
-            "y_dev = y_abs - r_bar",
-            "r_dev = r_bar - r_bar",
-            "for e_k in inputs:",
-            "    ys.append(y_dev)",
-            "    u_hat = step_hat(y_cur, r_dev)[0] + e_k",
-        ]
-    loop += ["    uh.append(u_hat)", "    uh.pop(0)", *indented(regressor)]
-    if adaptive:
-        loop += [
-            "    u = step(y_abs, r_k)[0] + e_k",
-            "    if limits is not None:",
-            "        u = u if u > lo else lo",
-            "        u = u if u < hi else hi",
-            "    advance(u)",
-            "    y_abs = measure()",
-            f"    state = rls_step(state, [{', '.join(p)}], y_abs - r_bar)[0]",
-            "    theta = state._theta_list()",
-            f"    {theta_names}",
-            f"    y_cur = {dot}",
-            "    try:",
-            "        controller = design(theta)",
-            "        rt.controller = prt.controller = controller",
-            "        redesigns += 1",
-            "    except DesignError:",
-            "        rejected += 1",
-            "    ys.append(y_abs)",
-            "    us.append(u)",
-            "    thetas.extend(theta)",
-        ]
-        result = "ys, us, thetas, redesigns, rejected, controller"
-    else:
-        loop += [
-            f"    y_pred = {dot}",
-            "    u, sat = step(y_abs, r_bar)",
-            "    u += e_k",
-            "    if limits is not None:",
-            "        v = u if u > lo else lo",
-            "        v = v if v < hi else hi",
-            "        if v != u:",
-            "            sat = True",
-            "        u = v",
-            "    advance(u)",
-            "    y_abs = measure()",
-            "    y_dev = y_abs - r_bar",
-            "    if update:",
-            f"        state, eps0, eps = rls_step(state, [{', '.join(p)}], y_dev)",
-            "        theta = state._theta_list()",
-            f"        {theta_names}",
-            f"        y_cur = {dot}",
-            "    else:",
-            "        y_cur = y_pred",
-            "        eps0 = eps = float(y_dev) - y_cur",
-            "    y_hats.append(y_pred)",
-            "    u_hats.append(u_hat)",
-            "    us.append(u - u_bar)",
-            "    sats.append(sat)",
-            "    e0s.append(eps0)",
-            "    e1s.append(eps)",
-            "    thetas.extend(theta)",
-        ]
-        result = "thetas, ys, y_hats, us, u_hats, e0s, e1s, sats, y_abs"
     body = [
-        "prt = pr.runtime",
-        "yh, uh, state, y_cur = prt._y, pr._u, pr.state, pr._y_current",
-        "theta = state._theta_list()",
-        theta_names,
-        "limits = rt._limits",
-        "if limits is not None:",
-        "    lo, hi = limits",
-        lists,
-        *(["redesigns = rejected = 0"] if adaptive else []),
-        "try:",
-        "    y_abs = measure()",
-        *indented(loop),
-        "finally:",
-        "    pr.state, pr._y_current = state, y_cur",
-        f"return {result}",
+        "u_h.append(u_hat)",
+        "u_h.pop(0)",
+        *regressor,
+        f"{', '.join(f't{i}' for i in range(n))}, = theta",
+        f"return [{', '.join(p)}], {sum_text(f't{i} * p{i}' for i in range(n))}",
     ]
-    return [*head, *indented(body)]
+    return ["def kernel(theta, y_h, u_h, u_hat):", *indented(body)]
+
+
+def dot_source(n: int) -> list[str]:
+    """Source of kernel(x, y) -> the sum of x[i] y[i] over n floats, from
+    0.0 in index order (``ident._dot`` for one length)."""
+    x = [f"x{i}" for i in range(n)]
+    y = [f"y{i}" for i in range(n)]
+    return [
+        "def kernel(x, y):",
+        f"    {', '.join(x)}, = x",
+        f"    {', '.join(y)}, = y",
+        f"    return {sum_text(f'{a} * {b}' for a, b in zip(x, y))}",
+    ]

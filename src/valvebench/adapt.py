@@ -32,11 +32,11 @@ from .control import (
     rst_law_length,
     sensitivity,
 )
-from .cloe import ClosedLoopPredictor, _operating_duty, _run_record, cl_identify, save_cloe_csv
+from .cloe import ClosedLoopPredictor, _operating_duty, cl_identify, save_cloe_csv
 from .errors import DesignError
 from .fileio import write_csv
 from .ident import AdaptationState, initial_adaptation_state
-from .plant import DiscretePlantModel
+from .plant import DiscretePlantModel, _record_sensor
 from .signals import PrbsConfig, prbs_deviation, step_sequence
 
 DEFAULT_LIMITS = (0.0, 100.0)
@@ -353,9 +353,7 @@ def adaptive_run(
     initial controller of lower degree than the designs is fine.  Estimates
     whose re-design fails the pole check leave the controller unchanged.
     The loop settles at reference[0] with the initial controller before
-    adaptation starts; that level is the predictor's operating point.  The
-    samples run in the adaptive record kernel of the spec's orders and delay
-    (``cloe._run_record``), which forms no a priori prediction.
+    adaptation starts; that level is the predictor's operating point.
     """
     reference = np.asarray(reference, dtype=float)
     T = len(reference)
@@ -393,10 +391,34 @@ def adaptive_run(
     runtime = ControllerRuntime(controller, limits=limits, depth=depth)
     runtime.prime(u=float(u_tr[-1]), y=float(y_tr[-1]), r=r_bar)
 
-    ys, us, thetas, redesigns, rejected, controller = _run_record(
-        predictor, runtime, plant, T, excitation.tolist(), reference.tolist(), r_bar,
-        design.design, controller, adaptive=True,
-    )
+    ys, us, thetas = [], [], []
+    redesigns = rejected = 0
+    predict, adapt, step, advance = predictor.predict, predictor.adapt, runtime.step, plant.advance
+    redesign = design.design
+    limits = runtime.limits
+    if limits is not None:
+        lo, hi = limits
+    with _record_sensor(plant, T + 1) as measure:
+        y_abs = measure()
+        for r_k, e_k in zip(reference.tolist(), excitation.tolist()):
+            predict(e_k, r_k - r_bar)
+            u = step(y_abs, r_k)[0] + e_k
+            if limits is not None:
+                u = u if u > lo else lo
+                u = u if u < hi else hi
+            advance(u)
+            y_abs = measure()
+            adapt(y_abs - r_bar)
+            theta = predictor._theta
+            try:
+                controller = redesign(theta)
+                runtime.controller = predictor.runtime.controller = controller
+                redesigns += 1
+            except DesignError:
+                rejected += 1
+            ys.append(y_abs)
+            us.append(u)
+            thetas.extend(theta)
     return AdaptiveRun(
         y=np.array(ys, dtype=float),
         u=np.array(us, dtype=float),

@@ -588,19 +588,30 @@ def _remove_empty(dirs) -> None:
             pass
 
 
+def _error_line(err: Exception) -> str:
+    """The one line that reports an error: the message of the workbench's own
+    errors and of a ValueError, any other error's type name before its message."""
+    message = str(err)
+    if message and isinstance(err, (ValveBenchError, ValueError)):
+        return message
+    return f"{type(err).__name__}: {message}" if message else type(err).__name__
+
+
 def _execute(job, out_dir: str, preset, params):
     """Run one job in a staging directory inside out_dir (so that the renames stay
     on one filesystem even when out_dir is a mount point), move its files up once it
     has succeeded, remove the staging directory, and return the error of a failed job:
-    any exception it raises, which `main` reports on one line (exit 2 for a
-    ConfigError, else 1)."""
+    for any exception it raises, a ConfigError (exit 2) or a ValveBenchError
+    (exit 1) with its line (:func:`_error_line`), which a worker process can
+    always send back."""
     staging = tempfile.mkdtemp(prefix=".valvebench-", dir=out_dir)
     try:
         write_report(os.path.join(staging, "report.txt"), job(staging, preset, params))
         for name in os.listdir(staging):
             os.replace(os.path.join(staging, name), os.path.join(out_dir, name))
     except Exception as err:
-        return err
+        kind = ConfigError if isinstance(err, ConfigError) else ValveBenchError
+        return kind(_error_line(err))
     finally:
         shutil.rmtree(staging, ignore_errors=True)
 
@@ -691,7 +702,8 @@ def main(argv=None) -> int:
         codes = [2 if isinstance(err, (ConfigError, ValueError)) else 1]
     for (preset, err), code in zip(failures, codes):  # exit 2 for bad input, 1 for a failed run
         where = f" ({preset})" if preset and len(presets) > 1 else ""
-        print(f"valvebench {args.command}{' failed' * (code == 1)}: {err}{where}", file=sys.stderr)
+        line = _error_line(err)
+        print(f"valvebench {args.command}{' failed' * (code == 1)}: {line}{where}", file=sys.stderr)
     return max(codes, default=0)
 
 

@@ -28,10 +28,24 @@ import numpy as np
 
 from . import _kernels
 from .control import ControllerRuntime, RstController
-from .errors import DesignError
 from .fileio import write_csv
-from .ident import AdaptationState, _dot, rls_step
+from .ident import AdaptationState, rls_step
 from .plant import _record_sensor
+
+
+@functools.lru_cache(maxsize=16)
+def _predictor_kernels(na: int, nb: int, delay: int):
+    """The regressor step and the theta' phi sum of a predictor of these
+    orders and delay, as straight-line Python generated
+    (:func:`valvebench._kernels.predictor_source` and
+    :func:`valvebench._kernels.dot_source`) and compiled once per shape."""
+    return (
+        _kernels.compiled(
+            _kernels.predictor_source(na, nb, delay),
+            f"<predictor kernel na={na} nb={nb} delay={delay}>",
+        ),
+        _kernels.compiled(_kernels.dot_source(na + nb), f"<dot kernel n={na + nb}>"),
+    )
 
 
 class ClosedLoopPredictor:
@@ -41,13 +55,17 @@ class ClosedLoopPredictor:
     prediction, then :meth:`adapt` with the next measured output.  The
     histories carry a posteriori predictions.  The controller runs in its
     own unclamped :class:`ControllerRuntime`, `runtime`, whose y history is
-    also the regressor's; a redesign is swapped in as `runtime.controller`.  Histories hold at least `depth`
-    samples, so that a redesign longer than the initial controller fits.
+    also the regressor's; a redesign is swapped in as `runtime.controller`.
+    Histories hold at least `depth` samples, so that a redesign longer than
+    the initial controller fits.
 
     Regressors are lists of Python floats.  :func:`~valvebench.ident.rls_step`
     updates `state` with them, and predictions sum theta' phi in index
-    order, as the estimator sums it, over the estimate read as a list, so
-    no array of the state is built per sample.
+    order, as the estimator sums it, over the estimate read as a list once
+    per update, so no array of the state is built per sample.  The
+    regressor and both sums run in the kernels of the predictor's shape
+    (:func:`_predictor_kernels`), resolved at construction; the law step
+    and :func:`rls_step` stay calls.
     """
 
     def __init__(
@@ -91,10 +109,23 @@ class ClosedLoopPredictor:
         # The controller's own output starts from the same record as u_hat.
         self.runtime._u = list(self._u)
         self._pending_phi: list[float] | None = None
+        self._regressor, self._dot = _predictor_kernels(na, nb, delay)
+
+    @property
+    def state(self) -> AdaptationState:
+        """The adaptation state of the current estimate.  Setting it, as
+        :meth:`adapt` does, also sets `_theta`, its estimate as a list, which
+        the predictions and a record's estimate trace read."""
+        return self._state
+
+    @state.setter
+    def state(self, state: AdaptationState) -> None:
+        self._state = state
+        self._theta = state._theta_list()
 
     @property
     def theta_hat(self) -> np.ndarray:
-        return self.state.theta_hat
+        return self._state.theta_hat
 
     def predict(self, r_u: float, r_dev: float = 0.0) -> tuple[float, float]:
         """Form u_hat(t) and the a priori prediction of y(t+1).
@@ -104,32 +135,27 @@ class ClosedLoopPredictor:
         """
         if self._pending_phi is not None:
             raise RuntimeError("predict called twice without adapt")
-        u_ctrl, _ = self.runtime.step(self._y_current, float(r_dev))
-        u_hat = u_ctrl + float(r_u)
-        y_h, u_h = self.runtime._y, self._u
-        u_h.append(u_hat)
-        u_h.pop(0)
-
-        # [-y(t) ... -y(t-na+1), u(t-d) ... u(t-d-nb+1)]; the controller's
-        # step has just appended y(t) to the y history
-        phi = [-y_h[-1 - i] for i in range(self.na)]
-        phi += [u_h[-1 - self.delay - j] for j in range(self.nb)]
-        self._pending_phi = phi
-        return _dot(self.state._theta_list(), phi), u_hat
+        runtime = self.runtime
+        u_hat = runtime.step(self._y_current, float(r_dev))[0] + float(r_u)
+        # the law step has just appended y_hat(t) to the y history
+        self._pending_phi, y_pred = self._regressor(self._theta, runtime._y, self._u, u_hat)
+        return y_pred, u_hat
 
     def adapt(self, y_measured_next: float, update: bool = True) -> tuple[float, float]:
         """Consume the next measured output; returns (a priori, a posteriori)
         closed-loop errors.  With update=False the parameters are frozen and
         the predictor simply advances."""
-        if self._pending_phi is None:
-            raise RuntimeError("adapt called before predict")
         phi = self._pending_phi
+        if phi is None:
+            raise RuntimeError("adapt called before predict")
+        y_next = float(y_measured_next)
         if update:
-            self.state, eps0, eps = rls_step(self.state, phi, float(y_measured_next))
+            self._state, eps0, eps = rls_step(self._state, phi, y_next)
+            self._theta = self._state._theta_list()
         # the a posteriori prediction; with frozen parameters also the a priori one
-        y_post = _dot(self.state._theta_list(), phi)
+        y_post = self._dot(self._theta, phi)
         if not update:
-            eps0 = eps = float(y_measured_next) - y_post
+            eps0 = eps = y_next - y_post
         # a posteriori prediction becomes the new current sample
         self._y_current = y_post
         self._pending_phi = None
@@ -163,38 +189,6 @@ def _operating_duty(u) -> float:
     return float(np.mean(u[-max(1, len(u) // 4):]))
 
 
-@functools.lru_cache(maxsize=16)
-def _cloe_kernel(na: int, nb: int, delay: int, adaptive: bool):
-    """The record loop of a predictor of these orders and delay, for
-    :func:`cl_identify` or, with `adaptive`, for ``adapt.adaptive_run``, as
-    straight-line Python generated (:func:`valvebench._kernels.cloe_source`)
-    and compiled once per shape.  It makes the calls of
-    :meth:`ClosedLoopPredictor.predict` and :meth:`ClosedLoopPredictor.adapt`
-    and forms their values with the same operations in the same order."""
-    return _kernels.compiled(
-        _kernels.cloe_source(na, nb, delay, adaptive),
-        f"<cloe kernel na={na} nb={nb} delay={delay} adaptive={adaptive}>",
-        DesignError=DesignError,
-    )
-
-
-def _run_record(predictor, runtime, plant, n: int, *args, adaptive: bool = False):
-    """Run n samples of the real loop `runtime` on `plant` and the
-    predictor in lockstep, in the kernel of the predictor's shape
-    (:func:`_cloe_kernel`), sensed by the plant's record-scoped sensor; one
-    measure() precedes the first sample.  The per-sample calls (both law
-    steps, advance, measure, :func:`rls_step` and, in `args`, an adaptive
-    run's design) are resolved here, when the record starts, so that a
-    wrapper bound to any of them sees every call.  Returns the kernel's
-    result."""
-    kernel = _cloe_kernel(predictor.na, predictor.nb, predictor.delay, adaptive)
-    with _record_sensor(plant, n + 1) as measure:
-        return kernel(
-            predictor, runtime, predictor.runtime.step, runtime.step, plant.advance, measure,
-            rls_step, *args,
-        )
-
-
 def cl_identify(
     plant,
     controller: RstController,
@@ -216,11 +210,10 @@ def cl_identify(
     histories with measured data, suppressing the initial transient of the
     parallel predictor.
 
-    The samples run on Python floats in the record kernel of the
-    predictor's shape (:func:`_run_record`), which makes one predict/adapt
-    of the predictor's per sample, sensed by the plant's record-scoped
-    sensor (the values and noise stream of one measure() per sample, drawn
-    as one block); the arrays are built once, at the end.
+    Each sample is one predict/adapt of the predictor around the real
+    loop's step, run on Python floats and sensed by the plant's
+    record-scoped sensor (the values and noise stream of one measure() per
+    sample, drawn as one block); the arrays are built once, at the end.
     """
     excitation = np.asarray(excitation, dtype=float)
     runtime = ControllerRuntime(controller, limits=limits)
@@ -236,9 +229,34 @@ def cl_identify(
         controller, na, nb, delay, init, y_hist=y_hist, u_hist=u_hist
     )
 
-    thetas, ys, y_hats, us, u_hats, e0s, e1s, sats, y_abs = _run_record(
-        predictor, runtime, plant, len(excitation), excitation.tolist(), r_bar, u_bar, update
-    )
+    thetas, ys, y_hats, us, u_hats, e0s, e1s, sats = [], [], [], [], [], [], [], []
+    predict, adapt, step, advance = predictor.predict, predictor.adapt, runtime.step, plant.advance
+    r_dev = r_bar - r_bar
+    limits = runtime.limits
+    if limits is not None:
+        lo, hi = limits
+    with _record_sensor(plant, len(excitation) + 1) as measure:
+        y_abs = measure()
+        for r_u in excitation.tolist():
+            ys.append(y_abs - r_bar)
+            y_pred, u_hat = predict(r_u, r_dev)
+            u, sat = step(y_abs, r_bar)
+            u += r_u
+            if limits is not None:
+                clipped = u if u > lo else lo
+                clipped = clipped if clipped < hi else hi
+                sat = sat or clipped != u
+                u = clipped
+            advance(u)
+            y_abs = measure()
+            eps0, eps = adapt(y_abs - r_bar, update)
+            y_hats.append(y_pred)
+            u_hats.append(u_hat)
+            us.append(u - u_bar)
+            sats.append(sat)
+            e0s.append(eps0)
+            e1s.append(eps)
+            thetas.extend(predictor._theta)
 
     return CloeRun(
         theta=np.array(thetas, dtype=float).reshape(len(excitation), na + nb),

@@ -602,33 +602,48 @@ def test_failed_preset_of_a_fan_out_leaves_no_directory(tmp_path, capsys, monkey
     assert parse_report(out / "valve0" / "report.txt")["preset"] == "valve0"
 
 
-def _job_failing_on_valve0(out_dir, preset, params):
-    """A job that writes a file, then fails on valve0 with an exception no
-    layer raises on purpose.  It is a module-level function, so that a
-    worker process can unpickle it."""
+class _TwoPartError(Exception):
+    """An exception that pickle cannot rebuild: its __init__ takes two
+    arguments, and its args hold one."""
+
+    def __init__(self, what, why):
+        super().__init__(f"{what} {why}")
+
+
+def _job_failing_by_preset(out_dir, preset, params):
+    """A job that writes a file, then fails on valve0, valve1 and valve2 with
+    exceptions no layer raises on purpose: one with a message, one without,
+    and one a worker process could not send back as it is.  It is a
+    module-level function, so that a worker process can unpickle it."""
     Path(out_dir, "partial.csv").write_text("t\n0\n")
     if preset == "valve0":
         return [("ratio", 1 / 0)]
+    if preset == "valve1":
+        raise AssertionError()
+    if preset == "valve2":
+        raise _TwoPartError("valve2", "jammed")
     return [("preset", preset)]
 
 
 @pytest.mark.parametrize("parallel", ["1", "2"])
 def test_any_exception_of_a_job_exits_1_on_one_line(tmp_path, capsys, monkeypatch, parallel):
     """An exception of any kind from a job is a failed run: exit 1, one
-    stderr line and no traceback, and the failed job leaves no file, in one
-    process or in parallel workers."""
-    monkeypatch.setitem(cli.PLANS, "sweep", lambda cfg: _job_failing_on_valve0)
+    stderr line naming its type and no traceback, and the failed job leaves
+    no file, in one process or in parallel workers."""
+    monkeypatch.setitem(cli.PLANS, "sweep", lambda cfg: _job_failing_by_preset)
     single, fan_out = tmp_path / "single", tmp_path / "fan_out"
-    assert main(["sweep", "--set", "plant.preset=valve0", "--out", str(single)]) == 1
+    assert main(["sweep", "--set", "plant.preset=valve1", "--out", str(single)]) == 1
     assert not single.exists()
-    argv = ["sweep", "--set", "plant.preset=valve0,valve1", "--parallel", parallel,
-            "--out", str(fan_out)]
+    argv = ["sweep", "--set", "plant.preset=valve0,valve1,valve2,valve3",
+            "--parallel", parallel, "--out", str(fan_out)]
     assert main(argv) == 1
-    assert sorted(p.name for p in fan_out.iterdir()) == ["valve1"]
-    assert sorted(p.name for p in (fan_out / "valve1").iterdir()) == ["partial.csv", "report.txt"]
+    assert sorted(p.name for p in fan_out.iterdir()) == ["valve3"]
+    assert sorted(p.name for p in (fan_out / "valve3").iterdir()) == ["partial.csv", "report.txt"]
     assert capsys.readouterr().err.splitlines() == [
-        "valvebench sweep failed: division by zero",
-        "valvebench sweep failed: division by zero (valve0)",
+        "valvebench sweep failed: AssertionError",
+        "valvebench sweep failed: ZeroDivisionError: division by zero (valve0)",
+        "valvebench sweep failed: AssertionError (valve1)",
+        "valvebench sweep failed: _TwoPartError: valve2 jammed (valve2)",
     ]
 
 

@@ -177,7 +177,7 @@ class InlineLawPredictor:
         return y_pred, u_hat
 
 
-@pytest.mark.parametrize("na, nb, delay", [(1, 1, 0), (2, 1, 1), (2, 2, 0)])
+@pytest.mark.parametrize("na, nb, delay", [(1, 1, 0), (2, 1, 1), (1, 2, 1), (2, 2, 0)])
 @pytest.mark.parametrize("multi_tap_t", [False, True])
 def test_predictor_matches_inline_law(na, nb, delay, multi_tap_t):
     """u_hat and the prediction against the inline law: bit for bit with a
@@ -208,6 +208,30 @@ def test_predictor_matches_inline_law(na, nb, delay, multi_tap_t):
             assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
         else:
             assert got == want
+
+
+def test_one_step_api_rejects_calls_out_of_order():
+    pred = ClosedLoopPredictor(loop_controller(), 1, 1, 0, initial_adaptation_state(2))
+    with pytest.raises(RuntimeError, match="adapt called before predict"):
+        pred.adapt(0.0)
+    pred.predict(0.5)
+    with pytest.raises(RuntimeError, match="predict called twice without adapt"):
+        pred.predict(0.5)
+    pred.adapt(0.1)
+    pred.predict(0.5)
+
+
+def test_a_replaced_state_is_the_estimate_the_next_prediction_uses():
+    """Setting `state` replaces the estimate the predictions read, as an
+    update by `adapt` does."""
+    ctrl = loop_controller()
+    pred = ClosedLoopPredictor(ctrl, 1, 1, 0, initial_adaptation_state(2))
+    twin = ClosedLoopPredictor(ctrl, 1, 1, 0, initial_adaptation_state(2, theta0=THETA_TRUE))
+    pred.state = twin.state
+    assert pred.theta_hat is twin.theta_hat
+    got, want = pred.predict(0.5), twin.predict(0.5)
+    assert got == want and got[0] != 0.0
+    assert pred.adapt(0.2, update=False) == twin.adapt(0.2, update=False)
 
 
 def test_warmup_learns_operating_point():

@@ -52,8 +52,9 @@ def test_every_traced_method_is_in_its_class_dict():
 
 def test_closed_loop_record_calls_through_every_counted_binding(monkeypatch):
     """Wrappers bound where a tracer binds them, when the record starts, see
-    each per-sample call of a cl_identify record: one rls_step and one
-    advance per sample, and two law steps (the predictor's and the loop's)."""
+    each per-sample call of a cl_identify record: one predict, adapt,
+    rls_step and advance per sample, and two law steps (the predictor's and
+    the loop's).  Every rls_step runs inside an adapt."""
     from valvebench import cloe, control
     from valvebench.adapt import ExcitationSpec, RstDesignSpec
     from valvebench.control import PoleSpec
@@ -61,17 +62,27 @@ def test_closed_loop_record_calls_through_every_counted_binding(monkeypatch):
     from valvebench.presets import get_preset
 
     calls = {}
+    active = []
 
     def counting(name, fn):
         calls[name] = 0
 
         def wrapper(*args, **kwargs):
             calls[name] += 1
-            return fn(*args, **kwargs)
+            if name == "rls_step":
+                assert active == ["adapt"]
+            active.append(name)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                active.pop()
 
         return wrapper
 
     monkeypatch.setattr(cloe, "rls_step", counting("rls_step", cloe.rls_step))
+    for method in ("predict", "adapt"):
+        original = cloe.ClosedLoopPredictor.__dict__[method]
+        monkeypatch.setattr(cloe.ClosedLoopPredictor, method, counting(method, original))
     step = control.ControllerRuntime.__dict__["step"]
     monkeypatch.setattr(control.ControllerRuntime, "step", counting("step", step))
     advance = plant.ValveSimulator.__dict__["advance"]
@@ -85,4 +96,6 @@ def test_closed_loop_record_calls_through_every_counted_binding(monkeypatch):
         1, 1, operating_reference=40.0, limits=(0.0, 100.0),
     )
     assert len(run.y) == 300
-    assert calls == {"rls_step": 300, "step": 600, "advance": 300}
+    assert calls == {
+        "rls_step": 300, "predict": 300, "adapt": 300, "step": 600, "advance": 300
+    }

@@ -7,10 +7,12 @@ a plant seen through measure()/advance() only, and `track` writing its
 arrays sample by sample.  Outputs, the plant's final state and its rng state
 must agree bit for bit, also for a record that an input ends mid-way.
 
-`cl_identify` and `adaptive_run` run each record in the generated kernel of
-the predictor's shape (`cloe._cloe_kernel`).  The second set of oracles is
-those functions as they ran before it: one `_loop_sample` per sample,
-through the predictor's public one-step API (`predict`, `adapt`), over
+`cl_identify` and `adaptive_run` run each record as one loop of the
+predictor's `predict`/`adapt` around the real loop's step, and those run the
+straight-line kernels of the predictor's shape (`cloe._predictor_kernels`).
+The second set of oracles is those functions as they ran before: one
+`_loop_sample` per sample, on a predictor whose `predict`/`adapt` form the
+regressor by comprehensions and sum theta' phi through `ident._dot`, over
 predictor shapes, noise, clamping, frozen estimates and rejected redesigns.
 A record that an exception ends must leave the plant, its noise stream and
 the predictor's estimate where that oracle leaves them.
@@ -26,7 +28,7 @@ from valvebench.adapt import RstDesignSpec, adaptive_run
 from valvebench.cloe import cl_identify
 from valvebench.control import ONE, ControllerRuntime, PoleSpec, dominant_poles, pi_design, rst_law_length
 from valvebench.errors import DesignError
-from valvebench.ident import initial_adaptation_state
+from valvebench.ident import _dot, initial_adaptation_state, rls_step
 from valvebench.plant import DiscretePlantModel, LinearSimulator, ValveSimulator, _record_sensor
 from valvebench.presets import make_preset
 
@@ -207,6 +209,37 @@ SHAPES = sorted(MODELS)
 CLAMP = (-2.0, 2.0)
 
 
+class LoopPredictor(cloe.ClosedLoopPredictor):
+    """The one-step API as it ran before its kernels: the regressor built by
+    comprehensions, theta' phi summed by `ident._dot`."""
+
+    def predict(self, r_u, r_dev=0.0):
+        if self._pending_phi is not None:
+            raise RuntimeError("predict called twice without adapt")
+        u_ctrl, _ = self.runtime.step(self._y_current, float(r_dev))
+        u_hat = u_ctrl + float(r_u)
+        y_h, u_h = self.runtime._y, self._u
+        u_h.append(u_hat)
+        u_h.pop(0)
+        phi = [-y_h[-1 - i] for i in range(self.na)]
+        phi += [u_h[-1 - self.delay - j] for j in range(self.nb)]
+        self._pending_phi = phi
+        return _dot(self.state._theta_list(), phi), u_hat
+
+    def adapt(self, y_measured_next, update=True):
+        if self._pending_phi is None:
+            raise RuntimeError("adapt called before predict")
+        phi = self._pending_phi
+        if update:
+            self.state, eps0, eps = rls_step(self.state, phi, float(y_measured_next))
+        y_post = _dot(self.state._theta_list(), phi)
+        if not update:
+            eps0 = eps = float(y_measured_next) - y_post
+        self._y_current = y_post
+        self._pending_phi = None
+        return eps0, eps
+
+
 def _loop_sample(plant, measure, predictor, runtime, y_abs, r_bar, r, r_u, update=True):
     """One CLOE sample: predict, control, inject r_u, clip to the runtime's
     limits, advance, measure, adapt.  `measure` senses the plant (its
@@ -232,7 +265,8 @@ def cl_identify_oracle(
     plant, controller, excitation, init, na, nb, delay=0, operating_reference=0.0,
     warmup=0, limits=None, update=True,
 ):
-    """`cloe.cl_identify` with its samples run one `_loop_sample` at a time."""
+    """`cloe.cl_identify` with its samples run one `_loop_sample` at a time,
+    on a `LoopPredictor`."""
     excitation = np.asarray(excitation, dtype=float)
     runtime = ControllerRuntime(controller, limits=limits)
     r_bar = float(operating_reference)
@@ -242,7 +276,7 @@ def cl_identify_oracle(
         y_w, u_w, _ = runtime.track(plant, np.full(warmup, r_bar))
         u_bar = cloe._operating_duty(u_w)
         y_hist, u_hist = y_w - r_bar, u_w - u_bar
-    predictor = cloe.ClosedLoopPredictor(
+    predictor = LoopPredictor(
         controller, na, nb, delay, init, y_hist=y_hist, u_hist=u_hist
     )
     thetas, ys, y_hats, us, u_hats, e0s, e1s, sats = [], [], [], [], [], [], [], []
@@ -280,7 +314,8 @@ def adaptive_run_oracle(
     adaptation_gain=1000.0, profile="variable-forgetting", lambda0=0.97, settle=3.0,
     limits=adapt.DEFAULT_LIMITS,
 ):
-    """`adapt.adaptive_run` with its samples run one `_loop_sample` at a time."""
+    """`adapt.adaptive_run` with its samples run one `_loop_sample` at a time,
+    on a `LoopPredictor`."""
     reference = np.asarray(reference, dtype=float)
     T = len(reference)
     excitation = np.zeros(T) if excitation is None else np.asarray(excitation, dtype=float)
@@ -294,7 +329,7 @@ def adaptive_run_oracle(
         theta0=np.asarray(theta0, dtype=float),
     )
     depth = rst_law_length(design.na, design.nb, design.delay, design.hs, design.hr)
-    predictor = cloe.ClosedLoopPredictor(
+    predictor = LoopPredictor(
         controller, design.na, design.nb, design.delay, state,
         y_hist=y_tr - r_bar, u_hist=u_tr - u_bar, depth=depth,
     )
@@ -332,17 +367,16 @@ def adaptive_run_oracle(
 
 @pytest.fixture
 def predictors(monkeypatch):
-    """Every ClosedLoopPredictor built by the package or by the oracles, in
+    """Every closed-loop predictor built by the package or by the oracles, in
     order of construction."""
     made = []
+    init = cloe.ClosedLoopPredictor.__init__
 
-    class Recorded(cloe.ClosedLoopPredictor):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            made.append(self)
+    def recorded(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        made.append(self)
 
-    monkeypatch.setattr(cloe, "ClosedLoopPredictor", Recorded)
-    monkeypatch.setattr(adapt, "ClosedLoopPredictor", Recorded)
+    monkeypatch.setattr(cloe.ClosedLoopPredictor, "__init__", recorded)
     return made
 
 
