@@ -7,9 +7,9 @@ Each pass is summarized in an :class:`IterationRecord`; the first couple of
 iterations carry most of the improvement.
 
 A per-sample variant (`adaptive_run`) re-designs the controller at every
-sampling instant from the running estimate.  It reuses the same predictor and
-design pieces; the iterative mode is the default because it is what the
-evaluation protocol measures.
+sampling instant from the running estimate.  It runs the identification's
+closed-loop record with a redesign per sample; the iterative mode is the
+default because it is what the evaluation protocol measures.
 """
 
 from __future__ import annotations
@@ -32,11 +32,11 @@ from .control import (
     rst_law_length,
     sensitivity,
 )
-from .cloe import ClosedLoopPredictor, _operating_duty, cl_identify, save_cloe_csv
+from .cloe import ClosedLoopPredictor, _finite, _operating_duty, _record, cl_identify, save_cloe_csv
 from .errors import DesignError
 from .fileio import write_csv
 from .ident import AdaptationState, initial_adaptation_state
-from .plant import DiscretePlantModel, _record_sensor
+from .plant import DiscretePlantModel
 from .signals import PrbsConfig, prbs_deviation, step_sequence
 
 DEFAULT_LIMITS = (0.0, 100.0)
@@ -344,34 +344,31 @@ def adaptive_run(
 ) -> AdaptiveRun:
     """Re-estimate and re-design at every sampling instant.
 
-    The closed-loop predictor adapts exactly as in `cl_identify` (with the
-    reference deviation fed through T); after each accepted update the
-    controller is re-derived from the current estimate by
-    :meth:`RstDesignSpec.design` and swapped into both the real loop and the
-    predictor, keeping the histories.  Both hold as many past samples as the
-    longest R or S the spec can design (:func:`rst_law_length`), so an
-    initial controller of lower degree than the designs is fine.  Estimates
-    whose re-design fails the pole check leave the controller unchanged.
-    The loop settles at reference[0] with the initial controller before
-    adaptation starts; that level is the predictor's operating point.
+    The samples run in the record of `cl_identify` (`cloe._record`, with the
+    reference deviation fed through T); after each update the controller is
+    re-derived from the current estimate by :meth:`RstDesignSpec.design`
+    and swapped into both the real loop and the predictor, keeping the
+    histories, which fit the longest R or S the spec can design
+    (:func:`rst_law_length`).  Estimates whose re-design fails the pole check
+    leave the controller unchanged.  The loop settles at reference[0] with
+    the initial controller before adaptation starts; that level is the
+    predictor's operating point.  A non-finite reference or excitation
+    raises ValueError before the plant advances.
     """
-    reference = np.asarray(reference, dtype=float)
-    T = len(reference)
+    ref = _finite("reference", reference)
+    T = len(ref)
     if T < 1:
         raise ValueError("reference must be non-empty")
-    if excitation is None:
-        excitation = np.zeros(T)
-    excitation = np.asarray(excitation, dtype=float)
-    if len(excitation) != T:
+    exc = [0.0] * T if excitation is None else _finite("excitation", excitation)
+    if len(exc) != T:
         raise ValueError("excitation must match the reference length")
     theta = np.asarray(theta0, dtype=float).copy()
     n = design.na + design.nb
     if len(theta) != n:
         raise ValueError("theta0 length must equal na + nb")
 
-    controller = initial_controller
-    r_bar = float(reference[0])
-    y_tr, u_tr = _settle(plant, controller, r_bar, settle, limits)
+    r_bar = ref[0]
+    y_tr, u_tr = _settle(plant, initial_controller, r_bar, settle, limits)
     u_bar = _operating_duty(u_tr)
 
     state = initial_adaptation_state(
@@ -379,53 +376,22 @@ def adaptive_run(
     )
     depth = rst_law_length(design.na, design.nb, design.delay, design.hs, design.hr)
     predictor = ClosedLoopPredictor(
-        controller,
-        design.na,
-        design.nb,
-        design.delay,
-        state,
-        y_hist=y_tr - r_bar,
-        u_hist=u_tr - u_bar,
-        depth=depth,
+        initial_controller, design.na, design.nb, design.delay, state,
+        y_hist=y_tr - r_bar, u_hist=u_tr - u_bar, depth=depth,
     )
-    runtime = ControllerRuntime(controller, limits=limits, depth=depth)
+    runtime = ControllerRuntime(initial_controller, limits=limits, depth=depth)
     runtime.prime(u=float(u_tr[-1]), y=float(y_tr[-1]), r=r_bar)
 
-    ys, us, thetas = [], [], []
-    redesigns = rejected = 0
-    predict, adapt, step, advance = predictor.predict, predictor.adapt, runtime.step, plant.advance
-    redesign = design.design
-    limits = runtime.limits
-    if limits is not None:
-        lo, hi = limits
-    with _record_sensor(plant, T + 1) as measure:
-        y_abs = measure()
-        for r_k, e_k in zip(reference.tolist(), excitation.tolist()):
-            predict(e_k, r_k - r_bar)
-            u = step(y_abs, r_k)[0] + e_k
-            if limits is not None:
-                u = u if u > lo else lo
-                u = u if u < hi else hi
-            advance(u)
-            y_abs = measure()
-            adapt(y_abs - r_bar)
-            theta = predictor._theta
-            try:
-                controller = redesign(theta)
-                runtime.controller = predictor.runtime.controller = controller
-                redesigns += 1
-            except DesignError:
-                rejected += 1
-            ys.append(y_abs)
-            us.append(u)
-            thetas.extend(theta)
+    (y, _, u, _, _, _, _, thetas), rejected = _record(
+        plant, runtime, predictor, ref, exc, r_bar, redesign=design.design
+    )
     return AdaptiveRun(
-        y=np.array(ys, dtype=float),
-        u=np.array(us, dtype=float),
-        reference=reference,
+        y=np.array(y[1:], dtype=float),
+        u=np.array(u, dtype=float),
+        reference=np.asarray(reference, dtype=float),
         theta=np.array(thetas, dtype=float).reshape(T, n),
-        redesigns=redesigns,
+        redesigns=T - rejected,
         rejected=rejected,
-        final_controller=controller,
+        final_controller=runtime.controller,
         final_state=predictor.state,
     )

@@ -463,6 +463,8 @@ def _scenario_from_cfg(tr: dict, Ts: float) -> tuple[EvalScenario, np.ndarray]:
     from .adapt import EvalScenario
 
     _check_duration("track hold", tr["hold"], Ts)
+    if not np.isfinite(tr["levels"]).all():
+        raise ConfigError("track levels must be finite")
     scenario = EvalScenario(levels=tuple(tr["levels"]), hold=tr["hold"], skip=tr["skip"])
     reference = scenario.reference(Ts)
     if not 0 <= scenario.skip < len(reference):
@@ -513,6 +515,9 @@ def plan_adapt(cfg):
     ad = cfg["adapt"]
     if ad["n_iter"] < 1:
         raise ConfigError("adapt n_iter must be >= 1")
+    for key in ("gain", "operating_reference", "stop_tol"):
+        if not np.isfinite(ad[key]):
+            raise ConfigError(f"adapt {key} must be finite")
     if ad["gain"] <= 0:
         raise ConfigError("adapt gain must be > 0")
     if ad["profile"] not in PROFILES:
@@ -600,10 +605,10 @@ def _error_line(err: Exception) -> str:
 def _execute(job, out_dir: str, preset, params):
     """Run one job in a staging directory inside out_dir (so that the renames stay
     on one filesystem even when out_dir is a mount point), move its files up once it
-    has succeeded, remove the staging directory, and return the error of a failed job:
-    for any exception it raises, a ConfigError (exit 2) or a ValveBenchError
-    (exit 1) with its line (:func:`_error_line`), which a worker process can
-    always send back."""
+    has succeeded, remove the staging directory (one rmdir when empty, as after a
+    success), and return the error of a failed job: for any exception it raises, a
+    ConfigError (exit 2) or a ValveBenchError (exit 1) with its line
+    (:func:`_error_line`), which a worker process can always send back."""
     staging = tempfile.mkdtemp(prefix=".valvebench-", dir=out_dir)
     try:
         write_report(os.path.join(staging, "report.txt"), job(staging, preset, params))
@@ -613,7 +618,10 @@ def _execute(job, out_dir: str, preset, params):
         kind = ConfigError if isinstance(err, ConfigError) else ValveBenchError
         return kind(_error_line(err))
     finally:
-        shutil.rmtree(staging, ignore_errors=True)
+        try:  # empty once every file has moved
+            os.rmdir(staging)
+        except OSError:
+            shutil.rmtree(staging, ignore_errors=True)
 
 
 def _run(job, presets: list, plants: list, out: str, parallel: int) -> list:

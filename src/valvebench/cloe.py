@@ -16,7 +16,8 @@ enter the regressor.
 Identification runs in deviation variables around the loop's operating
 reference; with integral action in S the controller's deviation recursion is
 exactly S u = -R y, so the predictor needs no knowledge of the operating
-duty cycle.
+duty cycle.  One sampled record, `_record`, runs this loop for
+:func:`cl_identify` and, with a redesign per sample, for `adapt.adaptive_run`.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import numpy as np
 
 from . import _kernels
 from .control import ControllerRuntime, RstController
+from .errors import DesignError
 from .fileio import write_csv
 from .ident import AdaptationState, rls_step
 from .plant import _record_sensor
@@ -189,6 +191,60 @@ def _operating_duty(u) -> float:
     return float(np.mean(u[-max(1, len(u) // 4):]))
 
 
+def _finite(name: str, values) -> list[float]:
+    """`values` as a list of floats; a ValueError names them if one is not finite."""
+    values = np.asarray(values, dtype=float)
+    if not np.isfinite(values).all():
+        raise ValueError(f"{name} must be finite")
+    return values.tolist()
+
+
+def _record(plant, runtime, predictor, reference, excitation, r_bar, update=True, redesign=None):
+    """The closed-loop record of :func:`cl_identify` and `adapt.adaptive_run`:
+    per reference and excitation value, `predict`, the loop's `step`, the
+    excitation added and clipped to the runtime's limits, `advance`, the
+    plant's record-scoped `measure` (one block of noise) and `adapt` of the
+    deviation from r_bar.  A `redesign` callable redesigns each estimate into
+    both runtimes, or counts it rejected on DesignError.  Returns the lists
+    (y: T + 1 measurements, y_hat, u, u_hat, saturated, eps0, eps, theta
+    flattened) and that count."""
+    ys, y_hats, us, u_hats, sats, e0s, e1s, thetas = [], [], [], [], [], [], [], []
+    rejected = 0
+    predict, adapt, step, advance = predictor.predict, predictor.adapt, runtime.step, plant.advance
+    limits = runtime.limits
+    if limits is not None:
+        lo, hi = limits
+    with _record_sensor(plant, len(reference) + 1) as measure:
+        y_abs = measure()
+        ys.append(y_abs)
+        for r, r_u in zip(reference, excitation):
+            y_pred, u_hat = predict(r_u, r - r_bar)
+            u, sat = step(y_abs, r)
+            u += r_u
+            if limits is not None:
+                clipped = u if u > lo else lo
+                clipped = clipped if clipped < hi else hi
+                sat = sat or clipped != u
+                u = clipped
+            advance(u)
+            y_abs = measure()
+            eps0, eps = adapt(y_abs - r_bar, update)
+            if redesign is not None:
+                try:
+                    runtime.controller = predictor.runtime.controller = redesign(predictor._theta)
+                except DesignError:
+                    rejected += 1
+            ys.append(y_abs)
+            y_hats.append(y_pred)
+            us.append(u)
+            u_hats.append(u_hat)
+            sats.append(sat)
+            e0s.append(eps0)
+            e1s.append(eps)
+            thetas.extend(predictor._theta)
+    return (ys, y_hats, us, u_hats, sats, e0s, e1s, thetas), rejected
+
+
 def cl_identify(
     plant,
     controller: RstController,
@@ -208,16 +264,13 @@ def cl_identify(
     operating_reference with r_u added to the controller output.  A warmup
     of that many samples settles the loop first and seeds the predictor
     histories with measured data, suppressing the initial transient of the
-    parallel predictor.
-
-    Each sample is one predict/adapt of the predictor around the real
-    loop's step, run on Python floats and sensed by the plant's
-    record-scoped sensor (the values and noise stream of one measure() per
-    sample, drawn as one block); the arrays are built once, at the end.
+    parallel predictor.  A non-finite excitation or operating reference
+    raises ValueError before the plant advances.  The samples run in
+    :func:`_record`, on Python floats; the arrays are built at the end.
     """
-    excitation = np.asarray(excitation, dtype=float)
+    excitation = _finite("excitation", excitation)
+    r_bar = _finite("operating_reference", operating_reference)
     runtime = ControllerRuntime(controller, limits=limits)
-    r_bar = float(operating_reference)
 
     y_hist = u_hist = None
     u_bar = 0.0
@@ -228,48 +281,21 @@ def cl_identify(
     predictor = ClosedLoopPredictor(
         controller, na, nb, delay, init, y_hist=y_hist, u_hist=u_hist
     )
-
-    thetas, ys, y_hats, us, u_hats, e0s, e1s, sats = [], [], [], [], [], [], [], []
-    predict, adapt, step, advance = predictor.predict, predictor.adapt, runtime.step, plant.advance
-    r_dev = r_bar - r_bar
-    limits = runtime.limits
-    if limits is not None:
-        lo, hi = limits
-    with _record_sensor(plant, len(excitation) + 1) as measure:
-        y_abs = measure()
-        for r_u in excitation.tolist():
-            ys.append(y_abs - r_bar)
-            y_pred, u_hat = predict(r_u, r_dev)
-            u, sat = step(y_abs, r_bar)
-            u += r_u
-            if limits is not None:
-                clipped = u if u > lo else lo
-                clipped = clipped if clipped < hi else hi
-                sat = sat or clipped != u
-                u = clipped
-            advance(u)
-            y_abs = measure()
-            eps0, eps = adapt(y_abs - r_bar, update)
-            y_hats.append(y_pred)
-            u_hats.append(u_hat)
-            us.append(u - u_bar)
-            sats.append(sat)
-            e0s.append(eps0)
-            e1s.append(eps)
-            thetas.extend(predictor._theta)
-
+    (y, y_hat, u, u_hat, sat, e0, e1, theta), _ = _record(
+        plant, runtime, predictor, [r_bar] * len(excitation), excitation, r_bar, update
+    )
     return CloeRun(
-        theta=np.array(thetas, dtype=float).reshape(len(excitation), na + nb),
-        y=np.array(ys, dtype=float),
-        y_hat=np.array(y_hats, dtype=float),
-        u=np.array(us, dtype=float),
-        u_hat=np.array(u_hats, dtype=float),
-        eps_apriori=np.array(e0s, dtype=float),
-        eps_aposteriori=np.array(e1s, dtype=float),
-        saturated=np.array(sats, dtype=bool),
+        theta=np.array(theta, dtype=float).reshape(-1, na + nb),
+        y=np.array(y[:-1], dtype=float) - r_bar,
+        y_hat=np.array(y_hat, dtype=float),
+        u=np.array(u, dtype=float) - u_bar,
+        u_hat=np.array(u_hat, dtype=float),
+        eps_apriori=np.array(e0, dtype=float),
+        eps_aposteriori=np.array(e1, dtype=float),
+        saturated=np.array(sat, dtype=bool),
         final_state=predictor.state,
         u_operating=u_bar,
-        y_last=y_abs,
+        y_last=y[-1],
     )
 
 

@@ -329,6 +329,14 @@ def test_plain_value_error_mid_run_is_a_run_failure(tmp_path, capsys, monkeypatc
         ("track", "track.settle=nan", "track settle must be finite"),
         ("adapt", "adapt.settle=1e308", "adapt settle must be at most"),
         ("adapt", "adapt.settle=-1", "adapt settle must be >= 0"),
+        ("adapt", "adapt.gain=nan", "adapt gain must be finite"),
+        ("adapt", "adapt.gain=inf", "adapt gain must be finite"),
+        ("adapt", "adapt.operating_reference=nan", "adapt operating_reference must be finite"),
+        ("adapt", "adapt.operating_reference=-inf", "adapt operating_reference must be finite"),
+        ("adapt", "adapt.stop_tol=nan", "adapt stop_tol must be finite"),
+        ("track", "track.levels=nan", "track levels must be finite"),
+        ("track", "track.levels=40,inf", "track levels must be finite"),
+        ("adapt", "track.levels=40,nan", "track levels must be finite"),
     ],
 )
 def test_input_checks_run_before_any_simulation(tmp_path, capsys, monkeypatch, command, override, message):
@@ -669,6 +677,18 @@ def test_run_stages_inside_out_so_its_renames_stay_on_one_filesystem(tmp_path, m
     assert main(["sweep", "--out", str(out), "--set", "sweep.u_max=5"]) == 0
     assert staged_in == [str(out)]
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["out", "report.txt", "sweep.csv"]
+
+
+def test_successful_run_removes_its_empty_staging_directory_without_rmtree(tmp_path, monkeypatch):
+    """Once every file has moved up, the staging directory is empty and one
+    rmdir removes it; rmtree is left to a failed run."""
+    def never(*args, **kwargs):
+        raise AssertionError("rmtree after a successful run")
+
+    monkeypatch.setattr(cli.shutil, "rmtree", never)
+    out = tmp_path / "out"
+    assert main(["sweep", "--out", str(out), "--set", "sweep.u_max=5"]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["report.txt", "sweep.csv"]
 
 
 def test_multi_preset_fan_out(tmp_path):

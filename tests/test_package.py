@@ -52,25 +52,30 @@ def test_every_traced_method_is_in_its_class_dict():
 
 def test_closed_loop_record_calls_through_every_counted_binding(monkeypatch):
     """Wrappers bound where a tracer binds them, when the record starts, see
-    each per-sample call of a cl_identify record: one predict, adapt,
+    each per-sample call of the closed-loop record: one predict, adapt,
     rls_step and advance per sample, and two law steps (the predictor's and
-    the loop's).  Every rls_step runs inside an adapt."""
-    from valvebench import cloe, control
-    from valvebench.adapt import ExcitationSpec, RstDesignSpec
+    the loop's), plus, in an adaptive run, one RstDesignSpec.design and
+    bezout_design.  Every rls_step runs inside an adapt, every bezout_design
+    inside a design."""
+    import numpy as np
+
+    from valvebench import adapt, cloe, control
+    from valvebench.adapt import ExcitationSpec, RstDesignSpec, adaptive_run
     from valvebench.control import PoleSpec
     from valvebench.ident import initial_adaptation_state
     from valvebench.presets import get_preset
 
     calls = {}
     active = []
+    inside = {"rls_step": "adapt", "bezout_design": "design"}
 
     def counting(name, fn):
         calls[name] = 0
 
         def wrapper(*args, **kwargs):
             calls[name] += 1
-            if name == "rls_step":
-                assert active == ["adapt"]
+            if name in inside:
+                assert active == [inside[name]]
             active.append(name)
             try:
                 return fn(*args, **kwargs)
@@ -80,16 +85,21 @@ def test_closed_loop_record_calls_through_every_counted_binding(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(cloe, "rls_step", counting("rls_step", cloe.rls_step))
-    for method in ("predict", "adapt"):
-        original = cloe.ClosedLoopPredictor.__dict__[method]
-        monkeypatch.setattr(cloe.ClosedLoopPredictor, method, counting(method, original))
-    step = control.ControllerRuntime.__dict__["step"]
-    monkeypatch.setattr(control.ControllerRuntime, "step", counting("step", step))
-    advance = plant.ValveSimulator.__dict__["advance"]
-    monkeypatch.setattr(plant.ValveSimulator, "advance", counting("advance", advance))
+    monkeypatch.setattr(adapt, "bezout_design", counting("bezout_design", adapt.bezout_design))
+    for cls, method, name in [
+        (cloe.ClosedLoopPredictor, "predict", "predict"),
+        (cloe.ClosedLoopPredictor, "adapt", "adapt"),
+        (control.ControllerRuntime, "step", "step"),
+        (plant.ValveSimulator, "advance", "advance"),
+        (plant.LinearSimulator, "advance", "advance"),
+        (RstDesignSpec, "design", "design"),
+    ]:
+        monkeypatch.setattr(cls, method, counting(name, cls.__dict__[method]))
 
     theta = [-0.9152, -0.0609]
-    controller = RstDesignSpec(PoleSpec(5.0, 1.0, 0.05)).design(theta)
+    spec = RstDesignSpec(PoleSpec(5.0, 1.0, 0.05))
+    controller, initial = spec.design(theta), spec.design([-0.6, -0.2])
+    calls.update(dict.fromkeys(calls, 0))
     run = cloe.cl_identify(
         plant.ValveSimulator(get_preset("valve0")), controller,
         ExcitationSpec(length=300).sequence(), initial_adaptation_state(2, theta0=theta),
@@ -97,5 +107,19 @@ def test_closed_loop_record_calls_through_every_counted_binding(monkeypatch):
     )
     assert len(run.y) == 300
     assert calls == {
-        "rls_step": 300, "predict": 300, "adapt": 300, "step": 600, "advance": 300
+        "rls_step": 300, "predict": 300, "adapt": 300, "step": 600, "advance": 300,
+        "bezout_design": 0, "design": 0,
+    }
+
+    calls.update(dict.fromkeys(calls, 0))
+    linear = plant.LinearSimulator(plant.DiscretePlantModel(theta[:1], theta[1:], 0, 0.05), noise_std=0.02)
+    run = adaptive_run(
+        linear, initial, spec, np.zeros(200), [-0.6, -0.2],
+        excitation=ExcitationSpec(amplitude=2.0, length=200).sequence(), settle=0.5, limits=None,
+    )
+    assert len(run.y) == 200 and run.redesigns + run.rejected == 200
+    settling = 10  # the law steps and advances of the 0.5 s settle
+    assert calls == {
+        "rls_step": 200, "predict": 200, "adapt": 200, "step": 400 + settling,
+        "advance": 200 + settling, "bezout_design": 200, "design": 200,
     }

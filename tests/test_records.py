@@ -5,11 +5,12 @@ through the plant's record-scoped sensor and build their arrays once the
 loop ends.  The oracle is the loop as it was: one `measure()` per sample on
 a plant seen through measure()/advance() only, and `track` writing its
 arrays sample by sample.  Outputs, the plant's final state and its rng state
-must agree bit for bit, also for a record that an input ends mid-way.
+must agree bit for bit, also for a record that an error ends mid-way.
 
-`cl_identify` and `adaptive_run` run each record as one loop of the
-predictor's `predict`/`adapt` around the real loop's step, and those run the
-straight-line kernels of the predictor's shape (`cloe._predictor_kernels`).
+`cl_identify` and `adaptive_run` run each record in one shared loop,
+`cloe._record`, of the predictor's `predict`/`adapt` around the real loop's
+step, and those run the straight-line kernels of the predictor's shape
+(`cloe._predictor_kernels`).
 The second set of oracles is those functions as they ran before: one
 `_loop_sample` per sample, on a predictor whose `predict`/`adapt` form the
 regressor by comprehensions and sum theta' phi through `ident._dot`, over
@@ -132,12 +133,30 @@ def test_track_ended_by_an_input_leaves_the_rng_of_the_per_sample_loop(noise, k)
     assert fast.rng.bit_generator.state == fresh.bit_generator.state
 
 
+class RecordEnded(Exception):
+    """The error that ends a record mid-way in these tests."""
+
+
+def ending_at(plant, k: int):
+    """`plant` with an advance that raises RecordEnded on its call k
+    (counting from 0, warmup or settling included), before the plant moves."""
+    advance, applied = plant.advance, []
+
+    def ending(u):
+        if len(applied) == k:
+            raise RecordEnded(f"advance call {k}")
+        applied.append(u)
+        advance(u)
+
+    plant.advance = ending
+    return plant
+
+
 def cloe_run(plant, excitation, level):
     init = initial_adaptation_state(2, gain=100.0, theta0=np.array(THETA) * 0.8)
-    limits = None if np.isnan(excitation).any() else (0.0, 100.0)
     return cl_identify(
         plant, SPEC.design(np.array(THETA)), excitation, init, 1, 1,
-        operating_reference=level, warmup=20, limits=limits,
+        operating_reference=level, warmup=20, limits=(0.0, 100.0),
     )
 
 
@@ -158,20 +177,60 @@ def test_cl_identify_matches_per_sample_loop(kind, noise, monkeypatch):
 
 @pytest.mark.parametrize("noise", [0.0, 0.2])
 def test_cl_identify_ended_by_an_input_leaves_the_rng_of_the_per_sample_loop(noise, monkeypatch):
-    """A NaN in the excitation reaches the unclipped valve at sample 30,
-    after 20 warmup measurements and 31 of the record's."""
+    """The valve's advance raises at record sample 30, after 20 warmup
+    measurements and 31 of the record's."""
     excitation = np.full(60, 1.0)
-    excitation[30] = np.nan
-    fast, slow = make_plant("valve", noise), make_plant("valve", noise)
-    with pytest.raises(ValueError, match="duty cycle must be finite"):
+    fast, slow = (ending_at(make_plant("valve", noise), 20 + 30) for _ in range(2))
+    with pytest.raises(RecordEnded):
         cloe_run(fast, excitation, 40.0)
-    with pytest.raises(ValueError, match="duty cycle must be finite"):
+    with pytest.raises(RecordEnded):
         cloe_run(per_sample(monkeypatch, slow), excitation, 40.0)
     assert plant_bits(fast) == plant_bits(slow)
     fresh = np.random.default_rng(5)
     for _ in range(20 + 31 if noise else 0):
         fresh.standard_normal()
     assert fast.rng.bit_generator.state == fresh.bit_generator.state
+
+
+def spike(value, base=1.0):
+    """50 samples of `base` with `value` at sample 20."""
+    x = np.full(50, base)
+    x[20] = value
+    return x
+
+
+def frozen_cl_identify(plant, excitation, level=40.0):
+    init = initial_adaptation_state(2, theta0=np.array(THETA))
+    return cl_identify(
+        plant, SPEC.design(np.array(THETA)), excitation, init, 1, 1,
+        operating_reference=level, warmup=10, limits=(0.0, 100.0), update=False,
+    )
+
+
+def short_adaptive_run(plant, reference, excitation):
+    return adaptive_run(
+        plant, SPEC.design(np.array(THETA)), SPEC, reference, np.array(THETA),
+        excitation=excitation, settle=0.5,
+    )
+
+
+@pytest.mark.parametrize("record, message", [
+    (lambda p: frozen_cl_identify(p, spike(np.nan)), "excitation must be finite"),
+    (lambda p: frozen_cl_identify(p, spike(-np.inf)), "excitation must be finite"),
+    (lambda p: frozen_cl_identify(p, spike(1.0), np.nan), "operating_reference must be finite"),
+    (lambda p: short_adaptive_run(p, spike(40.0, 40.0), spike(np.nan)), "excitation must be finite"),
+    (lambda p: short_adaptive_run(p, spike(np.inf, 40.0), None), "reference must be finite"),
+], ids=["cl_identify-nan", "cl_identify-inf", "cl_identify-reference", "adaptive_run-excitation",
+        "adaptive_run-reference"])
+def test_a_non_finite_input_is_rejected_before_the_plant_advances(record, message):
+    """A frozen, clamped cl_identify once clipped a NaN excitation sample to
+    the lower limit and carried NaN in y_hat for the rest of the record; a
+    NaN or inf reference or excitation now raises a ValueError naming it at
+    record entry, before warmup or settling moves the plant or its rng."""
+    plant = make_plant("valve", 0.2)
+    with pytest.raises(ValueError, match=message):
+        record(plant)
+    assert plant_bits(plant) == plant_bits(make_plant("valve", 0.2))
 
 
 def adaptive_bits(plant, level):
@@ -506,16 +565,16 @@ def test_adaptive_run_rejecting_every_redesign_matches_oracle():
 @pytest.mark.parametrize("shape", [(1, 1, 0), (2, 1, 1)], ids=["na1-nb1-d0", "na2-nb1-d1"])
 @pytest.mark.parametrize("adaptive", [False, True], ids=["cl_identify", "adaptive_run"])
 def test_record_ended_by_a_nan_input_leaves_what_the_oracle_leaves(predictors, shape, adaptive):
-    """A NaN in the excitation reaches the regressor, and the RLS update
-    rejects it mid-record: the plant, its noise stream and the predictor's
-    estimate and current prediction end where the per-sample loop leaves
-    them."""
+    """The plant's advance raises at record sample 50, after the predictor's
+    predict and the loop's step of that sample: the plant, its noise stream
+    and the predictor's estimate and current prediction end where the
+    per-sample loop leaves them."""
     plant, twin, controller, theta, theta0 = shaped_loop(shape, noise=0.2)
     na, nb, delay = shape
     exc = injection(80)
-    exc[50] = np.nan
     if adaptive:
         spec = adapt.RstDesignSpec(PoleSpec(5.0, 1.0, Ts), na=na, nb=nb, delay=delay)
+        ahead = 20  # settling samples
         runs = [
             lambda p: adapt.adaptive_run(
                 p, controller, spec, np.zeros(80), theta0, excitation=exc, settle=1.0, limits=None
@@ -526,13 +585,14 @@ def test_record_ended_by_a_nan_input_leaves_what_the_oracle_leaves(predictors, s
         ]
     else:
         init = initial_adaptation_state(na + nb, theta0=theta0)
+        ahead = 10  # warmup samples
         runs = [
             lambda p: cloe.cl_identify(p, controller, exc, init, na, nb, delay, warmup=10),
             lambda p: cl_identify_oracle(p, controller, exc, init, na, nb, delay, warmup=10),
         ]
     for run, p in zip(runs, (plant, twin)):
-        with pytest.raises(ValueError, match="phi and y_new must be finite"):
-            run(p)
+        with pytest.raises(RecordEnded):
+            run(ending_at(p, ahead + 50))
     got, want = predictors
     assert_same_plant(plant, twin)
     assert_bits(got.state._theta_list(), want.state._theta_list())
