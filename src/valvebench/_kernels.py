@@ -1,28 +1,42 @@
-"""Source of the straight-line kernels that run the per-sample arithmetic.
+"""Source of the straight-line kernels that run the per-sample arithmetic,
+and the one cache that compiles and keeps them.
 
 A kernel is Python generated for one shape (the parameter count of an RLS
 update; the orders, delay, fixed parts and target of a design; the lengths
 of S, R and T of a control law; the orders and delay of a closed-loop
-predictor's regressor; the length of a sum) and compiled once by its caller,
-which caches it: `ident._rls_kernel`, `control._design_kernel`,
-`control._pole_check_kernel`, `control._law_kernel` and
-`cloe._predictor_kernels`.  The source forms every value with the operations
-of the loop it replaces, in the same order, so each result carries the same
-bits; the loops are kept as oracles in the tests.
+predictor's regressor; the length of a sum) by a source function: one of
+this module's, or a private one of its caller that prepares the key (the
+padded target of a design, the monic target of a pole check).  Callers look
+it up with :func:`kernel`, which compiles it at its first lookup and keeps
+it.  The source forms every value with the operations of the loop it
+replaces, in the same order, so each result carries the same bits; the
+loops are kept as oracles in the tests.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from itertools import zip_longest
 
+from .errors import DivergenceError
 
-def compiled(code: list[str], name: str, **names):
-    """The function `kernel` that the source lines define, with `names`
-    and `isfinite` and `sqrt` bound for it."""
-    namespace = {"isfinite": math.isfinite, "sqrt": math.sqrt, **names}
+
+def compiled(code: list[str], name: str):
+    """The function `kernel` that the source lines define, with
+    `DivergenceError`, `isfinite` and `sqrt` bound for it."""
+    namespace = {"DivergenceError": DivergenceError, "isfinite": math.isfinite, "sqrt": math.sqrt}
     exec(compile("\n".join(code), name, "exec"), namespace)
     return namespace["kernel"]
+
+
+@functools.lru_cache(maxsize=128)
+def kernel(source, *shape):
+    """The kernel that source(*shape) defines, compiled at its first lookup
+    and kept for every later one; None where the source gives None, a shape
+    that no kernel applies to."""
+    code = source(*shape)
+    return None if code is None else compiled(code, f"<{source.__name__}{shape}>")
 
 
 def indented(lines) -> list[str]:
@@ -52,13 +66,12 @@ def rls_source(n: int) -> list[str]:
     0.5 (F_ij / lambda1 + F_ji / lambda1) when lambda2 = 0.
 
     The kernel raises ValueError for non-finite phi or y_new, and
-    DivergenceError (a name the caller binds, with the messages NOT_FINITE
-    and NOT_DEFINITE) when theta' F theta of the successor is not finite
-    (so some entry of theta or F is not; a zero denominator counts as
-    that), when F is no longer positive definite, or when lambda1 leaves
-    (0, 1].  Definiteness is Sylvester's criterion through the pivots of
-    Gaussian elimination without pivoting, the squares of F's Cholesky
-    diagonal: at n = 2, F00 > 0 and det F > 0.
+    DivergenceError, with a message that names the cause, when theta' F
+    theta of the successor is not finite (so some entry of theta or F is
+    not; a zero denominator counts as that), when F is no longer positive
+    definite, or when lambda1 leaves (0, 1].  Definiteness is Sylvester's
+    criterion through the pivots of Gaussian elimination without pivoting,
+    the squares of F's Cholesky diagonal: at n = 2, F00 > 0 and det F > 0.
     """
     idx = range(n)
     phi = [f"p{i}" for i in idx]
@@ -101,13 +114,15 @@ def rls_source(n: int) -> list[str]:
         "    except ZeroDivisionError:  # a zero denominator",
         "        finite = False",
         "    if not finite:",
-        "        raise DivergenceError(NOT_FINITE)",
+        "        raise DivergenceError("
+        '"recursive estimator diverged: parameter estimate or gain matrix F is not finite")',
     ]
     c = [row[:] for row in G]  # the names of the entries elimination works on
     for k in idx:
         code += [
             f"    if not {c[k][k]} > 0.0:",
-            "        raise DivergenceError(NOT_DEFINITE)",
+            "        raise DivergenceError("
+            '"recursive estimator diverged: gain matrix F lost positive definiteness")',
         ]
         for r in range(k + 1, n):
             code.append(f"    m = {c[r][k]} / {c[k][k]}")

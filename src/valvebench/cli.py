@@ -30,7 +30,6 @@ import numpy as np
 from .errors import ConfigError, ValveBenchError
 from .fileio import read_key_values, write_csv, write_report
 from .plant import ValveParams, _check_duration, _check_sweep_hold, _substeps
-from .presets import get_preset
 
 if TYPE_CHECKING:
     from .adapt import EvalScenario
@@ -193,6 +192,8 @@ def parse_set_args(pairs) -> list[tuple[str, str, str]]:
 
 
 def build_valve_params(plant_cfg: dict, preset: str, seed: int | None) -> ValveParams:
+    from .presets import get_preset
+
     params = get_preset(preset)
     changes = {
         f.name: plant_cfg[f.name]

@@ -22,7 +22,6 @@ duty cycle.  One sampled record, `_record`, runs this loop for
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,21 +32,6 @@ from .errors import DesignError
 from .fileio import write_csv
 from .ident import AdaptationState, rls_step
 from .plant import _record_sensor
-
-
-@functools.lru_cache(maxsize=16)
-def _predictor_kernels(na: int, nb: int, delay: int):
-    """The regressor step and the theta' phi sum of a predictor of these
-    orders and delay, as straight-line Python generated
-    (:func:`valvebench._kernels.predictor_source` and
-    :func:`valvebench._kernels.dot_source`) and compiled once per shape."""
-    return (
-        _kernels.compiled(
-            _kernels.predictor_source(na, nb, delay),
-            f"<predictor kernel na={na} nb={nb} delay={delay}>",
-        ),
-        _kernels.compiled(_kernels.dot_source(na + nb), f"<dot kernel n={na + nb}>"),
-    )
 
 
 class ClosedLoopPredictor:
@@ -66,8 +50,9 @@ class ClosedLoopPredictor:
     order, as the estimator sums it, over the estimate read as a list once
     per update, so no array of the state is built per sample.  The
     regressor and both sums run in the kernels of the predictor's shape
-    (:func:`_predictor_kernels`), resolved at construction; the law step
-    and :func:`rls_step` stay calls.
+    (:func:`valvebench._kernels.predictor_source` and
+    :func:`valvebench._kernels.dot_source`), resolved at construction; the
+    law step and :func:`rls_step` stay calls.
     """
 
     def __init__(
@@ -111,7 +96,8 @@ class ClosedLoopPredictor:
         # The controller's own output starts from the same record as u_hat.
         self.runtime._u = list(self._u)
         self._pending_phi: list[float] | None = None
-        self._regressor, self._dot = _predictor_kernels(na, nb, delay)
+        self._regressor = _kernels.kernel(_kernels.predictor_source, na, nb, delay)
+        self._dot = _kernels.kernel(_kernels.dot_source, na + nb)
 
     @property
     def state(self) -> AdaptationState:

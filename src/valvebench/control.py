@@ -19,6 +19,7 @@ from itertools import zip_longest
 import numpy as np
 
 from . import _kernels
+from ._kernels import kernel as _kernel, law_source as _law_source
 from .errors import DesignError
 from .fileio import format_float
 from .plant import DiscretePlantModel, _record_sensor
@@ -321,42 +322,16 @@ def _padded_target(n: int, pole_coeffs: tuple) -> list[float]:
     return p + [0.0] * (n - len(p))
 
 
-@functools.lru_cache(maxsize=32)
-def _design_kernel(na: int, nb: int, delay: int, hs: tuple, hr: tuple, pole_coeffs: tuple):
-    """kernel(a_coeffs, b_coeffs) -> (r_core, s_core, t, r, s) or None: the
-    whole of :func:`bezout_design` for a model of these orders and delay
-    with these fixed parts and target, as straight-line Python generated
-    and compiled once (:func:`valvebench._kernels.design_source`); None, the
-    function, where no kernel applies, a P of too high a degree among them.
-    The kernel returns None, for the general route to decide, on a trimmed
-    degree of A1, B1 or R, a zero numerator, a zero pivot, a condition
-    bound past SYLVESTER_MAX_COND, or a coefficient that is not finite."""
+def _design_source(na: int, nb: int, delay: int, hs: tuple, hr: tuple, pole_coeffs: tuple):
+    """:func:`valvebench._kernels.design_source` of this target padded to
+    the Sylvester system of these orders, delay and fixed parts; None where
+    P is of too high a degree."""
     n = na + len(hs) - 1 + delay + nb + len(hr) - 1
     try:
         p = _padded_target(n, pole_coeffs)
     except DesignError:
         return None
-    code = _kernels.design_source(na, nb, delay, hs, hr, p, SYLVESTER_MAX_COND)
-    if code is None:
-        return None
-    return _kernels.compiled(code, f"<design kernel {na}, {nb}, {delay}>")
-
-
-@functools.lru_cache(maxsize=32)
-def _pole_check_kernel(na: int, nb: int, delay: int, len_s: int, len_r: int, pole_coeffs: tuple):
-    """kernel(a_coeffs, b_coeffs, s, r) -> err or None: the error of
-    :func:`check_pole_placement` for a model of these orders and delay, a
-    controller of these lengths of S and R, and this target, as
-    straight-line Python generated and compiled once
-    (:func:`valvebench._kernels.pole_check_source`); None, the function,
-    where the target's leading coefficient is zero.  The kernel returns
-    None, for the general route to decide, on a zero leading coefficient or
-    a coefficient that is not finite."""
-    wanted = _monic_target(pole_coeffs)
-    if wanted is None:
-        return None
-    code = _kernels.pole_check_source(na, nb, delay, len_s, len_r, wanted)
-    return _kernels.compiled(code, f"<pole check kernel {na}, {nb}, {delay}>")
+    return _kernels.design_source(na, nb, delay, hs, hr, p, SYLVESTER_MAX_COND)
 
 
 def bezout_design(
@@ -375,13 +350,13 @@ def bezout_design(
     of too high a degree.
 
     Runs the design kernel of the model's orders and delay, the fixed
-    parts and the target (:func:`_design_kernel`), straight-line Python
+    parts and the target (:func:`_design_source`), straight-line Python
     compiled once per key.  The general route (:func:`_bezout_general`)
     decides every input the kernel returns None for.
     """
-    kernel = _design_kernel(
-        len(model.a_coeffs), len(model.b_coeffs), model.delay, hs.coeffs, hr.coeffs,
-        pole_poly.coeffs,
+    kernel = _kernel(
+        _design_source, len(model.a_coeffs), len(model.b_coeffs), model.delay, hs.coeffs,
+        hr.coeffs, pole_poly.coeffs,
     )
     solved = None if kernel is None else kernel(model.a_coeffs, model.b_coeffs)
     if solved is None:
@@ -475,6 +450,15 @@ def _monic_target(coeffs: tuple) -> tuple | None:
     return None if lead == 0.0 else tuple(c / lead for c in wanted)
 
 
+def _pole_check_source(na: int, nb: int, delay: int, len_s: int, len_r: int, pole_coeffs: tuple):
+    """:func:`valvebench._kernels.pole_check_source` of this target's monic
+    form; None where its leading coefficient is zero."""
+    wanted = _monic_target(pole_coeffs)
+    if wanted is None:
+        return None
+    return _kernels.pole_check_source(na, nb, delay, len_s, len_r, wanted)
+
+
 def check_pole_placement(
     model: DiscretePlantModel,
     controller: RstController,
@@ -489,8 +473,9 @@ def check_pole_placement(
     :class:`DesignError` above tol.
     """
     s, r, _ = controller._law
-    kernel = _pole_check_kernel(
-        len(model.a_coeffs), len(model.b_coeffs), model.delay, len(s), len(r), pole_poly.coeffs
+    kernel = _kernel(
+        _pole_check_source, len(model.a_coeffs), len(model.b_coeffs), model.delay, len(s), len(r),
+        pole_poly.coeffs,
     )
     err = None if kernel is None else kernel(model.a_coeffs, model.b_coeffs, s, r)
     if err is None:
@@ -589,16 +574,6 @@ def sensitivity(
 # Controller execution
 
 
-@functools.lru_cache(maxsize=32)
-def _law_kernel(len_s: int, len_r: int, len_t: int, clamped: bool):
-    """kernel(s, r, t, u_hist, y_hist, r_hist, y_t, r_t, limits) -> (u,
-    saturated): one step of an RST law with these lengths of S, R and T,
-    clamped to `limits` or not, as straight-line Python generated
-    (:func:`valvebench._kernels.law_source`) and compiled once."""
-    code = _kernels.law_source(len_s, len_r, len_t, clamped)
-    return _kernels.compiled(code, f"<law kernel {len_s}, {len_r}, {len_t}, {clamped}>")
-
-
 class ControllerRuntime:
     """Mutable execution state (u, y, r histories) around an RST law.
 
@@ -608,9 +583,10 @@ class ControllerRuntime:
     last, `depth` of them or more; the controller may be swapped for one
     whose R, S and T fit in them.
 
-    The law kernel (:func:`_law_kernel`) is resolved when `controller` or
-    `limits` is set, so a step looks nothing up.  :meth:`track` runs a
-    record on Python floats, sensed by the plant's record-scoped sensor.
+    `limits` is fixed at construction.  The law kernel
+    (:func:`valvebench._kernels.law_source`) is resolved when `controller`
+    is set, so a step looks nothing up.  :meth:`track` runs a record on
+    Python floats, sensed by the plant's record-scoped sensor.
     """
 
     def __init__(
@@ -634,16 +610,11 @@ class ControllerRuntime:
     def controller(self, controller: RstController) -> None:
         self._controller = controller
         s, r, t = self._law = controller._law
-        self._kernel = _law_kernel(len(s), len(r), len(t), self._limits is not None)
+        self._kernel = _kernel(_law_source, len(s), len(r), len(t), self._limits is not None)
 
     @property
     def limits(self) -> tuple[float, float] | None:
         return self._limits
-
-    @limits.setter
-    def limits(self, limits: tuple[float, float] | None) -> None:
-        self._limits = limits
-        self.controller = self._controller  # the kernel of the new clamping
 
     def prime(self, u: float = 0.0, y: float = 0.0, r: float = 0.0) -> None:
         """Fill histories with steady values (bumpless start at a setpoint)."""
@@ -656,9 +627,9 @@ class ControllerRuntime:
 
         No anti-windup correction is applied beyond the clamp.  The law runs
         in the kernel of the controller's lengths of S, R and T
-        (:func:`_law_kernel`), resolved when the controller or `limits` was
-        set, which appends u, y_t and r_t to the histories and drops their
-        oldest values.
+        (:func:`valvebench._kernels.law_source`), resolved when the
+        controller was set, which appends u, y_t and r_t to the histories
+        and drops their oldest values.
         """
         s, r, t = self._law
         return self._kernel(s, r, t, self._u, self._y, self._r, y_t, r_t, self._limits)

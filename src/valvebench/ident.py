@@ -16,14 +16,12 @@ forgetting-factor weightings; three profiles are supported:
 
 from __future__ import annotations
 
-import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
-from .errors import DivergenceError, IdentifiabilityError
+from ._kernels import kernel as _kernel, rls_source as _rls_source
+from .errors import IdentifiabilityError
 
 MAX_NORMAL_COND = 1e12
 
@@ -243,10 +241,10 @@ class AdaptationState:
     def _updated(self, theta: list, F: list, lambda1: float) -> "AdaptationState":
         """This state with a new estimate, gain matrix and lambda1, built
         without the constructor's validation: the update that produced them
-        (:func:`_rls_kernel`) has checked what it can break, and lambda2,
-        lambda0 and the profile are copied.  The instance dict is filled
-        directly, with the lists of theta and of F's rows, which no one
-        mutates; the arrays are built from them on first read."""
+        (:func:`valvebench._kernels.rls_source`) has checked what it can
+        break, and lambda2, lambda0 and the profile are copied.  The instance
+        dict is filled directly, with the lists of theta and of F's rows,
+        which no one mutates; the arrays are built from them on first read."""
         new = object.__new__(AdaptationState)
         new.__dict__.update(
             _theta=theta,
@@ -305,28 +303,6 @@ def _dot(x, y) -> float:
     return acc
 
 
-_NOT_FINITE = "recursive estimator diverged: parameter estimate or gain matrix F is not finite"
-_NOT_DEFINITE = "recursive estimator diverged: gain matrix F lost positive definiteness"
-
-
-@functools.lru_cache(maxsize=8)
-def _rls_kernel(n: int):
-    """kernel(theta, F, lambda1, lambda2, lambda0, profile, phi, y_new) ->
-    (theta, F, lambda1, a priori error, a posteriori error): one recursive
-    update of n parameters on Python floats, the arithmetic of
-    :func:`rls_step` and :func:`rls_run`, as straight-line Python generated
-    (:func:`valvebench._kernels.rls_source`) and compiled once; every update
-    of that dimension shares it.  Each sum is formed as :func:`_dot` forms
-    it.  Raises ValueError for non-finite phi or y_new, and
-    :class:`DivergenceError` for a successor whose estimate or F is not
-    finite, an F that is no longer positive definite, or lambda1 outside
-    (0, 1]."""
-    return _kernels.compiled(
-        _kernels.rls_source(n), f"<rls kernel n={n}>", DivergenceError=DivergenceError,
-        NOT_FINITE=_NOT_FINITE, NOT_DEFINITE=_NOT_DEFINITE,
-    )
-
-
 def rls_step(
     state: AdaptationState, phi: np.ndarray, y_new: float
 ) -> tuple[AdaptationState, float, float]:
@@ -338,14 +314,15 @@ def rls_step(
     of  F_new^-1 = lambda1 F^-1 + lambda2 phi phi'.
 
     The arithmetic runs on Python floats, in the kernel generated for the
-    dimension (:func:`_rls_kernel`) that :func:`rls_run` also calls
-    directly.  A successor's lists go to the kernel as they are; a state
-    with arrays is converted.  The successor holds the kernel's lists and is
+    dimension (:func:`valvebench._kernels.rls_source`), each sum formed as
+    :func:`_dot` forms it; :func:`rls_run` calls the same kernel directly.
+    A successor's lists go to the kernel as they are; a state with arrays
+    is converted.  The successor holds the kernel's lists and is
     built without rerunning the :class:`AdaptationState` validation, which
     the input state has passed.  A list phi, the closed-loop predictor's
     regressor, is taken as it is once its length matches; its entries must
     be real numbers.  What an update can break raises
-    :class:`DivergenceError`: a new estimate or F that is not finite, an F
+    :class:`~valvebench.errors.DivergenceError`: a new estimate or F that is not finite, an F
     that is no longer positive definite (a Cholesky pivot at or below zero),
     or lambda1 outside (0, 1].
     """
@@ -361,7 +338,7 @@ def rls_step(
         phi = phi.tolist()
     elif len(phi) != len(theta):
         raise ValueError("phi must match theta_hat")
-    theta, F, lambda1, eps0, eps = _rls_kernel(len(phi))(
+    theta, F, lambda1, eps0, eps = _kernel(_rls_source, len(phi))(
         theta, F, state.lambda1, state.lambda2, state.lambda0, state.profile, phi, float(y_new)
     )
     return state._updated(theta, F, lambda1), eps0, eps
@@ -389,7 +366,7 @@ def rls_run(u, y, na: int, nb: int, init: AdaptationState) -> RlsRun:
         raise ValueError("init state dimension must equal na + nb")
     theta, F, lam1 = init.theta_hat.tolist(), init.F.tolist(), init.lambda1
     thetas, Fs, lam1s, e0, e1 = [], [], [], [], []
-    update = _rls_kernel(n)
+    update = _kernel(_rls_source, n)
     for row, target in zip(phi.tolist(), tgt.tolist()):
         theta, F, lam1, eps0, eps = update(
             theta, F, lam1, init.lambda2, init.lambda0, init.profile, row, target

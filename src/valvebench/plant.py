@@ -735,19 +735,12 @@ class LinearSimulator:
     as one block with the stream of one :meth:`measure` per sample.
     """
 
-    def __init__(
-        self,
-        model: DiscretePlantModel,
-        noise_std: float = 0.0,
-        rng_seed: int = 0,
-        y_init: float = 0.0,
-        u_init: float = 0.0,
-    ):
+    def __init__(self, model: DiscretePlantModel, noise_std: float = 0.0, rng_seed: int = 0):
         self.model = model
         self.noise_std = noise_std
         self.rng = np.random.default_rng(rng_seed)
-        self._y = [float(y_init)] * max(1, model.na)
-        self._u = [float(u_init)] * (model.nb + model.delay)
+        self._y = [0.0] * max(1, model.na)
+        self._u = [0.0] * (model.nb + model.delay)
         self._current: float | None = None
 
     def _output(self) -> float:

@@ -14,6 +14,7 @@ from valvebench import adapt, cli, plant, spectral
 from valvebench.cli import main, parse_set_args, resolve_config
 from valvebench.errors import ConfigError, DivergenceError
 from valvebench.fileio import parse_key_values
+from valvebench.presets import get_preset
 
 import numpy as np
 import pytest
@@ -133,6 +134,18 @@ def test_a_command_loads_only_the_layers_it_runs(tmp_path, command, absent):
     assert "valvebench.plant" in loaded
     assert [m for m in loaded if m.removeprefix("valvebench.") in absent] == []
     assert "concurrent.futures" not in loaded
+
+
+def test_design_loads_no_random_generator(tmp_path):
+    """`design` simulates nothing, so it loads neither the presets nor
+    numpy.random, from which the presets draw their parameters."""
+    probe = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE, SRC, "design", str(tmp_path / "out")],
+        capture_output=True, text=True, check=True, timeout=120,
+    )
+    _, rc, loaded = json.loads(probe.stdout)
+    assert rc == 0
+    assert "numpy.random" not in loaded and "valvebench.presets" not in loaded
 
 
 def test_design_pi_report_matches_hand_formula(tmp_path):
@@ -382,7 +395,7 @@ def test_etfe_plan_rejects_exactly_the_bands_the_job_cannot_fit(excitation):
     cfg = resolve_config("etfe", [], overrides)
     exc, Ts = cfg["excitation"], cfg["plant"]["Ts"]
     prbs = cli._prbs_from_cfg(exc)
-    u, y = cli.open_loop_record(cli.get_preset("valve0"), Ts, exc, prbs)
+    u, y = cli.open_loop_record(get_preset("valve0"), Ts, exc, prbs)
     u_d, y_d = cli._analysis_window(u, y, prbs.period, exc["analyze_periods"])
     response = spectral.smooth(spectral.etfe(u_d, y_d, Ts), size=cfg["spectral"]["smooth_window"])
     f = response.frequencies

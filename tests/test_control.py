@@ -1,6 +1,5 @@
 import copy
 import dataclasses
-import functools
 import math
 import pickle
 import struct
@@ -24,12 +23,11 @@ from valvebench.control import (
     RstController,
     _closed_loop,
     _convolve,
-    _design_kernel,
-    _law_kernel,
+    _design_source,
     _model_arrays,
     _monic_target,
     _padded_target,
-    _pole_check_kernel,
+    _pole_check_source,
     _trimmed,
     bezout_design,
     check_pole_placement,
@@ -353,12 +351,12 @@ def test_law_kernel_matches_loop_oracle(monkeypatch):
     built = []
     compiled = _kernels.compiled
 
-    def counting(code, name, **names):
+    def counting(code, name):
         built.append(name)
-        return compiled(code, name, **names)
+        return compiled(code, name)
 
     monkeypatch.setattr(_kernels, "compiled", counting)
-    _law_kernel.cache_clear()
+    _kernels.kernel.cache_clear()
     rng = np.random.default_rng(11)
     ys = [0.0, 1.5, -2.0, 1e4, -1e4, 35.0, 7.0, -3e3, 0.25, math.inf, -math.inf, math.nan]
     shapes = set()
@@ -392,7 +390,7 @@ def test_law_kernel_leaves_its_polynomials_alone():
     s, r, t = [1.0, -0.5, 0.25], [2.0, -1.0], [1.0]
     law = copy.deepcopy((s, r, t))
     hists = [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, 9.0]]
-    _law_kernel(3, 2, 1, True)(s, r, t, *hists, 4.5, 5.5, (0.0, 100.0))
+    _kernels.kernel(_kernels.law_source, 3, 2, 1, True)(s, r, t, *hists, 4.5, 5.5, (0.0, 100.0))
     assert (s, r, t) == law
     assert hists[0][:2] == [2.0, 3.0]
     assert hists[1] == [5.0, 6.0, 4.5] and hists[2] == [8.0, 9.0, 5.5]
@@ -427,27 +425,29 @@ def test_runtime_track_is_measure_step_advance():
     assert plant.calls[1::2] == [("advance", uk) for uk in u]
 
 
-def test_runtime_resolves_its_kernel_when_limits_or_controller_change():
-    """The kernel is resolved per installed controller and clamping: after
-    `limits` is reassigned (to None, back, to a narrower band) or the
-    controller is swapped, every step agrees with the loop oracle reading
-    the current `limits` and controller, so no stale kernel runs."""
+def test_runtime_resolves_its_kernel_when_the_controller_changes():
+    """The kernel is resolved per installed controller: after each swap (to
+    longer S, R and T, back, and to new coefficients of the same lengths),
+    every step of a clamped and of an unclamped runtime agrees with the
+    loop oracle reading the current controller, so no stale kernel runs.
+    `limits` is fixed at construction."""
     rng = np.random.default_rng(3)
     short, long = _random_controller(rng, 2, 2, 1), _random_controller(rng, 4, 3, 2)
-    runtime = ControllerRuntime(short, limits=(0.0, 100.0), depth=4)
-    oracle = ControllerRuntime(short, limits=(0.0, 100.0), depth=4)
-    changes = [("limits", None), ("limits", (0.0, 100.0)), ("limits", (40.0, 45.0)),
-               ("controller", long), ("limits", None), ("controller", short)]
-    saturated = []
-    for attr, value in changes:
-        setattr(runtime, attr, value)
-        setattr(oracle, attr, value)
-        for y_t, r_t in rng.uniform(-300.0, 300.0, (6, 2)).tolist():
-            got = runtime.step(y_t, r_t)
-            assert _runtime_bits(runtime, got) == _runtime_bits(oracle, _runtime_step_loop(oracle, y_t, r_t))
-            saturated.append(got[1])
-        assert runtime.limits == value if attr == "limits" else runtime.controller is value
-    assert any(saturated) and not all(saturated)
+    for limits in ((0.0, 100.0), None):
+        runtime = ControllerRuntime(short, limits=limits, depth=4)
+        oracle = ControllerRuntime(short, limits=limits, depth=4)
+        saturated = []
+        for controller in (long, short, _random_controller(rng, 2, 2, 1)):
+            runtime.controller = oracle.controller = controller
+            for y_t, r_t in rng.uniform(-300.0, 300.0, (6, 2)).tolist():
+                got = runtime.step(y_t, r_t)
+                want = _runtime_step_loop(oracle, y_t, r_t)
+                assert _runtime_bits(runtime, got) == _runtime_bits(oracle, want)
+                saturated.append(got[1])
+            assert runtime.controller is controller and runtime.limits == limits
+        assert any(saturated) != (limits is None) and not all(saturated)
+        with pytest.raises(AttributeError):
+            runtime.limits = (0.0, 100.0)
 
 
 # ---------------------------------------------------------------------------
@@ -628,22 +628,20 @@ def _pole_check_band(model, ctrl, hs, hr):
     return K_COND * np.linalg.cond(M) * EPS * coeffs * norms
 
 
-@functools.lru_cache(maxsize=32)
-def _gepp_sylvester(n_a, n_b, pole_coeffs):
-    """solve(a1, b1) -> (x, bound): the Sylvester solve that the design
-    kernel inlines, compiled from _kernels.sylvester_lines for A1 of degree
+def _gepp_sylvester_source(n_a, n_b, pole_coeffs):
+    """Source of kernel(a1, b1) -> (x, bound): the Sylvester solve that the
+    design kernel inlines, from _kernels.sylvester_lines for A1 of degree
     n_a and B1 of degree n_b (B1[0] = 0) and this target.  It is Gaussian
     elimination with partial pivoting, bit for bit the kernel's, and the
     kernel's bound on cond_2(M); a zero pivot raises ZeroDivisionError."""
     p = _padded_target(n_a + n_b, pole_coeffs)
-    code = [
+    return [
         "def kernel(a, b):",
         f"    {', '.join(f'a{k}' for k in range(n_a + 1))}, = a",
         f"    _, {', '.join(f'b{k}' for k in range(1, n_b + 1))}, = b",
         *_kernels.indented(_kernels.sylvester_lines(n_a, n_b, p)),
         f"    return [{', '.join(f'x{k}' for k in range(n_a + n_b))}], bound",
     ]
-    return _kernels.compiled(code, f"<sylvester reference {n_a}x{n_b}>")
 
 
 def _kernel_bound(model, target, hs, hr):
@@ -652,7 +650,7 @@ def _kernel_bound(model, target, hs, hr):
     M, a1, b1 = _design_matrix(model, hs, hr)
     if not any(b1) or len(b1) < 2 or len(target.trimmed().coeffs) > len(M):
         return None
-    kernel = _gepp_sylvester(len(a1) - 1, len(b1) - 1, target.coeffs)
+    kernel = _kernels.kernel(_gepp_sylvester_source, len(a1) - 1, len(b1) - 1, target.coeffs)
     try:
         return kernel(a1, b1)[1]
     except ZeroDivisionError:
@@ -898,12 +896,13 @@ def test_design_edge_cases_match_oracle(monkeypatch, a, b, message):
 
 def _reference_bezout_design(model, pole_poly, hs=HS_INTEGRATOR, hr=HR_NYQUIST_ZERO):
     """The design kernel as generic Python on coefficient lists, for an
-    input the kernel answers: the solve of _gepp_sylvester, within its
-    bound, then the normalisation, R = H_R R', S = H_S S' and T = R(1)."""
+    input the kernel answers: the solve of _gepp_sylvester_source, within
+    its bound, then the normalisation, R = H_R R', S = H_S S' and T = R(1)."""
     a, b = _model_arrays(model)
     a1 = _trimmed(_convolve(a, hs.coeffs))
     b1 = _trimmed(_convolve(b, hr.coeffs))
-    sol, bound = _gepp_sylvester(len(a1) - 1, len(b1) - 1, pole_poly.coeffs)(a1, b1)
+    solve = _kernels.kernel(_gepp_sylvester_source, len(a1) - 1, len(b1) - 1, pole_poly.coeffs)
+    sol, bound = solve(a1, b1)
     assert bound <= SYLVESTER_MAX_COND
     n_b = len(b1) - 1
     s_core = [v / sol[0] for v in sol[:n_b]]
@@ -954,9 +953,9 @@ def _pole_check_bits(fn, model, ctrl, target, tol=1e-9):
 def _kernel_answers(model, target, hs, hr):
     """Whether the design kernel of this input answers it, rather than
     leaving it to the general route."""
-    kernel = _design_kernel(
-        len(model.a_coeffs), len(model.b_coeffs), model.delay, hs.coeffs, hr.coeffs,
-        target.coeffs,
+    kernel = _kernels.kernel(
+        _design_source, len(model.a_coeffs), len(model.b_coeffs), model.delay, hs.coeffs,
+        hr.coeffs, target.coeffs,
     )
     return kernel is not None and kernel(model.a_coeffs, model.b_coeffs) is not None
 
@@ -1017,7 +1016,7 @@ def test_design_kernel_runs_on_the_adaptive_redesign():
     spec = RstDesignSpec(PoleSpec(5.0, 1.0, Ts))
     model = spec.model_from([-0.9152, -0.0609])
     key = (1, 1, 0, spec.hs.coeffs, spec.hr.coeffs, spec.target.coeffs)
-    solved = _design_kernel(*key)(model.a_coeffs, model.b_coeffs)
+    solved = _kernels.kernel(_design_source, *key)(model.a_coeffs, model.b_coeffs)
     ctrl = spec.design([-0.9152, -0.0609])
     assert solved is not None
     r_core, s_core, t_gain, r, s = solved
@@ -1025,7 +1024,7 @@ def test_design_kernel_runs_on_the_adaptive_redesign():
         _hex(ctrl.r_core.coeffs), _hex(ctrl.s_core.coeffs), _hex(ctrl.t.coeffs),
         _hex(ctrl.r.coeffs), _hex(ctrl.s.coeffs),
     ]
-    err = _pole_check_kernel(1, 1, 0, 3, 3, spec.target.coeffs)(
+    err = _kernels.kernel(_pole_check_source, 1, 1, 0, 3, 3, spec.target.coeffs)(
         model.a_coeffs, model.b_coeffs, ctrl.s.coeffs, ctrl.r.coeffs
     )
     assert err == _reference_check_pole_placement(model, ctrl, spec.target)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from valvebench import _kernels
 from valvebench.errors import DivergenceError, IdentifiabilityError, ValveBenchError
 from valvebench.ident import (
     AdaptationState,
@@ -18,7 +19,6 @@ from valvebench.ident import (
     initial_adaptation_state,
     order_scan,
     _dot,
-    _rls_kernel,
     rls_run,
     rls_step,
 )
@@ -390,8 +390,8 @@ def _positive_definite_oracle(F) -> bool:
 
 def _rls_update_oracle(theta, F, lambda1, lambda2, lambda0, profile, phi, y_new):
     """The recursive update as loops over lists, each sum through _dot: the
-    bit-for-bit reference of the generated kernel (_rls_kernel), with its
-    arguments, results and errors."""
+    bit-for-bit reference of the generated kernel (_kernels.rls_source),
+    with its arguments, results and errors."""
     if not (all(map(math.isfinite, phi)) and math.isfinite(y_new)):
         raise ValueError("phi and y_new must be finite")
     try:
@@ -432,7 +432,7 @@ def _rls_update_oracle(theta, F, lambda1, lambda2, lambda0, profile, phi, y_new)
 
 def _rls_update(theta, F, *args):
     """The generated kernel of theta's dimension, called as rls_step calls it."""
-    return _rls_kernel(len(theta))(theta, F, *args)
+    return _kernels.kernel(_kernels.rls_source, len(theta))(theta, F, *args)
 
 
 def _assert_update_agrees(got, want, state, phi, y_new):
@@ -665,22 +665,8 @@ def test_rls_kernel_matches_loop_oracle(n, profile, kind, seed):
         lambda0 = -1.0
     lambda2 = 0.0 if profile == "constant-gain" else 1.0
     args = (theta.tolist(), F.tolist(), lambda1, lambda2, lambda0, profile, phi.tolist(), y_new)
-    assert _update_outcome(_rls_kernel(n), *args) == _update_outcome(_rls_update_oracle, *args)
-
-
-def test_rls_kernel_is_built_once_per_dimension():
-    """rls_step and rls_run share one compiled kernel per dimension: a
-    second update of the same n reuses it."""
-    state = initial_adaptation_state(5)
-    phi = [0.1, -0.2, 0.3, 0.4, -0.5]
-    state, _, _ = rls_step(state, phi, 1.0)
-    kernel = _rls_kernel(5)
-    misses = _rls_kernel.cache_info().misses
-    rls_step(state, phi, 2.0)
-    u, y = _record(3, 40, "random")
-    rls_run(u, y, 2, 3, initial_adaptation_state(5))
-    assert _rls_kernel.cache_info().misses == misses
-    assert _rls_kernel(5) is kernel
+    kernel = _kernels.kernel(_kernels.rls_source, n)
+    assert _update_outcome(kernel, *args) == _update_outcome(_rls_update_oracle, *args)
 
 
 def _successor(n=3, seed=4):
@@ -689,8 +675,10 @@ def _successor(n=3, seed=4):
     state = initial_adaptation_state(n, gain=50.0, profile="variable-forgetting",
                                      theta0=rng.standard_normal(n))
     phi, y_new = rng.uniform(-3, 3, n).tolist(), float(rng.uniform(-3, 3))
-    out = _rls_kernel(n)(state.theta_hat.tolist(), state.F.tolist(), state.lambda1,
-                         state.lambda2, state.lambda0, state.profile, phi, y_new)
+    out = _kernels.kernel(_kernels.rls_source, n)(
+        state.theta_hat.tolist(), state.F.tolist(), state.lambda1, state.lambda2, state.lambda0,
+        state.profile, phi, y_new,
+    )
     new, _, _ = rls_step(state, phi, y_new)
     return new, out
 

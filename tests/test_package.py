@@ -1,7 +1,10 @@
 """The package namespace: each exported name is looked up in its module,
-and the bindings a tracer wraps are the ones the package calls."""
+the bindings a tracer wraps are the ones the package calls, and every
+generated kernel is compiled once per shape."""
 
 import importlib.util
+import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -123,3 +126,68 @@ def test_closed_loop_record_calls_through_every_counted_binding(monkeypatch):
         "rls_step": 200, "predict": 200, "adapt": 200, "step": 400 + settling,
         "advance": 200 + settling, "bezout_design": 200, "design": 200,
     }
+
+
+# A fresh interpreter that imports every module of the package with
+# `_kernels.compiled` counting, then prints what it compiled and what the
+# kernel cache holds; argv: src dir.
+IMPORT_PROBE = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from valvebench import _kernels
+built, compiled = [], _kernels.compiled
+_kernels.compiled = lambda code, name: built.append(name) or compiled(code, name)
+for name in ("plant", "signals", "spectral", "ident", "control", "cloe", "adapt", "fileio",
+             "presets", "cli"):
+    __import__(f"valvebench.{name}")
+print(json.dumps([built, _kernels.kernel.cache_info().currsize]))
+"""
+
+
+def test_each_kernel_is_compiled_once_per_shape(monkeypatch):
+    """Importing the layer modules compiles nothing.  Each (source, shape)
+    pair is compiled once, at its first lookup, across rls_step and
+    rls_run, bezout_design, check_pole_placement, a clamped and an
+    unclamped runtime and the predictor: a second round of the same calls
+    compiles nothing."""
+    import numpy as np
+
+    from valvebench import _kernels, cloe, control, ident
+    from valvebench.adapt import RstDesignSpec
+    from valvebench.control import PoleSpec
+
+    probe = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE, str(ROOT / "src")],
+        capture_output=True, text=True, check=True, timeout=120,
+    )
+    assert json.loads(probe.stdout) == [[], 0]
+
+    built, compiled = [], _kernels.compiled
+
+    def counting(code, name):
+        built.append(name)
+        return compiled(code, name)
+
+    monkeypatch.setattr(_kernels, "compiled", counting)
+    _kernels.kernel.cache_clear()
+    spec = RstDesignSpec(PoleSpec(5.0, 1.0, 0.05))
+    model = spec.model_from([-0.9152, -0.0609])
+    u, y = np.sin(0.3 * np.arange(40)), np.cos(0.2 * np.arange(40))
+    rounds = []
+    for _ in range(2):
+        state = ident.initial_adaptation_state(2)
+        ident.rls_step(state, [0.1, -0.2], 1.0)
+        ident.rls_run(u, y, 1, 1, state)
+        controller = control.bezout_design(model, spec.target, spec.hs, spec.hr)
+        control.check_pole_placement(model, controller, spec.target)
+        control.ControllerRuntime(controller, limits=(0.0, 100.0)).step(1.0, 2.0)
+        predictor = cloe.ClosedLoopPredictor(controller, 1, 1, 0, state)
+        predictor.predict(0.5)
+        predictor.adapt(1.0)
+        rounds.append(list(built))
+    assert rounds[0] == rounds[1] == built
+    assert len(built) == len(set(built))
+    assert sorted(name[1:name.index("(")] for name in built) == [
+        "_design_source", "_pole_check_source", "dot_source", "law_source", "law_source",
+        "predictor_source", "rls_source",
+    ]

@@ -10,13 +10,14 @@ must agree bit for bit, also for a record that an error ends mid-way.
 `cl_identify` and `adaptive_run` run each record in one shared loop,
 `cloe._record`, of the predictor's `predict`/`adapt` around the real loop's
 step, and those run the straight-line kernels of the predictor's shape
-(`cloe._predictor_kernels`).
+(`_kernels.predictor_source` and `_kernels.dot_source`).
 The second set of oracles is those functions as they ran before: one
 `_loop_sample` per sample, on a predictor whose `predict`/`adapt` form the
 regressor by comprehensions and sum theta' phi through `ident._dot`, over
 predictor shapes, noise, clamping, frozen estimates and rejected redesigns.
 A record that an exception ends must leave the plant, its noise stream and
-the predictor's estimate where that oracle leaves them.
+the predictor's estimate where that oracle leaves them, and the noise
+stream where one draw per measurement leaves a fresh generator.
 """
 
 import dataclasses
@@ -568,7 +569,8 @@ def test_record_ended_by_a_nan_input_leaves_what_the_oracle_leaves(predictors, s
     """The plant's advance raises at record sample 50, after the predictor's
     predict and the loop's step of that sample: the plant, its noise stream
     and the predictor's estimate and current prediction end where the
-    per-sample loop leaves them."""
+    per-sample loop leaves them, and the noise stream where one draw per
+    measurement leaves a fresh generator."""
     plant, twin, controller, theta, theta0 = shaped_loop(shape, noise=0.2)
     na, nb, delay = shape
     exc = injection(80)
@@ -595,6 +597,10 @@ def test_record_ended_by_a_nan_input_leaves_what_the_oracle_leaves(predictors, s
             run(ending_at(p, ahead + 50))
     got, want = predictors
     assert_same_plant(plant, twin)
+    fresh = np.random.default_rng(3)  # the seed of shaped_loop
+    for _ in range(ahead + 51):  # the measurements before the record and of its 51 samples
+        fresh.standard_normal()
+    assert plant.rng.bit_generator.state == fresh.bit_generator.state
     assert_bits(got.state._theta_list(), want.state._theta_list())
     assert_bits(got._y_current, want._y_current)
     assert_bits(got._u, want._u)
