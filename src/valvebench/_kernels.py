@@ -11,6 +11,19 @@ it up with :func:`kernel`, which compiles it at its first lookup and keeps
 it.  The source forms every value with the operations of the loop it
 replaces, in the same order, so each result carries the same bits; the
 loops are kept as oracles in the tests.
+
+A magnitude that only feeds a comparison (a trim guard, a pivot choice, the
+pole check's tolerance and branch tests) is formed with no builtin call, as
+``(x if x >= 0.0 else -x)`` (:func:`magnitude`), and a test |x| > k max_i
+|e_i| is made as the conjunction of the tests |x| > k |e_i|.  Both are
+exact.  The two forms of |x| differ only on -0.0, and a comparison treats
+-0.0 as 0.0.  For k > 0 the rounding of k e is monotone in e, so k max_i
+|e_i| rounds to the largest of the rounded k |e_i|.  Each kernel tests its
+values for NaN before any such comparison, and that test must stay first:
+on a NaN, max depends on the order of its arguments and the conjunction
+does not.  A value that a kernel returns, such as the error of a pole
+check, keeps abs and max, and so does the condition bound, whose |det M|
+is divided before anything is compared.
 """
 
 from __future__ import annotations
@@ -199,7 +212,7 @@ def sylvester_lines(n_a: int, n_b: int, p: list) -> list[str]:
             names_k = [f"m{k}_{j}" for j in cols] + [f"v{k}"]
             names_r = [f"m{r}_{j}" for j in cols] + [f"v{r}"]
             code.append(
-                f"if abs(m{r}_{k}) > abs(m{k}_{k}): "
+                f"if {magnitude(f'm{r}_{k}')} > {magnitude(f'm{k}_{k}')}: "
                 f"{', '.join(names_k + names_r)} = {', '.join(names_r + names_k)}"
             )
         for r in rows:
@@ -274,22 +287,35 @@ def named(prefix: str, entries: list, code: list[str]) -> list:
     return names
 
 
-def scale_source(entries: list) -> str:
-    """Source text of the largest magnitude among the entries, with the
-    nonzero constants folded into one literal; at least one is a name."""
-    scale = [f"abs({e})" for e in entries if isinstance(e, str)]
-    consts = [abs(e) for e in entries if isinstance(e, float) and e]
-    if consts:
-        scale.append(repr(max(consts)))
-    return scale[0] if len(scale) == 1 else f"max({', '.join(scale)})"
+def magnitude(entry) -> str:
+    """Source text of |entry| for a comparison: a literal for a float
+    constant, else the name's magnitude with no builtin call (-0.0 stays
+    -0.0, which compares as 0.0)."""
+    if isinstance(entry, float):
+        return repr(abs(entry))
+    return f"({entry} if {entry} >= 0.0 else -{entry})"
 
 
 def untrimmed_source(entries: list, rel_tol: float):
     """Whether ``control._trimmed`` at rel_tol keeps every one of these finite
-    entries: a bool when all are constants, else a source condition."""
+    entries: a bool when all are constants, else a source condition.
+
+    The trim keeps them when |last| > rel_tol max_i |e_i|.  The condition
+    tests |last| > rel_tol |e_i| for each other named entry, and |last|
+    against rel_tol times the largest nonzero constant, a product formed
+    here with the kernel's rounding.  For 0 < rel_tol < 1 the last entry's
+    own term holds for every nonzero value, and a zero value fails every
+    other term, so that term is left out; where it would be the only one,
+    the condition is last != 0.0."""
     if not any(isinstance(e, str) for e in entries):
         return abs(entries[-1]) > rel_tol * max(map(abs, entries))
-    return f"abs({src(entries[-1])}) > {rel_tol!r} * {scale_source(entries)}"
+    *others, last = entries
+    lhs = magnitude(last)
+    terms = [f"{lhs} > {rel_tol!r} * {magnitude(e)}" for e in others if isinstance(e, str)]
+    consts = [abs(e) for e in entries if isinstance(e, float) and e]
+    if consts:
+        terms.append(f"{lhs} > {rel_tol * max(consts)!r}")
+    return " and ".join(terms) if terms else f"{last} != 0.0"
 
 
 def guards(conditions) -> list[str]:
@@ -400,7 +426,21 @@ def pole_check_source(na: int, nb: int, delay: int, len_s: int, len_r: int, want
             closed.append(f"({x}) + ({y})")
     closed = named("c", closed, body)  # c0 = s0 is a name
     body += guards([finite_source(closed), f"{closed[0]} != 0.0"])
-    body.append(f"tol = 1e-09 * {scale_source(closed)}")
+    # |c_k| bound to e<k> (a literal for a constant); tol is 1e-9 times their
+    # running maximum, started from the largest nonzero constant
+    mags = []
+    for k, c in enumerate(closed):
+        if isinstance(c, float):
+            mags.append(magnitude(c))
+        else:
+            body.append(f"e{k} = {magnitude(c)}")
+            mags.append(f"e{k}")
+    running = [m for m, c in zip(mags, closed) if isinstance(c, str)]
+    consts = [abs(c) for c in closed if isinstance(c, float) and c]
+    body.append(f"scale = {max(consts)!r}" if consts else f"scale = {running.pop(0)}")
+    for e in running:
+        body += [f"if {e} > scale:", f"    scale = {e}"]
+    body.append("tol = 1e-09 * scale")
     # One return per length that the trim at 1e-9 may leave, longest first.
     for keep in range(len(closed), 0, -1):
         achieved = closed[:keep]
@@ -410,7 +450,7 @@ def pole_check_source(na: int, nb: int, delay: int, len_s: int, len_r: int, want
         ]
         err = errors[0] if len(errors) == 1 else f"max({', '.join(errors)})"
         if keep > 1:
-            body.append(f"if abs({src(achieved[-1])}) > tol:")
+            body.append(f"if {mags[keep - 1]} > tol:")
         body.append(f"{'    ' * (keep > 1)}return {err}")
     return ["def kernel(ma, mb, s, r):", *indented(body)]
 

@@ -14,6 +14,7 @@ default because it is what the evaluation protocol measures.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -97,21 +98,26 @@ class RstDesignSpec:
 
     def model_from(self, theta) -> DiscretePlantModel:
         """The model of an estimate [a1..a_na, b1..b_nb], as the constructor
-        builds it; the orders and delay were checked with the spec, so only
-        the check that depends on theta runs (finite coefficients).  Each
-        entry is converted with float."""
-        theta = list(map(float, theta))
+        builds it, each entry converted with float.  The orders and delay
+        were checked with the spec, so only the check that depends on theta
+        runs (finite coefficients), and the instance dict is filled
+        directly."""
+        theta = tuple(map(float, theta))
         na = self.na
         if len(theta) != na + self.nb:
             raise ValueError("theta length must equal na + nb")
-        return DiscretePlantModel._of_checked_orders(
-            tuple(theta[:na]), tuple(theta[na:]), self.delay, self.pole.Ts
+        if not all(map(math.isfinite, theta)):
+            raise ValueError("coefficients must be finite")
+        model = object.__new__(DiscretePlantModel)
+        model.__dict__.update(
+            a_coeffs=theta[:na], b_coeffs=theta[na:], delay=self.delay, Ts=self.pole.Ts
         )
+        return model
 
     def design(self, theta) -> RstController:
         """Pole placement on the given estimate, verified before returning."""
         model = self.model_from(theta)
-        controller = bezout_design(model, self.target, hs=self.hs, hr=self.hr)
+        controller = bezout_design(model, self.target, self.hs, self.hr)
         check_pole_placement(model, controller, self.target)
         return controller
 

@@ -37,6 +37,10 @@ if TYPE_CHECKING:
 
 _INT_PLANT_FIELDS = ("adc_bits", "pwm_levels", "rng_seed")
 
+# The most samples a tracking reference (levels x hold / Ts) may hold; the
+# shipped configs hold 300.  Checked before the reference is built.
+MAX_REFERENCE_SAMPLES = 10**6
+
 
 def _plant_keys():
     keys = {"preset": ("strs", ["valve0"]), "Ts": ("float", 0.05)}
@@ -459,13 +463,20 @@ def run_design(cfg, spec, theta, controller, out_dir, preset, params):
 
 
 def _scenario_from_cfg(tr: dict, Ts: float) -> tuple[EvalScenario, np.ndarray]:
-    """The evaluation staircase and its reference, with skip checked against
-    the reference length before any closed loop runs."""
+    """The evaluation staircase and its reference, with its length checked
+    against MAX_REFERENCE_SAMPLES before it is built and skip checked against
+    that length before any closed loop runs."""
     from .adapt import EvalScenario
 
     _check_duration("track hold", tr["hold"], Ts)
     if not np.isfinite(tr["levels"]).all():
         raise ConfigError("track levels must be finite")
+    n = len(tr["levels"]) * round(tr["hold"] / Ts)
+    if n > MAX_REFERENCE_SAMPLES:
+        raise ConfigError(
+            f"track reference of {n} samples (levels x hold / Ts) exceeds the cap of "
+            f"{MAX_REFERENCE_SAMPLES}"
+        )
     scenario = EvalScenario(levels=tuple(tr["levels"]), hold=tr["hold"], skip=tr["skip"])
     reference = scenario.reference(Ts)
     if not 0 <= scenario.skip < len(reference):

@@ -255,23 +255,22 @@ class RstController:
     def _solved(cls, r_core, s_core, t_gain, r, s, Ts, hr, hs) -> "RstController":
         """The controller of a solved design, whose R = H_R R' and
         S = H_S S' are already formed by :func:`_convolve` as the constructor
-        forms them.  The constructor's checks on values run here
+        forms them; they are stored as tuples.  The constructor's checks on values run here
         (coefficients finite, s0 = 1); Ts is a validated model's.  The
         instance dicts are filled directly."""
         if not all(map(math.isfinite, (*r_core, *s_core, t_gain, *r, *s))):
             raise ValueError("coefficients must be finite")
         if abs(s[0] - 1.0) > 1e-9:
             raise ValueError("S must be normalized with s0 = 1")
-        return cls._of_parts(r_core, s_core, t_gain, r, s, Ts, hr, hs)
+        return cls._of_parts(r_core, s_core, t_gain, tuple(r), tuple(s), Ts, hr, hs)
 
     @classmethod
     def _of_parts(cls, r_core, s_core, t_gain, r, s, Ts, hr, hs) -> "RstController":
         """The controller of checked parts, as :meth:`_solved` builds it: the
-        law and the cores are stored, the polynomials built on first read."""
+        law, whose R and S are tuples of floats, and the cores are stored
+        as given, the polynomials built on first read."""
         ctrl = object.__new__(cls)
-        ctrl.__dict__.update(
-            _law=(tuple(s), tuple(r), (t_gain,)), _cores=(r_core, s_core), Ts=Ts, hr=hr, hs=hs
-        )
+        ctrl.__dict__.update(_law=(s, r, (t_gain,)), _cores=(r_core, s_core), Ts=Ts, hr=hr, hs=hs)
         return ctrl
 
     def r_on_circle(self, omegas, Ts=None) -> np.ndarray:

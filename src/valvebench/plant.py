@@ -138,6 +138,20 @@ class ValveParams:
             raise ValueError("pwm_levels must be <= 2**53 + 1: a double holds no finer PWM code")
         if self.output_noise_std < 0:
             raise ValueError("output_noise_std must be >= 0")
+        if not math.isfinite(self.time_constant):
+            raise ValueError("time constant viscous_coeff / spring_stiffness must be finite")
+        # The kinetic targets of the drive law (ValveSimulator._law_of) are
+        # monotone in the duty cycle, clamped to [0, 100], so they are finite
+        # for every input where they are at both ends.
+        k, rest = self.spring_stiffness, self.spring_rest_angle
+        for u in (0.0, 100.0):
+            drive = self.motor_gain * u
+            targets = rest - (drive + self.coulomb_open) / k, rest - (drive - self.coulomb_close) / k
+            if not all(map(math.isfinite, targets)):
+                raise ValueError(
+                    f"kinetic targets at duty cycle {u:g} must be finite: motor_gain, the "
+                    "coulomb levels and spring_stiffness overflow the drive law"
+                )
 
     @property
     def time_constant(self) -> float:
@@ -672,18 +686,6 @@ class DiscretePlantModel:
         vals = self.a_coeffs + self.b_coeffs
         if not all(map(math.isfinite, vals)):
             raise ValueError("coefficients must be finite")
-
-    @classmethod
-    def _of_checked_orders(cls, a_coeffs: tuple, b_coeffs: tuple, delay: int, Ts: float):
-        """The model the constructor builds from tuples of floats whose
-        orders, delay and Ts are known to pass its checks (an adaptive
-        redesign's spec checks them once): only the finiteness check runs,
-        and the instance dict is filled directly."""
-        if not all(map(math.isfinite, a_coeffs + b_coeffs)):
-            raise ValueError("coefficients must be finite")
-        model = object.__new__(cls)
-        model.__dict__.update(a_coeffs=a_coeffs, b_coeffs=b_coeffs, delay=delay, Ts=Ts)
-        return model
 
     @property
     def na(self) -> int:

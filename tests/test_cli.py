@@ -327,6 +327,11 @@ def test_plain_value_error_mid_run_is_a_run_failure(tmp_path, capsys, monkeypatc
         ("sweep", "plant.spring_stiffness=inf", "spring_stiffness must be finite"),
         ("sweep", "plant.coulomb_open=nan", "coulomb_open must be finite"),
         ("track", "plant.motor_gain=nan", "motor_gain must be finite"),
+        ("sweep", "plant.spring_stiffness=1e-307", "kinetic targets at duty cycle 100 must be finite"),
+        ("sweep", "plant.motor_gain=1e308", "kinetic targets at duty cycle 100 must be finite"),
+        ("track", "plant.spring_stiffness=1e-307", "kinetic targets at duty cycle 100 must be finite"),
+        ("sweep", "plant.viscous_coeff=1e308 plant.spring_stiffness=1e-10",
+         "time constant viscous_coeff / spring_stiffness must be finite"),
         ("sweep", "plant.rng_seed=-1", "rng_seed must be >= 0"),
         ("sweep", "plant.adc_bits=2000", "adc_bits must be <= 53"),
         ("sweep", "plant.pwm_levels=1000000000000000000000000000000", "pwm_levels must be <= 2**53 + 1"),
@@ -368,6 +373,31 @@ def test_input_checks_run_before_any_simulation(tmp_path, capsys, monkeypatch, c
     err = capsys.readouterr().err
     assert err.startswith(f"valvebench {command}: ") and message in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["track", "adapt"])
+def test_a_reference_past_the_cap_is_rejected_before_it_is_built(tmp_path, capsys, monkeypatch, command):
+    """A hold of 1e7 s makes a reference of 1e9 samples: the plan rejects it
+    from its length, exit 2 with nothing written, and never builds it."""
+    def never(*args, **kwargs):
+        raise AssertionError("the reference was built before its length was checked")
+
+    monkeypatch.setattr(adapt, "step_sequence", never)
+    out = tmp_path / "out"
+    assert main([command, "--out", str(out), "--set", "track.hold=1e7"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"valvebench {command}: track reference of 1000000000 samples")
+    assert not out.exists()
+
+
+def test_a_reference_at_the_cap_is_built():
+    """The cap is on levels x hold / Ts: a reference of exactly
+    MAX_REFERENCE_SAMPLES samples is built, one more is rejected."""
+    track = {"levels": [40.0] * 5, "hold": 10000.0, "skip": 10}
+    _, reference = cli._scenario_from_cfg(track, 0.05)
+    assert len(reference) == cli.MAX_REFERENCE_SAMPLES
+    with pytest.raises(ConfigError, match="track reference of 1000200 samples"):
+        cli._scenario_from_cfg({**track, "levels": [40.0] * 5001, "hold": 10.0}, 0.05)
 
 
 @pytest.mark.parametrize(

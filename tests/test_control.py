@@ -974,12 +974,19 @@ def _assert_design_bits_match_reference(model, target, hs, hr):
     if isinstance(got, tuple):
         return got
     ctrl = bezout_design(model, target, hs=hs, hr=hr)
+    _assert_pole_check_bits_match_reference(model, ctrl, target)
+    return got
+
+
+def _assert_pole_check_bits_match_reference(model, ctrl, target):
+    """check_pole_placement gives its reference's bits, against the target
+    and a shorter one, at the default tolerance and at none: the same error
+    value, or the same error."""
     for wanted in (target, DelayPolynomial(target.coeffs[:2])):
         for tol in (1e-9, math.inf):
             assert _pole_check_bits(check_pole_placement, model, ctrl, wanted, tol) == (
                 _pole_check_bits(_reference_check_pole_placement, model, ctrl, wanted, tol)
             )
-    return got
 
 
 FIXED_PARTS = [ONE, HS_INTEGRATOR, HR_NYQUIST_ZERO]
@@ -1030,37 +1037,134 @@ def test_design_kernel_runs_on_the_adaptive_redesign():
     assert err == _reference_check_pole_placement(model, ctrl, spec.target)
 
 
+trim_values = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-12, 1.0, -1.0, 1e300, -1e300]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    values=st.lists(trim_values, min_size=1, max_size=5),
+    constant=st.lists(st.booleans(), min_size=5, max_size=5),
+)
+def test_untrimmed_condition_is_the_trim_test(values, constant):
+    """The trim guard a kernel evaluates, with each finite entry a name or a
+    constant, holds exactly where |last| > 1e-12 max |e|, the test by which
+    control._trimmed keeps every entry: at signed zeros, ties, subnormal and
+    1e300-scale values."""
+    entries = [v if c else f"e{k}" for k, (v, c) in enumerate(zip(values, constant))]
+    held = _kernels.untrimmed_source(entries, 1e-12)
+    if isinstance(held, str):
+        held = eval(held, {f"e{k}": v for k, v in enumerate(values)})
+    assert held == (abs(values[-1]) > 1e-12 * max(map(abs, values)))
+
+
+def _gepp_loop(a1, b1, p):
+    """x of M x = p for the Sylvester matrix M of A1 and B1 (B1[0] = 0), as
+    plain loops over every entry: x_0 = p_0 / A1[0] from row 0, then
+    Gaussian elimination with partial pivoting on rows and columns 1..n-1,
+    in which row r takes the place of the pivot row k only where |m[r][k]|
+    exceeds |m[k][k]|, so that the first of the largest magnitudes wins a
+    tie.  It is the kernel's solve, with the operations on zero entries
+    that the kernel leaves out."""
+    n_a, n_b = len(a1) - 1, len(b1) - 1
+    n = n_a + n_b
+    M = [[0.0] * n for _ in range(n)]
+    for j in range(n_b):
+        for i, c in enumerate(a1):
+            M[i + j][j] = c
+    for j in range(n_a):
+        for i, c in enumerate(b1):
+            M[i + j][n_b + j] = c
+    x0 = p[0] / M[0][0]
+    m = [row[1:] for row in M[1:]]
+    v = [p[i] - M[i][0] * x0 for i in range(1, n)]
+    for k in range(n - 1):
+        for r in range(k + 1, n - 1):
+            if abs(m[r][k]) > abs(m[k][k]):
+                m[k], m[r], v[k], v[r] = m[r], m[k], v[r], v[k]
+        for r in range(k + 1, n - 1):
+            q = m[r][k] / m[k][k]
+            for j in range(k + 1, n - 1):
+                m[r][j] -= q * m[k][j]
+            v[r] -= q * v[k]
+    x = [0.0] * (n - 1)
+    for k in reversed(range(n - 1)):
+        acc = v[k]
+        for j in range(k + 1, n - 1):
+            acc -= m[k][j] * x[j]
+        x[k] = acc / m[k][k]
+    return [x0, *x]
+
+
+P2 = desired_poles(PoleSpec(5.0, 1.0, Ts)).coeffs[2]
+
+
 @pytest.mark.parametrize(
-    "a, b, delay, hs, hr, aux, message",
+    "a, b, delay, hs, hr, aux, general, message",
     [
         # a_2 at 1e-14 of A1: A1 trims a degree
-        ((-0.9, 1e-14), (0.5, 0.1), 0, HS_INTEGRATOR, HR_NYQUIST_ZERO, None, None),
+        ((-0.9, 1e-14), (0.5, 0.1), 0, HS_INTEGRATOR, HR_NYQUIST_ZERO, None, True, None),
         # b_2 at 1e-14 of B1: B1 trims a degree
-        ((-0.9,), (0.5, 1e-14), 0, HS_INTEGRATOR, HR_NYQUIST_ZERO, None, None),
+        ((-0.9,), (0.5, 1e-14), 0, HS_INTEGRATOR, HR_NYQUIST_ZERO, None, True, None),
         # a_2 = 0: A1 drops a degree
-        ((-0.9, 0.0), (0.5, 0.1), 0, HS_INTEGRATOR, HR_NYQUIST_ZERO, None, None),
-        ((-0.9,), (0.0,), 1, HS_INTEGRATOR, HR_NYQUIST_ZERO, None, "plant numerator is zero"),
-        ((NEAR_COMMON,), (0.5,), 0, HS_INTEGRATOR, HR_NYQUIST_ZERO, None, "pole placement error"),
-        ((1.0,), (0.5,), 0, HS_INTEGRATOR, HR_NYQUIST_ZERO, None, "common factor"),
+        ((-0.9, 0.0), (0.5, 0.1), 0, HS_INTEGRATOR, HR_NYQUIST_ZERO, None, True, None),
+        ((-0.9,), (0.0,), 1, HS_INTEGRATOR, HR_NYQUIST_ZERO, None, True, "plant numerator is zero"),
+        ((NEAR_COMMON,), (0.5,), 0, HS_INTEGRATOR, HR_NYQUIST_ZERO, None, True,
+         "pole placement error"),
+        ((1.0,), (0.5,), 0, HS_INTEGRATOR, HR_NYQUIST_ZERO, None, True, "common factor"),
         # B1 = q^-1 (b_1 + b_2) (1 + q^-1) overflows
-        ((-0.9,), (1e308, 1e308), 0, ONE, HR_NYQUIST_ZERO, None, "coefficients must be finite"),
+        ((-0.9,), (1e308, 1e308), 0, ONE, HR_NYQUIST_ZERO, None, True,
+         "coefficients must be finite"),
         # an auxiliary of degree 2 makes P of degree 4, past the 3 the system solves
-        ((-0.9,), (0.5,), 0, HS_INTEGRATOR, HR_NYQUIST_ZERO, (1.0, -0.5, 0.06),
+        ((-0.9,), (0.5,), 0, HS_INTEGRATOR, HR_NYQUIST_ZERO, (1.0, -0.5, 0.06), True,
          "exceeds solvable degree"),
-        ((-0.9,), (0.5,), 0, DelayPolynomial((2.0, -2.0)), ONE, None, "s0 = 1"),
+        ((-0.9,), (0.5,), 0, DelayPolynomial((2.0, -2.0)), ONE, None, True, "s0 = 1"),
+        # a_2 = -0.0: A1 drops a degree on a signed zero
+        ((-0.9, -0.0), (0.5, 0.1), 0, HS_INTEGRATOR, HR_NYQUIST_ZERO, None, True, None),
+        # a_1 = -p_2 makes r'_1 zero in exact arithmetic: R's trailing term is
+        # rounding residue, which the trim drops
+        ((-P2,), (0.5,), 0, HS_INTEGRATOR, ONE, None, True, None),
+        # |a_1| = |a_2|, the trim's largest magnitude twice
+        ((-0.5, 0.5), (0.5,), 0, ONE, HR_NYQUIST_ZERO, None, False, None),
+        # A1 = 1 - 0.5 q^-1 + 0 q^-2 - 0.5 q^-3 and B1 = q^-1 (0.5 + q^-1 + 0.5 q^-2):
+        # each trailing magnitude ties an earlier one
+        ((0.5, 0.5), (0.5, 0.5), 0, HS_INTEGRATOR, HR_NYQUIST_ZERO, None, False, None),
+        # |m[2][1]| = |m[1][1]| = 1 > |m[3][1]|: the first row stays the
+        # pivot (taking the second moves bits of R' and S')
+        ((-1.0, 0.3), (0.37, 0.2), 0, ONE, HR_NYQUIST_ZERO, None, False, None),
+        # subnormal coefficients: the trailing a_2 trims, a subnormal B1
+        # leaves a numerically singular M
+        ((-0.9, 5e-324), (0.5,), 0, HS_INTEGRATOR, HR_NYQUIST_ZERO, None, True, None),
+        ((-0.9,), (5e-324,), 0, HS_INTEGRATOR, HR_NYQUIST_ZERO, None, True, "common factor"),
+        # 1e300-scale coefficients: finite, with a condition bound that overflows
+        ((-0.9,), (1e300,), 0, HS_INTEGRATOR, HR_NYQUIST_ZERO, None, True, "common factor"),
+        ((1e300,), (0.5,), 0, HS_INTEGRATOR, HR_NYQUIST_ZERO, None, True, "common factor"),
     ],
     ids=["trimmed-a1", "trimmed-b1", "a2-zero", "zero-numerator", "near-common-factor",
-         "common-factor", "non-finite", "p-too-high", "s0-not-one"],
+         "common-factor", "non-finite", "p-too-high", "s0-not-one", "a2-minus-zero",
+         "r-trailing-residue", "a-magnitude-tie", "a1-and-b1-magnitude-ties", "pivot-tie",
+         "subnormal-a2", "subnormal-b", "huge-b", "huge-a"],
 )
-def test_design_kernel_edges_match_reference(a, b, delay, hs, hr, aux, message):
+def test_design_kernel_edges_match_reference(a, b, delay, hs, hr, aux, general, message):
     """Each input the design kernel leaves to the general route takes it, and
-    the design and RstDesignSpec.design raise what the LAPACK oracle raises,
-    or give its bits."""
+    one it answers gives the bits of the plain-loop elimination; the design
+    and RstDesignSpec.design raise what the reference raises, or give its
+    bits, and so does the pole check."""
     model = DiscretePlantModel(a, b, delay, Ts)
     pole = PoleSpec(5.0, 1.0, Ts, DelayPolynomial(aux or (1.0,)))
     wanted = desired_poles(pole)
-    assert not _kernel_answers(model, wanted, hs, hr)  # the general route decides
+    assert _kernel_answers(model, wanted, hs, hr) != general
     got = _assert_design_bits_match_reference(model, wanted, hs, hr)
+    if not general:
+        a_arr, b_arr = _model_arrays(model)
+        a1, b1 = _convolve(a_arr, hs.coeffs), _convolve(b_arr, hr.coeffs)
+        x = _gepp_loop(a1, b1, _padded_target(len(a1) + len(b1) - 2, wanted.coeffs))
+        n_b = len(b1) - 1
+        ctrl = bezout_design(model, wanted, hs, hr)
+        assert _hex(ctrl.s_core.coeffs) == _hex([v / x[0] for v in x[:n_b]])
+        assert _hex(ctrl.r_core.coeffs) == _hex([v / x[0] for v in x[n_b:]])
     spec = RstDesignSpec(pole, na=len(a), nb=len(b), delay=delay, hs=hs, hr=hr)
     designed = _outcome(spec.design, a + b)
     if message is None:
@@ -1069,3 +1173,31 @@ def test_design_kernel_edges_match_reference(a, b, delay, hs, hr, aux, message):
         assert message in designed[1][1]
         if not message.startswith("pole placement"):
             assert designed[1] == got
+
+
+@pytest.mark.parametrize(
+    "a, b, r_core",
+    [
+        # a_1 = -0.0 and R = 0.3 - 0.0 q^-1: the trailing closed-loop
+        # coefficient a_1 s_1 + b_1 r_1 is a sum of signed zeros, which the trim drops
+        ((-0.0,), (0.5,), (0.3, -0.0)),
+        # a trailing subnormal R
+        ((-0.9,), (0.5,), (0.3, 5e-324)),
+        # |c_0| = |c_1| = |c_2| = 1, the tolerance's largest magnitude three times
+        ((-0.5,), (0.5,), (1.0, 1.0)),
+        # 1e300-scale R: a closed loop far from the target, still finite
+        ((-0.9,), (0.5,), (1e300, -1e300)),
+        # 1e300-scale closed loop whose sum overflows
+        ((-0.9,), (1e300,), (1e300, 1e300)),
+    ],
+    ids=["trailing-minus-zero", "trailing-subnormal", "magnitude-tie", "huge", "overflow"],
+)
+def test_pole_check_kernel_edges_match_reference(a, b, r_core):
+    """On hand-made controllers with S = 1 - q^-1, the pole check gives its
+    reference's bits at signed zeros, ties, subnormal and 1e300-scale
+    coefficients."""
+    model = DiscretePlantModel(a, b, 0, Ts)
+    # R = R' as given, a -0.0 kept (the constructor's H_R R' would add it to 0.0)
+    ctrl = RstController._solved(r_core, (1.0,), 1.0, r_core, (1.0, -1.0), Ts, ONE, HS_INTEGRATOR)
+    assert ctrl._law[1] == r_core
+    _assert_pole_check_bits_match_reference(model, ctrl, desired_poles(PoleSpec(5.0, 1.0, Ts)))

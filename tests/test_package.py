@@ -57,9 +57,9 @@ def test_closed_loop_record_calls_through_every_counted_binding(monkeypatch):
     """Wrappers bound where a tracer binds them, when the record starts, see
     each per-sample call of the closed-loop record: one predict, adapt,
     rls_step and advance per sample, and two law steps (the predictor's and
-    the loop's), plus, in an adaptive run, one RstDesignSpec.design and
-    bezout_design.  Every rls_step runs inside an adapt, every bezout_design
-    inside a design."""
+    the loop's), plus, in an adaptive run, one RstDesignSpec.design,
+    bezout_design and check_pole_placement.  Every rls_step runs inside an
+    adapt, every bezout_design and check_pole_placement inside a design."""
     import numpy as np
 
     from valvebench import adapt, cloe, control
@@ -70,7 +70,7 @@ def test_closed_loop_record_calls_through_every_counted_binding(monkeypatch):
 
     calls = {}
     active = []
-    inside = {"rls_step": "adapt", "bezout_design": "design"}
+    inside = {"rls_step": "adapt", "bezout_design": "design", "check_pole_placement": "design"}
 
     def counting(name, fn):
         calls[name] = 0
@@ -88,7 +88,8 @@ def test_closed_loop_record_calls_through_every_counted_binding(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(cloe, "rls_step", counting("rls_step", cloe.rls_step))
-    monkeypatch.setattr(adapt, "bezout_design", counting("bezout_design", adapt.bezout_design))
+    for name in ("bezout_design", "check_pole_placement"):
+        monkeypatch.setattr(adapt, name, counting(name, getattr(adapt, name)))
     for cls, method, name in [
         (cloe.ClosedLoopPredictor, "predict", "predict"),
         (cloe.ClosedLoopPredictor, "adapt", "adapt"),
@@ -111,7 +112,7 @@ def test_closed_loop_record_calls_through_every_counted_binding(monkeypatch):
     assert len(run.y) == 300
     assert calls == {
         "rls_step": 300, "predict": 300, "adapt": 300, "step": 600, "advance": 300,
-        "bezout_design": 0, "design": 0,
+        "bezout_design": 0, "check_pole_placement": 0, "design": 0,
     }
 
     calls.update(dict.fromkeys(calls, 0))
@@ -124,7 +125,8 @@ def test_closed_loop_record_calls_through_every_counted_binding(monkeypatch):
     settling = 10  # the law steps and advances of the 0.5 s settle
     assert calls == {
         "rls_step": 200, "predict": 200, "adapt": 200, "step": 400 + settling,
-        "advance": 200 + settling, "bezout_design": 200, "design": 200,
+        "advance": 200 + settling, "bezout_design": 200, "check_pole_placement": 200,
+        "design": 200,
     }
 
 

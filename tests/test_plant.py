@@ -992,6 +992,36 @@ def test_params_reject_a_negative_seed():
     assert clean_params(rng_seed=0).rng_seed == 0
 
 
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"spring_stiffness": 1e-307}, "kinetic targets at duty cycle 100 must be finite"),
+        ({"motor_gain": 1e308}, "kinetic targets at duty cycle 100 must be finite"),
+        ({"motor_gain": -1e308}, "kinetic targets at duty cycle 100 must be finite"),
+        ({"coulomb_open": 1e300, "spring_stiffness": 1e-10},
+         "kinetic targets at duty cycle 0 must be finite"),
+        ({"viscous_coeff": 1e308, "spring_stiffness": 1e-10},
+         "time constant viscous_coeff / spring_stiffness must be finite"),
+    ],
+)
+def test_params_reject_a_drive_law_that_overflows(changes, message):
+    """Parameters whose time constant or kinetic targets overflow are
+    rejected; the targets are checked at duty 0 and 100, between which they
+    are monotone."""
+    with pytest.raises(ValueError, match=message):
+        clean_params(**changes)
+
+
+def test_params_with_a_finite_drive_law_at_both_ends_run_finite():
+    """Near the overflow, every duty cycle in [0, 100] gets a finite law."""
+    params = clean_params(motor_gain=1e305, spring_stiffness=1.0, viscous_coeff=1e300)
+    sim = ValveSimulator(params, Ts)
+    for u in (0.0, 37.5, 100.0):
+        sim.advance(u)
+        assert all(map(math.isfinite, sim._law))
+        assert math.isfinite(sim.measure())
+
+
 def test_rise_time_against_analytic_exponential():
     tau = 0.26
     t = np.arange(0, 3.0, Ts)
