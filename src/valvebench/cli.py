@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import math
 import os
 import shutil
 import sys
@@ -37,9 +38,19 @@ if TYPE_CHECKING:
 
 _INT_PLANT_FIELDS = ("adc_bits", "pwm_levels", "rng_seed")
 
-# The most samples a tracking reference (levels x hold / Ts) may hold; the
-# shipped configs hold 300.  Checked before the reference is built.
+# The most samples one run may simulate: a tracking reference (levels x
+# hold / Ts), a sweep (2 x levels x hold / Ts) or an open-loop PRBS run
+# (settle / Ts + periods x PRBS period).  The shipped configs need at most
+# 3 166.  Checked by the plan before anything of that length is built.
 MAX_REFERENCE_SAMPLES = 10**6
+
+
+def _check_samples(run: str, n, formula: str) -> None:
+    """Raise ConfigError for a run of n samples past MAX_REFERENCE_SAMPLES."""
+    if n > MAX_REFERENCE_SAMPLES:
+        raise ConfigError(
+            f"{run} of {n} samples ({formula}) exceeds the cap of {MAX_REFERENCE_SAMPLES}"
+        )
 
 
 def _plant_keys():
@@ -212,20 +223,26 @@ def build_valve_params(plant_cfg: dict, preset: str, seed: int | None) -> ValveP
         raise ConfigError(f"invalid plant parameters: {err}") from None
 
 
-def _prbs_from_cfg(exc: dict) -> PrbsConfig:
+def _prbs_from_cfg(exc: dict, Ts: float) -> PrbsConfig:
+    """The PRBS of an open-loop run, with the run's settle duration checked
+    and its samples counted against MAX_REFERENCE_SAMPLES."""
     from .signals import PrbsConfig
 
+    _check_duration("excitation settle", exc["settle"], Ts)
     if exc["periods"] < 1:
         raise ConfigError("excitation periods must be >= 1")
     if not 1 <= exc["analyze_periods"] <= exc["periods"]:
         raise ConfigError("analyze_periods must be in [1, periods]")
-    return PrbsConfig(
+    prbs = PrbsConfig(
         n_registers=exc["n_registers"],
         divider=exc["divider"],
         seed=exc["seed"],
         offset=exc["offset"],
         amplitude=exc["amplitude"],
     )
+    n = round(exc["settle"] / Ts) + exc["periods"] * prbs.period
+    _check_samples("open-loop run", n, "settle / Ts + periods x PRBS period")
+    return prbs
 
 
 def open_loop_record(params: ValveParams, Ts: float, exc: dict, prbs: PrbsConfig):
@@ -299,12 +316,25 @@ def _design_from_cfg(cfg: dict, Ts: float):
 
 
 def plan_sweep(cfg):
-    sw = cfg["sweep"]
-    if sw["step"] <= 0 or sw["u_max"] <= 0:
-        raise ConfigError("sweep u_max and step must be > 0")
-    _substeps(cfg["plant"]["Ts"])
-    _check_sweep_hold(sw["hold"], cfg["plant"]["Ts"])
-    levels = np.arange(0.0, sw["u_max"] + sw["step"] / 2, sw["step"])
+    sw, Ts = cfg["sweep"], cfg["plant"]["Ts"]
+    u_max, step = sw["u_max"], sw["step"]
+    if not (0 < step < math.inf and 0 < u_max < math.inf):
+        raise ConfigError("sweep u_max and step must be finite and > 0")
+    _substeps(Ts)
+    _check_sweep_hold(sw["hold"], Ts)
+    # The length of the arange below, ceil(stop / step), counted before it
+    # is built.  From 2**53 on every float is whole, so a count that large
+    # stays a float (inf where it overflows).
+    n_levels = (u_max + step / 2) / step
+    if n_levels < 2**53:
+        n_levels = math.ceil(n_levels)
+    if n_levels < 2:
+        raise ConfigError(
+            f"a sweep needs at least 2 levels for its static gains, and u_max = {u_max!r} at "
+            f"step = {step!r} gives {n_levels}"
+        )
+    _check_samples("sweep", 2 * n_levels * round(sw["hold"] / Ts), "2 x levels x hold / Ts")
+    levels = np.arange(0.0, u_max + step / 2, step)
     return functools.partial(run_sweep, cfg, levels)
 
 
@@ -338,8 +368,7 @@ def plan_etfe(cfg):
         raise ConfigError("spectral plateau_lo must not exceed plateau_hi")
     Ts = cfg["plant"]["Ts"]
     _substeps(Ts)
-    _check_duration("excitation settle", cfg["excitation"]["settle"], Ts)
-    prbs = _prbs_from_cfg(cfg["excitation"])
+    prbs = _prbs_from_cfg(cfg["excitation"], Ts)
     # The job's ETFE keeps only the bins the PRBS excites, so a band short
     # of them fails its fit whatever the plant does.
     bins = _harmonic_bins(prbs.period, prbs.bit_period, cfg["excitation"]["analyze_periods"], Ts)
@@ -395,8 +424,7 @@ def plan_identify(cfg):
     if idf["scan_max"] < max(idf["na"], idf["nb"]):
         raise ConfigError("scan_max must cover the chosen na and nb")
     _substeps(cfg["plant"]["Ts"])
-    _check_duration("excitation settle", cfg["excitation"]["settle"], cfg["plant"]["Ts"])
-    prbs = _prbs_from_cfg(cfg["excitation"])
+    prbs = _prbs_from_cfg(cfg["excitation"], cfg["plant"]["Ts"])
     if prbs.amplitude == 0:  # a constant input leaves the ARX fit singular
         raise ConfigError("identify needs a PRBS amplitude > 0: a constant input excites nothing to fit")
     return functools.partial(run_identify, cfg, prbs)
@@ -472,11 +500,7 @@ def _scenario_from_cfg(tr: dict, Ts: float) -> tuple[EvalScenario, np.ndarray]:
     if not np.isfinite(tr["levels"]).all():
         raise ConfigError("track levels must be finite")
     n = len(tr["levels"]) * round(tr["hold"] / Ts)
-    if n > MAX_REFERENCE_SAMPLES:
-        raise ConfigError(
-            f"track reference of {n} samples (levels x hold / Ts) exceeds the cap of "
-            f"{MAX_REFERENCE_SAMPLES}"
-        )
+    _check_samples("track reference", n, "levels x hold / Ts")
     scenario = EvalScenario(levels=tuple(tr["levels"]), hold=tr["hold"], skip=tr["skip"])
     reference = scenario.reference(Ts)
     if not 0 <= scenario.skip < len(reference):

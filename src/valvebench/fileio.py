@@ -7,8 +7,10 @@ through one row template compiled from its column kinds: ``FLOAT_FMT`` for
 a float column, ``%d`` for an integer one and ``%s`` for any other, whose
 cells :func:`format_value` spells first.  Each column enters the template
 as a list of plain Python values, and only format codes and commas make up
-the template, never header or data text.  A CSV therefore keeps the exact
-bytes of per-cell :func:`format_value` formatting.
+the template, never header or data text.  The body of a file is one ``%``
+of the row template repeated once per row over the cells in row order.  A
+CSV therefore keeps the exact bytes of per-cell :func:`format_value`
+formatting.
 """
 
 from __future__ import annotations
@@ -53,8 +55,9 @@ def _column_field(col: np.ndarray) -> tuple[str, list]:
 def write_csv(path: str | os.PathLike, header: list[str], columns: list[np.ndarray]) -> None:
     """Write columns of equal length as CSV with LF endings.
 
-    The header line is joined on its own; each data row is one ``%`` of
-    the row template over the row's cells.
+    The header line is joined on its own; the body is one ``%`` of the row
+    template repeated n times over the cells in row order, flattened into
+    one tuple.
     """
     cols = [np.asarray(c) for c in columns]
     if len(cols) != len(header):
@@ -64,10 +67,13 @@ def write_csv(path: str | os.PathLike, header: list[str], columns: list[np.ndarr
         if len(c) != n:
             raise ValueError("columns must have equal length")
     fields, cells = zip(*map(_column_field, cols)) if cols else ((), ())
-    row = ",".join(fields) + "\n"
+    row, m = ",".join(fields) + "\n", len(cells)
+    flat = [None] * (n * m)
+    for i, values in enumerate(cells):
+        flat[i::m] = values
     with open(path, "w", newline="\n") as f:
         f.write(",".join(header) + "\n")
-        f.write("".join(map(row.__mod__, zip(*cells))))
+        f.write((row * n) % tuple(flat))
 
 
 def write_report(path: str | os.PathLike, items: list[tuple[str, object]]) -> None:

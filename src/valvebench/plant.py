@@ -24,24 +24,27 @@ quantization and noise disabled the sampled response therefore matches the
 zero-order-hold discretization of the continuous model to floating-point
 accuracy.
 
-A simulator holds the plate's state as three floats (angle, velocity and
-the moving flag), and :meth:`ValveSimulator.advance` jumps them on locals,
-with no object built per sample; the :attr:`ValveSimulator.state` view is a
+A simulator holds the plate's state as three floats (angle, velocity and the
+moving flag), and :meth:`ValveSimulator.advance` jumps them on locals, with
+no object built per sample; the :attr:`ValveSimulator.state` view is a
 :class:`ValveState` built at its first read after a change.  A sample in
 which the plate keeps moving toward a target inside the stops takes no
-logarithm or power: the closed form of its stop-speed event is skipped where
-a bound, set once per simulator, proves that it would leave the first event
-past the sample, and decay**n_sub is computed once by the same expression,
-so the bits are those of the closed form.  A duty cycle, converted to a
-float, is checked, clamped and PWM-quantized only when it is neither of the
-last two distinct values applied: the resulting laws (motor torque and both
-kinetic targets) are kept in two slots, so a held input and a PRBS toggling
-between two levels reuse theirs, and a PWM valve forms the law of each PWM
-code once.  :func:`open_loop` records the true angles of a valve and applies
-ADC quantization and measurement noise to the whole record at once; a closed
+logarithm, power or builtin function call: the closed form of its stop-speed
+event is skipped where a bound, set once per simulator, proves that it would
+leave the first event past the sample, decay**n_sub is computed once by the
+same expression, and magnitudes are formed by a comparison, so the bits are
+those of the closed form.  A duty cycle, converted to a float, is checked,
+clamped and PWM-quantized only when it is neither of the last two distinct
+values applied: the resulting laws (motor torque and both kinetic targets)
+are kept in two slots, so a held input and a PRBS toggling between two
+levels reuse theirs, and a PWM valve forms the law of each PWM code once.
+:func:`open_loop` records the true angles of a valve and applies ADC
+quantization and measurement noise to the whole record at once; a closed
 loop senses its record through the simulator's record-scoped sensor, which
 draws the record's noise as one block.  Either way the values and the noise
 stream are those of one :meth:`ValveSimulator.measure` per sample.
+:func:`static_sweep` runs one :func:`open_loop` record per branch of its
+staircase.
 """
 
 from __future__ import annotations
@@ -352,13 +355,17 @@ class ValveSimulator:
         under its law, taken as phase jumps on the three state floats.
 
         An event-free phase toward a target inside the stops takes no
-        logarithm or power.  Its V_STOP closed form is skipped where the
-        ratio V_STOP * tau / |gap| lies below the simulator's bound, which
-        proves with a half sub-step to spare that the closed form would give
-        no event in the sample, and the end-of-sample angle and the grid
-        check of sub-step n_sub use decay**n_sub computed once by the same
-        expression.  Either way the states are bit for bit those of the
-        closed form.
+        logarithm, power or builtin function call.  Its V_STOP closed form
+        is skipped where the ratio V_STOP * tau / |gap| lies below the
+        simulator's bound, which proves with a half sub-step to spare that
+        the closed form would give no event in the sample, and the
+        end-of-sample angle and the grid check of sub-step n_sub use
+        decay**n_sub computed once by the same expression.  A magnitude is
+        ``(x if x >= 0.0 else -x)``, which differs from abs(x) only at -0.0,
+        equal to 0.0 in every comparison (a division by a zero |gap| is
+        never reached), and the end-of-sample velocity is the one the last
+        grid check formed.  Either way the states are bit for bit those of
+        the closed form.
         """
         # The slots hold floats, so an input of another type that compares
         # equal to one (np.float32(0.1) == 0.1) cannot reuse its law.
@@ -405,7 +412,7 @@ class ValveSimulator:
 
             # Sub-step j puts the plate at target + gap * decay**j.
             gap = angle - target
-            mag = abs(gap)
+            mag = gap if gap >= 0.0 else -gap
 
             # First event sub-step from the closed form: |v| falls below
             # V_STOP, or the plate reaches a stop its target lies beyond.
@@ -429,19 +436,22 @@ class ValveSimulator:
             j = first if first > 1 else 1
             while j > 1:
                 a = target + gap * (decay_n if j - 1 == n_sub else decay ** (j - 1))
-                if not (abs((target - a) / tau) < V_STOP or a <= a_min or a >= a_max):
+                v = (target - a) / tau
+                if not ((v if v >= 0.0 else -v) < V_STOP or a <= a_min or a >= a_max):
                     break
                 j -= 1
             while j <= left:
                 a = target + gap * decay**j
-                if abs((target - a) / tau) < V_STOP or a <= a_min or a >= a_max:
+                v = (target - a) / tau
+                if (v if v >= 0.0 else -v) < V_STOP or a <= a_min or a >= a_max:
                     break
                 j += 1
 
             if j > left:
                 # The last grid check, back or forward, was of sub-step
-                # left: `a` is already the end-of-sample angle.
-                angle, velocity, moving = a, (target - a) / tau, True
+                # left: `a` and `v` are already the end-of-sample angle and
+                # velocity.
+                angle, velocity, moving = a, v, True
                 break
             a = min(max(target + gap * decay**j, a_min), a_max)
             if a == angle and not moving and velocity == 0.0:
@@ -613,7 +623,9 @@ def static_sweep(
 
     Each level is held for `hold` seconds; the steady angle per level is the
     mean over the final 0.5 s of the hold.  Ascending and descending branches
-    are returned separately.
+    are returned separately.  Each branch is one :func:`open_loop` record of
+    its held levels, and each level's mean is taken over a view of that
+    record: the samples, noise stream and means of one record per level.
     """
     u_levels = np.asarray(u_levels, dtype=float)
     sim = ValveSimulator(params, Ts)
@@ -622,7 +634,8 @@ def static_sweep(
     n_avg = max(1, int(round(0.5 / Ts)))
 
     def run_branch(levels):
-        return np.array([open_loop(sim, np.full(n_hold, u))[-n_avg:].mean() for u in levels])
+        y = open_loop(sim, np.repeat(levels, n_hold))
+        return np.array([y[k:k + n_hold][-n_avg:].mean() for k in range(0, len(y), n_hold)])
 
     up = run_branch(u_levels)
     down = run_branch(u_levels[::-1])[::-1]

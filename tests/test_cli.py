@@ -18,6 +18,8 @@ from valvebench.presets import get_preset
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -355,6 +357,16 @@ def test_plain_value_error_mid_run_is_a_run_failure(tmp_path, capsys, monkeypatc
         ("track", "track.levels=nan", "track levels must be finite"),
         ("track", "track.levels=40,inf", "track levels must be finite"),
         ("adapt", "track.levels=40,nan", "track levels must be finite"),
+        ("sweep", "sweep.u_max=nan", "sweep u_max and step must be finite and > 0"),
+        ("sweep", "sweep.step=inf", "sweep u_max and step must be finite and > 0"),
+        ("sweep", "sweep.step=1e7", "a sweep needs at least 2 levels"),
+        ("sweep", "sweep.u_max=1e-307", "a sweep needs at least 2 levels"),
+        ("sweep", "sweep.u_max=1e7", "sweep of 200000100 samples (2 x levels x hold / Ts)"),
+        ("sweep", "sweep.step=1e-307", "sweep of inf samples"),
+        ("sweep", "sweep.hold=1e7", "sweep of 3600000000 samples"),
+        ("etfe", "excitation.settle=1e7", "open-loop run of 200003066 samples"),
+        ("identify", "excitation.settle=1e7", "open-loop run of 200003066 samples"),
+        ("etfe", "excitation.periods=1000", "open-loop run of 1022100 samples"),
     ],
 )
 def test_input_checks_run_before_any_simulation(tmp_path, capsys, monkeypatch, command, override, message):
@@ -401,6 +413,63 @@ def test_a_reference_at_the_cap_is_built():
 
 
 @pytest.mark.parametrize(
+    "command, at_cap, past_cap, message",
+    [
+        # 2 x 10 000 levels x 50 samples, then 10 001 levels
+        ("sweep", "sweep.u_max=9999 sweep.step=1", "sweep.u_max=10000 sweep.step=1",
+         "sweep of 1000100 samples (2 x levels x hold / Ts)"),
+        # 996 934 settling samples and 3 x 1 022 PRBS samples, then one more
+        ("etfe", "excitation.settle=49846.7", "excitation.settle=49846.75",
+         "open-loop run of 1000001 samples (settle / Ts + periods x PRBS period)"),
+        ("identify", "excitation.settle=49846.7", "excitation.settle=49846.75",
+         "open-loop run of 1000001 samples (settle / Ts + periods x PRBS period)"),
+    ],
+)
+def test_an_open_loop_run_at_the_cap_is_simulated_and_one_past_it_is_not(
+    tmp_path, capsys, monkeypatch, command, at_cap, past_cap, message
+):
+    """The plan passes a run of exactly MAX_REFERENCE_SAMPLES samples to its
+    job, which reaches the simulator (patched here to raise, exit 1), and
+    rejects one of a sample more with exit 2, nothing simulated or written."""
+    def refuse(*args, **kwargs):
+        raise RuntimeError("the simulator was reached")
+
+    monkeypatch.setattr(plant, "ValveSimulator", refuse)
+    out = tmp_path / "out"
+    sets = [arg for entry in at_cap.split() for arg in ("--set", entry)]
+    assert main([command, "--out", str(out), *sets]) == 1
+    assert "the simulator was reached" in capsys.readouterr().err
+    sets = [arg for entry in past_cap.split() for arg in ("--set", entry)]
+    assert main([command, "--out", str(out), *sets]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"valvebench {command}: {message} exceeds the cap of 1000000")
+    assert not out.exists()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    u_max=st.one_of(st.floats(1e-3, 1e4), st.sampled_from([1e-307, 0.5, 9999.0, 10000.0])),
+    step=st.one_of(st.floats(1e-2, 1e3), st.sampled_from([1.0, 2.0, 1e7])),
+    hold=st.sampled_from([2.5, 2.52, 100.0]),
+)
+def test_sweep_plan_counts_the_levels_it_builds(u_max, step, hold):
+    """The plan's count of levels is the length of the arange it builds: it
+    rejects the sweep exactly where that length is under 2 or makes more than
+    MAX_REFERENCE_SAMPLES samples, and otherwise passes the levels on."""
+    sets = [("sweep", "u_max", repr(u_max)), ("sweep", "step", repr(step)), ("sweep", "hold", repr(hold))]
+    cfg = resolve_config("sweep", [], sets)
+    n_levels = len(np.arange(0.0, u_max + step / 2, step))
+    n_hold = round(hold / cfg["plant"]["Ts"])
+    try:
+        job = cli.plan_sweep(cfg)
+    except ConfigError as err:
+        assert n_levels < 2 or 2 * n_levels * n_hold > cli.MAX_REFERENCE_SAMPLES, str(err)
+    else:
+        assert n_levels >= 2 and 2 * n_levels * n_hold <= cli.MAX_REFERENCE_SAMPLES
+        assert len(job.args[1]) == n_levels
+
+
+@pytest.mark.parametrize(
     "argv", [[], ["--config", str(CONFIGS / "etfe_valve0.cfg")]], ids=["defaults", "cfg"]
 )
 def test_etfe_band_plan_passes_the_shipped_bands(tmp_path, argv):
@@ -424,7 +493,7 @@ def test_etfe_plan_rejects_exactly_the_bands_the_job_cannot_fit(excitation):
     overrides = parse_set_args(excitation)
     cfg = resolve_config("etfe", [], overrides)
     exc, Ts = cfg["excitation"], cfg["plant"]["Ts"]
-    prbs = cli._prbs_from_cfg(exc)
+    prbs = cli._prbs_from_cfg(exc, Ts)
     u, y = cli.open_loop_record(get_preset("valve0"), Ts, exc, prbs)
     u_d, y_d = cli._analysis_window(u, y, prbs.period, exc["analyze_periods"])
     response = spectral.smooth(spectral.etfe(u_d, y_d, Ts), size=cfg["spectral"]["smooth_window"])

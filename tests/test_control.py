@@ -896,14 +896,15 @@ def test_design_edge_cases_match_oracle(monkeypatch, a, b, message):
 
 def _reference_bezout_design(model, pole_poly, hs=HS_INTEGRATOR, hr=HR_NYQUIST_ZERO):
     """The design kernel as generic Python on coefficient lists, for an
-    input the kernel answers: the solve of _gepp_sylvester_source, within
-    its bound, then the normalisation, R = H_R R', S = H_S S' and T = R(1)."""
+    input the kernel answers: the plain-loop elimination of _gepp_loop,
+    within the kernel's bound (from _gepp_sylvester_source), then the
+    normalisation, R = H_R R', S = H_S S' and T = R(1)."""
     a, b = _model_arrays(model)
     a1 = _trimmed(_convolve(a, hs.coeffs))
     b1 = _trimmed(_convolve(b, hr.coeffs))
     solve = _kernels.kernel(_gepp_sylvester_source, len(a1) - 1, len(b1) - 1, pole_poly.coeffs)
-    sol, bound = solve(a1, b1)
-    assert bound <= SYLVESTER_MAX_COND
+    assert solve(a1, b1)[1] <= SYLVESTER_MAX_COND
+    sol = _gepp_loop(a1, b1, _padded_target(len(a1) + len(b1) - 2, pole_poly.coeffs))
     n_b = len(b1) - 1
     s_core = [v / sol[0] for v in sol[:n_b]]
     r_core = [v / sol[0] for v in sol[n_b:]]

@@ -102,16 +102,17 @@ def test_write_csv_matches_per_cell_oracle(tmp_path, data, n, count):
     assert _same_bytes(tmp_path, header, columns)
 
 
-@pytest.mark.parametrize("n", [0, 1, 2])
+@pytest.mark.parametrize("n", [0, 1, 2, 4999])
 def test_write_csv_matches_oracle_on_every_kind(tmp_path, n):
+    """Every column kind side by side, also over a body of about 5 000 rows
+    formatted by one %, where the small integer kinds wrap around."""
     rng = np.random.default_rng(n)
-    specials = np.array((SPECIAL_FLOATS * 2)[: max(n, 1)])[:n]
     columns = [
-        specials,
+        np.resize(SPECIAL_FLOATS, n),
         rng.standard_normal(n).astype(np.float32),
-        np.arange(-n, 0, dtype=np.int8),
+        np.arange(-n, 0).astype(np.int8),
         np.arange(n, dtype=np.int64) * 2**40,
-        np.arange(250, 250 + n, dtype=np.uint8),
+        np.arange(250, 250 + n).astype(np.uint8),
         np.arange(n) % 2 == 0,
         list(range(n)),
         [0.1 * k for k in range(n)],

@@ -438,23 +438,78 @@ def test_advance_matches_jump_oracle_bits(
         output_noise_std=noise,
         rng_seed=seed,
     )
-    sim = ValveSimulator(params, Ts_ms * 1e-3)
-    ref = OracleValve(params, Ts_ms * 1e-3, rest_state(params))
     u = [v for segment in segments for v in segment]
+    states = {
+        i: None if touch is None
+        else ValveState(a_min + touch[0] * (a_max - a_min), touch[1], touch[1] != 0.0)
+        for i, touch in touches.items()
+    }
+    _assert_advance_matches_oracle(params, Ts_ms * 1e-3, u, states)
+
+
+def _assert_advance_matches_oracle(params, Ts_, u, touches):
+    """Run u through the simulator and the oracle: the same bits of angle,
+    velocity and moving after every sample, the same measurements and the
+    same rng state.  touches[i] reads `state` before sample i where it is
+    None, and sets both states to it otherwise."""
+    sim = ValveSimulator(params, Ts_)
+    ref = OracleValve(params, Ts_, rest_state(params))
     for i, u_i in enumerate(u):
         if i in touches:
             if touches[i] is None:  # read
                 assert bits(sim.state) == bits(ref.state)
             else:  # set
-                at, velocity = touches[i]
-                new = ValveState(a_min + at * (a_max - a_min), velocity, velocity != 0.0)
-                sim.state, ref.state = new, new
+                sim.state, ref.state = touches[i], touches[i]
         assert float(sim.measure()).hex() == float(ref.measure()).hex()
         sim.advance(u_i)
         ref.advance(u_i)
         assert float_bits(sim) == bits(ref.state)
     assert bits(sim.state) == bits(ref.state)
     assert sim.rng.bit_generator.state == ref.rng.bit_generator.state
+
+
+# A plate set moving exactly on a kinetic target leaves it to the static
+# test, which rounding lets break away toward that same target: a phase of
+# gap +0.0 on the target itself, and of gap -0.0 at angle -0.0 on a target of
+# +0.0 (spring_rest_angle = (drive +- coulomb) / k).  |gap| and the
+# end-of-sample speed are then formed from signed zeros.
+ON_TARGET = {
+    "gap+0": dict(spring_stiffness=1.13, motor_gain=0.95, coulomb=1.5, u=0.0, rest=80.0),
+    "gap-0": dict(spring_stiffness=0.594, motor_gain=0.543, coulomb=1.3, u=50.1, rest=None),
+}
+
+
+@pytest.mark.parametrize("velocity", [1.0e-300, 0.0, -0.0, -1.0e-300])
+@pytest.mark.parametrize("direction", ["open", "close"])
+@pytest.mark.parametrize("case", list(ON_TARGET))
+def test_advance_from_a_kinetic_target_matches_jump_oracle_bits(case, direction, velocity):
+    """The simulator set moving on a kinetic target, at each sign of zero
+    and tiny speed, gives the oracle's bits, through the breakaway and on."""
+    c = ON_TARGET[case]
+    k, gain, coulomb, u = c["spring_stiffness"], c["motor_gain"], c["coulomb"], c["u"]
+    # The law's expressions: target = rest - (drive +- coulomb) / k.
+    drive = gain * u
+    signed = drive + coulomb if direction == "open" else drive - coulomb
+    if c["rest"] is None:  # a target of +0.0, with the plate at -0.0
+        rest, angle = signed / k, -0.0
+        assert (rest - signed / k).hex() == "0x0.0p+0"
+    else:  # the plate on the target
+        rest = c["rest"]
+        angle = rest - signed / k
+    params = ValveParams(
+        spring_stiffness=k,
+        spring_rest_angle=rest,
+        motor_gain=gain,
+        viscous_coeff=0.26,
+        coulomb_open=coulomb,
+        coulomb_close=coulomb,
+        angle_min=-100.0,
+        angle_max=95.0,
+        adc_bits=0,
+        pwm_levels=0,
+    )
+    touches = {0: ValveState(angle, velocity, True), 3: ValveState(angle, velocity, True)}
+    _assert_advance_matches_oracle(params, Ts, [u] * 6 + [u + 10.0] * 3, touches)
 
 
 def sample_loop_oracle(sim, u):
@@ -897,6 +952,45 @@ def test_static_sweep_rejects_hold_outside_the_samples(hold, Ts_, message):
     with pytest.raises(ValueError, match=message):
         static_sweep(clean_params(), np.array([0.0, 10.0]), hold=hold, Ts=Ts_)
     static_sweep(clean_params(), np.array([0.0, 10.0]), hold=2.5, Ts=2.0)  # 1 sample
+
+
+def _static_sweep_per_level(params, u_levels, hold, Ts_):
+    """static_sweep as one open_loop record per level: the map and the
+    simulator it ran."""
+    sim = ValveSimulator(params, Ts_)
+    n_hold, n_avg = round(hold / Ts_), max(1, round(0.5 / Ts_))
+
+    def run_branch(levels):
+        return np.array([open_loop(sim, np.full(n_hold, u))[-n_avg:].mean() for u in levels])
+
+    return run_branch(u_levels), run_branch(u_levels[::-1])[::-1], sim
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+@pytest.mark.parametrize("Ts_", [Ts, 2.0], ids=["Ts-0.05", "n_avg-is-n_hold"])
+def test_static_sweep_matches_one_record_per_level_bits(monkeypatch, name, Ts_):
+    """One record per branch gives the bits of one record per level: each
+    level's mean, the plate's end state and the simulator's rng state, with
+    noise and ADC on, also where the mean spans the whole hold (Ts = 2 s:
+    n_avg = n_hold = 1)."""
+    params = get_preset(name)
+    assert params.output_noise_std > 0 and params.adc_bits > 0
+    levels = np.arange(0.0, 45.0, 5.0)
+    up, down, ref = _static_sweep_per_level(params, levels, 2.5, Ts_)
+    made = []
+
+    class Recorded(ValveSimulator):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(plant, "ValveSimulator", Recorded)
+    hmap = static_sweep(params, levels, hold=2.5, Ts=Ts_)
+    assert [v.hex() for v in hmap.angle_up.tolist()] == [v.hex() for v in up.tolist()]
+    assert [v.hex() for v in hmap.angle_down.tolist()] == [v.hex() for v in down.tolist()]
+    (sim,) = made
+    assert float_bits(sim) == float_bits(ref)
+    assert sim.rng.bit_generator.state == ref.rng.bit_generator.state
 
 
 def test_measurement_quantization_grid():
