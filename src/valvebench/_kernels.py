@@ -76,10 +76,17 @@ def rls_source(n: int) -> list[str]:
     adds its terms in index order, and each F entry is
     0.5 ((F_ij - f_i f_j / denom) / lambda1 + (F_ji - f_j f_i / denom) /
     lambda1) with f = F phi and denom = lambda1 / lambda2 + phi' F phi, or
-    0.5 (F_ij / lambda1 + F_ji / lambda1) when lambda2 = 0.
+    0.5 (F_ij / lambda1 + F_ji / lambda1) when lambda2 = 0.  On the diagonal
+    both terms are one quotient q, formed once, and the entry is
+    0.5 (q + q), which keeps the overflow of q + q to inf.
 
-    The kernel raises ValueError for non-finite phi or y_new, and
-    DivergenceError, with a message that names the cause, when theta' F
+    The kernel makes no builtin call.  It raises ValueError for a phi of
+    another length than n ("phi must match theta_hat") and for non-finite
+    phi or y_new, tested at once as sum_i (phi_i - phi_i) + (y_new - y_new)
+    != 0.0: x - x is 0.0 for a finite x and NaN for NaN or +-inf, so the
+    sum is 0.0 exactly when every term is finite.  Finiteness of theta' F
+    theta is tested the same way.  It raises DivergenceError, with a
+    message that names the cause, when theta' F
     theta of the successor is not finite (so some entry of theta or F is
     not; a zero denominator counts as that), when F is no longer positive
     definite, or when lambda1 leaves (0, 1].  Definiteness is Sylvester's
@@ -93,8 +100,11 @@ def rls_source(n: int) -> list[str]:
     G = [[f"G{min(i, j)}_{max(i, j)}" for j in idx] for i in idx]
     code = [
         "def kernel(theta, F, lambda1, lambda2, lambda0, profile, phi, y_new):",
-        f"    {', '.join(phi)}, = phi",
-        f"    if not ({' and '.join(f'isfinite({p})' for p in phi)} and isfinite(y_new)):",
+        "    try:",
+        f"        {', '.join(phi)}, = phi",
+        "    except ValueError:",
+        '        raise ValueError("phi must match theta_hat") from None',
+        f"    if {' + '.join(f'({p} - {p})' for p in [*phi, 'y_new'])} != 0.0:",
         '        raise ValueError("phi and y_new must be finite")',
         f"    {', '.join(theta)}, = theta",
         f"    {', '.join('(' + ', '.join(row) + ',)' for row in F)}, = F",
@@ -110,20 +120,29 @@ def rls_source(n: int) -> list[str]:
     code += ["        if lambda2 != 0.0:", "            denom = lambda1 / lambda2 + quad"]
     for i in idx:
         for j in range(i, n):  # f_j f_i / denom is f_i f_j / denom, bit for bit
-            code += [
-                f"            g = f{i} * f{j} / denom",
-                f"            {G[i][j]} = 0.5 * "
-                f"(({F[i][j]} - g) / lambda1 + ({F[j][i]} - g) / lambda1)",
-            ]
+            code.append(f"            g = f{i} * f{j} / denom")
+            if i == j:  # both terms are one quotient, formed once
+                code += [
+                    f"            q = ({F[i][i]} - g) / lambda1",
+                    f"            {G[i][i]} = 0.5 * (q + q)",
+                ]
+            else:
+                code.append(
+                    f"            {G[i][j]} = 0.5 * "
+                    f"(({F[i][j]} - g) / lambda1 + ({F[j][i]} - g) / lambda1)"
+                )
     code.append("        else:")
-    code += [
-        f"            {G[i][j]} = 0.5 * ({F[i][j]} / lambda1 + {F[j][i]} / lambda1)"
-        for i in idx for j in range(i, n)
-    ]
+    for i in idx:
+        for j in range(i, n):
+            if i == j:
+                code += [f"            q = {F[i][i]} / lambda1", f"            {G[i][i]} = 0.5 * (q + q)"]
+            else:
+                code.append(f"            {G[i][j]} = 0.5 * ({F[i][j]} / lambda1 + {F[j][i]} / lambda1)")
     # theta' F theta is not finite whenever any entry of either is (inf * 0 is NaN).
     rows = [f"({sum_text(f'{G[i][j]} * u{j}' for j in idx)})" for i in idx]
     code += [
-        f"        finite = isfinite({sum_text(f'{rows[i]} * u{i}' for i in idx)})",
+        f"        q = {sum_text(f'{rows[i]} * u{i}' for i in idx)}",
+        "        finite = q - q == 0.0",
         "    except ZeroDivisionError:  # a zero denominator",
         "        finite = False",
         "    if not finite:",
@@ -464,18 +483,23 @@ def law_source(len_s: int, len_r: int, len_t: int, clamped: bool) -> list[str]:
     (u, saturated), one step of S u = -R y + T r for these lengths of S, R
     and T.
 
-    u starts from t0 r_t - r0 y_t, subtracts s_i u(t-i), then r_i y(t-i),
-    and adds t_i r(t-i), each for i = 1, 2, ... in turn; with `clamped` it
-    is clamped to limits = (lo, hi), which sets `saturated`.  The kernel
-    appends float(u), float(y_t) and float(r_t) to the history lists (most
-    recent last) and pops the oldest of each.  A history shorter than its
-    polynomial raises IndexError."""
+    y_t and r_t are converted to floats first.  u starts from
+    t0 r_t - r0 y_t, subtracts s_i u(t-i), then r_i y(t-i), and adds
+    t_i r(t-i), each for i = 1, 2, ... in turn; with `clamped` it is
+    clamped to limits = (lo, hi), which sets `saturated`.  S, R, T, the
+    histories and the limits hold floats (ControllerRuntime stores its
+    limits so), so u is a float without a conversion.  The kernel appends
+    u, y_t and r_t to the history lists (most recent last) and deletes the
+    oldest of each.  A history shorter than its polynomial raises
+    IndexError."""
     code = [
         "def kernel(s, r, t, u_h, y_h, r_h, y_t, r_t, limits):",
         *(
             f"    {', '.join(f'{name}{i}' for i in range(n))}, = {name}"
             for name, n in (("s", len_s), ("r", len_r), ("t", len_t))
         ),
+        "    y_t = float(y_t)",
+        "    r_t = float(r_t)",
         "    u = t0 * r_t - r0 * y_t",
     ]
     code += [f"    u -= s{i} * u_h[-{i}]" for i in range(1, len_s)]
@@ -491,13 +515,12 @@ def law_source(len_s: int, len_r: int, len_t: int, clamped: bool) -> list[str]:
             "        u, saturated = hi, True",
         ]
     return code + [
-        "    u = float(u)",
         "    u_h.append(u)",
-        "    u_h.pop(0)",
-        "    y_h.append(float(y_t))",
-        "    y_h.pop(0)",
-        "    r_h.append(float(r_t))",
-        "    r_h.pop(0)",
+        "    del u_h[0]",
+        "    y_h.append(y_t)",
+        "    del y_h[0]",
+        "    r_h.append(r_t)",
+        "    del r_h[0]",
         "    return u, saturated",
     ]
 
@@ -512,7 +535,7 @@ def predictor_source(na: int, nb: int, delay: int) -> list[str]:
     u lags and this delay.
 
     y_h is the predictor's law history, whose last entry is y_hat(t); the
-    kernel appends u_hat(t) to the u_hat history u_h and pops its oldest
+    kernel appends u_hat(t) to the u_hat history u_h and deletes its oldest
     value.  phi is a new list, [-y_hat(t) ... -y_hat(t-na+1), u_hat(t-d)
     ... u_hat(t-d-nb+1)], and the prediction is theta' phi, summed from 0.0
     in index order."""
@@ -525,7 +548,7 @@ def predictor_source(na: int, nb: int, delay: int) -> list[str]:
     ]
     body = [
         "u_h.append(u_hat)",
-        "u_h.pop(0)",
+        "del u_h[0]",
         *regressor,
         f"{', '.join(f't{i}' for i in range(n))}, = theta",
         f"return [{', '.join(p)}], {sum_text(f't{i} * p{i}' for i in range(n))}",

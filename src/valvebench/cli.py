@@ -39,8 +39,10 @@ if TYPE_CHECKING:
 _INT_PLANT_FIELDS = ("adc_bits", "pwm_levels", "rng_seed")
 
 # The most samples one run may simulate: a tracking reference (levels x
-# hold / Ts), a sweep (2 x levels x hold / Ts) or an open-loop PRBS run
-# (settle / Ts + periods x PRBS period).  The shipped configs need at most
+# hold / Ts), a sweep (2 x levels x hold / Ts), an open-loop PRBS run
+# (settle / Ts + periods x PRBS period), a track run (settle / Ts + the
+# reference) or an adapt run (settle / Ts + (n_iter + 1) x the reference +
+# n_iter x (warmup + excitation length)).  The shipped configs need at most
 # 3 166.  Checked by the plan before anything of that length is built.
 MAX_REFERENCE_SAMPLES = 10**6
 
@@ -334,6 +336,14 @@ def plan_sweep(cfg):
             f"step = {step!r} gives {n_levels}"
         )
     _check_samples("sweep", 2 * n_levels * round(sw["hold"] / Ts), "2 x levels x hold / Ts")
+    # The arange's top level is 0.0 + (levels - 1) x step; the valve clamps
+    # a duty past 100 %, which would put flat points into the gain fit.
+    top = step * (n_levels - 1)
+    if top > 100.0:
+        raise ConfigError(
+            f"the sweep's top level, step x (levels - 1) = {top!r} % duty, exceeds 100 % "
+            f"(u_max = {u_max!r}, step = {step!r})"
+        )
     levels = np.arange(0.0, u_max + step / 2, step)
     return functools.partial(run_sweep, cfg, levels)
 
@@ -490,17 +500,31 @@ def run_design(cfg, spec, theta, controller, out_dir, preset, params):
     return items
 
 
+def _reference_length(tr: dict, Ts: float) -> int:
+    """The length of the evaluation reference, levels x hold / Ts, with the
+    hold and levels checked and the length against MAX_REFERENCE_SAMPLES."""
+    _check_duration("track hold", tr["hold"], Ts)
+    if not np.isfinite(tr["levels"]).all():
+        raise ConfigError("track levels must be finite")
+    n = len(tr["levels"]) * round(tr["hold"] / Ts)
+    _check_samples("track reference", n, "levels x hold / Ts")
+    return n
+
+
+def _settle_samples(name: str, seconds: float, Ts: float) -> int:
+    """The samples of a settle of `seconds` (`adapt._settle`: one at
+    least), with the duration checked."""
+    _check_duration(name, seconds, Ts)
+    return max(1, round(seconds / Ts))
+
+
 def _scenario_from_cfg(tr: dict, Ts: float) -> tuple[EvalScenario, np.ndarray]:
     """The evaluation staircase and its reference, with its length checked
     against MAX_REFERENCE_SAMPLES before it is built and skip checked against
     that length before any closed loop runs."""
     from .adapt import EvalScenario
 
-    _check_duration("track hold", tr["hold"], Ts)
-    if not np.isfinite(tr["levels"]).all():
-        raise ConfigError("track levels must be finite")
-    n = len(tr["levels"]) * round(tr["hold"] / Ts)
-    _check_samples("track reference", n, "levels x hold / Ts")
+    _reference_length(tr, Ts)
     scenario = EvalScenario(levels=tuple(tr["levels"]), hold=tr["hold"], skip=tr["skip"])
     reference = scenario.reference(Ts)
     if not 0 <= scenario.skip < len(reference):
@@ -509,10 +533,11 @@ def _scenario_from_cfg(tr: dict, Ts: float) -> tuple[EvalScenario, np.ndarray]:
 
 
 def plan_track(cfg):
-    Ts = cfg["plant"]["Ts"]
+    Ts, tr = cfg["plant"]["Ts"], cfg["track"]
     _substeps(Ts)
-    _, reference = _scenario_from_cfg(cfg["track"], Ts)
-    _check_duration("track settle", cfg["track"]["settle"], Ts)
+    n = _settle_samples("track settle", tr["settle"], Ts) + _reference_length(tr, Ts)
+    _check_samples("track run", n, "settle / Ts + levels x hold / Ts")
+    _, reference = _scenario_from_cfg(tr, Ts)
     _, _, controller = _design_from_cfg(cfg, Ts)
     return functools.partial(run_track, cfg, reference, controller)
 
@@ -545,12 +570,20 @@ def plan_adapt(cfg):
 
     Ts = cfg["plant"]["Ts"]
     _substeps(Ts)
-    scenario, _ = _scenario_from_cfg(cfg["track"], Ts)
-    if cfg["design"]["mode"] != "rst":
-        raise ConfigError("adapt re-design supports only mode=rst")
     ad = cfg["adapt"]
     if ad["n_iter"] < 1:
         raise ConfigError("adapt n_iter must be >= 1")
+    # cl_identify settles no warmup of fewer than one sample
+    n = _settle_samples("adapt settle", ad["settle"], Ts)
+    n += (ad["n_iter"] + 1) * _reference_length(cfg["track"], Ts)
+    n += ad["n_iter"] * (max(0, ad["warmup"]) + cfg["excitation"]["length"])
+    _check_samples(
+        "adapt run", n,
+        "settle / Ts + (n_iter + 1) x levels x hold / Ts + n_iter x (warmup + excitation length)",
+    )
+    scenario, _ = _scenario_from_cfg(cfg["track"], Ts)
+    if cfg["design"]["mode"] != "rst":
+        raise ConfigError("adapt re-design supports only mode=rst")
     for key in ("gain", "operating_reference", "stop_tol"):
         if not np.isfinite(ad[key]):
             raise ConfigError(f"adapt {key} must be finite")
@@ -560,7 +593,6 @@ def plan_adapt(cfg):
         raise ConfigError(f"adapt profile must be one of {PROFILES}")
     if not 0.0 < ad["lambda0"] <= 1.0:
         raise ConfigError("adapt lambda0 must be in (0, 1]")
-    _check_duration("adapt settle", ad["settle"], Ts)
     designed = _design_from_cfg(cfg, Ts)
     return functools.partial(run_adapt, cfg, scenario, *designed, ExcitationSpec(**cfg["excitation"]))
 

@@ -124,7 +124,8 @@ class ClosedLoopPredictor:
         if self._pending_phi is not None:
             raise RuntimeError("predict called twice without adapt")
         runtime = self.runtime
-        u_hat = runtime.step(self._y_current, float(r_dev))[0] + float(r_u)
+        # the law kernel converts r_dev to a float itself
+        u_hat = runtime.step(self._y_current, r_dev)[0] + float(r_u)
         # the law step has just appended y_hat(t) to the y history
         self._pending_phi, y_pred = self._regressor(self._theta, runtime._y, self._u, u_hat)
         return y_pred, u_hat
@@ -139,7 +140,7 @@ class ClosedLoopPredictor:
         y_next = float(y_measured_next)
         if update:
             self._state, eps0, eps = rls_step(self._state, phi, y_next)
-            self._theta = self._state._theta_list()
+            self._theta = self._state._theta  # the successor's own list
         # the a posteriori prediction; with frozen parameters also the a priori one
         y_post = self._dot(self._theta, phi)
         if not update:

@@ -582,10 +582,13 @@ class ControllerRuntime:
     last, `depth` of them or more; the controller may be swapped for one
     whose R, S and T fit in them.
 
-    `limits` is fixed at construction.  The law kernel
+    `limits` is fixed at construction and stored as a pair of floats, so
+    a clamped output is a float.  The law kernel
     (:func:`valvebench._kernels.law_source`) is resolved when `controller`
-    is set, so a step looks nothing up.  :meth:`track` runs a record on
-    Python floats, sensed by the plant's record-scoped sensor.
+    is set, and looked up again only when the new law's length of S, R or
+    T differs from the old one's, so a step looks nothing up and a swap
+    between designs of one shape keeps its kernel.  :meth:`track` runs a
+    record on Python floats, sensed by the plant's record-scoped sensor.
     """
 
     def __init__(
@@ -594,7 +597,11 @@ class ControllerRuntime:
         limits: tuple[float, float] | None = (0.0, 100.0),
         depth: int = 2,
     ):
+        if limits is not None:
+            lo, hi = limits
+            limits = float(lo), float(hi)
         self._limits = limits
+        self._shape = None  # the lengths of S, R and T the kernel is for
         self.controller = controller
         depth = max(depth, *map(len, controller._law))
         self._u = [0.0] * depth
@@ -609,7 +616,10 @@ class ControllerRuntime:
     def controller(self, controller: RstController) -> None:
         self._controller = controller
         s, r, t = self._law = controller._law
-        self._kernel = _kernel(_law_source, len(s), len(r), len(t), self._limits is not None)
+        shape = len(s), len(r), len(t)
+        if shape != self._shape:
+            self._shape = shape
+            self._kernel = _kernel(_law_source, *shape, self._limits is not None)
 
     @property
     def limits(self) -> tuple[float, float] | None:
@@ -627,8 +637,9 @@ class ControllerRuntime:
         No anti-windup correction is applied beyond the clamp.  The law runs
         in the kernel of the controller's lengths of S, R and T
         (:func:`valvebench._kernels.law_source`), resolved when the
-        controller was set, which appends u, y_t and r_t to the histories
-        and drops their oldest values.
+        controller was set, which converts y_t and r_t to floats, appends
+        u, y_t and r_t to the histories and drops their oldest values; u is
+        a Python float.
         """
         s, r, t = self._law
         return self._kernel(s, r, t, self._u, self._y, self._r, y_t, r_t, self._limits)

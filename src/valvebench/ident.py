@@ -243,17 +243,18 @@ class AdaptationState:
         without the constructor's validation: the update that produced them
         (:func:`valvebench._kernels.rls_source`) has checked what it can
         break, and lambda2, lambda0 and the profile are copied.  The instance
-        dict is filled directly, with the lists of theta and of F's rows,
-        which no one mutates; the arrays are built from them on first read."""
+        dict is a copy of this state's with three entries replaced: the lists
+        of theta and of F's rows, which no one mutates, and lambda1; a state
+        with arrays leaves them out, and the arrays are built from the lists
+        on first read."""
         new = object.__new__(AdaptationState)
-        new.__dict__.update(
-            _theta=theta,
-            _F=F,
-            lambda1=lambda1,
-            lambda2=self.lambda2,
-            lambda0=self.lambda0,
-            profile=self.profile,
-        )
+        d = new.__dict__
+        d |= self.__dict__
+        if "theta_hat" in d:
+            del d["theta_hat"], d["F"]
+        d["_theta"] = theta
+        d["_F"] = F
+        d["lambda1"] = lambda1
         return new
 
 
@@ -320,8 +321,8 @@ def rls_step(
     is converted.  The successor holds the kernel's lists and is
     built without rerunning the :class:`AdaptationState` validation, which
     the input state has passed.  A list phi, the closed-loop predictor's
-    regressor, is taken as it is once its length matches; its entries must
-    be real numbers.  What an update can break raises
+    regressor, is taken as it is, and the kernel checks its length; its
+    entries must be real numbers.  What an update can break raises
     :class:`~valvebench.errors.DivergenceError`: a new estimate or F that is not finite, an F
     that is no longer positive definite (a Cholesky pivot at or below zero),
     or lambda1 outside (0, 1].
@@ -336,9 +337,7 @@ def rls_step(
         if phi.shape != (len(theta),):
             raise ValueError("phi must match theta_hat")
         phi = phi.tolist()
-    elif len(phi) != len(theta):
-        raise ValueError("phi must match theta_hat")
-    theta, F, lambda1, eps0, eps = _kernel(_rls_source, len(phi))(
+    theta, F, lambda1, eps0, eps = _kernel(_rls_source, len(theta))(
         theta, F, state.lambda1, state.lambda2, state.lambda0, state.profile, phi, float(y_new)
     )
     return state._updated(theta, F, lambda1), eps0, eps

@@ -61,6 +61,13 @@ import numpy as np
 DT_INTERNAL = 1e-3
 # Below this speed (deg/s) a moving plate is considered latched again.
 V_STOP = 1e-7
+# For |x| < _RNE_MAX, x + _RNE - _RNE is round(x) as a float, with no call:
+# the sum lies where doubles are 1 apart, so it rounds x half to even as
+# round() does, and the subtraction is exact.  A code of that size is a
+# whole number below 2**53, so code * step is the product of round(x).
+# Past the bound, and for NaN and +-inf, round() itself runs.
+_RNE = 6755399441055744.0  # 1.5 * 2**52
+_RNE_MAX = 2251799813685248.0  # 2**51
 
 
 @dataclass(frozen=True)
@@ -224,19 +231,19 @@ class ValveSimulator:
     converted to a float (so an ``np.float32(0.1)``, equal to 0.1 under
     numpy's promotion, gets the law of its own value).  An input equal to the
     current value reuses its law; one equal to the previous value swaps the
-    slots; any other goes through :meth:`_set_law`, which checks it before
-    it shifts the current law into the second slot, so a rejected input
-    leaves both slots as they were (a NaN equals no slot and always reaches
-    the check).  On a PWM valve, :meth:`_set_law` looks the law up by the
-    integer PWM code of the clamped input, in `_pwm_laws`, and forms it only
-    at the code's first use, so a closed loop, whose input changes every
-    sample, forms at most `pwm_levels` laws.
+    slots; :meth:`advance` checks any other itself before it shifts the
+    current law into the second slot, so a rejected input leaves both slots
+    as they were (a NaN equals no slot and always reaches the check).  On a
+    PWM valve it looks the law up by the integer PWM code of the clamped
+    input, in `_pwm_laws`, and forms it (:meth:`_law_of`) only at the code's
+    first use, so a closed loop, whose input changes every sample, forms at
+    most `pwm_levels` laws.
 
     :func:`open_loop` senses a whole record at once, with the same ADC
     rounding and noise stream as :meth:`measure` called once per sample.  A
     closed-loop record opens :meth:`_sensor` once: a zero-argument measure()
     with the ADC expression of :meth:`measure` and the record's normals drawn
-    as one block (:func:`_noisy`), which leaves `rng` where one
+    as one block (:func:`_normals`), which leaves `rng` where one
     :meth:`measure` per sample would, also when the record ends early.
     """
 
@@ -324,18 +331,34 @@ class ValveSimulator:
             y += self.params.output_noise_std * self.rng.standard_normal()
         return y
 
+    @contextlib.contextmanager
     def _sensor(self, n: int):
         """Context manager of a zero-argument measure() for a record of up
         to n samples: the values and noise stream of :meth:`measure`, with
-        the noise drawn as one block (see :func:`_noisy`)."""
-        q_step, a_min = self._q_step, self.params.angle_min
-        if q_step:
-            def read():
-                return a_min + round((self._angle - a_min) / q_step) * q_step
-        else:
-            def read():
-                return self._angle
-        return _noisy(read, self.params.output_noise_std, self.rng, n)
+        the noise drawn as one block (see :func:`_normals`).  Each case of
+        ADC and noise has a closure of its own, so a sample costs one call,
+        and the ADC code is rounded with no call (`_RNE`) where it is
+        small enough."""
+        q_step, a_min, std = self._q_step, self.params.angle_min, self.params.output_noise_std
+        rne, rne_max = _RNE, _RNE_MAX
+        with _normals(std, self.rng, n) as draw:
+            if q_step and draw:
+                def measure():
+                    x = (self._angle - a_min) / q_step
+                    code = x + rne - rne if -rne_max < x < rne_max else round(x)
+                    return a_min + code * q_step + std * draw()
+            elif q_step:
+                def measure():
+                    x = (self._angle - a_min) / q_step
+                    code = x + rne - rne if -rne_max < x < rne_max else round(x)
+                    return a_min + code * q_step
+            elif draw:
+                def measure():
+                    return self._angle + std * draw()
+            else:
+                def measure():
+                    return self._angle
+            yield measure
 
     def _sense(self, angles: list[float]) -> np.ndarray:
         """measure() of each angle in turn, as array operations.
@@ -366,6 +389,14 @@ class ValveSimulator:
         never reached), and the end-of-sample velocity is the one the last
         grid check formed.  Either way the states are bit for bit those of
         the closed form.
+
+        A duty cycle that is in neither law slot gets its law here, with no
+        helper call: it is checked for finiteness by ``u - u != 0.0`` (NaN
+        for NaN and +-inf, 0.0 otherwise), clamped to [0, 100] by
+        comparisons, and on a PWM valve quantized to its integer code
+        (rounded with no call below 2**51, see `_RNE`), whose law is taken
+        from `_pwm_laws`; :meth:`_law_of` forms a law the table does not
+        hold yet, and every law of a valve without PWM.
         """
         # The slots hold floats, so an input of another type that compares
         # equal to one (np.float32(0.1) == 0.1) cannot reuse its law.
@@ -377,7 +408,30 @@ class ValveSimulator:
                 self._u_raw, self._law, self._u_prev, self._law_prev = (
                     self._u_prev, self._law_prev, self._u_raw, self._law)
             else:
-                self._set_law(u)
+                # A new duty cycle: checked, clamped and PWM-quantized before
+                # the current law moves to the second slot, so a rejected
+                # input leaves both slots alone.  x - x is 0.0 for a finite
+                # x and NaN for NaN or +-inf.
+                if u - u != 0.0:
+                    raise ValueError("duty cycle must be finite")
+                # min(100.0, max(0.0, u)) by comparisons: -0.0 clamps to 0.0.
+                if u > 100.0:
+                    applied = 100.0
+                elif u > 0.0:
+                    applied = u
+                else:
+                    applied = 0.0
+                levels = self._law_consts[0]
+                if levels:
+                    x = applied / 100.0 * levels
+                    code = x + _RNE - _RNE if x < _RNE_MAX else round(x)
+                    law = self._pwm_laws.get(code)
+                    if law is None:
+                        law = self._pwm_laws[code] = self._law_of(code * 100.0 / levels)
+                else:
+                    law = self._law_of(applied)
+                self._u_prev, self._law_prev = self._u_raw, self._law
+                self._u_raw, self._law = u, law
         (k, rest, a_min, a_max, tau, decay, log_decay, stop_reach, break_open, break_close,
          decay_n, no_stop) = self._consts
         drive, target_open, target_close = self._law
@@ -465,31 +519,6 @@ class ValveSimulator:
                 break
         self._angle, self._velocity, self._moving, self._state = angle, velocity, moving, None
 
-    def _set_law(self, u_raw: float) -> None:
-        """Check, clamp and PWM-quantize duty cycle u_raw and put its law in
-        the first slot, the law it replaces in the second.  A rejected input
-        leaves both slots alone.  On a PWM valve the law of each integer PWM
-        code is formed once and kept in `_pwm_laws`."""
-        if not math.isfinite(u_raw):
-            raise ValueError("duty cycle must be finite")
-        # min(100.0, max(0.0, u_raw)) by comparisons: -0.0 clamps to 0.0.
-        if u_raw > 100.0:
-            u = 100.0
-        elif u_raw > 0.0:
-            u = u_raw
-        else:
-            u = 0.0
-        levels = self._law_consts[0]
-        if levels:
-            code = round(u / 100.0 * levels)
-            law = self._pwm_laws.get(code)
-            if law is None:
-                law = self._pwm_laws[code] = self._law_of(code * 100.0 / levels)
-        else:
-            law = self._law_of(u)
-        self._u_prev, self._law_prev = self._u_raw, self._law
-        self._u_raw, self._law = u_raw, law
-
     def _law_of(self, u: float) -> tuple[float, float, float]:
         """(drive, target_open, target_close) of the applied duty cycle u."""
         _, gain, rest, c_open, c_close, k = self._law_consts
@@ -498,27 +527,22 @@ class ValveSimulator:
 
 
 @contextlib.contextmanager
-def _noisy(read, std: float, rng: np.random.Generator, n: int):
-    """A zero-argument measure() of read() plus std times the next standard
-    normal of `rng`, for up to n reads, with the n normals drawn as one
-    block; a block of n is the stream of n scalar draws.  On exit after k < n
-    reads (an exception mid-record) the bit generator is set back to its
-    entry state and k normals are drawn again, so `rng` ends where k scalar
-    draws leave it.  Without noise (std not > 0) it is read itself and draws
-    nothing."""
+def _normals(std: float, rng: np.random.Generator, n: int):
+    """Context manager of draw(), the next of n standard normals of `rng`
+    drawn as one block, for a sensor that adds std times draw() to each of
+    up to n reads; a block of n is the stream of n scalar draws.  On exit
+    after k < n draws (an exception mid-record) the bit generator is set
+    back to its entry state and k normals are drawn again, so `rng` ends
+    where k scalar draws leave it.  Without noise (std not > 0) it gives
+    None and draws nothing."""
     if not std > 0:
-        yield read
+        yield None
         return
     bit_generator = rng.bit_generator
     entry = bit_generator.state
     normals = iter(rng.standard_normal(n).tolist())
-    draw = normals.__next__
-
-    def measure():
-        return read() + std * draw()
-
     try:
-        yield measure
+        yield normals.__next__
     finally:
         unread = operator.length_hint(normals)
         if unread:
@@ -771,10 +795,13 @@ class LinearSimulator:
             y += self.noise_std * self.rng.standard_normal()
         return y
 
+    @contextlib.contextmanager
     def _sensor(self, n: int):
         """Context manager of a zero-argument measure() for a record of up
         to n samples, as :meth:`ValveSimulator._sensor`."""
-        return _noisy(self._output, self.noise_std, self.rng, n)
+        output, std = self._output, self.noise_std
+        with _normals(std, self.rng, n) as draw:
+            yield (lambda: output() + std * draw()) if draw else output
 
     def advance(self, u: float) -> None:
         y = self._output()

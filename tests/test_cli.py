@@ -367,6 +367,13 @@ def test_plain_value_error_mid_run_is_a_run_failure(tmp_path, capsys, monkeypatc
         ("etfe", "excitation.settle=1e7", "open-loop run of 200003066 samples"),
         ("identify", "excitation.settle=1e7", "open-loop run of 200003066 samples"),
         ("etfe", "excitation.periods=1000", "open-loop run of 1022100 samples"),
+        ("sweep", "sweep.u_max=200 sweep.step=10", "the sweep's top level, step x (levels - 1) = 200.0"),
+        ("sweep", "sweep.u_max=100.6 sweep.step=1", "the sweep's top level, step x (levels - 1) = 101.0"),
+        ("track", "track.settle=1e7", "track run of 200000300 samples"),
+        ("adapt", "adapt.settle=1e7", "adapt run of 200002860 samples"),
+        ("adapt", "adapt.n_iter=1000000", "adapt run of 640000360 samples"),
+        ("adapt", "excitation.length=100000000", "adapt run of 400001720 samples"),
+        ("adapt", "adapt.warmup=10000000", "adapt run of 40002760 samples"),
     ],
 )
 def test_input_checks_run_before_any_simulation(tmp_path, capsys, monkeypatch, command, override, message):
@@ -415,8 +422,9 @@ def test_a_reference_at_the_cap_is_built():
 @pytest.mark.parametrize(
     "command, at_cap, past_cap, message",
     [
-        # 2 x 10 000 levels x 50 samples, then 10 001 levels
-        ("sweep", "sweep.u_max=9999 sweep.step=1", "sweep.u_max=10000 sweep.step=1",
+        # 2 x 10 000 levels x 50 samples up to 99.99 % duty, then 10 001
+        # levels up to 100 %
+        ("sweep", "sweep.u_max=99.99 sweep.step=0.01", "sweep.u_max=100 sweep.step=0.01",
          "sweep of 1000100 samples (2 x levels x hold / Ts)"),
         # 996 934 settling samples and 3 x 1 022 PRBS samples, then one more
         ("etfe", "excitation.settle=49846.7", "excitation.settle=49846.75",
@@ -446,26 +454,68 @@ def test_an_open_loop_run_at_the_cap_is_simulated_and_one_past_it_is_not(
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command, at_cap, past_cap, message",
+    [
+        # 999 700 settling samples and 5 x 60 reference samples, then one more
+        ("track", "track.settle=49985", "track.settle=49985.05",
+         "track run of 1000001 samples (settle / Ts + levels x hold / Ts)"),
+        # 997 140 settling samples, 5 x 300 evaluation samples and 4 x (40 + 300)
+        # identification samples, then one more settling sample
+        ("adapt", "adapt.settle=49857", "adapt.settle=49857.05", "adapt run of 1000001 samples"),
+        # 60 + 1 500 + 4 x (40 + 249 570) samples, then a longer excitation
+        ("adapt", "excitation.length=249570", "excitation.length=249571", "adapt run of 1000004 samples"),
+    ],
+)
+def test_a_closed_loop_run_at_the_cap_is_simulated_and_one_past_it_is_not(
+    tmp_path, capsys, monkeypatch, command, at_cap, past_cap, message
+):
+    """The plan counts the settle, the evaluations and the identifications
+    of a closed-loop run: one of exactly MAX_REFERENCE_SAMPLES samples
+    reaches the simulator (patched here to raise, exit 1), and a longer one
+    exits 2 with nothing simulated or written."""
+    def refuse(*args, **kwargs):
+        raise RuntimeError("the simulator was reached")
+
+    monkeypatch.setattr(plant, "ValveSimulator", refuse)
+    out = tmp_path / "out"
+    assert main([command, "--out", str(out), "--set", at_cap]) == 1
+    assert "the simulator was reached" in capsys.readouterr().err
+    assert main([command, "--out", str(out), "--set", past_cap]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"valvebench {command}: {message}") and "exceeds the cap of 1000000" in err
+    assert not out.exists()
+
+
 @settings(max_examples=200, deadline=None)
 @given(
-    u_max=st.one_of(st.floats(1e-3, 1e4), st.sampled_from([1e-307, 0.5, 9999.0, 10000.0])),
+    u_max=st.one_of(
+        st.floats(1e-3, 1e4), st.sampled_from([1e-307, 0.5, 99.99, 100.0, 100.4, 100.6, 9999.0, 10000.0])
+    ),
     step=st.one_of(st.floats(1e-2, 1e3), st.sampled_from([1.0, 2.0, 1e7])),
     hold=st.sampled_from([2.5, 2.52, 100.0]),
 )
 def test_sweep_plan_counts_the_levels_it_builds(u_max, step, hold):
     """The plan's count of levels is the length of the arange it builds: it
-    rejects the sweep exactly where that length is under 2 or makes more than
-    MAX_REFERENCE_SAMPLES samples, and otherwise passes the levels on."""
+    rejects the sweep exactly where that length is under 2, makes more than
+    MAX_REFERENCE_SAMPLES samples, or puts the top level past 100 % duty,
+    and otherwise passes the levels on."""
     sets = [("sweep", "u_max", repr(u_max)), ("sweep", "step", repr(step)), ("sweep", "hold", repr(hold))]
     cfg = resolve_config("sweep", [], sets)
-    n_levels = len(np.arange(0.0, u_max + step / 2, step))
+    levels = np.arange(0.0, u_max + step / 2, step)
+    n_levels = len(levels)
     n_hold = round(hold / cfg["plant"]["Ts"])
+    rejected = (
+        n_levels < 2
+        or 2 * n_levels * n_hold > cli.MAX_REFERENCE_SAMPLES
+        or levels[-1] > 100.0
+    )
     try:
         job = cli.plan_sweep(cfg)
     except ConfigError as err:
-        assert n_levels < 2 or 2 * n_levels * n_hold > cli.MAX_REFERENCE_SAMPLES, str(err)
+        assert rejected, str(err)
     else:
-        assert n_levels >= 2 and 2 * n_levels * n_hold <= cli.MAX_REFERENCE_SAMPLES
+        assert not rejected
         assert len(job.args[1]) == n_levels
 
 

@@ -450,6 +450,54 @@ def test_runtime_resolves_its_kernel_when_the_controller_changes():
             runtime.limits = (0.0, 100.0)
 
 
+def test_runtime_swap_of_one_shape_keeps_its_kernel(monkeypatch):
+    """The setter looks the law kernel up only when the length of S, R or T
+    changes: a swap to new coefficients of the same lengths keeps the kernel
+    object, a swap to other lengths looks up theirs."""
+    from valvebench import control
+
+    lookups = []
+    kernel = control._kernel
+
+    def counting(*key):
+        lookups.append(key[1:])
+        return kernel(*key)
+
+    monkeypatch.setattr(control, "_kernel", counting)
+    rng = np.random.default_rng(5)
+    runtime = ControllerRuntime(_random_controller(rng, 3, 2, 1), limits=(0.0, 100.0), depth=4)
+    first = runtime._kernel
+    for _ in range(3):
+        runtime.controller = _random_controller(rng, 3, 2, 1)
+        assert runtime._kernel is first
+    runtime.controller = _random_controller(rng, 3, 3, 1)
+    runtime.controller = _random_controller(rng, 3, 2, 1)
+    assert runtime._kernel is first
+    assert lookups == [(3, 2, 1, True), (3, 3, 1, True), (3, 2, 1, True)]
+
+
+@pytest.mark.parametrize("limits", [(0, 100), (0.0, 100.0), None])
+def test_runtime_step_returns_and_stores_python_floats(limits):
+    """np.float64 and int measurements and references, with int limits,
+    give a Python float u and Python floats in all three histories: the
+    limits are floats from construction and the kernel converts y_t and
+    r_t once.  The values are the float-converted loop oracle's."""
+    rng = np.random.default_rng(9)
+    ctrl = _random_controller(rng, 3, 2, 2)
+    runtime = ControllerRuntime(ctrl, limits=limits, depth=4)
+    oracle = ControllerRuntime(ctrl, limits=None if limits is None else (0.0, 100.0), depth=4)
+    assert runtime.limits == oracle.limits
+    assert limits is None or all(type(v) is float for v in runtime.limits)
+    inputs = [(np.float64(30.5), 40), (7, np.float64(-3.25)), (np.float64(1e4), np.float64(2.0)),
+              (-900, 12), (np.int64(5), np.float64(5.0))]
+    for y_t, r_t in inputs:
+        got = runtime.step(y_t, r_t)
+        want = _runtime_step_loop(oracle, float(y_t), float(r_t))
+        assert type(got[0]) is float and _runtime_bits(runtime, got) == _runtime_bits(oracle, want)
+        for hist in (runtime._u, runtime._y, runtime._r):
+            assert all(type(v) is float for v in hist)
+
+
 # ---------------------------------------------------------------------------
 # Object-level reference design: every product a DelayPolynomial
 

@@ -669,6 +669,51 @@ def test_rls_kernel_matches_loop_oracle(n, profile, kind, seed):
     assert _update_outcome(kernel, *args) == _update_outcome(_rls_update_oracle, *args)
 
 
+RLS_THETA = [0.5, -0.25, 1.5]
+RLS_F = [[2.0, 0.3, -0.1], [0.3, 1.5, 0.2], [-0.1, 0.2, 1.0]]
+RLS_PHI = [0.4, -1.2, 0.7]
+
+
+def _rls_edge_cases():
+    """(id, theta, F, phi, y_new) of updates at the edges of the kernel's
+    fast paths: F not symmetric, signed zeros everywhere, diagonals whose
+    q + q overflows (and one just below that), and NaN or +-inf in each
+    entry of phi and in y_new."""
+    cases = [
+        ("asymmetric-F", RLS_THETA, [[2.0, 0.3, -0.1], [0.1, 1.5, 0.25], [0.05, 0.2, 1.0]],
+         RLS_PHI, 0.9),
+        ("signed-zeros", [-0.0, 0.0, -0.0], [[1.0, -0.0, 0.0], [-0.0, 2.0, -0.0], [0.0, -0.0, 3.0]],
+         [-0.0, 0.0, -0.0], -0.0),
+        ("signed-zero-regressor", RLS_THETA, RLS_F, [-0.0, 1.0, -0.0], -0.0),
+        ("diagonal-overflows", RLS_THETA, [[1.5e308, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+         [0.0, 1.0, 0.0], 0.5),
+        ("diagonal-below-overflow", RLS_THETA, [[8e307, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+         [0.0, 1.0, 0.0], 0.5),
+    ]
+    for bad in (math.nan, math.inf, -math.inf):
+        for i in range(3):
+            phi = list(RLS_PHI)
+            phi[i] = bad
+            cases.append((f"phi{i}={bad}", RLS_THETA, RLS_F, phi, 0.9))
+        cases.append((f"y={bad}", RLS_THETA, RLS_F, RLS_PHI, bad))
+    return cases
+
+
+@pytest.mark.parametrize("lambda1", [1.0, 0.6])
+@pytest.mark.parametrize("lambda2", [1.0, 0.0])
+@pytest.mark.parametrize(
+    "theta, F, phi, y_new", [case[1:] for case in _rls_edge_cases()],
+    ids=[case[0] for case in _rls_edge_cases()],
+)
+def test_rls_kernel_edge_cases_match_loop_oracle(theta, F, phi, y_new, lambda2, lambda1):
+    """The kernel, with its diagonal quotient formed once and its
+    finiteness tests made without isfinite, against the loop oracle: the
+    same bits, or the same error type and message."""
+    args = (theta, F, lambda1, lambda2, 0.97, "variable-forgetting", phi, y_new)
+    kernel = _kernels.kernel(_kernels.rls_source, len(theta))
+    assert _update_outcome(kernel, *args) == _update_outcome(_rls_update_oracle, *args)
+
+
 def _successor(n=3, seed=4):
     """An unread rls_step successor, with the kernel's own output."""
     rng = np.random.default_rng(seed)

@@ -593,7 +593,10 @@ def test_advance_law_cache_edge_cases():
     def never(u):
         raise AssertionError(f"law of {u} formed again")
 
-    sim._set_law = never  # the two slots serve a record alternating between them
+    # the two slots serve a record alternating between them: no law is
+    # formed or looked up by its PWM code
+    sim._law_of = never
+    sim._pwm_laws = NoLookups(sim._pwm_laws)
     for u in (60.0, 30.0, 60, np.float64(30.0)):
         sim.advance(u)
 
@@ -628,6 +631,15 @@ def test_advance_law_cache_edge_cases():
     assert fast.rng.bit_generator.state == slow.rng.bit_generator.state
 
 
+class NoLookups(dict):
+    """A table of laws by PWM code that fails every lookup."""
+
+    def get(self, code, default=None):
+        raise AssertionError(f"law of PWM code {code} looked up")
+
+    __getitem__ = get
+
+
 def law_bits(law) -> list[str]:
     return [float(x).hex() for x in law]
 
@@ -643,7 +655,7 @@ def test_law_by_pwm_code_matches_law_oracle():
         params = clean_params(pwm_levels=pwm_levels, coulomb_open=0.5, coulomb_close=0.8)
         sim = ValveSimulator(params, Ts)
         for u in inputs:
-            sim._set_law(float(u))
+            sim.advance(u)
             assert law_bits(sim._law) == law_bits(law_oracle(params, u))
         if pwm_levels:
             levels = pwm_levels - 1
@@ -663,6 +675,74 @@ def test_law_by_pwm_code_matches_law_oracle():
             sim.advance(math.nan)
         assert (sim._u_raw, sim._law, sim._u_prev, sim._law_prev) == slots
         assert sim._pwm_laws == laws
+
+
+EDGE_INPUTS = [
+    0.0, -0.0, 0.0, 100.0, 100.5, 100.0, math.nan, 30.0, math.inf, -math.inf, 100.5, -0.0,
+    np.float32(0.1), 0.1, np.float32(0.1), np.float32(math.nan), np.float64(55.5), 55.5,
+    np.float32(-math.inf), 30.0, 100.5, 100.5, -0.0, -0.0, math.nan, 0.0,
+    12.5, 37.5, 62.5, 87.5, 12.5, 1e-300, 5e-324,  # PWM codes x.5 at 5 levels; tiny duties
+    -5.0, -1e-300, -1e308, 1e308, -5.0,
+]
+
+
+@pytest.mark.parametrize("pwm_levels", [256, 5, 0, 2**53 + 1])
+def test_advance_on_edge_inputs_matches_oracle_valve(pwm_levels):
+    """advance, which checks, clamps and quantizes a new duty cycle itself,
+    against the oracle valve that forms every law afresh: NaN and +-inf
+    raise the same ValueError and leave the state alone, and the signed
+    zeros, the range end, inputs past it, np.float32 and np.float64 values,
+    PWM codes halfway between two levels, codes past 2**51 (rounded by
+    round()) and repeats give equal state bits, with the rng untouched."""
+    params = clean_params(pwm_levels=pwm_levels, coulomb_open=0.5, coulomb_close=0.8,
+                          stiction_ratio=1.2, adc_bits=10, output_noise_std=0.1)
+    sim, oracle = ValveSimulator(params, Ts), OracleValve(params, Ts, rest_state(params))
+    for u in EDGE_INPUTS:
+        try:
+            oracle.advance(u)
+        except ValueError as err:
+            with pytest.raises(ValueError, match=f"^{err}$"):
+                sim.advance(u)
+        else:
+            sim.advance(u)
+        assert bits(sim.state) == bits(oracle.state)
+        assert sim.rng.bit_generator.state == oracle.rng.bit_generator.state
+
+
+# Angles on an ADC step of exactly 1.0 (0..1023 deg at 10 bits), so each
+# angle is the code quotient itself: halves, signed zeros, values beyond the
+# stops, either side of the 2**51 bound of the call-free rounding, and the
+# values round() rejects.
+ADC_ANGLES = [
+    0.0, -0.0, 0.5, 1.5, 2.5, -0.5, -1.5, -2.5, 511.5, 512.5, 1022.5, 1023.5, 0.49999999999999994,
+    -0.49999999999999994, 7.3, -7.3, 2.0**51 - 0.5, 2.0**51 - 1.5, 2.0**51, 2.0**51 + 1.0, -(2.0**51) + 0.5,
+    -(2.0**51), 2.0**60, -(2.0**60), 1e308, math.inf, -math.inf, math.nan,
+]
+
+
+@pytest.mark.parametrize("noise", [0.0, 0.1])
+def test_record_sensor_rounds_adc_codes_as_measure_does(noise):
+    """The record sensor, which rounds an ADC code with no call below 2**51,
+    against measure(), which calls round(): the same bits for every angle,
+    and the same error type and message where round() fails, with the noise
+    streams in step."""
+    params = clean_params(angle_min=0.0, angle_max=1023.0, spring_rest_angle=500.0, adc_bits=10,
+                          output_noise_std=noise)
+    fast, slow = ValveSimulator(params, Ts), ValveSimulator(params, Ts)
+    assert fast._q_step == 1.0
+
+    def outcome(read):
+        try:
+            return read().hex()
+        except (ValueError, OverflowError) as err:
+            return type(err), str(err)
+
+    with plant._record_sensor(fast, len(ADC_ANGLES)) as measure:
+        for angle in ADC_ANGLES:
+            fast._angle = slow._angle = angle
+            got, want = outcome(measure), outcome(slow.measure)
+            assert got == want, angle
+    assert fast.rng.bit_generator.state == slow.rng.bit_generator.state
 
 
 def sensor_sim(kind: str, adc_bits: int, noise: float, seed: int = 11):
