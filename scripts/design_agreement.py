@@ -13,10 +13,11 @@ Nyquist zero of H_R, a zero near the integrator of H_S, and A and B near a
 common root.
 
 It prints the largest difference of R, S and T scaled by cond_2(M) eps and
-the largest coefficient, the SVD calls on each side, the designs that take
-the general route, the accept/reject differences inside the pole check's
-band, and the mismatches: any pair of outcomes that breaks the agreement
-rule of tests/test_control.py, and any general-route design whose
+the largest coefficient, the SVD calls on each side, the kernels compiled
+(the misses of `_kernels.kernel`, one per source and shape), the designs
+that take the general route, the accept/reject differences inside the pole
+check's band, and the mismatches: any pair of outcomes that breaks the
+agreement rule of tests/test_control.py, and any general-route design whose
 r_core, s_core, t, r and s, or error, are not the oracle's bit for bit.  It
 exits 1 if there is a mismatch.
 
@@ -34,6 +35,7 @@ sys.path.insert(0, os.path.join(ROOT, "tests"))
 
 import test_control as oracle  # noqa: E402
 
+from valvebench import _kernels  # noqa: E402
 from valvebench.control import (  # noqa: E402
     HR_NYQUIST_ZERO,
     HS_INTEGRATOR,
@@ -148,6 +150,7 @@ def main(argv=None) -> int:
     print(f"largest deviation of R, S, T: {worst:.3g} cond_2(M) eps "
           f"(the tests allow {oracle.K_COND})")
     print(f"SVD calls: kernel {svd['kernel']}, oracle {svd['oracle']}")
+    print(f"kernels compiled: {_kernels.kernel.cache_info().misses} (one per source and shape)")
     print(f"general-route designs: {n_general} (each checked bit for bit against the oracle)")
     print(f"accept/reject differences inside the pole check's band: kernel accepts "
           f"{in_band['kernel']}, oracle accepts {in_band['oracle']}")

@@ -2,13 +2,14 @@
 and the one cache that compiles and keeps them.
 
 A kernel is Python generated for one shape (the parameter count of an RLS
-update; the orders, delay, fixed parts and target of a design; the lengths
-of S, R and T of a control law; the orders and delay of a closed-loop
-predictor's regressor; the length of a sum) by a source function: one of
-this module's, or a private one of its caller that prepares the key (the
-padded target of a design, the monic target of a pole check).  Callers look
-it up with :func:`kernel`, which compiles it at its first lookup and keeps
-it.  The source forms every value with the operations of the loop it
+update; the orders, delay and fixed parts of a design; the orders, delay
+and lengths of S, R and target of a pole check; the lengths of S, R and T
+of a control law; the orders and delay of a closed-loop predictor's
+regressor; the length of a sum) by a source function of this module.  A
+key holds no data: the coefficients a kernel works on, the target of a
+design or a pole check among them, are its arguments.  Callers look it up
+with :func:`kernel`, which compiles it at its first lookup and keeps it.
+The source forms every value with the operations of the loop it
 replaces, in the same order, so each result carries the same bits; the
 loops are kept as oracles in the tests.
 
@@ -34,6 +35,10 @@ from itertools import zip_longest
 
 from .errors import DivergenceError
 
+# The worst condition of a Sylvester matrix that a design accepts, on the
+# design kernel's bound and on the general route's SVD alike.
+SYLVESTER_MAX_COND = 1e10
+
 
 def compiled(code: list[str], name: str):
     """The function `kernel` that the source lines define, with
@@ -43,11 +48,11 @@ def compiled(code: list[str], name: str):
     return namespace["kernel"]
 
 
-@functools.lru_cache(maxsize=128)
+@functools.cache
 def kernel(source, *shape):
     """The kernel that source(*shape) defines, compiled at its first lookup
-    and kept for every later one; None where the source gives None, a shape
-    that no kernel applies to."""
+    and kept for every later one (a shape holds no data, so the cache needs
+    no bound); None where the source gives None, a shape no kernel fits."""
     code = source(*shape)
     return None if code is None else compiled(code, f"<{source.__name__}{shape}>")
 
@@ -177,11 +182,11 @@ def rls_source(n: int) -> list[str]:
 # Sylvester solve, Bezout design and pole check
 
 
-def sylvester_lines(n_a: int, n_b: int, p: list) -> list[str]:
+def sylvester_lines(n_a: int, n_b: int) -> list[str]:
     """Unindented straight-line source that solves M x = P for the
-    Sylvester matrix M of A1 = a0..a{n_a} and B1 = 0, b1..b{n_b} (names the
-    lines read) with P = p, n = n_a + n_b literals; it binds x0..x{n-1} and
-    bound, an upper bound on the 2-norm condition number of M.
+    Sylvester matrix M of A1 = a0..a{n_a} and B1 = 0, b1..b{n_b} and
+    P = p0..p{n-1}, n = n_a + n_b (names the lines read); it binds
+    x0..x{n-1} and bound, an upper bound on the 2-norm condition number of M.
 
     No entry of M is stored or operated on where the structure makes it
     zero.  Row 0 of M is A1[0] e_0, so x_0 = p_0 / A1[0]; the other n - 1
@@ -205,7 +210,7 @@ def sylvester_lines(n_a: int, n_b: int, p: list) -> list[str]:
         coeffs = a if j < n_b else b
         return coeffs[k] if 0 <= k < len(coeffs) else None
 
-    code = [f"x0 = {p[0]!r} / a0"]
+    code = ["x0 = p0 / a0"]
     # Rows and columns 1..n-1 once x0 is known; nz marks the entries that
     # may be nonzero, v the right-hand side.
     nz = {}
@@ -214,7 +219,7 @@ def sylvester_lines(n_a: int, n_b: int, p: list) -> list[str]:
             nz[i, j] = entry(i, j) is not None
             if nz[i, j]:
                 code.append(f"m{i}_{j} = {entry(i, j)}")
-        rhs = [repr(p[i])] + ([f"{entry(i, 0)} * x0"] if entry(i, 0) else [])
+        rhs = [f"p{i}"] + ([f"{entry(i, 0)} * x0"] if entry(i, 0) else [])
         code.append(f"v{i} = {' - '.join(rhs)}")
     for k in range(1, n):
         if not nz[k, k]:
@@ -354,42 +359,42 @@ def finite_source(entries: list) -> str | bool:
     return f"isfinite({' + '.join(names)})" if names else True
 
 
-def design_source(na: int, nb: int, delay: int, hs: tuple, hr: tuple, p: list, max_cond: float):
-    """Source of kernel(a_coeffs, b_coeffs) -> (r_core, s_core, t, r, s) or
-    None, the whole of a Bezout design for a model of these orders and
-    delay, with these fixed parts and the padded target p; None where no
-    kernel applies.
+def design_source(na: int, nb: int, delay: int, hs: tuple, hr: tuple):
+    """Source of kernel(a_coeffs, b_coeffs, p) -> (r_core, s_core, t, r, s)
+    or None, the whole of a Bezout design for a model of these orders and
+    delay and these fixed parts, with p the target padded to the n rows of
+    the Sylvester system; None where no kernel applies.
 
     The kernel forms A1 = A H_S and B1 = q^-d B H_R (:func:`product_source`),
     solves the Sylvester system (:func:`sylvester_lines`), normalises by
     s'_0, forms R = H_R R' and S = H_S S', and sums T = R(1) from the
     highest power down.  It returns None on a trailing A1, B1 or R term at
     or below 1e-12 of its polynomial's largest (a trimmed degree, a zero
-    numerator), a zero pivot, a condition bound past max_cond, or a
-    coefficient that is not finite.  With an A1 of degree 0, a zero
-    x_0 = p_0 / A1[0] or an s_0 = H_S[0] away from 1, no kernel applies."""
+    numerator), a zero or non-finite x_0 = p_0 / A1[0], a zero pivot, a
+    condition bound past SYLVESTER_MAX_COND, or a coefficient that is not
+    finite.  With an A1 of degree 0 or an s_0 = H_S[0] away from 1, no
+    kernel applies."""
     n_a, n_b = na + len(hs) - 1, delay + nb + len(hr) - 1
-    if n_a == 0:  # no R' at all
+    if n_a == 0 or abs(hs[0] - 1.0) > 1e-9:  # no R' at all, or s_0 != 1
         return None
     ma = [f"ma{i}" for i in range(1, na + 1)]
     mb = [f"mb{j}" for j in range(1, nb + 1)]
     body = [f"{', '.join(mb)}, = mb"] + ([f"{', '.join(ma)}, = ma"] if na else [])
+    body.append(f"{', '.join(f'p{i}' for i in range(n_a + n_b))}, = p")
+    # A1[0] = H_S[0] and B1[0] = 0 are constants; s'_0 = x_0 / x_0 = 1 makes
+    # s_0 = H_S[0], which the test above holds to 1.
     a1 = named("a", product_source([1.0, *ma], hs), body)
     b1 = named("b", product_source([0.0] * (delay + 1) + mb, hr), body)
-    # A1[0] = H_S[0] and B1[0] = 0 are constants, so is x_0 and, with
-    # s'_0 = x_0 / x_0 = 1, s_0 = H_S[0].
-    x0 = p[0] / a1[0] if a1[0] else 0.0
-    if not (x0 and math.isfinite(x0)) or abs(hs[0] - 1.0) > 1e-9:
-        return None
     body += [f"a{k} = {e!r}" for k, e in enumerate(a1) if isinstance(e, float)]
     body += [f"b{k} = {e!r}" for k, e in enumerate(b1) if k and isinstance(e, float)]
     untrimmed = [untrimmed_source(a1, 1e-12), untrimmed_source(b1, 1e-12)]
     if False in untrimmed:
         return None
     body += guards([finite_source(a1 + b1), *untrimmed])
-    body += ["try:", *indented(sylvester_lines(n_a, n_b, p))]
+    body += ["try:", *indented(sylvester_lines(n_a, n_b))]
     body += ["except ZeroDivisionError:", "    return None"]
-    body += guards([f"bound <= {max_cond!r}"])
+    # A non-finite x0 makes s'_0 = x0 / x0 NaN, which the last guard catches.
+    body += guards(["x0 != 0.0", f"bound <= {SYLVESTER_MAX_COND!r}"])
     s_core = [f"sc{k}" for k in range(n_b)]
     r_core = [f"rc{k}" for k in range(n_a)]
     body += [f"{name} = x{k} / x0" for k, name in enumerate(s_core + r_core)]
@@ -406,27 +411,30 @@ def design_source(na: int, nb: int, delay: int, hs: tuple, hr: tuple, p: list, m
         return f"({', '.join(map(src, entries))},)"
 
     body.append(f"return {tup(r_core)}, {tup(s_core)}, t, {tup(r)}, {tup(s)}")
-    return ["def kernel(ma, mb):", *indented(body)]
+    return ["def kernel(ma, mb, p):", *indented(body)]
 
 
-def pole_check_source(na: int, nb: int, delay: int, len_s: int, len_r: int, wanted: tuple):
-    """Source of kernel(a_coeffs, b_coeffs, s, r) -> err or None, the error
-    of a pole check for a model of these orders and delay, a controller of
-    these lengths of S and R, and the monic target `wanted`.
+def pole_check_source(na: int, nb: int, delay: int, len_s: int, len_r: int, len_w: int):
+    """Source of kernel(a_coeffs, b_coeffs, s, r, wanted) -> err or None,
+    the error of a pole check for a model of these orders and delay, a
+    controller of these lengths of S and R, and a monic target `wanted` of
+    len_w coefficients.
 
     The kernel forms A S + q^-d B R (:func:`product_source`, the longer of
     A S and q^-d B R plus the shorter) and compares it, divided by its
-    leading coefficient, with `wanted` as literals, after the trim at 1e-9
-    of the largest magnitude: one branch per length the trim may leave.  It
+    leading coefficient, with `wanted`, after the trim at 1e-9 of the
+    largest magnitude: one branch per length the trim may leave.  It
     returns None on a zero leading coefficient or a coefficient that is not
     finite."""
     s = [f"s{k}" for k in range(len_s)]
     r = [f"r{k}" for k in range(len_r)]
     ma = [f"ma{i}" for i in range(1, na + 1)]
     mb = [f"mb{j}" for j in range(1, nb + 1)]
+    wanted = [f"w{k}" for k in range(len_w)]
     body = [
         f"{', '.join(names)}, = {arg}"
-        for names, arg in ((ma, "ma"), (mb, "mb"), (s, "s"), (r, "r")) if names
+        for names, arg in ((ma, "ma"), (mb, "mb"), (s, "s"), (r, "r"), (wanted, "wanted"))
+        if names
     ]
     as_ = product_source([1.0, *ma], s)
     br = product_source([0.0] * (delay + 1) + mb, r)
@@ -464,14 +472,14 @@ def pole_check_source(na: int, nb: int, delay: int, len_s: int, len_r: int, want
     for keep in range(len(closed), 0, -1):
         achieved = closed[:keep]
         errors = [
-            f"abs({src(c)} / {closed[0]} - {v!r})"
+            f"abs({src(c)} / {closed[0]} - {src(v)})"
             for c, v in zip_longest(achieved, wanted, fillvalue=0.0)
         ]
         err = errors[0] if len(errors) == 1 else f"max({', '.join(errors)})"
         if keep > 1:
             body.append(f"if {mags[keep - 1]} > tol:")
         body.append(f"{'    ' * (keep > 1)}return {err}")
-    return ["def kernel(ma, mb, s, r):", *indented(body)]
+    return ["def kernel(ma, mb, s, r, wanted):", *indented(body)]
 
 
 # ---------------------------------------------------------------------------

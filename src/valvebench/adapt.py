@@ -219,6 +219,8 @@ def iterate(
     """
     if n_iter < 1:
         raise ValueError("n_iter must be >= 1")
+    if warmup < 0:
+        raise ValueError("warmup must be >= 0")
     Ts = initial_controller.Ts
     theta = np.asarray(theta0, dtype=float).copy()
     if len(theta) != design.na + design.nb:

@@ -573,10 +573,11 @@ def plan_adapt(cfg):
     ad = cfg["adapt"]
     if ad["n_iter"] < 1:
         raise ConfigError("adapt n_iter must be >= 1")
-    # cl_identify settles no warmup of fewer than one sample
+    if ad["warmup"] < 0:
+        raise ConfigError("adapt warmup must be >= 0")
     n = _settle_samples("adapt settle", ad["settle"], Ts)
     n += (ad["n_iter"] + 1) * _reference_length(cfg["track"], Ts)
-    n += ad["n_iter"] * (max(0, ad["warmup"]) + cfg["excitation"]["length"])
+    n += ad["n_iter"] * (ad["warmup"] + cfg["excitation"]["length"])
     _check_samples(
         "adapt run", n,
         "settle / Ts + (n_iter + 1) x levels x hold / Ts + n_iter x (warmup + excitation length)",

@@ -251,12 +251,15 @@ def cl_identify(
     operating_reference with r_u added to the controller output.  A warmup
     of that many samples settles the loop first and seeds the predictor
     histories with measured data, suppressing the initial transient of the
-    parallel predictor.  A non-finite excitation or operating reference
-    raises ValueError before the plant advances.  The samples run in
-    :func:`_record`, on Python floats; the arrays are built at the end.
+    parallel predictor.  A non-finite excitation or operating reference, or
+    a negative warmup, raises ValueError before the plant advances.  The
+    samples run in :func:`_record`, on Python floats; the arrays are built
+    at the end.
     """
     excitation = _finite("excitation", excitation)
     r_bar = _finite("operating_reference", operating_reference)
+    if warmup < 0:
+        raise ValueError("warmup must be >= 0")
     runtime = ControllerRuntime(controller, limits=limits)
 
     y_hist = u_hist = None

@@ -19,12 +19,11 @@ from itertools import zip_longest
 import numpy as np
 
 from . import _kernels
-from ._kernels import kernel as _kernel, law_source as _law_source
+from ._kernels import SYLVESTER_MAX_COND, kernel as _kernel, law_source as _law_source
 from .errors import DesignError
 from .fileio import format_float
 from .plant import DiscretePlantModel, _record_sensor
 
-SYLVESTER_MAX_COND = 1e10
 DB_FLOOR = -400.0
 
 
@@ -310,27 +309,13 @@ def pi_design(a1_hat: float, b1_hat: float, pole_poly: DelayPolynomial, Ts: floa
     )
 
 
-def _padded_target(n: int, pole_coeffs: tuple) -> list[float]:
-    """P trimmed and padded with zeros to the n rows of a Sylvester system;
-    raises :class:`DesignError` when its degree exceeds n - 1."""
+@functools.lru_cache(maxsize=32)
+def _padded_target(n: int, pole_coeffs: tuple) -> tuple | None:
+    """P trimmed and padded with zeros to the n rows of a Sylvester system,
+    as the design kernel reads it, each -0.0 as 0.0 (x + 0.0), since a
+    cache key takes the two as one; None when its degree exceeds n - 1."""
     p = _trimmed(pole_coeffs)
-    if len(p) - 1 > n - 1:
-        raise DesignError(
-            f"desired polynomial degree {len(p) - 1} exceeds solvable degree {n - 1}"
-        )
-    return p + [0.0] * (n - len(p))
-
-
-def _design_source(na: int, nb: int, delay: int, hs: tuple, hr: tuple, pole_coeffs: tuple):
-    """:func:`valvebench._kernels.design_source` of this target padded to
-    the Sylvester system of these orders, delay and fixed parts; None where
-    P is of too high a degree."""
-    n = na + len(hs) - 1 + delay + nb + len(hr) - 1
-    try:
-        p = _padded_target(n, pole_coeffs)
-    except DesignError:
-        return None
-    return _kernels.design_source(na, nb, delay, hs, hr, p, SYLVESTER_MAX_COND)
+    return None if len(p) > n else tuple([c + 0.0 for c in p] + [0.0] * (n - len(p)))
 
 
 def bezout_design(
@@ -348,16 +333,17 @@ def bezout_design(
     than SYLVESTER_MAX_COND (a common factor), the numerator is zero or P is
     of too high a degree.
 
-    Runs the design kernel of the model's orders and delay, the fixed
-    parts and the target (:func:`_design_source`), straight-line Python
-    compiled once per key.  The general route (:func:`_bezout_general`)
-    decides every input the kernel returns None for.
+    Runs the design kernel of the model's orders and delay and the fixed
+    parts (:func:`valvebench._kernels.design_source`) on the padded target
+    (:func:`_padded_target`); the general route (:func:`_bezout_general`)
+    decides each input that the kernel or the padding declines.
     """
-    kernel = _kernel(
-        _design_source, len(model.a_coeffs), len(model.b_coeffs), model.delay, hs.coeffs,
-        hr.coeffs, pole_poly.coeffs,
+    na, nb, delay = len(model.a_coeffs), len(model.b_coeffs), model.delay
+    kernel = _kernel(_kernels.design_source, na, nb, delay, hs.coeffs, hr.coeffs)
+    p = None if kernel is None else _padded_target(
+        na + len(hs.coeffs) + delay + nb + len(hr.coeffs) - 2, pole_poly.coeffs
     )
-    solved = None if kernel is None else kernel(model.a_coeffs, model.b_coeffs)
+    solved = None if p is None else kernel(model.a_coeffs, model.b_coeffs, p)
     if solved is None:
         return _bezout_general(model, pole_poly, hs, hr)
     return RstController._of_parts(*solved, model.Ts, hr, hs)
@@ -380,9 +366,13 @@ def _bezout_general(model, pole_poly, hs, hr) -> RstController:
         raise DesignError(
             "A H_S has degree 0: it leaves no R', so no feedback can place the poles"
         )
-    p = _padded_target(n_a + n_b, pole_poly.coeffs)
+    n = n_a + n_b
+    p = _trimmed(pole_poly.coeffs)  # not _padded_target's: a -0.0 stays, as in the oracle
+    if len(p) > n:
+        raise DesignError(f"desired polynomial degree {len(p) - 1} exceeds solvable degree {n - 1}")
+    p += [0.0] * (n - len(p))
     # Column j < n_b of M holds A1 from row j down, column n_b + j holds B1.
-    M = np.zeros((n_a + n_b, n_a + n_b))
+    M = np.zeros((n, n))
     for j in range(n_b):
         M[j:j + n_a + 1, j] = a1
     for j in range(n_a):
@@ -449,15 +439,6 @@ def _monic_target(coeffs: tuple) -> tuple | None:
     return None if lead == 0.0 else tuple(c / lead for c in wanted)
 
 
-def _pole_check_source(na: int, nb: int, delay: int, len_s: int, len_r: int, pole_coeffs: tuple):
-    """:func:`valvebench._kernels.pole_check_source` of this target's monic
-    form; None where its leading coefficient is zero."""
-    wanted = _monic_target(pole_coeffs)
-    if wanted is None:
-        return None
-    return _kernels.pole_check_source(na, nb, delay, len_s, len_r, wanted)
-
-
 def check_pole_placement(
     model: DiscretePlantModel,
     controller: RstController,
@@ -470,13 +451,17 @@ def check_pole_placement(
     ill-conditioned near multiple poles (the critically damped target has a
     double root) while the coefficients are not.  Raises
     :class:`DesignError` above tol.
+
+    Runs the kernel of the model's orders and delay and the lengths of S, R
+    and the monic target (:func:`valvebench._kernels.pole_check_source`) on
+    :func:`_monic_target`; :func:`_placement_error` decides the rest.
     """
     s, r, _ = controller._law
-    kernel = _kernel(
-        _pole_check_source, len(model.a_coeffs), len(model.b_coeffs), model.delay, len(s), len(r),
-        pole_poly.coeffs,
-    )
-    err = None if kernel is None else kernel(model.a_coeffs, model.b_coeffs, s, r)
+    wanted = _monic_target(pole_poly.coeffs)
+    err = None if wanted is None else _kernel(
+        _kernels.pole_check_source, len(model.a_coeffs), len(model.b_coeffs), model.delay,
+        len(s), len(r), len(wanted),
+    )(model.a_coeffs, model.b_coeffs, s, r, wanted)
     if err is None:
         err = _placement_error(model, controller, pole_poly)
     if err > tol:

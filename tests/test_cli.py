@@ -374,6 +374,7 @@ def test_plain_value_error_mid_run_is_a_run_failure(tmp_path, capsys, monkeypatc
         ("adapt", "adapt.n_iter=1000000", "adapt run of 640000360 samples"),
         ("adapt", "excitation.length=100000000", "adapt run of 400001720 samples"),
         ("adapt", "adapt.warmup=10000000", "adapt run of 40002760 samples"),
+        ("adapt", "adapt.warmup=-5", "adapt warmup must be >= 0"),
     ],
 )
 def test_input_checks_run_before_any_simulation(tmp_path, capsys, monkeypatch, command, override, message):

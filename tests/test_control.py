@@ -23,11 +23,9 @@ from valvebench.control import (
     RstController,
     _closed_loop,
     _convolve,
-    _design_source,
     _model_arrays,
     _monic_target,
     _padded_target,
-    _pole_check_source,
     _trimmed,
     bezout_design,
     check_pole_placement,
@@ -676,18 +674,19 @@ def _pole_check_band(model, ctrl, hs, hr):
     return K_COND * np.linalg.cond(M) * EPS * coeffs * norms
 
 
-def _gepp_sylvester_source(n_a, n_b, pole_coeffs):
-    """Source of kernel(a1, b1) -> (x, bound): the Sylvester solve that the
-    design kernel inlines, from _kernels.sylvester_lines for A1 of degree
-    n_a and B1 of degree n_b (B1[0] = 0) and this target.  It is Gaussian
-    elimination with partial pivoting, bit for bit the kernel's, and the
-    kernel's bound on cond_2(M); a zero pivot raises ZeroDivisionError."""
-    p = _padded_target(n_a + n_b, pole_coeffs)
+def _gepp_sylvester_source(n_a, n_b):
+    """Source of kernel(a1, b1, p) -> (x, bound): the Sylvester solve that
+    the design kernel inlines, from _kernels.sylvester_lines for A1 of
+    degree n_a and B1 of degree n_b (B1[0] = 0) and the target p padded to
+    n_a + n_b rows.  It is Gaussian elimination with partial pivoting, bit
+    for bit the kernel's, and the kernel's bound on cond_2(M); a zero pivot
+    raises ZeroDivisionError."""
     return [
-        "def kernel(a, b):",
+        "def kernel(a, b, p):",
         f"    {', '.join(f'a{k}' for k in range(n_a + 1))}, = a",
         f"    _, {', '.join(f'b{k}' for k in range(1, n_b + 1))}, = b",
-        *_kernels.indented(_kernels.sylvester_lines(n_a, n_b, p)),
+        f"    {', '.join(f'p{k}' for k in range(n_a + n_b))}, = p",
+        *_kernels.indented(_kernels.sylvester_lines(n_a, n_b)),
         f"    return [{', '.join(f'x{k}' for k in range(n_a + n_b))}], bound",
     ]
 
@@ -698,9 +697,9 @@ def _kernel_bound(model, target, hs, hr):
     M, a1, b1 = _design_matrix(model, hs, hr)
     if not any(b1) or len(b1) < 2 or len(target.trimmed().coeffs) > len(M):
         return None
-    kernel = _kernels.kernel(_gepp_sylvester_source, len(a1) - 1, len(b1) - 1, target.coeffs)
+    kernel = _kernels.kernel(_gepp_sylvester_source, len(a1) - 1, len(b1) - 1)
     try:
-        return kernel(a1, b1)[1]
+        return kernel(a1, b1, _padded_target(len(M), target.coeffs))[1]
     except ZeroDivisionError:
         return math.inf
 
@@ -950,9 +949,10 @@ def _reference_bezout_design(model, pole_poly, hs=HS_INTEGRATOR, hr=HR_NYQUIST_Z
     a, b = _model_arrays(model)
     a1 = _trimmed(_convolve(a, hs.coeffs))
     b1 = _trimmed(_convolve(b, hr.coeffs))
-    solve = _kernels.kernel(_gepp_sylvester_source, len(a1) - 1, len(b1) - 1, pole_poly.coeffs)
-    assert solve(a1, b1)[1] <= SYLVESTER_MAX_COND
-    sol = _gepp_loop(a1, b1, _padded_target(len(a1) + len(b1) - 2, pole_poly.coeffs))
+    solve = _kernels.kernel(_gepp_sylvester_source, len(a1) - 1, len(b1) - 1)
+    p = _padded_target(len(a1) + len(b1) - 2, pole_poly.coeffs)
+    assert solve(a1, b1, p)[1] <= SYLVESTER_MAX_COND
+    sol = _gepp_loop(a1, b1, p)
     n_b = len(b1) - 1
     s_core = [v / sol[0] for v in sol[:n_b]]
     r_core = [v / sol[0] for v in sol[n_b:]]
@@ -1002,11 +1002,11 @@ def _pole_check_bits(fn, model, ctrl, target, tol=1e-9):
 def _kernel_answers(model, target, hs, hr):
     """Whether the design kernel of this input answers it, rather than
     leaving it to the general route."""
-    kernel = _kernels.kernel(
-        _design_source, len(model.a_coeffs), len(model.b_coeffs), model.delay, hs.coeffs,
-        hr.coeffs, target.coeffs,
-    )
-    return kernel is not None and kernel(model.a_coeffs, model.b_coeffs) is not None
+    na, nb = len(model.a_coeffs), len(model.b_coeffs)
+    kernel = _kernels.kernel(_kernels.design_source, na, nb, model.delay, hs.coeffs, hr.coeffs)
+    n = na + len(hs.coeffs) + model.delay + nb + len(hr.coeffs) - 2
+    p = _padded_target(n, target.coeffs)
+    return None not in (kernel, p) and kernel(model.a_coeffs, model.b_coeffs, p) is not None
 
 
 def _assert_design_bits_match_reference(model, target, hs, hr):
@@ -1071,8 +1071,9 @@ def test_design_kernel_runs_on_the_adaptive_redesign():
     general route, and their results are the reference's."""
     spec = RstDesignSpec(PoleSpec(5.0, 1.0, Ts))
     model = spec.model_from([-0.9152, -0.0609])
-    key = (1, 1, 0, spec.hs.coeffs, spec.hr.coeffs, spec.target.coeffs)
-    solved = _kernels.kernel(_design_source, *key)(model.a_coeffs, model.b_coeffs)
+    solved = _kernels.kernel(_kernels.design_source, 1, 1, 0, spec.hs.coeffs, spec.hr.coeffs)(
+        model.a_coeffs, model.b_coeffs, _padded_target(4, spec.target.coeffs)
+    )
     ctrl = spec.design([-0.9152, -0.0609])
     assert solved is not None
     r_core, s_core, t_gain, r, s = solved
@@ -1080,10 +1081,63 @@ def test_design_kernel_runs_on_the_adaptive_redesign():
         _hex(ctrl.r_core.coeffs), _hex(ctrl.s_core.coeffs), _hex(ctrl.t.coeffs),
         _hex(ctrl.r.coeffs), _hex(ctrl.s.coeffs),
     ]
-    err = _kernels.kernel(_pole_check_source, 1, 1, 0, 3, 3, spec.target.coeffs)(
-        model.a_coeffs, model.b_coeffs, ctrl.s.coeffs, ctrl.r.coeffs
+    err = _kernels.kernel(_kernels.pole_check_source, 1, 1, 0, 3, 3, 3)(
+        model.a_coeffs, model.b_coeffs, ctrl.s.coeffs, ctrl.r.coeffs,
+        _monic_target(spec.target.coeffs),
     )
     assert err == _reference_check_pole_placement(model, ctrl, spec.target)
+
+
+P1, P2 = desired_poles(PoleSpec(5.0, 1.0, Ts)).coeffs[1:]
+# H_S with a lead of 1 - 1e-10, inside the kernel's 1e-9 of 1
+HS_BELOW_ONE = DelayPolynomial((1.0 - 1e-10, -(1.0 - 1e-10)))
+MAX_FLOAT = 1.7976931348623157e308
+
+
+@pytest.mark.parametrize(
+    "coeffs, hs, general, padded",
+    [
+        # x_0 = p_0 / A1[0] is zero: the runtime guard sends it to the general route
+        ((0.0, P1, P2), HS_INTEGRATOR, True, (0.0, P1, P2, 0.0)),
+        ((-0.0, P1, P2), HS_INTEGRATOR, True, (0.0, P1, P2, 0.0)),
+        # x_0 is subnormal: x_k / x_0 overflows, which the finiteness guard catches
+        ((5e-324, P1, P2), HS_INTEGRATOR, True, (5e-324, P1, P2, 0.0)),
+        # x_0 = p_0 / (1 - 1e-10) overflows: s'_0 = x_0 / x_0 is NaN, caught too
+        ((MAX_FLOAT, P1, P2), HS_BELOW_ONE, True, (MAX_FLOAT, 0.0, 0.0, 0.0)),
+        # a 1e300 lead: the trim at 1e-12 drops the tail
+        ((1e300, P1, P2), HS_INTEGRATOR, False, (1e300, 0.0, 0.0, 0.0)),
+        # a trailing 1e-13 that the trim drops
+        ((2.0, P1, P2, 1e-13), HS_INTEGRATOR, False, (2.0, P1, P2, 0.0)),
+    ],
+    ids=["p0-zero", "p0-minus-zero", "p0-subnormal", "x0-overflow", "p0-1e300", "trimmed-tail"],
+)
+def test_design_kernel_takes_non_monic_targets_at_call_time(coeffs, hs, general, padded):
+    """Non-monic targets of one shape go to the one design kernel of that
+    shape as an argument, trimmed and padded to the 4 rows of its Sylvester
+    system: where x_0 = p_0 / A1[0] is zero or not finite the kernel
+    declines at run time and the general route decides, and each design
+    gives its reference's bits, or raises what the reference raises."""
+    _padded_target.cache_clear()
+    assert _hex(_padded_target(4, coeffs)) == _hex(padded)
+    target = DelayPolynomial(coeffs)
+    assert _kernel_answers(PLANT, target, hs, HR_NYQUIST_ZERO) != general
+    _assert_design_bits_match_reference(PLANT, target, hs, HR_NYQUIST_ZERO)
+
+
+def test_a_kernel_design_does_not_depend_on_the_targets_before_it():
+    """The design kernel reads a -0.0 of the target as 0.0, so a cached
+    target that compares equal gives the same bits: here R'_0 = (p_1 -
+    a_1) / b_1 is a signed zero, and the target with -0.0 designs the same
+    controller whether or not the one with 0.0 came first."""
+    model = DiscretePlantModel((0.0, 0.3), (0.5,), 0, Ts)
+    plus, minus = DelayPolynomial((1.0, 0.0, 0.25)), DelayPolynomial((1.0, -0.0, 0.25))
+    designs = []
+    for order in ((minus, plus), (plus, minus)):
+        _padded_target.cache_clear()
+        designs += [_design_bits(bezout_design, model, target, ONE, ONE) for target in order]
+    assert _kernel_answers(model, minus, ONE, ONE)
+    assert designs[0] == designs[1] == designs[2] == designs[3]
+    assert designs[0][0][0] == (0.0).hex()  # R'_0
 
 
 trim_values = st.one_of(
@@ -1145,9 +1199,6 @@ def _gepp_loop(a1, b1, p):
             acc -= m[k][j] * x[j]
         x[k] = acc / m[k][k]
     return [x0, *x]
-
-
-P2 = desired_poles(PoleSpec(5.0, 1.0, Ts)).coeffs[2]
 
 
 @pytest.mark.parametrize(

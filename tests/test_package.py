@@ -151,7 +151,10 @@ def test_each_kernel_is_compiled_once_per_shape(monkeypatch):
     pair is compiled once, at its first lookup, across rls_step and
     rls_run, bezout_design, check_pole_placement, a clamped and an
     unclamped runtime and the predictor: a second round of the same calls
-    compiles nothing."""
+    compiles nothing, and nor does a third with another pole specification
+    (another omega_0 and zeta, a target of the same length), since a key
+    holds the shape and the target goes in at call time.  The kernels
+    answer every design and pole check here: the general routes raise."""
     import numpy as np
 
     from valvebench import _kernels, cloe, control, ident
@@ -172,11 +175,20 @@ def test_each_kernel_is_compiled_once_per_shape(monkeypatch):
 
     monkeypatch.setattr(_kernels, "compiled", counting)
     _kernels.kernel.cache_clear()
-    spec = RstDesignSpec(PoleSpec(5.0, 1.0, 0.05))
-    model = spec.model_from([-0.9152, -0.0609])
+
+    def general(*args):
+        raise AssertionError("a kernel declined the design or its pole check")
+
+    monkeypatch.setattr(control, "_bezout_general", general)
+    monkeypatch.setattr(control, "_placement_error", general)
+    first, other = RstDesignSpec(PoleSpec(5.0, 1.0, 0.05)), RstDesignSpec(PoleSpec(8.0, 0.7, 0.05))
+    assert other.target != first.target
+    assert len(other.target.coeffs) == len(first.target.coeffs)
+    specs = [first, first, other]
+    model = first.model_from([-0.9152, -0.0609])
     u, y = np.sin(0.3 * np.arange(40)), np.cos(0.2 * np.arange(40))
     rounds = []
-    for _ in range(2):
+    for spec in specs:
         state = ident.initial_adaptation_state(2)
         ident.rls_step(state, [0.1, -0.2], 1.0)
         ident.rls_run(u, y, 1, 1, state)
@@ -187,9 +199,9 @@ def test_each_kernel_is_compiled_once_per_shape(monkeypatch):
         predictor.predict(0.5)
         predictor.adapt(1.0)
         rounds.append(list(built))
-    assert rounds[0] == rounds[1] == built
+    assert rounds[0] == rounds[1] == rounds[2] == built
     assert len(built) == len(set(built))
     assert sorted(name[1:name.index("(")] for name in built) == [
-        "_design_source", "_pole_check_source", "dot_source", "law_source", "law_source",
+        "design_source", "dot_source", "law_source", "law_source", "pole_check_source",
         "predictor_source", "rls_source",
     ]

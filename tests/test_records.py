@@ -200,11 +200,11 @@ def spike(value, base=1.0):
     return x
 
 
-def frozen_cl_identify(plant, excitation, level=40.0):
+def frozen_cl_identify(plant, excitation, level=40.0, warmup=10):
     init = initial_adaptation_state(2, theta0=np.array(THETA))
     return cl_identify(
         plant, SPEC.design(np.array(THETA)), excitation, init, 1, 1,
-        operating_reference=level, warmup=10, limits=(0.0, 100.0), update=False,
+        operating_reference=level, warmup=warmup, limits=(0.0, 100.0), update=False,
     )
 
 
@@ -230,6 +230,23 @@ def test_a_non_finite_input_is_rejected_before_the_plant_advances(record, messag
     record entry, before warmup or settling moves the plant or its rng."""
     plant = make_plant("valve", 0.2)
     with pytest.raises(ValueError, match=message):
+        record(plant)
+    assert plant_bits(plant) == plant_bits(make_plant("valve", 0.2))
+
+
+@pytest.mark.parametrize("record", [
+    lambda p: frozen_cl_identify(p, spike(1.0), warmup=-5),
+    lambda p: adapt.iterate(
+        p, SPEC.design(np.array(THETA)), SPEC, adapt.ExcitationSpec(length=50),
+        adapt.EvalScenario(), 1, np.array(THETA), warmup=-5,
+    ),
+], ids=["cl_identify", "iterate"])
+def test_a_negative_warmup_is_rejected_before_the_plant_advances(record):
+    """cl_identify once ran no warmup for any warmup <= 0, so a negative one
+    passed as none; it now raises a ValueError at entry, and so does
+    iterate, before it settles the loop and scores the first controller."""
+    plant = make_plant("valve", 0.2)
+    with pytest.raises(ValueError, match="warmup must be >= 0"):
         record(plant)
     assert plant_bits(plant) == plant_bits(make_plant("valve", 0.2))
 
