@@ -352,6 +352,14 @@ def guards(conditions) -> list[str]:
     ]
 
 
+def unpacking(names: list, arg: str) -> str:
+    """The line that unpacks the sequence `arg` into the names, as
+    ``[] = arg`` for no names.  Either form raises ValueError on a sequence
+    of another length, so a kernel taken for a shape rejects coefficients
+    of any other."""
+    return f"{', '.join(names)}, = {arg}" if names else f"[] = {arg}"
+
+
 def finite_source(entries: list) -> str | bool:
     """A source condition true when the named floats among the entries are
     all finite (and false, at worst, when their sum overflows)."""
@@ -373,14 +381,15 @@ def design_source(na: int, nb: int, delay: int, hs: tuple, hr: tuple):
     numerator), a zero or non-finite x_0 = p_0 / A1[0], a zero pivot, a
     condition bound past SYLVESTER_MAX_COND, or a coefficient that is not
     finite.  With an A1 of degree 0 or an s_0 = H_S[0] away from 1, no
-    kernel applies."""
+    kernel applies.  Coefficients of other orders raise ValueError
+    (:func:`unpacking`)."""
     n_a, n_b = na + len(hs) - 1, delay + nb + len(hr) - 1
     if n_a == 0 or abs(hs[0] - 1.0) > 1e-9:  # no R' at all, or s_0 != 1
         return None
     ma = [f"ma{i}" for i in range(1, na + 1)]
     mb = [f"mb{j}" for j in range(1, nb + 1)]
-    body = [f"{', '.join(mb)}, = mb"] + ([f"{', '.join(ma)}, = ma"] if na else [])
-    body.append(f"{', '.join(f'p{i}' for i in range(n_a + n_b))}, = p")
+    body = [unpacking(mb, "mb"), unpacking(ma, "ma")]
+    body.append(unpacking([f"p{i}" for i in range(n_a + n_b)], "p"))
     # A1[0] = H_S[0] and B1[0] = 0 are constants; s'_0 = x_0 / x_0 = 1 makes
     # s_0 = H_S[0], which the test above holds to 1.
     a1 = named("a", product_source([1.0, *ma], hs), body)
@@ -425,16 +434,16 @@ def pole_check_source(na: int, nb: int, delay: int, len_s: int, len_r: int, len_
     leading coefficient, with `wanted`, after the trim at 1e-9 of the
     largest magnitude: one branch per length the trim may leave.  It
     returns None on a zero leading coefficient or a coefficient that is not
-    finite."""
+    finite, and raises ValueError on a model, S, R or target of other
+    lengths (:func:`unpacking`)."""
     s = [f"s{k}" for k in range(len_s)]
     r = [f"r{k}" for k in range(len_r)]
     ma = [f"ma{i}" for i in range(1, na + 1)]
     mb = [f"mb{j}" for j in range(1, nb + 1)]
     wanted = [f"w{k}" for k in range(len_w)]
     body = [
-        f"{', '.join(names)}, = {arg}"
+        unpacking(names, arg)
         for names, arg in ((ma, "ma"), (mb, "mb"), (s, "s"), (r, "r"), (wanted, "wanted"))
-        if names
     ]
     as_ = product_source([1.0, *ma], s)
     br = product_source([0.0] * (delay + 1) + mb, r)

@@ -14,6 +14,7 @@ default because it is what the evaluation protocol measures.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass, field
@@ -27,6 +28,7 @@ from .control import (
     DelayPolynomial,
     PoleSpec,
     RstController,
+    _prepared_target,
     bezout_design,
     check_pole_placement,
     desired_poles,
@@ -77,7 +79,16 @@ class ExcitationSpec:
 
 @dataclass(frozen=True)
 class RstDesignSpec:
-    """Everything fixed across re-designs: target poles, fixed parts, orders."""
+    """Everything fixed across re-designs: target poles, fixed parts, orders.
+
+    What a redesign looks up that depends on the spec alone (the design
+    kernel and the padded target, the pole-check kernel of the lengths the
+    design kernel gives and the monic target) is resolved at the first
+    :meth:`design`, into a private prepared target
+    (:func:`valvebench.control._prepared_target`) that every later design
+    passes to :func:`bezout_design` and :func:`check_pole_placement`.  It
+    holds compiled kernels, so it is left out of the pickled state; an
+    unpickled spec prepares its own."""
 
     pole: PoleSpec
     na: int = 1
@@ -95,6 +106,15 @@ class RstDesignSpec:
         if self.delay < 0:
             raise ValueError("delay must be >= 0")
         object.__setattr__(self, "target", desired_poles(self.pole))
+
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        state.pop("_prepared", None)
+        return state
+
+    @functools.cached_property
+    def _prepared(self) -> DelayPolynomial:
+        return _prepared_target(self.target, self.na, self.nb, self.delay, self.hs, self.hr)
 
     def model_from(self, theta) -> DiscretePlantModel:
         """The model of an estimate [a1..a_na, b1..b_nb], as the constructor
@@ -115,10 +135,13 @@ class RstDesignSpec:
         return model
 
     def design(self, theta) -> RstController:
-        """Pole placement on the given estimate, verified before returning."""
+        """Pole placement on the given estimate, verified before returning:
+        :func:`bezout_design` and :func:`check_pole_placement` on the spec's
+        prepared target, which decide exactly as on :attr:`target`."""
         model = self.model_from(theta)
-        controller = bezout_design(model, self.target, self.hs, self.hr)
-        check_pole_placement(model, controller, self.target)
+        target = self._prepared
+        controller = bezout_design(model, target, self.hs, self.hr)
+        check_pole_placement(model, controller, target)
         return controller
 
 

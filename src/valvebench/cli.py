@@ -225,6 +225,21 @@ def build_valve_params(plant_cfg: dict, preset: str, seed: int | None) -> ValveP
         raise ConfigError(f"invalid plant parameters: {err}") from None
 
 
+def _check_references(cfg: dict, params: ValveParams) -> None:
+    """Raise ConfigError for a track level or an adapt operating reference
+    outside the plant's [angle_min, angle_max]: the plate cannot leave its
+    stops, so no such reference can be tracked."""
+    lo, hi = params.angle_min, params.angle_max
+    refs = [("track levels", v) for v in cfg["track"]["levels"]] if "track" in cfg else []
+    if "adapt" in cfg:
+        refs.append(("adapt operating_reference", cfg["adapt"]["operating_reference"]))
+    for name, v in refs:
+        if not lo <= v <= hi:
+            raise ConfigError(
+                f"{name} must lie in the plant's angle range [{lo!r}, {hi!r}] (got {v!r})"
+            )
+
+
 def _prbs_from_cfg(exc: dict, Ts: float) -> PrbsConfig:
     """The PRBS of an open-loop run, with the run's settle duration checked
     and its samples counted against MAX_REFERENCE_SAMPLES."""
@@ -770,8 +785,11 @@ def main(argv=None) -> int:
             raise ConfigError("plant preset list is empty")
         job = PLANS[args.command](cfg)
         plants = []
-        for preset in presets:  # the only check that depends on the preset; a failure names it
-            plants.append(preset and build_valve_params(cfg["plant"], preset, args.seed))
+        for preset in presets:  # the only checks that depend on the preset; a failure names it
+            params = preset and build_valve_params(cfg["plant"], preset, args.seed)
+            if params:
+                _check_references(cfg, params)
+            plants.append(params)
         failures = _run(job, presets, plants, args.out, args.parallel)
         codes = [2 if isinstance(e, ConfigError) else 1 for _, e in failures]
     except (ValveBenchError, ValueError) as err:  # the input, before any job ran

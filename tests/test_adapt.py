@@ -1,7 +1,14 @@
 """Iterative excite/identify/redesign protocol and the per-sample variant."""
 
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from valvebench import control
 
 from valvebench.adapt import (
     AdaptiveRun,
@@ -17,9 +24,12 @@ from valvebench.adapt import (
 )
 from valvebench.control import (
     HR_NYQUIST_ZERO,
+    HS_INTEGRATOR,
     ONE,
     DelayPolynomial,
     PoleSpec,
+    bezout_design,
+    check_pole_placement,
     dominant_poles,
     pi_design,
     rst_law_length,
@@ -105,6 +115,161 @@ def test_model_from_builds_the_constructed_model():
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="^coefficients must be finite$"):
             spec.model_from([-1.2, 0.35, bad, 0.2])
+
+
+def _bits(ctrl):
+    return [[c.hex() for c in getattr(ctrl, name).coeffs] for name in ("r_core", "s_core", "t", "r", "s")]
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the error type and message."""
+    try:
+        return fn(*args)
+    except (DesignError, ValueError) as err:
+        return type(err), str(err)
+
+
+def _outcome_bits(design, *args):
+    """The bits of r_core, s_core, t, r and s of a design, or the error type
+    and message."""
+    return _outcome(lambda: _bits(design(*args)))
+
+
+def _unprepared_design(spec, theta):
+    """The public path a redesign replaces, on a fresh copy of the target:
+    nothing prepared, every kernel and target looked up."""
+    model = spec.model_from(theta)
+    target = DelayPolynomial(spec.target.coeffs)
+    controller = bezout_design(model, target, spec.hs, spec.hr)
+    check_pole_placement(model, controller, target)
+    return controller
+
+
+def _retarget(spec, coeffs):
+    """The spec with its target replaced, before its first design."""
+    object.__setattr__(spec, "target", DelayPolynomial(tuple(coeffs)))
+    return spec
+
+
+@st.composite
+def redesign_cases(draw):
+    """A spec (na, nb in {1, 2, 3}, delay in {0, 1}, H_S and H_R each on or
+    off, 0 to 2 auxiliary poles, and on request a target with a -0.0) and
+    estimates for it: generic, b = 0, A sharing a root with B or with H_R,
+    and non-finite."""
+    na, nb = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    aux = draw(st.lists(st.floats(-0.95, 0.95), max_size=2))
+    pole = PoleSpec(draw(st.floats(0.5, 30.0)), draw(st.floats(0.3, 2.0)), Ts, DelayPolynomial((1.0, *aux)))
+    spec = RstDesignSpec(
+        pole, na=na, nb=nb, delay=draw(st.integers(0, 1)),
+        hs=draw(st.sampled_from([ONE, HS_INTEGRATOR])), hr=draw(st.sampled_from([ONE, HR_NYQUIST_ZERO])),
+    )
+    if draw(st.booleans()):  # a target with a -0.0, which no PoleSpec gives
+        coeffs = list(spec.target.coeffs)
+        coeffs[draw(st.integers(1, len(coeffs) - 1))] = -0.0
+        _retarget(spec, coeffs)
+    coeff = st.floats(-2.0, 2.0)
+    thetas = []
+    for kind in draw(st.lists(st.sampled_from(["generic", "zero_b", "common", "non_finite"]), min_size=1, max_size=4)):
+        a, b = draw(st.lists(coeff, min_size=na, max_size=na)), draw(st.lists(coeff, min_size=nb, max_size=nb))
+        if kind == "zero_b":
+            b = [0.0] * nb
+        elif kind == "common":  # A and B share a root, or A shares H_R's at z = -1
+            root = draw(st.floats(-0.99, 0.99)) if nb >= 2 else -1.0
+            a = np.convolve([1.0, -root], [1.0, *a[: na - 1]])[1:].tolist()
+            if nb >= 2:
+                b = np.convolve([1.0, -root], b[: nb - 1]).tolist()
+        elif kind == "non_finite":
+            a[draw(st.integers(0, na - 1))] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+        thetas.append(a + b)
+    return spec, thetas
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=redesign_cases())
+@example(
+    case=(
+        _retarget(RstDesignSpec(PoleSpec(5.0, 1.0, Ts), na=2, hs=ONE, hr=ONE), (1.0, -0.0, 0.25)),
+        [[0.0, 0.3, 0.5]],
+    )
+)
+def test_redesign_on_the_prepared_target_is_the_unprepared_design(case):
+    """Every redesign of a spec, the first and those after it, gives the
+    bits of r_core, s_core, t, r and s that bezout_design and
+    check_pole_placement give on a fresh copy of the target, or the same
+    error type and message.  The explicit example is a target whose -0.0
+    gives R'_0 = -0.0 unless the padded target reads it as 0.0."""
+    spec, thetas = case
+    for theta in thetas:
+        assert _outcome_bits(spec.design, theta) == _outcome_bits(_unprepared_design, spec, theta)
+
+
+THETA_NEAR = [[-0.9152 + 0.002 * k, -0.0609 - 0.0005 * k] for k in range(50)]
+THETA_NEAR_2 = [[-1.2 + 0.003 * k, 0.35, 0.5, 0.2 - 0.001 * k] for k in range(50)]
+
+
+@pytest.mark.parametrize(
+    "overrides, thetas", [({}, THETA_NEAR), ({"na": 2, "nb": 2, "delay": 1}, THETA_NEAR_2)], ids=["1-1-0", "2-2-1"]
+)
+def test_a_spec_redesigns_without_lookups_and_pickles_without_kernels(monkeypatch, overrides, thetas):
+    """After the first design, a redesign looks up no kernel and no prepared
+    target: with the lookups replaced by stubs that raise, 50 redesigns give
+    the unprepared path's bits.  A pickled spec holds no compiled kernel,
+    only its fields, and designs the same bits."""
+    spec = design_spec(**overrides)
+    want = [_bits(_unprepared_design(spec, theta)) for theta in thetas]
+    spec.design(thetas[0])
+
+    def lookup(*args):
+        raise AssertionError("a redesign looked up a kernel or a target")
+
+    for name in ("_kernel", "_padded_target", "_monic_target", "_bezout_general", "_placement_error"):
+        monkeypatch.setattr(control, name, lookup)
+    assert [_bits(spec.design(theta)) for theta in thetas] == want
+    monkeypatch.undo()
+
+    copy = pickle.loads(pickle.dumps(spec))
+    assert copy == spec and set(vars(copy)) == {f.name for f in dataclasses.fields(spec)}
+    assert [_bits(copy.design(theta)) for theta in thetas] == want
+
+
+def test_a_prepared_target_decides_what_it_does_not_fit_as_the_plain_target():
+    """A prepared target given a model of other orders or delay, other
+    fixed parts, or a controller of other lengths than its kernels' (a PI
+    law, a general-route design) is decided as its plain copy: the same
+    bits, error value or error.  With na = 0 its kernels read no a
+    coefficient, and still reject a model that has one."""
+    spec = RstDesignSpec(PoleSpec(5.0, 1.0, Ts), na=0, nb=3)
+    b = (-0.05, 0.02, 0.01)
+    spec.design(b)
+    prepared, plain = spec._prepared, DelayPolynomial(spec.target.coeffs)
+    cases = [
+        (DiscretePlantModel((), b, 0, Ts), spec.hs, spec.hr),
+        (DiscretePlantModel((-0.9,), b, 0, Ts), spec.hs, spec.hr),
+        (DiscretePlantModel((), b[:2], 0, Ts), spec.hs, spec.hr),
+        (DiscretePlantModel((), (*b, 0.005), 0, Ts), spec.hs, spec.hr),
+        (DiscretePlantModel((), b, 1, Ts), spec.hs, spec.hr),
+        (DiscretePlantModel((), b, 0, Ts), DelayPolynomial((1.0, -1.0)), spec.hr),
+        (DiscretePlantModel((), b, 0, Ts), ONE, spec.hr),
+        (DiscretePlantModel((), b, 0, Ts), spec.hs, ONE),
+        (DiscretePlantModel((-0.9,), b, 0, Ts), ONE, ONE),
+        (DiscretePlantModel((), (-0.05, 0.02, 1e-15), 0, Ts), spec.hs, spec.hr),  # general route
+    ]
+    for model, hs, hr in cases:
+        assert _outcome_bits(bezout_design, model, prepared, hs, hr) == _outcome_bits(
+            bezout_design, model, plain, hs, hr
+        )
+    general = bezout_design(cases[-1][0], plain, spec.hs, spec.hr)
+    assert len(general.s.coeffs) < len(spec.design(b).s.coeffs)
+    controllers = [spec.design(b), general, pi_design(-0.9, -0.05, dominant_poles(spec.pole), Ts)]
+    models = [DiscretePlantModel((-0.9,), (-0.05,), 0, Ts)] + [model for model, _, _ in cases]
+    for ctrl in controllers:
+        for model in models:
+            checks = [
+                _outcome(lambda: check_pole_placement(model, ctrl, target).hex())
+                for target in (prepared, plain)
+            ]
+            assert checks[0] == checks[1]
 
 
 @pytest.mark.parametrize(

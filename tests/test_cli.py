@@ -375,6 +375,12 @@ def test_plain_value_error_mid_run_is_a_run_failure(tmp_path, capsys, monkeypatc
         ("adapt", "excitation.length=100000000", "adapt run of 400001720 samples"),
         ("adapt", "adapt.warmup=10000000", "adapt run of 40002760 samples"),
         ("adapt", "adapt.warmup=-5", "adapt warmup must be >= 0"),
+        ("track", "track.levels=1e308", "track levels must lie in the plant's angle range [0.0, 95.0] (got 1e+308)"),
+        ("adapt", "track.levels=40,-0.5", "track levels must lie in the plant's angle range [0.0, 95.0] (got -0.5)"),
+        ("adapt", "adapt.operating_reference=1e308",
+         "adapt operating_reference must lie in the plant's angle range [0.0, 95.0] (got 1e+308)"),
+        ("adapt", "plant.angle_max=92 adapt.operating_reference=93",
+         "adapt operating_reference must lie in the plant's angle range [0.0, 92.0] (got 93.0)"),
     ],
 )
 def test_input_checks_run_before_any_simulation(tmp_path, capsys, monkeypatch, command, override, message):
