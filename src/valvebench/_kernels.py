@@ -38,6 +38,9 @@ from .errors import DivergenceError
 # The worst condition of a Sylvester matrix that a design accepts, on the
 # design kernel's bound and on the general route's SVD alike.
 SYLVESTER_MAX_COND = 1e10
+# The most rows n of a Sylvester system that a design kernel solves: its
+# condition bound divides by (n - 1)^((n - 1) / 2), a float up to n = 256.
+MAX_KERNEL_ROWS = 256
 
 
 def compiled(code: list[str], name: str):
@@ -380,11 +383,11 @@ def design_source(na: int, nb: int, delay: int, hs: tuple, hr: tuple):
     or below 1e-12 of its polynomial's largest (a trimmed degree, a zero
     numerator), a zero or non-finite x_0 = p_0 / A1[0], a zero pivot, a
     condition bound past SYLVESTER_MAX_COND, or a coefficient that is not
-    finite.  With an A1 of degree 0 or an s_0 = H_S[0] away from 1, no
-    kernel applies.  Coefficients of other orders raise ValueError
-    (:func:`unpacking`)."""
+    finite.  With an A1 of degree 0, an s_0 = H_S[0] away from 1 or more
+    than MAX_KERNEL_ROWS rows, no kernel applies.  Coefficients of other
+    orders raise ValueError (:func:`unpacking`)."""
     n_a, n_b = na + len(hs) - 1, delay + nb + len(hr) - 1
-    if n_a == 0 or abs(hs[0] - 1.0) > 1e-9:  # no R' at all, or s_0 != 1
+    if n_a == 0 or abs(hs[0] - 1.0) > 1e-9 or n_a + n_b > MAX_KERNEL_ROWS:  # no R', s_0 != 1
         return None
     ma = [f"ma{i}" for i in range(1, na + 1)]
     mb = [f"mb{j}" for j in range(1, nb + 1)]

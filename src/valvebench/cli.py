@@ -18,11 +18,12 @@ import argparse
 import dataclasses
 import functools
 import math
+import operator
 import os
 import shutil
 import sys
 import tempfile
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -45,6 +46,10 @@ _INT_PLANT_FIELDS = ("adc_bits", "pwm_levels", "rng_seed")
 # n_iter x (warmup + excitation length)).  The shipped configs need at most
 # 3 166.  Checked by the plan before anything of that length is built.
 MAX_REFERENCE_SAMPLES = 10**6
+# The most multiply-adds one order scan may take: rows x the sum over its
+# cells of (na + nb)^2, the normal matrices it forms.  The default record
+# admits scan_max = 45 (9.9e9, about 1.6 s on a 2-vCPU host).
+MAX_SCAN_WORK = 10**10
 
 
 def _check_samples(run: str, n, formula: str) -> None:
@@ -55,21 +60,67 @@ def _check_samples(run: str, n, formula: str) -> None:
         )
 
 
-def _plant_keys():
-    keys = {"preset": ("strs", ["valve0"]), "Ts": ("float", 0.05)}
-    for f in dataclasses.fields(ValveParams):
-        kind = "int" if f.name in _INT_PLANT_FIELDS else "float"
-        keys[f.name] = (kind, None)
-    return keys
+_OPS = {">": operator.gt, ">=": operator.ge, "<=": operator.le}
 
 
+@dataclasses.dataclass(frozen=True)
+class Domain:
+    """The values a config key accepts: finite, inside `bounds` ((op, limit)
+    pairs, op in `_OPS`; two are a lower bound and a closed upper one) and
+    among `choices`, or passed by `check`, which raises ValueError worded
+    "<key> must be ...".  A list (`each` given) needs one value at least,
+    each in the domain `each`."""
+
+    finite: bool = False
+    bounds: tuple = ()
+    choices: tuple = ()
+    check: Callable | None = None
+    each: Domain | None = None
+
+    def failure(self, value) -> str | None:
+        """The first condition that value fails, as the words after "must be"."""
+        if self.each is not None:
+            if not value:
+                return "at least one value"
+            return next(filter(None, map(self.each.failure, value)), None)
+        if self.check is not None:
+            try:
+                self.check(value)
+            except ValueError as err:
+                return str(err).partition(" must be ")[2] or str(err)
+        if self.finite and not math.isfinite(value):
+            return "finite"
+        if not all(_OPS[op](value, limit) for op, limit in self.bounds):
+            (op, lo), *hi = self.bounds
+            return f"in {'[' if op == '>=' else '('}{lo}, {hi[0][1]}]" if hi else f"{op} {lo}"
+        if self.choices and value not in self.choices:
+            return " or ".join(map(repr, self.choices))
+        return None
+
+
+_AT_LEAST_0, _AT_LEAST_1 = Domain(bounds=((">=", 0),)), Domain(bounds=((">=", 1),))
+_NON_NEGATIVE = Domain(finite=True, bounds=((">=", 0),))
+_POSITIVE = Domain(finite=True, bounds=((">", 0),))
+_NON_EMPTY = Domain(each=Domain())
+
+
+# Each key maps to (kind, default) or (kind, default, Domain).  A key
+# without a domain is checked by the layer it is passed to: ValveParams,
+# PrbsConfig, ExcitationSpec, PoleSpec, RstDesignSpec, the estimator's
+# profile and the smoothing window.
+_PLANT_KEYS = {
+    "preset": ("strs", ["valve0"], _NON_EMPTY),
+    "Ts": ("float", 0.05, Domain(check=_substeps)),
+    **{f.name: ("int" if f.name in _INT_PLANT_FIELDS else "float", None)
+       for f in dataclasses.fields(ValveParams)},
+}
 _MODEL_KEYS = {
-    "a": ("floats", [-0.9152]),
-    "b": ("floats", [-0.0609]),
+    "a": ("floats", [-0.9152], _NON_EMPTY),
+    "b": ("floats", [-0.0609], _NON_EMPTY),
     "delay": ("int", 0),
 }
 _DESIGN_KEYS = {
-    "mode": ("str", "rst"),
+    "mode": ("str", "rst", Domain(choices=("pi", "rst"))),
     "omega0": ("float", 5.0),
     "zeta": ("float", 1.0),
     "auxiliary": ("floats", [1.0]),
@@ -82,24 +133,28 @@ _OPEN_LOOP_EXCITATION = {
     "offset": ("float", 16.0),
     "amplitude": ("float", 12.0),
     "seed": ("int", 0),
-    "settle": ("float", 5.0),
-    "periods": ("int", 3),
-    "analyze_periods": ("int", 2),
+    "settle": ("float", 5.0, _NON_NEGATIVE),
+    "periods": ("int", 3, _AT_LEAST_1),
+    "analyze_periods": ("int", 2, _AT_LEAST_1),
 }
 _TRACK_KEYS = {
-    "levels": ("floats", [40.0, 65.0, 40.0, 15.0, 40.0]),
-    "hold": ("float", 3.0),
-    "skip": ("int", 10),
-    "settle": ("float", 3.0),
+    "levels": ("floats", [40.0, 65.0, 40.0, 15.0, 40.0], Domain(each=Domain(finite=True))),
+    "hold": ("float", 3.0, _NON_NEGATIVE),
+    "skip": ("int", 10, _AT_LEAST_0),
+    "settle": ("float", 3.0, _NON_NEGATIVE),
 }
 
-SCHEMAS: dict[str, dict[str, dict[str, tuple[str, object]]]] = {
+SCHEMAS: dict[str, dict[str, dict[str, tuple]]] = {
     "sweep": {
-        "plant": _plant_keys(),
-        "sweep": {"u_max": ("float", 40.0), "step": ("float", 5.0), "hold": ("float", 2.5)},
+        "plant": _PLANT_KEYS,
+        "sweep": {
+            "u_max": ("float", 40.0, _POSITIVE),
+            "step": ("float", 5.0, _POSITIVE),
+            "hold": ("float", 2.5),
+        },
     },
     "etfe": {
-        "plant": _plant_keys(),
+        "plant": _PLANT_KEYS,
         "excitation": _OPEN_LOOP_EXCITATION,
         "spectral": {
             "smooth_window": ("int", 25),
@@ -110,24 +165,18 @@ SCHEMAS: dict[str, dict[str, dict[str, tuple[str, object]]]] = {
         },
     },
     "identify": {
-        "plant": _plant_keys(),
+        "plant": _PLANT_KEYS,
         "excitation": _OPEN_LOOP_EXCITATION,
-        "identify": {"na": ("int", 1), "nb": ("int", 1), "scan_max": ("int", 3)},
+        "identify": {
+            "na": ("int", 1, _AT_LEAST_1), "nb": ("int", 1, _AT_LEAST_1), "scan_max": ("int", 3)
+        },
     },
-    "design": {
-        "model": dict(_MODEL_KEYS, Ts=("float", 0.05)),
-        "design": _DESIGN_KEYS,
-    },
-    "track": {
-        "plant": _plant_keys(),
-        "model": _MODEL_KEYS,
-        "design": _DESIGN_KEYS,
-        "track": _TRACK_KEYS,
-    },
+    "design": {"model": dict(_MODEL_KEYS, Ts=("float", 0.05)), "design": _DESIGN_KEYS},
+    "track": {"plant": _PLANT_KEYS, "model": _MODEL_KEYS, "design": _DESIGN_KEYS, "track": _TRACK_KEYS},
     "adapt": {
-        "plant": _plant_keys(),
+        "plant": _PLANT_KEYS,
         "model": _MODEL_KEYS,
-        "design": _DESIGN_KEYS,
+        "design": dict(_DESIGN_KEYS, mode=("str", "rst", Domain(choices=("rst",)))),
         "excitation": {
             "n_registers": ("int", 8),
             "divider": ("int", 4),
@@ -136,17 +185,18 @@ SCHEMAS: dict[str, dict[str, dict[str, tuple[str, object]]]] = {
             "length": ("int", 300),
         },
         "adapt": {
-            "n_iter": ("int", 4),
-            "operating_reference": ("float", 40.0),
-            "gain": ("float", 1000.0),
+            "n_iter": ("int", 4, _AT_LEAST_1),
+            "operating_reference": ("float", 40.0, Domain(finite=True)),
+            "gain": ("float", 1000.0, _POSITIVE),
             "profile": ("str", "variable-forgetting"),
-            "lambda0": ("float", 0.97),
-            "warmup": ("int", 40),
-            "settle": ("float", 3.0),
-            "stop_tol": ("float", 0.0),
+            "lambda0": ("float", 0.97, Domain(bounds=((">", 0), ("<=", 1)))),
+            "warmup": ("int", 40, _AT_LEAST_0),
+            "settle": ("float", 3.0, _NON_NEGATIVE),
+            "stop_tol": ("float", 0.0, _NON_NEGATIVE),
             "traces": ("bool", False),
         },
-        "track": _TRACK_KEYS,
+        # adapt settles for adapt.settle: it reads no track settle, so checks none
+        "track": dict(_TRACK_KEYS, settle=("float", 3.0)),
     },
 }
 
@@ -171,7 +221,8 @@ def _parse_value(kind: str, raw: str, where: str):
 
 
 def resolve_config(command: str, entries, overrides) -> dict[str, dict[str, object]]:
-    """Defaults + config file + --set overrides, validated against the schema."""
+    """Defaults + config file + --set overrides, each key parsed as its kind
+    and the resolved value checked against its domain."""
     schema = SCHEMAS[command]
     cfg = {sec: {k: spec[1] for k, spec in keys.items()} for sec, keys in schema.items()}
 
@@ -194,6 +245,12 @@ def resolve_config(command: str, entries, overrides) -> dict[str, dict[str, obje
         apply(e.section, e.key, e.value, e.line)
     for section, key, raw in overrides:
         apply(section, key, raw, None)
+    for section, keys in schema.items():
+        for key, (_, _, *domain) in keys.items():
+            value = cfg[section][key]
+            failure = domain and domain[0].failure(value)
+            if failure:
+                raise ConfigError(f"{section} {key} must be {failure} (got {value!r})")
     return cfg
 
 
@@ -246,17 +303,10 @@ def _prbs_from_cfg(exc: dict, Ts: float) -> PrbsConfig:
     from .signals import PrbsConfig
 
     _check_duration("excitation settle", exc["settle"], Ts)
-    if exc["periods"] < 1:
-        raise ConfigError("excitation periods must be >= 1")
-    if not 1 <= exc["analyze_periods"] <= exc["periods"]:
-        raise ConfigError("analyze_periods must be in [1, periods]")
-    prbs = PrbsConfig(
-        n_registers=exc["n_registers"],
-        divider=exc["divider"],
-        seed=exc["seed"],
-        offset=exc["offset"],
-        amplitude=exc["amplitude"],
-    )
+    if exc["analyze_periods"] > exc["periods"]:
+        raise ConfigError(f"excitation analyze_periods must be <= periods = {exc['periods']} "
+                          f"(got {exc['analyze_periods']})")
+    prbs = PrbsConfig(**{k: exc[k] for k in ("n_registers", "divider", "seed", "offset", "amplitude")})
     n = round(exc["settle"] / Ts) + exc["periods"] * prbs.period
     _check_samples("open-loop run", n, "settle / Ts + periods x PRBS period")
     return prbs
@@ -284,38 +334,20 @@ def _design_from_cfg(cfg: dict, Ts: float):
     """The [model] and [design] sections as (design spec, model estimate
     [a1..a_na, b1..b_nb], controller designed on that estimate)."""
     from .adapt import RstDesignSpec
-    from .control import (
-        HR_NYQUIST_ZERO,
-        HS_INTEGRATOR,
-        ONE,
-        DelayPolynomial,
-        PoleSpec,
-        check_pole_placement,
-        pi_design,
-    )
+    from .control import HR_NYQUIST_ZERO, HS_INTEGRATOR, ONE, DelayPolynomial, PoleSpec
+    from .control import check_pole_placement, pi_design
 
     model_cfg, design_cfg = cfg["model"], cfg["design"]
     a, b = model_cfg["a"], model_cfg["b"]
-    if not a or not b:
-        raise ConfigError("model needs at least one a and one b coefficient")
-    mode = design_cfg["mode"]
-    if mode not in ("pi", "rst"):
-        raise ConfigError(f"design mode must be 'pi' or 'rst', got '{mode}'")
+    auxiliary = DelayPolynomial(tuple(design_cfg["auxiliary"]))
+    pole = PoleSpec(design_cfg["omega0"], design_cfg["zeta"], Ts, auxiliary)
     spec = RstDesignSpec(
-        pole=PoleSpec(
-            omega0=design_cfg["omega0"],
-            zeta=design_cfg["zeta"],
-            Ts=Ts,
-            auxiliary=DelayPolynomial(tuple(design_cfg["auxiliary"])),
-        ),
-        na=len(a),
-        nb=len(b),
-        delay=model_cfg["delay"],
+        pole, na=len(a), nb=len(b), delay=model_cfg["delay"],
         hs=HS_INTEGRATOR if design_cfg["integrator"] else ONE,
         hr=HR_NYQUIST_ZERO if design_cfg["nyquist_zero"] else ONE,
     )
     theta = np.array(a + b, dtype=float)
-    if mode == "rst":
+    if design_cfg["mode"] == "rst":
         return spec, theta, spec.design(theta)
     model = spec.model_from(theta)
     if model.na != 1 or model.nb != 1 or model.delay != 0:
@@ -335,9 +367,6 @@ def _design_from_cfg(cfg: dict, Ts: float):
 def plan_sweep(cfg):
     sw, Ts = cfg["sweep"], cfg["plant"]["Ts"]
     u_max, step = sw["u_max"], sw["step"]
-    if not (0 < step < math.inf and 0 < u_max < math.inf):
-        raise ConfigError("sweep u_max and step must be finite and > 0")
-    _substeps(Ts)
     _check_sweep_hold(sw["hold"], Ts)
     # The length of the arange below, ceil(stop / step), counted before it
     # is built.  From 2**53 on every float is whole, so a count that large
@@ -392,11 +421,14 @@ def plan_etfe(cfg):
     if sp["plateau_lo"] > sp["plateau_hi"]:
         raise ConfigError("spectral plateau_lo must not exceed plateau_hi")
     Ts = cfg["plant"]["Ts"]
-    _substeps(Ts)
     prbs = _prbs_from_cfg(cfg["excitation"], Ts)
     # The job's ETFE keeps only the bins the PRBS excites, so a band short
-    # of them fails its fit whatever the plant does.
+    # of them fails its fit whatever the plant does, and so does a smoothing
+    # window wider than them.
     bins = _harmonic_bins(prbs.period, prbs.bit_period, cfg["excitation"]["analyze_periods"], Ts)
+    if sp["smooth_window"] > len(bins):
+        raise ConfigError(f"spectral smooth_window must be <= the {len(bins)} bins of the ETFE "
+                          f"(got {sp['smooth_window']})")
     if prbs.amplitude == 0:  # a constant input excites no bin
         bins = bins[:0]
     in_slope = int(_in_band(bins, slope_band).sum())
@@ -443,15 +475,20 @@ def run_etfe(cfg, prbs, out_dir, preset, params):
 
 
 def plan_identify(cfg):
-    idf = cfg["identify"]
-    if idf["na"] < 1 or idf["nb"] < 1:
-        raise ConfigError("identify na and nb must be >= 1")
-    if idf["scan_max"] < max(idf["na"], idf["nb"]):
+    idf, exc = cfg["identify"], cfg["excitation"]
+    n = idf["scan_max"]
+    if n < max(idf["na"], idf["nb"]):
         raise ConfigError("scan_max must cover the chosen na and nb")
-    _substeps(cfg["plant"]["Ts"])
-    prbs = _prbs_from_cfg(cfg["excitation"], cfg["plant"]["Ts"])
+    prbs = _prbs_from_cfg(exc, cfg["plant"]["Ts"])
     if prbs.amplitude == 0:  # a constant input leaves the ARX fit singular
         raise ConfigError("identify needs a PRBS amplitude > 0: a constant input excites nothing to fit")
+    # Each cell's normal matrix takes rows x (na + nb)^2 multiply-adds; over
+    # na, nb = 1..n the squares sum to 2 n sum(i^2) + 2 sum(i)^2.
+    rows = max(0, exc["analyze_periods"] * prbs.period - n)
+    work = rows * (n * n * (n + 1) * (2 * n + 1) // 3 + (n * (n + 1)) ** 2 // 2)
+    if work > MAX_SCAN_WORK:
+        raise ConfigError(f"order scan of {work} multiply-adds (rows x the sum of (na + nb)^2 over "
+                          f"na, nb = 1..scan_max) exceeds the cap of {MAX_SCAN_WORK}")
     return functools.partial(run_identify, cfg, prbs)
 
 
@@ -515,44 +552,33 @@ def run_design(cfg, spec, theta, controller, out_dir, preset, params):
     return items
 
 
-def _reference_length(tr: dict, Ts: float) -> int:
-    """The length of the evaluation reference, levels x hold / Ts, with the
-    hold and levels checked and the length against MAX_REFERENCE_SAMPLES."""
-    _check_duration("track hold", tr["hold"], Ts)
-    if not np.isfinite(tr["levels"]).all():
-        raise ConfigError("track levels must be finite")
-    n = len(tr["levels"]) * round(tr["hold"] / Ts)
-    _check_samples("track reference", n, "levels x hold / Ts")
-    return n
-
-
 def _settle_samples(name: str, seconds: float, Ts: float) -> int:
-    """The samples of a settle of `seconds` (`adapt._settle`: one at
-    least), with the duration checked."""
+    """The samples of a settle (`adapt._settle`: one at least), its duration checked."""
     _check_duration(name, seconds, Ts)
     return max(1, round(seconds / Ts))
 
 
 def _scenario_from_cfg(tr: dict, Ts: float) -> tuple[EvalScenario, np.ndarray]:
-    """The evaluation staircase and its reference, with its length checked
-    against MAX_REFERENCE_SAMPLES before it is built and skip checked against
-    that length before any closed loop runs."""
+    """The evaluation staircase and its reference, with its length, levels x
+    hold / Ts, checked against MAX_REFERENCE_SAMPLES before it is built and
+    skip checked against that length before any closed loop runs."""
     from .adapt import EvalScenario
 
-    _reference_length(tr, Ts)
+    _check_duration("track hold", tr["hold"], Ts)
+    _check_samples("track reference", len(tr["levels"]) * round(tr["hold"] / Ts), "levels x hold / Ts")
     scenario = EvalScenario(levels=tuple(tr["levels"]), hold=tr["hold"], skip=tr["skip"])
     reference = scenario.reference(Ts)
-    if not 0 <= scenario.skip < len(reference):
-        raise ConfigError("skip must satisfy 0 <= skip < len(y)")
+    if scenario.skip >= len(reference):
+        raise ConfigError(f"track skip must be < the {len(reference)} samples of the reference "
+                          f"(got {scenario.skip})")
     return scenario, reference
 
 
 def plan_track(cfg):
     Ts, tr = cfg["plant"]["Ts"], cfg["track"]
-    _substeps(Ts)
-    n = _settle_samples("track settle", tr["settle"], Ts) + _reference_length(tr, Ts)
-    _check_samples("track run", n, "settle / Ts + levels x hold / Ts")
     _, reference = _scenario_from_cfg(tr, Ts)
+    n = _settle_samples("track settle", tr["settle"], Ts) + len(reference)
+    _check_samples("track run", n, "settle / Ts + levels x hold / Ts")
     _, _, controller = _design_from_cfg(cfg, Ts)
     return functools.partial(run_track, cfg, reference, controller)
 
@@ -581,34 +607,17 @@ def run_track(cfg, reference, controller, out_dir, preset, params):
 
 def plan_adapt(cfg):
     from .adapt import ExcitationSpec
-    from .ident import PROFILES
+    from .ident import initial_adaptation_state
 
-    Ts = cfg["plant"]["Ts"]
-    _substeps(Ts)
-    ad = cfg["adapt"]
-    if ad["n_iter"] < 1:
-        raise ConfigError("adapt n_iter must be >= 1")
-    if ad["warmup"] < 0:
-        raise ConfigError("adapt warmup must be >= 0")
-    n = _settle_samples("adapt settle", ad["settle"], Ts)
-    n += (ad["n_iter"] + 1) * _reference_length(cfg["track"], Ts)
+    Ts, ad = cfg["plant"]["Ts"], cfg["adapt"]
+    scenario, reference = _scenario_from_cfg(cfg["track"], Ts)
+    n = _settle_samples("adapt settle", ad["settle"], Ts) + (ad["n_iter"] + 1) * len(reference)
     n += ad["n_iter"] * (ad["warmup"] + cfg["excitation"]["length"])
-    _check_samples(
-        "adapt run", n,
-        "settle / Ts + (n_iter + 1) x levels x hold / Ts + n_iter x (warmup + excitation length)",
-    )
-    scenario, _ = _scenario_from_cfg(cfg["track"], Ts)
-    if cfg["design"]["mode"] != "rst":
-        raise ConfigError("adapt re-design supports only mode=rst")
-    for key in ("gain", "operating_reference", "stop_tol"):
-        if not np.isfinite(ad[key]):
-            raise ConfigError(f"adapt {key} must be finite")
-    if ad["gain"] <= 0:
-        raise ConfigError("adapt gain must be > 0")
-    if ad["profile"] not in PROFILES:
-        raise ConfigError(f"adapt profile must be one of {PROFILES}")
-    if not 0.0 < ad["lambda0"] <= 1.0:
-        raise ConfigError("adapt lambda0 must be in (0, 1]")
+    _check_samples("adapt run", n, "settle / Ts + (n_iter + 1) x levels x hold / Ts + n_iter x "
+                   "(warmup + excitation length)")
+    # the estimator checks its own settings, the profile among them
+    n_params = len(cfg["model"]["a"]) + len(cfg["model"]["b"])
+    initial_adaptation_state(n_params, ad["gain"], ad["profile"], ad["lambda0"])
     designed = _design_from_cfg(cfg, Ts)
     return functools.partial(run_adapt, cfg, scenario, *designed, ExcitationSpec(**cfg["excitation"]))
 
@@ -620,20 +629,10 @@ def run_adapt(cfg, scenario, design, theta0, initial, excitation, out_dir, prese
     ad = cfg["adapt"]
     sim = ValveSimulator(params, cfg["plant"]["Ts"])
     records = iterate(
-        sim,
-        initial,
-        design,
-        excitation,
-        scenario,
-        ad["n_iter"],
-        theta0,
-        operating_reference=ad["operating_reference"],
-        adaptation_gain=ad["gain"],
-        profile=ad["profile"],
-        lambda0=ad["lambda0"],
-        warmup=ad["warmup"],
-        settle=ad["settle"],
-        stop_tol=ad["stop_tol"] if ad["stop_tol"] > 0 else None,
+        sim, initial, design, excitation, scenario, ad["n_iter"], theta0,
+        operating_reference=ad["operating_reference"], adaptation_gain=ad["gain"],
+        profile=ad["profile"], lambda0=ad["lambda0"], warmup=ad["warmup"], settle=ad["settle"],
+        stop_tol=ad["stop_tol"] or None,
         trace_dir=out_dir if ad["traces"] else None,
     )
     save_iteration_csv(os.path.join(out_dir, "iterations.csv"), records)
@@ -642,11 +641,7 @@ def run_adapt(cfg, scenario, design, theta0, initial, excitation, out_dir, prese
     items += [(f"cost_iter_{r.iteration}", r.tracking_cost) for r in records]
     final = records[-1]
     items += [(f"theta_{i + 1}", float(v)) for i, v in enumerate(final.theta_hat)]
-    items += [
-        ("final_margin_db", final.margin_db),
-        ("redesign_failures", failures),
-    ]
-    return items
+    return items + [("final_margin_db", final.margin_db), ("redesign_failures", failures)]
 
 
 PLANS = {
@@ -781,8 +776,6 @@ def main(argv=None) -> int:
         if args.parallel < 1:
             raise ConfigError("--parallel must be >= 1")
         presets = cfg["plant"]["preset"] if "plant" in cfg else [None]
-        if not presets:
-            raise ConfigError("plant preset list is empty")
         job = PLANS[args.command](cfg)
         plants = []
         for preset in presets:  # the only checks that depend on the preset; a failure names it

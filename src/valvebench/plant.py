@@ -625,13 +625,8 @@ def _check_sweep_hold(hold: float, Ts: float) -> None:
 
 
 def _check_duration(name: str, seconds: float, Ts: float) -> None:
-    """Raise ValueError for a duration that is not finite, is negative, or
-    spans more samples of a valid Ts, round(seconds / Ts), than an index
-    holds."""
-    if not math.isfinite(seconds):
-        raise ValueError(f"{name} must be finite")
-    if seconds < 0:
-        raise ValueError(f"{name} must be >= 0")
+    """Raise ValueError for a finite duration >= 0 that spans more samples
+    of a valid Ts, round(seconds / Ts), than an index holds."""
     n = seconds / Ts
     if not (math.isfinite(n) and round(n) <= sys.maxsize):
         raise ValueError(f"{name} must be at most {sys.maxsize} samples (Ts = {Ts!r} s)")

@@ -110,16 +110,20 @@ def _check_smooth_size(size: int) -> None:
 def smooth(response: FrequencyResponse, size: int = 25) -> FrequencyResponse:
     """Hann-weighted complex moving average across bins.
 
-    size must be odd (1 returns a copy).  Near the edges the window is
-    truncated and its weights renormalized.
+    size must be odd (1 returns a copy) and, for a response of any bins, at
+    most their count.  Near the edges the window is truncated and its
+    weights renormalized.
     """
     _check_smooth_size(size)
-    if size == 1 or len(response.values) == 0:
+    n = len(response.values)
+    if size == 1 or n == 0:
         return FrequencyResponse(response.frequencies, response.values.copy(), response.Ts)
+    if size > n:
+        raise ValueError(f"smoothing window of {size} bins is wider than the response's {n} bins")
     w = np.hanning(size)
     w = w / w.sum()
     num = np.convolve(response.values, w, mode="same")
-    den = np.convolve(np.ones(len(response.values)), w, mode="same")
+    den = np.convolve(np.ones(n), w, mode="same")
     return FrequencyResponse(response.frequencies, num / den, response.Ts)
 
 

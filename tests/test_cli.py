@@ -13,7 +13,7 @@ from pathlib import Path
 from valvebench import adapt, cli, plant, spectral
 from valvebench.cli import main, parse_set_args, resolve_config
 from valvebench.errors import ConfigError, DivergenceError
-from valvebench.fileio import parse_key_values
+from valvebench.fileio import parse_key_values, read_key_values
 from valvebench.presets import get_preset
 
 import numpy as np
@@ -234,7 +234,7 @@ def test_identify_runs_quickly(tmp_path):
 @pytest.mark.parametrize(
     "override, message",
     [
-        ("identify.na=0", "identify na and nb must be >= 1"),
+        ("identify.na=0", "identify na must be >= 1 (got 0)"),
         ("identify.scan_max=0", "scan_max must cover the chosen na and nb"),
     ],
 )
@@ -357,8 +357,8 @@ def test_plain_value_error_mid_run_is_a_run_failure(tmp_path, capsys, monkeypatc
         ("track", "track.levels=nan", "track levels must be finite"),
         ("track", "track.levels=40,inf", "track levels must be finite"),
         ("adapt", "track.levels=40,nan", "track levels must be finite"),
-        ("sweep", "sweep.u_max=nan", "sweep u_max and step must be finite and > 0"),
-        ("sweep", "sweep.step=inf", "sweep u_max and step must be finite and > 0"),
+        ("sweep", "sweep.u_max=nan", "sweep u_max must be finite (got nan)"),
+        ("sweep", "sweep.step=inf", "sweep step must be finite (got inf)"),
         ("sweep", "sweep.step=1e7", "a sweep needs at least 2 levels"),
         ("sweep", "sweep.u_max=1e-307", "a sweep needs at least 2 levels"),
         ("sweep", "sweep.u_max=1e7", "sweep of 200000100 samples (2 x levels x hold / Ts)"),
@@ -381,6 +381,10 @@ def test_plain_value_error_mid_run_is_a_run_failure(tmp_path, capsys, monkeypatc
          "adapt operating_reference must lie in the plant's angle range [0.0, 95.0] (got 1e+308)"),
         ("adapt", "plant.angle_max=92 adapt.operating_reference=93",
          "adapt operating_reference must lie in the plant's angle range [0.0, 92.0] (got 93.0)"),
+        ("adapt", "adapt.stop_tol=-1", "adapt stop_tol must be >= 0 (got -1.0)"),
+        ("etfe", "spectral.smooth_window=511", "spectral smooth_window must be <= the 510 bins of the ETFE (got 511)"),
+        ("identify", "identify.scan_max=1000", "order scan of 1220088870000000 multiply-adds"),
+        ("identify", "identify.scan_max=46", "order scan of 10829427732 multiply-adds"),
     ],
 )
 def test_input_checks_run_before_any_simulation(tmp_path, capsys, monkeypatch, command, override, message):
@@ -399,6 +403,80 @@ def test_input_checks_run_before_any_simulation(tmp_path, capsys, monkeypatch, c
     err = capsys.readouterr().err
     assert err.startswith(f"valvebench {command}: ") and message in err
     assert not out.exists()
+
+
+def _scalar_edges(kind, domain):
+    """(raw value, inside) at each condition of a scalar domain: just
+    inside and just outside each bound, non-finite values where it must be
+    finite, and every choice and one that is none."""
+    step = (lambda x, to: x + (1 if to > x else -1)) if kind == "int" else math.nextafter
+    edges = [(raw, False) for raw in ("nan", "inf", "-inf") if domain.finite]
+    for op, limit in domain.bounds:
+        up, down = step(limit, math.inf), step(limit, -math.inf)
+        inside, outside = {">=": (limit, down), ">": (up, limit), "<=": (limit, up)}[op]
+        edges += [(repr(inside), True), (repr(outside), False)]
+    edges += [(choice, True) for choice in domain.choices]
+    return edges + [("none-of-these", False)] * bool(domain.choices)
+
+
+def _domain_edges(inside):
+    """A case per edge of every domain declared in cli.SCHEMAS, just inside
+    it or just outside; a list's edges are the empty list and its element
+    domain's edges."""
+    cases = []
+    for command, sections in cli.SCHEMAS.items():
+        for section, keys in sections.items():
+            for key, (kind, _, *domain) in keys.items():
+                if not domain:
+                    continue
+                d = domain[0]
+                if d.each is None:
+                    edges = _scalar_edges(kind, d)
+                else:
+                    edges = [("", False)] + _scalar_edges({"floats": "float"}.get(kind, "str"), d.each)
+                cases += [
+                    pytest.param(command, section, key, raw, id=f"{command}-{section}.{key}={raw}")
+                    for raw, is_inside in edges if is_inside == inside
+                ]
+    return cases
+
+
+@pytest.mark.parametrize("command, section, key, raw", _domain_edges(inside=True))
+def test_a_value_just_inside_a_declared_domain_resolves(command, section, key, raw):
+    kind = cli.SCHEMAS[command][section][key][0]
+    assert resolve_config(command, [], [(section, key, raw)])[section][key] == {
+        "int": int, "float": float, "str": str
+    }[kind](raw)
+
+
+@pytest.mark.parametrize("command, section, key, raw", _domain_edges(inside=False))
+def test_a_value_just_outside_a_declared_domain_exits_2(tmp_path, capsys, command, section, key, raw):
+    out = tmp_path / "out"
+    assert main([command, "--out", str(out), "--set", f"{section}.{key}={raw}"]) == 2
+    assert capsys.readouterr().err.startswith(f"valvebench {command}: {section} {key} must be ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", list(cli.SCHEMAS))
+def test_every_default_lies_in_its_domain(command):
+    resolve_config(command, [], [])
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.cfg")), ids=lambda p: p.name)
+def test_every_shipped_config_resolves(path):
+    command = path.name.partition("_")[0]
+    resolve_config(command, read_key_values(str(path)), [])
+
+
+def test_the_largest_order_scan_of_the_default_record_is_planned():
+    """scan_max = 45 stays within MAX_SCAN_WORK on the default record; 46
+    is rejected (test_input_checks_run_before_any_simulation)."""
+    cli.plan_identify(resolve_config("identify", [], [("identify", "scan_max", "45")]))
+
+
+def test_a_long_delay_is_designed(tmp_path):
+    """A delay past the design kernels' rows takes the general route."""
+    assert main(["design", "--out", str(tmp_path / "out"), "--set", "model.delay=300"]) == 0
 
 
 @pytest.mark.parametrize("command", ["track", "adapt"])
@@ -596,7 +674,7 @@ def test_out_of_range_skip_is_rejected_before_any_simulation(tmp_path, capsys, m
     monkeypatch.setattr(adapt, "iterate", never)
     rc = main(argv + ["--out", str(tmp_path), "--set", "track.skip=100000"])
     assert rc == 2
-    assert "skip must satisfy 0 <= skip < len(y)" in capsys.readouterr().err
+    assert "track skip must be < the 300 samples of the reference (got 100000)" in capsys.readouterr().err
     assert os.listdir(tmp_path) == []
 
 

@@ -21,6 +21,7 @@ from valvebench.control import (
     DelayPolynomial,
     PoleSpec,
     RstController,
+    _bezout_general,
     _closed_loop,
     _convolve,
     _model_arrays,
@@ -1064,6 +1065,27 @@ def test_design_kernels_match_reference_bits(na, nb, delay, hs, hr, n_aux, seed)
     aux = DelayPolynomial((1.0, *rng.uniform(-0.9, 0.9, n_aux)))
     pole = PoleSpec(float(rng.uniform(0.5, 30.0)), float(rng.uniform(0.3, 2.0)), Ts, aux)
     _assert_design_bits_match_reference(model, desired_poles(pole), hs, hr)
+
+
+def test_a_sylvester_system_past_the_kernel_rows_takes_the_general_route():
+    """A design kernel's condition bound divides by (n - 1)^((n - 1) / 2),
+    a float up to n = MAX_KERNEL_ROWS rows: the shape of that many rows
+    keeps its kernel, the one of a row more has none, and a delay of 300
+    (which overflowed while its kernel was generated) is designed by the
+    general route, bit for bit."""
+    rows = _kernels.MAX_KERNEL_ROWS
+    assert math.isfinite(float(rows - 1) ** ((rows - 1) / 2))
+    with pytest.raises(OverflowError):
+        float(rows) ** (rows / 2)
+    hs, hr = HS_INTEGRATOR.coeffs, HR_NYQUIST_ZERO.coeffs
+    edge = rows - 4  # n = delay + 4 rows for na = nb = 1 under these fixed parts
+    assert _kernels.design_source(1, 1, edge, hs, hr) is not None
+    assert _kernels.design_source(1, 1, edge + 1, hs, hr) is None
+    model = DiscretePlantModel((-0.9152,), (-0.0609,), 300, Ts)
+    target = desired_poles(PoleSpec(5.0, 1.0, Ts))
+    _assert_same_controller(
+        bezout_design(model, target), _bezout_general(model, target, HS_INTEGRATOR, HR_NYQUIST_ZERO)
+    )
 
 
 def test_design_kernel_runs_on_the_adaptive_redesign():

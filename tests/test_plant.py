@@ -1138,9 +1138,11 @@ def test_params_bound_the_adc_and_pwm_codes_by_a_double():
 
 @pytest.mark.parametrize(
     "seconds, message",
-    [(math.nan, "finite"), (math.inf, "finite"), (-1.0, ">= 0"), (1e308, "at most"), (1e20, "at most")],
+    [(1e308, "at most"), (1e20, "at most")],
 )
 def test_duration_check_rejects_what_no_sample_count_holds(seconds, message):
+    """A finite duration >= 0 (its config domain) whose sample count no
+    index holds."""
     with pytest.raises(ValueError, match=f"settle must be {message}"):
         plant._check_duration("settle", seconds, Ts)
     plant._check_duration("settle", 0.0, Ts)

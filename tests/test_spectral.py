@@ -58,6 +58,16 @@ def test_smooth_identity_cases():
         smooth(resp, 4)
 
 
+def test_smooth_takes_a_window_up_to_the_bin_count():
+    """np.convolve(mode="same") returns max(window, bins) values, so a
+    window wider than the response is refused by name, not left to a
+    response of the wrong length."""
+    resp = FrequencyResponse(np.linspace(1.0, 50.0, 41), np.full(41, 2.0 + 1.0j), Ts)
+    assert len(smooth(resp, 41).values) == 41
+    with pytest.raises(ValueError, match="smoothing window of 43 bins is wider than the response's 41 bins"):
+        smooth(resp, 43)
+
+
 def test_smooth_tames_noise():
     rng = np.random.default_rng(3)
     f = np.linspace(1.0, 50.0, 400)
