@@ -3,6 +3,10 @@
 bezout_design solves the Sylvester system with its straight-line design
 kernel; every design the kernel declines takes the general route, which
 checks the Sylvester matrix by its SVD and solves it with np.linalg.solve.
+Each design and its pole check get the target prepared for the model's
+shape and the fixed parts (`control._prepared_target`), as an adaptive
+redesign does, so both kernels are measured: a plain target's pole check
+takes the general route.
 The oracle (`_bezout_design_oracle` in tests/test_control.py) forms every
 product as a DelayPolynomial, checks every Sylvester matrix by its SVD and
 solves it with np.linalg.solve.  This script runs both, each followed by its
@@ -42,6 +46,7 @@ from valvebench.control import (  # noqa: E402
     ONE,
     DelayPolynomial,
     PoleSpec,
+    _prepared_target,
     bezout_design,
     check_pole_placement,
     desired_poles,
@@ -117,7 +122,8 @@ def main(argv=None) -> int:
             kind = KINDS[i % len(KINDS)]
             model, target, hs, hr = draw_case(rng, kind)
             counting[0] = "kernel"
-            got, ctrl = checked(bezout_design, check_pole_placement, model, target, hs, hr)
+            prepared = _prepared_target(target, model.na, model.nb, model.delay, hs, hr)
+            got, ctrl = checked(bezout_design, check_pole_placement, model, prepared, hs, hr)
             counting[0] = "oracle"
             ref, ref_ctrl = checked(
                 oracle._bezout_design_oracle, oracle._check_pole_placement_oracle,

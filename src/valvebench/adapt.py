@@ -81,14 +81,13 @@ class ExcitationSpec:
 class RstDesignSpec:
     """Everything fixed across re-designs: target poles, fixed parts, orders.
 
-    What a redesign looks up that depends on the spec alone (the design
-    kernel and the padded target, the pole-check kernel of the lengths the
-    design kernel gives and the monic target) is resolved at the first
-    :meth:`design`, into a private prepared target
-    (:func:`valvebench.control._prepared_target`) that every later design
-    passes to :func:`bezout_design` and :func:`check_pole_placement`.  It
-    holds compiled kernels, so it is left out of the pickled state; an
-    unpickled spec prepares its own."""
+    A prepared target (:func:`valvebench.control._prepared_target`) is the
+    one way to the design and pole-check kernels.  The spec builds its own
+    at the first :meth:`design`, for its orders, delay and fixed parts, and
+    every later design passes it to :func:`bezout_design` and
+    :func:`check_pole_placement`, so a redesign looks nothing up.  It holds
+    compiled kernels, so it is left out of the pickled state; an unpickled
+    spec prepares its own."""
 
     pole: PoleSpec
     na: int = 1
@@ -137,7 +136,8 @@ class RstDesignSpec:
     def design(self, theta) -> RstController:
         """Pole placement on the given estimate, verified before returning:
         :func:`bezout_design` and :func:`check_pole_placement` on the spec's
-        prepared target, which decide exactly as on :attr:`target`."""
+        prepared target, which decide with the bits of the plain
+        :attr:`target`."""
         model = self.model_from(theta)
         target = self._prepared
         controller = bezout_design(model, target, self.hs, self.hr)

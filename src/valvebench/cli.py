@@ -141,7 +141,6 @@ _TRACK_KEYS = {
     "levels": ("floats", [40.0, 65.0, 40.0, 15.0, 40.0], Domain(each=Domain(finite=True))),
     "hold": ("float", 3.0, _NON_NEGATIVE),
     "skip": ("int", 10, _AT_LEAST_0),
-    "settle": ("float", 3.0, _NON_NEGATIVE),
 }
 
 SCHEMAS: dict[str, dict[str, dict[str, tuple]]] = {
@@ -172,7 +171,10 @@ SCHEMAS: dict[str, dict[str, dict[str, tuple]]] = {
         },
     },
     "design": {"model": dict(_MODEL_KEYS, Ts=("float", 0.05)), "design": _DESIGN_KEYS},
-    "track": {"plant": _PLANT_KEYS, "model": _MODEL_KEYS, "design": _DESIGN_KEYS, "track": _TRACK_KEYS},
+    "track": {
+        "plant": _PLANT_KEYS, "model": _MODEL_KEYS, "design": _DESIGN_KEYS,
+        "track": dict(_TRACK_KEYS, settle=("float", 3.0, _NON_NEGATIVE)),
+    },
     "adapt": {
         "plant": _PLANT_KEYS,
         "model": _MODEL_KEYS,
@@ -195,8 +197,7 @@ SCHEMAS: dict[str, dict[str, dict[str, tuple]]] = {
             "stop_tol": ("float", 0.0, _NON_NEGATIVE),
             "traces": ("bool", False),
         },
-        # adapt settles for adapt.settle: it reads no track settle, so checks none
-        "track": dict(_TRACK_KEYS, settle=("float", 3.0)),
+        "track": _TRACK_KEYS,
     },
 }
 
@@ -489,6 +490,9 @@ def plan_identify(cfg):
     if work > MAX_SCAN_WORK:
         raise ConfigError(f"order scan of {work} multiply-adds (rows x the sum of (na + nb)^2 over "
                           f"na, nb = 1..scan_max) exceeds the cap of {MAX_SCAN_WORK}")
+    if rows < 2 * n:
+        raise ConfigError(f"order scan of {rows} rows (analyze_periods x PRBS period - scan_max) "
+                          f"cannot determine the {2 * n} parameters of its largest cell")
     return functools.partial(run_identify, cfg, prbs)
 
 

@@ -318,51 +318,39 @@ def _padded_target(n: int, pole_coeffs: tuple) -> tuple | None:
     return None if len(p) > n else tuple([c + 0.0 for c in p] + [0.0] * (n - len(p)))
 
 
-def _design_kernel(na, nb, delay, hs, hr, pole_coeffs):
-    """(design kernel, padded target) for a model of these orders and delay,
-    these fixed parts and this target; (None, None) where no kernel applies
-    or the target does not fit the Sylvester system."""
-    kernel = _kernel(_kernels.design_source, na, nb, delay, hs.coeffs, hr.coeffs)
-    p = None if kernel is None else _padded_target(
-        na + len(hs.coeffs) + delay + nb + len(hr.coeffs) - 2, pole_coeffs
-    )
-    return (None, None) if p is None else (kernel, p)
-
-
-def _designed_by_lookup(model, pole_poly, hs, hr):
-    """The design kernel's answer, the kernel found by the model's shape, or
-    None where no kernel applies or the kernel declines."""
-    a, b = model.a_coeffs, model.b_coeffs
-    kernel, p = _design_kernel(len(a), len(b), model.delay, hs, hr, pole_poly.coeffs)
-    return None if kernel is None else kernel(a, b, p)
-
-
 def _declined(*args) -> None:
     """The answer of a prepared target's kernel where no kernel applies."""
     return None
 
 
 class _PreparedTarget(DelayPolynomial):
-    """A target with what a redesign looks up resolved once, for the fixed
-    parts `hs`, `hr` and the `delay` it holds: the design kernel of the
-    spec's shape and the padded target (`design`, `padded`), and the
-    pole-check kernel of the S and R lengths a kernel design gives and the
-    monic target (`check`, `wanted`); `_declined` where no kernel applies.
-    It holds compiled kernels, so it is never pickled."""
+    """A target with what a design and its pole check look up resolved
+    once, for models of the orders and `delay` and the fixed parts `hs`,
+    `hr` it was prepared for: the design kernel of that shape and the
+    padded target (`design`, `padded`), and the pole-check kernel of the S
+    and R lengths a kernel design gives and the monic target (`check`,
+    `wanted`); `_declined` where no kernel applies or the target does not
+    fit the Sylvester system.  It is the one way to a kernel: the kernels
+    unpack the model, S and R by their lengths, so an input of other
+    lengths fails with a ValueError.  It holds compiled kernels, so it is
+    never pickled."""
 
 
 def _prepared_target(pole_poly, na, nb, delay, hs, hr) -> _PreparedTarget:
     """pole_poly prepared for models of these orders and delay under these
     fixed parts (:class:`_PreparedTarget`)."""
-    design, padded = _design_kernel(na, nb, delay, hs, hr, pole_poly.coeffs)
+    design = _kernel(_kernels.design_source, na, nb, delay, hs.coeffs, hr.coeffs)
+    padded = None if design is None else _padded_target(
+        na + len(hs.coeffs) + delay + nb + len(hr.coeffs) - 2, pole_poly.coeffs
+    )
     wanted = _monic_target(pole_poly.coeffs)
     check = _declined if wanted is None else _kernel(
         _kernels.pole_check_source, na, nb, delay, *_law_lengths(na, nb, delay, hs, hr), len(wanted)
     )
     target = object.__new__(_PreparedTarget)
     target.__dict__.update(
-        coeffs=pole_poly.coeffs, hs=hs, hr=hr, delay=delay, design=design or _declined,
-        padded=padded, check=check, wanted=wanted,
+        coeffs=pole_poly.coeffs, hs=hs, hr=hr, delay=delay,
+        design=_declined if padded is None else design, padded=padded, check=check, wanted=wanted,
     )
     return target
 
@@ -382,24 +370,25 @@ def bezout_design(
     than SYLVESTER_MAX_COND (a common factor), the numerator is zero or P is
     of too high a degree.
 
-    Runs the design kernel of the model's orders and delay and the fixed
-    parts (:func:`valvebench._kernels.design_source`) on the padded target
-    (:func:`_padded_target`); the general route (:func:`_bezout_general`)
-    decides each input that the kernel or the padding declines.  A target
-    that :class:`valvebench.adapt.RstDesignSpec` prepared
-    (:class:`_PreparedTarget`), with the fixed parts and delay it was
-    prepared for, brings its kernel and padded target, so nothing is looked
-    up; a model of other orders, which that kernel rejects by its
-    unpacking, is designed as above.
+    Runs the design kernel of a prepared target (:class:`_PreparedTarget`)
+    on its padded target; the general route (:func:`_bezout_general`)
+    decides each input that the kernel or the padding declines.  The target
+    that :class:`valvebench.adapt.RstDesignSpec` prepared is taken as it is
+    when the fixed parts and delay are the ones it was prepared for, so a
+    redesign looks nothing up.  Any other target, or a prepared one whose
+    kernel rejects the model's orders by its unpacking, is prepared for
+    this call (:func:`_prepared_target`).
     """
-    if (pole_poly.__class__ is _PreparedTarget and hs is pole_poly.hs and hr is pole_poly.hr
-            and model.delay == pole_poly.delay):
-        try:
-            solved = pole_poly.design(model.a_coeffs, model.b_coeffs, pole_poly.padded)
-        except ValueError:  # a model of other orders than the target's
-            solved = _designed_by_lookup(model, pole_poly, hs, hr)
-    else:
-        solved = _designed_by_lookup(model, pole_poly, hs, hr)
+    a, b = model.a_coeffs, model.b_coeffs
+    target = pole_poly
+    if not (target.__class__ is _PreparedTarget and hs is target.hs and hr is target.hr
+            and model.delay == target.delay):
+        target = _prepared_target(pole_poly, len(a), len(b), model.delay, hs, hr)
+    try:
+        solved = target.design(a, b, target.padded)
+    except ValueError:  # a model of other orders than the target's
+        target = _prepared_target(pole_poly, len(a), len(b), model.delay, hs, hr)
+        solved = target.design(a, b, target.padded)
     if solved is None:
         return _bezout_general(model, pole_poly, hs, hr)
     return RstController._of_parts(*solved, model.Ts, hr, hs)
@@ -513,25 +502,24 @@ def check_pole_placement(
     double root) while the coefficients are not.  Raises
     :class:`DesignError` above tol.
 
-    Runs the kernel of the model's orders and delay and the lengths of S, R
-    and the monic target (:func:`valvebench._kernels.pole_check_source`) on
-    :func:`_monic_target`; :func:`_placement_error` decides the rest.  A
-    prepared target (:class:`_PreparedTarget`), with the delay it was
-    prepared for, brings its monic target and the kernel of the lengths a
-    kernel design gives, so nothing is looked up; a model or controller of
-    other lengths (a general-route design), which that kernel rejects by
-    its unpacking, is checked as above.
+    A prepared target (:class:`_PreparedTarget`), with the delay it was
+    prepared for, runs its pole-check kernel
+    (:func:`valvebench._kernels.pole_check_source`) on its monic target:
+    the kernel of the model's orders and the lengths of S and R that a
+    kernel design gives.  :func:`_placement_error` decides every other
+    input, with the kernel's bits: a plain target, a model or controller of
+    other lengths (a general-route design, a PI law), which the kernel
+    rejects by its unpacking, and one the kernel declines.
     """
-    s, r, _ = controller._law
     if pole_poly.__class__ is _PreparedTarget and model.delay == pole_poly.delay:
         wanted = pole_poly.wanted
+        s, r, _ = controller._law
         try:
             err = pole_poly.check(model.a_coeffs, model.b_coeffs, s, r, wanted)
         except ValueError:  # S, R or the model of other lengths than the target's
-            err = _checked_by_lookup(model, s, r, wanted)
+            err = None
     else:
-        wanted = _monic_target(pole_poly.coeffs)
-        err = _checked_by_lookup(model, s, r, wanted)
+        wanted, err = _monic_target(pole_poly.coeffs), None
     if err is None:
         err = _placement_error(model, controller, wanted)
     if err > tol:
@@ -539,19 +527,10 @@ def check_pole_placement(
     return err
 
 
-def _checked_by_lookup(model, s, r, wanted) -> float | None:
-    """The pole-check kernel's error, the kernel found by the lengths of the
-    model, S, R and the monic target; None where there is no monic target or
-    the kernel declines."""
-    a, b = model.a_coeffs, model.b_coeffs
-    return None if wanted is None else _kernel(
-        _kernels.pole_check_source, len(a), len(b), model.delay, len(s), len(r), len(wanted),
-    )(a, b, s, r, wanted)
-
-
 def _placement_error(model, controller, wanted) -> float:
     """The error of :func:`check_pole_placement` for any input, against the
-    monic target `wanted` (:func:`_monic_target`)."""
+    monic target `wanted` (:func:`_monic_target`), with the bits of the
+    pole-check kernel wherever that answers."""
     achieved = _trimmed(_closed_loop(model, controller), 1e-9)
     lead = achieved[0]
     if lead == 0.0 or wanted is None:

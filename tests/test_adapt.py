@@ -137,7 +137,8 @@ def _outcome_bits(design, *args):
 
 def _unprepared_design(spec, theta):
     """The public path a redesign replaces, on a fresh copy of the target:
-    nothing prepared, every kernel and target looked up."""
+    the design prepares the plain target for this call, and the pole check
+    takes the general route (`_placement_error`)."""
     model = spec.model_from(theta)
     target = DelayPolynomial(spec.target.coeffs)
     controller = bezout_design(model, target, spec.hs, spec.hr)
@@ -197,7 +198,9 @@ def test_redesign_on_the_prepared_target_is_the_unprepared_design(case):
     """Every redesign of a spec, the first and those after it, gives the
     bits of r_core, s_core, t, r and s that bezout_design and
     check_pole_placement give on a fresh copy of the target, or the same
-    error type and message.  The explicit example is a target whose -0.0
+    error type and message: the spec's kernels against the routes a plain
+    target takes, a design prepared for the call and the general pole
+    check.  The explicit example is a target whose -0.0
     gives R'_0 = -0.0 unless the padded target reads it as 0.0."""
     spec, thetas = case
     for theta in thetas:

@@ -385,6 +385,10 @@ def test_plain_value_error_mid_run_is_a_run_failure(tmp_path, capsys, monkeypatc
         ("etfe", "spectral.smooth_window=511", "spectral smooth_window must be <= the 510 bins of the ETFE (got 511)"),
         ("identify", "identify.scan_max=1000", "order scan of 1220088870000000 multiply-adds"),
         ("identify", "identify.scan_max=46", "order scan of 10829427732 multiply-adds"),
+        ("identify", "identify.scan_max=2045", "order scan of 0 rows (analyze_periods x PRBS period - "
+         "scan_max) cannot determine the 4090 parameters of its largest cell"),
+        ("identify", "identify.scan_max=2050", "cannot determine the 4100 parameters"),
+        ("adapt", "track.settle=3", "unknown key 'settle' in [track] for subcommand 'adapt'"),
     ],
 )
 def test_input_checks_run_before_any_simulation(tmp_path, capsys, monkeypatch, command, override, message):

@@ -27,6 +27,7 @@ from valvebench.control import (
     _model_arrays,
     _monic_target,
     _padded_target,
+    _prepared_target,
     _trimmed,
     bezout_design,
     check_pole_placement,
@@ -1030,13 +1031,16 @@ def _assert_design_bits_match_reference(model, target, hs, hr):
 
 def _assert_pole_check_bits_match_reference(model, ctrl, target):
     """check_pole_placement gives its reference's bits, against the target
-    and a shorter one, at the default tolerance and at none: the same error
+    and a shorter one, each plain (the general route) and prepared for the
+    model's shape and the controller's fixed parts (the pole-check
+    kernel's route), at the default tolerance and at none: the same error
     value, or the same error."""
+    shape = len(model.a_coeffs), len(model.b_coeffs), model.delay, ctrl.hs, ctrl.hr
     for wanted in (target, DelayPolynomial(target.coeffs[:2])):
         for tol in (1e-9, math.inf):
-            assert _pole_check_bits(check_pole_placement, model, ctrl, wanted, tol) == (
-                _pole_check_bits(_reference_check_pole_placement, model, ctrl, wanted, tol)
-            )
+            want = _pole_check_bits(_reference_check_pole_placement, model, ctrl, wanted, tol)
+            for given in (wanted, _prepared_target(wanted, *shape)):
+                assert _pole_check_bits(check_pole_placement, model, ctrl, given, tol) == want
 
 
 FIXED_PARTS = [ONE, HS_INTEGRATOR, HR_NYQUIST_ZERO]
@@ -1317,9 +1321,14 @@ def test_design_kernel_edges_match_reference(a, b, delay, hs, hr, aux, general, 
 def test_pole_check_kernel_edges_match_reference(a, b, r_core):
     """On hand-made controllers with S = 1 - q^-1, the pole check gives its
     reference's bits at signed zeros, ties, subnormal and 1e300-scale
-    coefficients."""
+    coefficients.  The kernel of a target prepared for them answers each
+    but the overflow, which it declines."""
     model = DiscretePlantModel(a, b, 0, Ts)
     # R = R' as given, a -0.0 kept (the constructor's H_R R' would add it to 0.0)
     ctrl = RstController._solved(r_core, (1.0,), 1.0, r_core, (1.0, -1.0), Ts, ONE, HS_INTEGRATOR)
     assert ctrl._law[1] == r_core
-    _assert_pole_check_bits_match_reference(model, ctrl, desired_poles(PoleSpec(5.0, 1.0, Ts)))
+    target = desired_poles(PoleSpec(5.0, 1.0, Ts))
+    prepared = _prepared_target(target, 1, 1, 0, ctrl.hs, ctrl.hr)
+    answer = prepared.check(a, b, *ctrl._law[:2], prepared.wanted)
+    assert (answer is None) == (r_core == (1e300, 1e300))
+    _assert_pole_check_bits_match_reference(model, ctrl, target)

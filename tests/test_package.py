@@ -153,8 +153,11 @@ def test_each_kernel_is_compiled_once_per_shape(monkeypatch):
     unclamped runtime and the predictor: a second round of the same calls
     compiles nothing, and nor does a third with another pole specification
     (another omega_0 and zeta, a target of the same length), since a key
-    holds the shape and the target goes in at call time.  The kernels
-    answer every design and pole check here: the general routes raise."""
+    holds the shape and the target goes in at call time.  The design runs
+    on the plain target, which it prepares for the call, and the pole check
+    on the spec's prepared target, the one way to the pole-check kernel.
+    The kernels answer every design and pole check here: the general
+    routes raise."""
     import numpy as np
 
     from valvebench import _kernels, cloe, control, ident
@@ -193,7 +196,7 @@ def test_each_kernel_is_compiled_once_per_shape(monkeypatch):
         ident.rls_step(state, [0.1, -0.2], 1.0)
         ident.rls_run(u, y, 1, 1, state)
         controller = control.bezout_design(model, spec.target, spec.hs, spec.hr)
-        control.check_pole_placement(model, controller, spec.target)
+        control.check_pole_placement(model, controller, spec._prepared)
         control.ControllerRuntime(controller, limits=(0.0, 100.0)).step(1.0, 2.0)
         predictor = cloe.ClosedLoopPredictor(controller, 1, 1, 0, state)
         predictor.predict(0.5)
